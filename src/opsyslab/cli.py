@@ -171,6 +171,10 @@ def main(argv=None) -> int:
                 reports = list(pool.map(problems.run, docs))
         else:
             reports = [problems.run(doc) for doc in docs]
+        if args.table:
+            text = "\n\n".join(_format_table(r) for r in reports)
+        else:
+            text = problems.render_value(reports[0] if len(reports) == 1 else reports)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -181,11 +185,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.table:
-        print("\n\n".join(_format_table(r) for r in reports))
-    else:
-        out = reports[0] if len(reports) == 1 else reports
-        print(problems.render_value(out))
+    print(text)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ IEEE doubles bit for bit.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import sdp
 from .algebra import MatrixStarAlgebra, OperatorSubspace
-from .errors import InputError
+from .errors import InputError, NumericalFailureError
 from .hermitian import hermitian, op_norm
 from .korovkin import korovkin_demo
 from .rigidity import (
@@ -74,7 +75,8 @@ def render_value(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
         if value != value or value in (float("inf"), float("-inf")):
-            raise InputError("cannot serialize a non-finite number")
+            # Documents are parsed finite, so this is a computed value.
+            raise NumericalFailureError("cannot serialize a non-finite number")
         return format(value, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -220,16 +222,20 @@ def parse_problem(text: str) -> ProblemDocument:
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise InputError("tolerances: expected an object")
+    unknown = sorted(set(tol) - {"gap", "psd"})
+    if unknown:
+        raise InputError(f"tolerances: unknown keys {unknown}; known: gap, psd")
+    tol = {k: sdp.positive_tolerance(f"tolerances.{k}", v) for k, v in tol.items()}
     settings = sdp.SdpSettings(
-        gap_tol=float(tol.get("gap", sdp.DEFAULT_SETTINGS.gap_tol)),
-        psd_slack=float(tol.get("psd", sdp.DEFAULT_SETTINGS.psd_slack)),
+        gap_tol=tol.get("gap", sdp.DEFAULT_SETTINGS.gap_tol),
+        psd_slack=tol.get("psd", sdp.DEFAULT_SETTINGS.psd_slack),
     )
     parsed = _PARSERS[kind](payload, _Path("payload"))
     canonical = {"kind": kind, "payload": _canonical_payload(parsed)}
     if seed is not None:
         canonical["seed"] = seed
     if tol:
-        canonical["tolerances"] = {k: float(v) for k, v in sorted(tol.items())}
+        canonical["tolerances"] = dict(sorted(tol.items()))
     return ProblemDocument(
         kind=kind, payload=parsed, seed=seed, settings=settings, canonical=canonical
     )
@@ -255,8 +261,10 @@ def _opt_int(payload, key, path, default=None, minimum=None):
 
 def _req_number(payload, key, path):
     v = payload.get(key)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(path / key, "expected a number")
+    # abs(v) <= max also rejects NaN, infinities and integers beyond the
+    # float range without converting them.
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        _fail(path / key, "expected a finite number")
     return float(v)
 
 

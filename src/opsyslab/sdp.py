@@ -17,6 +17,7 @@ silently.  Everything is deterministic: same problem, same output.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,23 @@ class SdpSettings:
     cert_residual_tol: float = 1e-7
     cert_negativity: float = -1e-9
     unbounded_value: float = 1e9
+
+    def __post_init__(self):
+        for name in ("gap_tol", "psd_slack", "newton_tol", "cert_residual_tol"):
+            positive_tolerance(name, getattr(self, name))
+
+
+def positive_tolerance(name: str, value) -> float:
+    """`value` as a float; InputError unless it is a finite positive number."""
+    # The chained comparison also rejects NaN, infinities and integers beyond
+    # the float range without converting them.
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0 < value <= sys.float_info.max
+    ):
+        raise InputError(f"{name}: expected a finite positive number, got {value!r}")
+    return float(value)
 
 
 DEFAULT_SETTINGS = SdpSettings()
@@ -244,6 +262,12 @@ class _BarrierState:
                 stall = 0
             prev_dec = dec
             alpha = 1.0 if dec <= 4.0 else 1.0 / (1.0 + dec)
+            # Inside the Dikin region (dec < 1/4) the full Newton step of a
+            # self-concordant barrier is feasible and contracts the decrement
+            # quadratically (Nesterov-Nemirovski); the barrier value's own
+            # rounding can hide that decrease, so there the full step only
+            # has to keep the slack positive definite.
+            dikin = dec < 0.25
             accepted = False
             while alpha > 1e-14:
                 x_new = self.x + alpha * step
@@ -251,7 +275,11 @@ class _BarrierState:
                 logdet = _stacks_logdet(stacks_new)
                 if logdet is not None:
                     f_new = t * float(self.c @ x_new) - logdet
-                    if f_new <= f_cur - 0.25 * alpha * dec * dec or f_new < f_cur:
+                    if (
+                        (dikin and alpha == 1.0)
+                        or f_new <= f_cur - 0.25 * alpha * dec * dec
+                        or f_new < f_cur
+                    ):
                         accepted = True
                         break
                 alpha *= 0.5

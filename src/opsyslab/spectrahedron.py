@@ -143,7 +143,7 @@ def reduce_spectrahedron(
             spec.z_interior = sol.x
             spec.interior_margin = float(sol.value)
             return spec
-        if sol.status == sdp.INFEASIBLE or sol.value < -FACE_TOL * scale:
+        if sol.value < -FACE_TOL * scale:
             if sol.dual_certificate is not None:
                 raise SpectrahedronInfeasible("PSD face is empty (certified)")
             raise NumericalFailureError("face search: infeasible but uncertified")

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ import pytest
 from opsyslab import problems
 from opsyslab.cli import main
 from opsyslab.errors import InputError
+from opsyslab.sdp import SdpSettings
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def doc_unperforated_instance() -> str:
@@ -212,3 +219,78 @@ def test_cli_repro_list(capsys):
     assert main(["repro", "--list"]) == 0
     out = capsys.readouterr().out
     assert "E:unpmatrices" in out and "ideal-uep" in out
+
+
+@pytest.mark.parametrize("bad", ["abc", -1, 0, 1e400, 10**400, True, None])
+def test_parse_rejects_bad_tolerance(bad):
+    doc = json.loads(doc_unperforated_instance())
+    doc["tolerances"] = {"gap": bad}
+    with pytest.raises(InputError, match="tolerances.gap"):
+        problems.parse_problem(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), 10**400, "1"])
+def test_parse_rejects_non_finite_epsilon(bad):
+    doc = {
+        "kind": "riesz",
+        "payload": {"B": [[[1, 0], [0, 1]]], "a": [[0, 0], [0, 1]], "epsilon": bad},
+    }
+    with pytest.raises(InputError, match="epsilon"):
+        problems.parse_problem(json.dumps(doc))
+
+
+def test_parse_rejects_unknown_tolerance_key():
+    doc = json.loads(doc_unperforated_instance())
+    doc["tolerances"] = {"gap_tol": 1e-6}
+    with pytest.raises(InputError, match="unknown keys"):
+        problems.parse_problem(json.dumps(doc))
+
+
+def test_parse_echoes_valid_tolerances():
+    doc = json.loads(doc_unperforated_instance())
+    doc["tolerances"] = {"psd": 1e-9, "gap": 1e-6}
+    parsed = problems.parse_problem(json.dumps(doc))
+    assert parsed.settings.gap_tol == 1e-6 and parsed.settings.psd_slack == 1e-9
+    assert parsed.canonical["tolerances"] == {"gap": 1e-6, "psd": 1e-9}
+
+
+@pytest.mark.parametrize("field", ["gap_tol", "psd_slack", "newton_tol", "cert_residual_tol"])
+@pytest.mark.parametrize("bad", [-1e-7, 0.0, float("nan"), float("inf"), "1e-7"])
+def test_settings_reject_bad_tolerance(field, bad):
+    with pytest.raises(InputError, match=field):
+        SdpSettings(**{field: bad})
+
+
+def test_cli_bad_tolerance_exits_2(tmp_path, capsys):
+    doc = json.loads(doc_unperforated_instance())
+    doc["tolerances"] = {"gap": "abc"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-unperforated", "--file", str(path)]) == 2
+    assert main(["repro", "--id", "E:perf", "--tol-gap", "-1"]) == 2
+
+
+def test_cli_korovkin_high_degree(capsys):
+    assert main(["korovkin", "--n", "1500", "--grid-size", "101", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["results"]["deviations"]["x^2"] == pytest.approx(1.0 / 6000, rel=1e-9)
+
+
+def test_cli_non_finite_result_exits_3(monkeypatch, capsys):
+    monkeypatch.setitem(problems._RUNNERS, "korovkin", lambda doc: {"value": float("nan")})
+    assert main(["korovkin", "--n", "10", "--json"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["E:perf", "E:ueprepstates", "ideal-uep"])
+def test_repro_results_identical_across_blas_threads(case):
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "opsyslab.cli", "repro", "--id", case, "--json"],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(problems.render_value(json.loads(proc.stdout)["results"]))
+    assert outputs[0] == outputs[1]

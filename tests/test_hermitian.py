@@ -1,7 +1,10 @@
 """Checks for the hermitian kernel: eigensolver, PSD test, spectral clamp.
 
-np.linalg.eigh is used as the independent oracle; the package route is the
-Jacobi solver on the real embedding.
+The package route is np.linalg.eigh (LAPACK zheevd) behind reconstruction
+and unitarity checks.  np.linalg.eigvalsh is the eigenvalue oracle; since it
+comes from the same LAPACK, the tests also pin the invariants themselves:
+reconstruction, ordering, determinism, and that a decomposition failing its
+checks raises instead of being returned.
 """
 
 from __future__ import annotations
@@ -9,11 +12,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from opsyslab.errors import InputError
+from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import (
     clip_spectrum,
     commutator_norm,
     eigh,
+    eigh_coefficient_space,
     hermitian,
     hs_inner,
     is_psd,
@@ -82,6 +86,29 @@ def test_eigh_rejects_bad_input():
         hermitian(np.zeros((0, 0)))
     with pytest.raises(InputError):
         hermitian(np.array([[np.nan]]))
+
+
+def test_eigh_raises_when_invariants_fail(monkeypatch):
+    A = np.diag([1.0, 2.0, 3.0])
+
+    def not_unitary(H):
+        return np.array([1.0, 2.0, 3.0]), 2.0 * np.eye(3)
+
+    def lost_eigenvalue(H):
+        return np.array([1.0, 2.0, 2.5]), np.eye(3)
+
+    def nan_output(H):
+        return np.full(3, np.nan), np.eye(3)
+
+    for fake in (not_unitary, lost_eigenvalue, nan_output):
+        monkeypatch.setattr(np.linalg, "eigh", fake)
+        with pytest.raises(NumericalFailureError):
+            eigh(A)
+
+
+def test_eigh_coefficient_space_rejects_non_finite():
+    with pytest.raises(NumericalFailureError):
+        eigh_coefficient_space(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def test_is_psd_examples():

@@ -15,6 +15,28 @@ def test_weights_sum_to_one():
             assert abs(float(np.sum(w)) - 1.0) <= 1e-12
 
 
+def test_weights_finite_at_the_degree_limit():
+    from math import comb
+
+    n = 2000
+    w = bernstein_weights(n, 0.5)
+    assert np.all(np.isfinite(w))
+    assert abs(float(np.sum(w)) - 1.0) <= 1e-12
+    exact = np.array([comb(n, k) / 2**n for k in range(n + 1)])
+    mass = exact > 1e-300
+    assert np.allclose(w[mass], exact[mass], rtol=1e-11, atol=0)
+    assert np.all(w[~mass] <= 1e-290)
+
+
+@pytest.mark.parametrize("x", [1e-9, 0.013, 0.37, 0.73, 1.0 - 1e-9])
+def test_weights_finite_at_high_degree(x):
+    w = bernstein_weights(1500, x)
+    assert np.all(np.isfinite(w)) and np.all(w >= 0)
+    assert abs(float(np.sum(w)) - 1.0) <= 1e-12
+    # mean of the binomial distribution
+    assert float(w @ np.arange(1501)) == pytest.approx(1500 * x, rel=1e-10, abs=1e-10)
+
+
 def test_weights_match_direct_binomial():
     from math import comb
 

@@ -2,7 +2,9 @@
 
 Oracles used here: a closed-form determinant analysis for the 2x2 example,
 bisection on the minimum eigenvalue for one-variable problems, and a scalar
-interval intersection for the interpolation block family.
+interval intersection for the interpolation block family.  The last tests
+pin the barrier's final centering and facial reduction on seeded systems
+that used to fail: a set known to be nonempty must never be rejected.
 """
 
 from __future__ import annotations
@@ -10,7 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from opsyslab import sdp
+from opsyslab import (
+    MatrixStarAlgebra,
+    OperatorSubspace,
+    StateFunctional,
+    extension_interval,
+    sdp,
+    spectrahedron,
+)
 from opsyslab.hermitian import eigh, is_psd
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -185,3 +194,79 @@ def test_block_validation():
         sdp.LmiBlock(np.array([[0.0, 1.0], [0.0, 0.0]]), [])
     with pytest.raises(Exception):
         sdp.SdpProblem(objective=np.array([1.0]), blocks=[])
+
+
+def unit_matrix(n, i, j):
+    E = np.zeros((n, n), dtype=complex)
+    E[i, j] = 1.0
+    return E
+
+
+def hermitian_units(n):
+    """E_ii, E_ij + E_ji, i(E_ij - E_ji): a hermitian basis of M_n."""
+    out = [unit_matrix(n, i, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            out.append(unit_matrix(n, i, j) + unit_matrix(n, j, i))
+            out.append(1j * unit_matrix(n, i, j) - 1j * unit_matrix(n, j, i))
+    return out
+
+
+def unit_norm_hermitian(rng, n):
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = (G + G.conj().T) / 2.0
+    return H / np.linalg.norm(H, 2)
+
+
+def density_of_rank(rng, n, rank):
+    V = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    D = V @ V.conj().T
+    return D / np.trace(D).real
+
+
+# Seeds whose last centering used to stop off-centre, so that the harvested
+# duals failed the gap check ("duality gap exceeds tolerance").
+@pytest.mark.parametrize("seed", [5, 15, 16, 18, 19, 32, 57, 70, 84, 89])
+def test_extension_interval_on_random_unital_systems(seed):
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 2
+    rank = 1 + (seed // 2) % n
+    extra = 1 + (seed // 2) % (n * n - 2)
+    basis = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(extra)]
+    S = OperatorSubspace(ambient_dim=n, basis=basis, unital=True)
+    phi = StateFunctional(density=density_of_rank(rng, n, rank), domain=S)
+    t = unit_norm_hermitian(rng, n)
+    interval = extension_interval(phi, t, MatrixStarAlgebra.full(n))
+    assert interval.min <= interval.max + 1e-9
+    # phi's own density is an extension, so the interval brackets its value.
+    value = float(np.trace(phi.density @ t).real)
+    assert interval.min - 1e-6 <= value <= interval.max + 1e-6
+
+
+def identity_choi_constraints(S, n):
+    """tr(A_j J) = b_j pinning a unital map's Choi matrix J to the identity on S."""
+    out = [(np.kron(np.eye(n), U), float(np.trace(U).real)) for U in hermitian_units(n)]
+    for s in S:
+        for U in hermitian_units(n):
+            A = np.kron(s.T, U)
+            out.append(((A + A.conj().T) / 2.0, float(np.trace(s @ U).real)))
+    return out
+
+
+# Choi spectrahedra of random unital systems in M3: the identity map lies in
+# each, on a flat face whose phase-one value is a hair below zero.  These
+# seeds used to be rejected as "PSD face is empty (certified)".
+@pytest.mark.parametrize("seed", [23, 29, 53, 161, 221, 239])
+def test_flat_face_is_reduced_not_rejected(seed):
+    rng = np.random.default_rng(seed)
+    n = 3
+    S = [np.eye(n, dtype=complex)] + [unit_norm_hermitian(rng, n) for _ in range(2)]
+    constraints = identity_choi_constraints(S, n)
+    omega = np.eye(n, dtype=complex).reshape(n * n)
+    J = np.outer(omega, omega.conj())
+    for A, b in constraints:
+        assert abs(np.vdot(A, J).real - b) <= 1e-12
+    spec = spectrahedron.reduce_spectrahedron(n * n, constraints)
+    V = spec.support
+    assert V.shape[1] < n * n
+    assert np.linalg.norm(V @ (V.conj().T @ J @ V) @ V.conj().T - J) <= 1e-6
