@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Usage:
-    opsyslab <command> [--file PATH ...] [--seed N] [--jobs K]
+    opsyslab <command> [--file PATH ...] [--seed N]
              [--tol-gap X] [--tol-psd X] [--json | --table]
 
 Commands: check-unperforated, extension-interval, uep, purity, decompose,
@@ -17,22 +17,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import problems
 from .errors import InputError, NumericalFailureError, OpsyslabError
 
+# Every command runs the document kind of the same name, except one alias.
 COMMAND_KINDS = {
-    "check-unperforated": "unperforated",
-    "extension-interval": "extension-interval",
-    "uep": "uep",
-    "purity": "purity",
-    "decompose": "decompose",
-    "riesz": "riesz",
-    "boundary": "boundary",
-    "nosp": "nosp",
-    "korovkin": "korovkin",
-    "repro": "repro",
+    ("check-unperforated" if kind == "unperforated" else kind): kind for kind in problems.KINDS
 }
 
 EXIT_OK = 0
@@ -52,8 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="problem document; repeat for batch mode")
         p.add_argument("--seed", type=int, default=None,
                        help="seed override (batch documents get seed+index)")
-        p.add_argument("--jobs", type=int, default=1, metavar="K",
-                       help="run batch documents with K worker threads")
         p.add_argument("--tol-gap", type=float, default=None, dest="tol_gap",
                        help="SDP duality-gap tolerance override")
         p.add_argument("--tol-psd", type=float, default=None, dest="tol_psd",
@@ -166,11 +155,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     try:
-        if args.jobs > 1 and len(docs) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                reports = list(pool.map(problems.run, docs))
-        else:
-            reports = [problems.run(doc) for doc in docs]
+        reports = [problems.run(doc) for doc in docs]
         if args.table:
             text = "\n\n".join(_format_table(r) for r in reports)
         else:

@@ -160,24 +160,6 @@ def parse_matrix_list(value, path) -> list:
     return mats
 
 
-def parse_algebra(value, path, default_dim=None) -> MatrixStarAlgebra:
-    if value is None:
-        if default_dim is None:
-            _fail(path, "an algebra (matrix list or integer dimension) is required")
-        return MatrixStarAlgebra.full(default_dim)
-    if isinstance(value, bool):
-        _fail(path, "expected a matrix list or an integer dimension")
-    if isinstance(value, int):
-        if not 1 <= value <= 16:
-            _fail(path, "full algebra dimension must be between 1 and 16")
-        return MatrixStarAlgebra.full(value)
-    mats = parse_matrix_list(value, path)
-    try:
-        return MatrixStarAlgebra.from_basis(mats)
-    except InputError as exc:
-        _fail(path, f"not a *-closed span: {exc}")
-
-
 @dataclass
 class ProblemDocument:
     kind: str
@@ -285,33 +267,38 @@ def _parse_unperforated(payload, path):
     return out
 
 
-def _algebra_field(payload, key, path):
-    """Validate an optional algebra field; returns the canonical value
-    (absent key when omitted, an int, or a parsed matrix list)."""
-    if key not in payload or payload[key] is None:
-        return {}
-    value = payload[key]
+def _algebra_field(payload, key, path, default_dim=None) -> dict:
+    """Parse an optional algebra field once: an integer n (full M_n) or a
+    matrix list spanning a *-closed algebra.  Returns the canonical echo
+    under `key` (absent when omitted) and the algebra under `_key`, which
+    the echo drops; an omitted field is the full algebra on `default_dim`,
+    or no algebra when that is None."""
+    value = payload.get(key)
+    if value is None:
+        return {} if default_dim is None else {f"_{key}": MatrixStarAlgebra.full(default_dim)}
     if isinstance(value, bool):
         _fail(path / key, "expected a matrix list or an integer dimension")
     if isinstance(value, int):
-        parse_algebra(value, path / key)
-        return {key: value}
+        if not 1 <= value <= 16:
+            _fail(path / key, "full algebra dimension must be between 1 and 16")
+        return {key: value, f"_{key}": MatrixStarAlgebra.full(value)}
     mats = parse_matrix_list(value, path / key)
-    parse_algebra(value, path / key)
-    return {key: mats}
+    try:
+        algebra = MatrixStarAlgebra.from_basis(mats)
+    except InputError as exc:
+        _fail(path / key, f"not a *-closed span: {exc}")
+    return {key: mats, f"_{key}": algebra}
 
 
 def _parse_extension(payload, path):
     S = parse_matrix_list(payload.get("S"), path / "S")
-    n = S[0].shape[0]
     out = {
         "S": S,
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
         "phi": parse_matrix(payload.get("phi"), path / "phi"),
         "t": parse_matrix(payload.get("t"), path / "t"),
-        "_dim": n,
     }
-    out.update(_algebra_field(payload, "ambient", path))
+    out.update(_algebra_field(payload, "ambient", path, S[0].shape[0]))
     return out
 
 
@@ -321,16 +308,15 @@ def _parse_uep(payload, path):
         "S": S,
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
         "state": parse_matrix(payload.get("state"), path / "state"),
-        "_dim": S[0].shape[0],
     }
-    out.update(_algebra_field(payload, "A", path))
+    out.update(_algebra_field(payload, "A", path, S[0].shape[0]))
     return out
 
 
 def _parse_state_algebra(payload, path):
     state = parse_matrix(payload.get("state"), path / "state")
-    out = {"state": state, "_dim": state.shape[0]}
-    out.update(_algebra_field(payload, "A", path))
+    out = {"state": state}
+    out.update(_algebra_field(payload, "A", path, state.shape[0]))
     return out
 
 
@@ -357,7 +343,6 @@ def _parse_boundary(payload, path):
     out = {
         "S": S,
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
-        "_dim": S[0].shape[0],
     }
     out.update(_algebra_field(payload, "algebra", path))
     return out
@@ -379,9 +364,8 @@ def _parse_nosp(payload, path):
             "dim_out": dim_out,
             "choi": parse_matrix(choi.get("choi"), path / "Pi_choi" / "choi"),
         },
-        "_dim": dim_in,
     }
-    out.update(_algebra_field(payload, "A", path))
+    out.update(_algebra_field(payload, "A", path, dim_in))
     return out
 
 
@@ -424,14 +408,6 @@ def _subspace(mats, unital):
     return OperatorSubspace(ambient_dim=mats[0].shape[0], basis=mats, unital=unital)
 
 
-def _algebra_from_value(value, default_dim):
-    if value is None:
-        return MatrixStarAlgebra.full(default_dim)
-    if isinstance(value, int):
-        return MatrixStarAlgebra.full(value)
-    return MatrixStarAlgebra.from_basis(value)
-
-
 def _instance_results(inst):
     out = {
         "verdict": inst.verdict,
@@ -470,7 +446,7 @@ def _run_unperforated(doc: ProblemDocument):
 def _run_extension(doc: ProblemDocument):
     p = doc.payload
     S = _subspace(p["S"], p["S_unital"])
-    ambient = _algebra_from_value(p.get("ambient"), p["_dim"])
+    ambient = p["_ambient"]
     phi = StateFunctional(density=p["phi"], domain=S)
     interval = extension_interval(phi, p["t"], ambient, settings=doc.settings)
     return {
@@ -484,7 +460,7 @@ def _run_extension(doc: ProblemDocument):
 
 def _run_uep(doc: ProblemDocument):
     p = doc.payload
-    A = _algebra_from_value(p.get("A"), p["_dim"])
+    A = p["_A"]
     S = _subspace(p["S"], p["S_unital"])
     psi = StateFunctional(density=p["state"], domain=A)
     result = has_uep(psi, S, settings=doc.settings)
@@ -497,14 +473,14 @@ def _run_uep(doc: ProblemDocument):
 
 def _run_purity(doc: ProblemDocument):
     p = doc.payload
-    A = _algebra_from_value(p.get("A"), p["_dim"])
+    A = p["_A"]
     phi = StateFunctional(density=p["state"], domain=A)
     return {"pure": is_pure(phi, A)}
 
 
 def _run_decompose(doc: ProblemDocument):
     p = doc.payload
-    A = _algebra_from_value(p.get("A"), p["_dim"])
+    A = p["_A"]
     phi = StateFunctional(density=p["state"], domain=A)
     dec = pure_decomposition(phi, A)
     return {
@@ -538,10 +514,7 @@ def _run_riesz(doc: ProblemDocument):
 def _run_boundary(doc: ProblemDocument):
     p = doc.payload
     S = _subspace(p["S"], p["S_unital"])
-    algebra = None
-    if p.get("algebra") is not None:
-        algebra = _algebra_from_value(p["algebra"], p["_dim"])
-    extent, witness = ucp_fixed_extent(S, algebra=algebra, settings=doc.settings)
+    extent, witness = ucp_fixed_extent(S, algebra=p.get("_algebra"), settings=doc.settings)
     out = {"max_deviation": extent, "boundary": bool(extent <= 1e-6)}
     if witness is not None:
         out["witness_choi"] = matrix_to_json(witness.choi)
@@ -550,7 +523,7 @@ def _run_boundary(doc: ProblemDocument):
 
 def _run_nosp(doc: ProblemDocument):
     p = doc.payload
-    A = _algebra_from_value(p.get("A"), p["_dim"])
+    A = p["_A"]
     choi = ChoiMap(
         dim_in=p["Pi_choi"]["dim_in"],
         dim_out=p["Pi_choi"]["dim_out"],

@@ -113,22 +113,12 @@ def solve_unperforated_instance(
 
 
 def verify_instance_certificate(instance: UnperforatedInstance, tol: float = 1e-7) -> bool:
-    """Farkas re-verification of an INFEASIBLE instance, from scratch."""
+    """Farkas re-verification of an INFEASIBLE instance against blocks rebuilt
+    from scratch; `tol` bounds the relative residual."""
     if instance.certificate is None:
         return False
     blocks = _instance_blocks(instance.T, instance.a, instance.b, op_norm(instance.a))
-    scale = 1.0 + max(float(np.max(np.abs(blk.constant))) for blk in blocks)
-    m = blocks[0].num_vars
-    Z = instance.certificate
-    for Zk in Z:
-        if not is_psd(Zk, 1e-7):
-            return False
-    for i in range(m):
-        resid = sum(float(np.vdot(Zk, blk.coefficients[i]).real) for Zk, blk in zip(Z, blocks))
-        if abs(resid) > tol * scale:
-            return False
-    neg = sum(float(np.vdot(Zk, blk.constant).real) for Zk, blk in zip(Z, blocks))
-    return neg < -1e-9
+    return sdp.verify_certificate(blocks, instance.certificate, residual_tol=tol)
 
 
 def search_counterexample(

@@ -13,6 +13,12 @@ is established first by maximizing the minimum slack s over all blocks
 whenever the constraints are infeasible.  Certificates and weak duality are
 re-verified before any solution is returned; failures raise, never pass
 silently.  Everything is deterministic: same problem, same output.
+
+Each Newton iterate factors its slacks once: the Cholesky factors L of the
+accepted point give the barrier value, the gradient and the Hessian through
+the whitened coefficients W_i = L^-1 F_i L^-H (g_i = t c_i - tr W_i,
+H_ij = Re <W_i, W_j>), and the harvested duals S^-1 / t.  `SdpSettings`
+holds the two tolerances a document may set; the rest are module constants.
 """
 
 from __future__ import annotations
@@ -37,22 +43,24 @@ MAX_BLOCK_DIM = 64
 SOLVE_STATS = {"solves": 0, "duality_checks": 0, "certificate_checks": 0}
 
 
+MAX_NEWTON = 200  # per phase
+T_GROWTH = 20.0
+NEWTON_TOL = 1e-7
+INNER_CAP = 60
+CERT_RESIDUAL_TOL = 1e-7
+CERT_NEGATIVITY = -1e-9
+UNBOUNDED_VALUE = 1e9
+
+
 @dataclass(frozen=True)
 class SdpSettings:
-    """All engine tolerances in one place."""
+    """The tolerances a problem document or the command line may set."""
 
     gap_tol: float = 1e-7
     psd_slack: float = 1e-8
-    max_newton: int = 200  # per phase
-    t_growth: float = 20.0
-    newton_tol: float = 1e-7
-    inner_cap: int = 60
-    cert_residual_tol: float = 1e-7
-    cert_negativity: float = -1e-9
-    unbounded_value: float = 1e9
 
     def __post_init__(self):
-        for name in ("gap_tol", "psd_slack", "newton_tol", "cert_residual_tol"):
+        for name in ("gap_tol", "psd_slack"):
             positive_tolerance(name, getattr(self, name))
 
 
@@ -93,10 +101,21 @@ class LmiBlock:
             dev = max(dev, float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)))))
         if dev > 1e-8 * scale:
             raise InputError(f"block matrices are not hermitian (deviation {dev:.3e})")
-        self.constant = hermitian_part(F0)
-        self.coefficients = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-        self.dim = d
-        self.num_vars = stack.shape[0]
+        self._assign(hermitian_part(F0), (stack + stack.conj().transpose(0, 2, 1)) / 2.0)
+
+    @classmethod
+    def _trusted(cls, constant: np.ndarray, coefficients: np.ndarray) -> "LmiBlock":
+        """A block from a hermitian (d, d) constant and (m, d, d) coefficient
+        stack, unchecked: only for blocks derived from validated ones."""
+        block = cls.__new__(cls)
+        block._assign(constant, coefficients)
+        return block
+
+    def _assign(self, constant: np.ndarray, coefficients: np.ndarray) -> None:
+        self.constant = constant
+        self.coefficients = coefficients
+        self.dim = constant.shape[0]
+        self.num_vars = coefficients.shape[0]
 
     def slack(self, x: np.ndarray) -> np.ndarray:
         if self.num_vars == 0:
@@ -140,36 +159,17 @@ class SdpSolution:
     message: str = ""
 
 
-def _chol_ok(S: np.ndarray) -> bool:
+def _cholesky(slacks) -> list | None:
+    """Cholesky factors of every slack (matrices or stacks); None when one is
+    not positive definite."""
     try:
-        np.linalg.cholesky(S)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _stacks_feasible(stacks) -> bool:
-    try:
-        for S in stacks:
-            np.linalg.cholesky(S)
-        return True
-    except np.linalg.LinAlgError:
-        return False
-
-
-def _stacks_logdet(stacks) -> float | None:
-    """Sum of log det over all stacked blocks; None when not PD."""
-    total = 0.0
-    try:
-        for S in stacks:
-            L = np.linalg.cholesky(S)
-            diag = np.einsum("kaa->ka", L).real
-            if np.any(diag <= 0):
-                return None
-            total += 2.0 * float(np.sum(np.log(diag)))
-        return total
+        return [np.linalg.cholesky(S) for S in slacks]
     except np.linalg.LinAlgError:
         return None
+
+
+def _logdet(factors) -> float:
+    return sum(2.0 * float(np.sum(np.log(np.einsum("...aa->...a", L).real))) for L in factors)
 
 
 class _Stall(Exception):
@@ -181,6 +181,8 @@ class _BarrierState:
 
     Blocks of equal dimension are stacked so every barrier evaluation is a
     handful of batched LAPACK calls instead of a Python loop over blocks.
+    The Cholesky factors of the current iterate's slacks are kept and serve
+    the barrier value, the Newton system and the duals.
     """
 
     def __init__(self, blocks, c, x, settings: SdpSettings):
@@ -194,7 +196,9 @@ class _BarrierState:
         for d in sorted({b.dim for b in blocks}):
             idxs = [i for i, b in enumerate(blocks) if b.dim == d]
             F0 = np.stack([blocks[i].constant for i in idxs])
-            F = np.stack([blocks[i].coefficients for i in idxs])
+            # (m, k, d, d): variable-major, so the whitened stack reshapes
+            # to one row per variable without a copy.
+            F = np.stack([blocks[i].coefficients for i in idxs], axis=1)
             self.groups.append((idxs, F0, F))
         # Clamp the relative-gap target so a runaway objective cannot loosen
         # it; unbounded problems then keep descending until detected.
@@ -202,32 +206,26 @@ class _BarrierState:
         self.value_clamp = 1e4 * (1.0 + scale + abs(float(self.c @ self.x)))
         x_scale = float(np.max(np.abs(self.x))) if self.x.size else 0.0
         self.x_blowup = 1e7 * (1.0 + scale + x_scale)
-        self._stacks = self._slack_stacks(self.x)
-        if not _stacks_feasible(self._stacks):
+        self._chol = _cholesky(self._slack_stacks(self.x))
+        if self._chol is None:
             raise _Stall("initial point is not strictly feasible")
 
     def _slack_stacks(self, x):
-        out = []
-        for _, F0, F in self.groups:
-            if F.shape[1]:
-                out.append(F0 + np.einsum("i,kiab->kab", x, F))
-            else:
-                out.append(F0)
-        return out
+        return [F0 + (x @ F.reshape(x.shape[0], -1)).reshape(F0.shape) for _, F0, F in self.groups]
 
     def _grad_hess(self, t: float):
+        """Gradient and Hessian of t c.x - log det S(x) at the current point."""
         m = self.c.shape[0]
-        g = t * self.c.copy()
+        g = t * self.c
         H = np.zeros((m, m))
-        for (_, _, F), S in zip(self.groups, self._stacks):
-            try:
-                Sinv = np.linalg.inv(S)
-            except np.linalg.LinAlgError as exc:
-                raise _Stall(f"slack became singular: {exc}") from exc
-            if F.shape[1]:
-                M = np.einsum("kab,kibc->kiac", Sinv, F)
-                g -= np.einsum("kiaa->i", M).real
-                H += np.einsum("kiab,kjba->ij", M, M).real
+        for (_, _, F), L in zip(self.groups, self._chol):
+            Linv = np.linalg.inv(L)
+            W = Linv @ F @ Linv.conj().swapaxes(-1, -2)
+            g = g - np.einsum("ikaa->i", W).real
+            # Re tr(W_i W_j) = Re <W_i, W_j>: one real Gram matrix over the
+            # interleaved real and imaginary parts.
+            Wr = W.reshape(m, -1).view(float)
+            H += Wr @ Wr.T
         return g, (H + H.T) / 2.0
 
     def center(self, t: float, tol: float, early_exit=None) -> None:
@@ -237,14 +235,13 @@ class _BarrierState:
         decrement target, so stalled progress ends the centering instead of
         burning the step budget.
         """
-        settings = self.settings
         m = self.c.shape[0]
         if m == 0:
             return
-        f_cur = t * float(self.c @ self.x) - (_stacks_logdet(self._stacks) or 0.0)
+        f_cur = t * float(self.c @ self.x) - _logdet(self._chol)
         stall = 0
         prev_dec = np.inf
-        for _ in range(settings.inner_cap):
+        for _ in range(INNER_CAP):
             g, H = self._grad_hess(t)
             ridge = 1e-12 * (1.0 + float(np.trace(H)) / max(m, 1))
             try:
@@ -271,10 +268,9 @@ class _BarrierState:
             accepted = False
             while alpha > 1e-14:
                 x_new = self.x + alpha * step
-                stacks_new = self._slack_stacks(x_new)
-                logdet = _stacks_logdet(stacks_new)
-                if logdet is not None:
-                    f_new = t * float(self.c @ x_new) - logdet
+                chol_new = _cholesky(self._slack_stacks(x_new))
+                if chol_new is not None:
+                    f_new = t * float(self.c @ x_new) - _logdet(chol_new)
                     if (
                         (dikin and alpha == 1.0)
                         or f_new <= f_cur - 0.25 * alpha * dec * dec
@@ -286,11 +282,11 @@ class _BarrierState:
             if not accepted:
                 raise _Stall("line search could not make progress")
             self.x = x_new
-            self._stacks = stacks_new
+            self._chol = chol_new
             f_cur = f_new
             self.steps += 1
-            if self.steps > settings.max_newton:
-                raise _Stall(f"Newton budget of {settings.max_newton} steps exhausted")
+            if self.steps > MAX_NEWTON:
+                raise _Stall(f"Newton budget of {MAX_NEWTON} steps exhausted")
             if early_exit is not None and early_exit(self.x):
                 return
 
@@ -300,7 +296,6 @@ class _BarrierState:
         Intermediate stages are centered loosely; only the final stage is
         driven to a tight Newton decrement so the harvested duals are clean.
         """
-        settings = self.settings
         t = 1.0
         while True:
             self.center(t, 0.05, early_exit=early_exit)
@@ -311,23 +306,26 @@ class _BarrierState:
                 # downstream confirms or refutes it.
                 raise _Unbounded(float(self.c @ self.x))
             value = float(self.c @ self.x)
-            if self.n_total / t <= settings.gap_tol * (1.0 + min(abs(value), self.value_clamp)):
-                self.center(t, settings.newton_tol, early_exit=early_exit)
+            gap_target = self.settings.gap_tol * (1.0 + min(abs(value), self.value_clamp))
+            if self.n_total / t <= gap_target:
+                self.center(t, NEWTON_TOL, early_exit=early_exit)
                 if self._runaway():
                     raise _Unbounded(float(self.c @ self.x))
                 return t
-            t *= settings.t_growth
+            t *= T_GROWTH
 
     def _runaway(self) -> bool:
         value = float(self.c @ self.x)
-        if value < -self.settings.unbounded_value or value < -self.value_clamp:
+        if value < -UNBOUNDED_VALUE or value < -self.value_clamp:
             return True
         return bool(self.x.size and float(np.max(np.abs(self.x))) > self.x_blowup)
 
     def duals(self, t: float):
+        """S^-1 / t for every block, from the current factors."""
         out = [None] * len(self.blocks)
-        for (idxs, _, _), S in zip(self.groups, self._slack_stacks(self.x)):
-            Sinv = np.linalg.inv(S)
+        for (idxs, _, _), L in zip(self.groups, self._chol):
+            Linv = np.linalg.inv(L)
+            Sinv = Linv.conj().swapaxes(-1, -2) @ Linv
             for pos, i in enumerate(idxs):
                 out[i] = hermitian_part(Sinv[pos]) / t
         return out
@@ -338,50 +336,46 @@ class _Unbounded(Exception):
         self.value = value
 
 
-def _verify_certificate(blocks, Z_list, settings: SdpSettings) -> bool:
-    """Farkas re-verification; certificates are normalized to unit total trace."""
+def verify_certificate(
+    blocks, certificate, settings: SdpSettings = DEFAULT_SETTINGS,
+    residual_tol: float = CERT_RESIDUAL_TOL,
+) -> bool:
+    """Farkas re-verification: every Z_k PSD, sum_k <Z_k, F_{k,i}> = 0 for
+    every i within residual_tol, and sum_k <Z_k, F0_k> < 0.  Certificates are
+    normalized to unit total trace."""
     SOLVE_STATS["certificate_checks"] += 1
     m = blocks[0].num_vars
     scale = 1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)
-    for Z in Z_list:
+    for Z in certificate:
         ev = eigh(Z).eigenvalues
         if ev[0] < -settings.psd_slack * (1.0 + float(np.max(np.abs(ev)))):
             return False
     for i in range(m):
-        resid = sum(float(np.vdot(Z, b.coefficients[i]).real) for Z, b in zip(Z_list, blocks))
-        if abs(resid) > settings.cert_residual_tol * scale:
+        resid = sum(float(np.vdot(Z, b.coefficients[i]).real) for Z, b in zip(certificate, blocks))
+        if abs(resid) > residual_tol * scale:
             return False
-    neg = sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(Z_list, blocks))
-    return neg < settings.cert_negativity
+    neg = sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(certificate, blocks))
+    return neg < CERT_NEGATIVITY
 
 
 def _phase1(blocks, settings: SdpSettings, early_margin: float | None = None):
     """Maximize the minimum slack s with F(x) - s I >= 0 and s capped.
 
-    Returns (lam_star, x, certificate_or_None, steps).  The certificate is
+    Returns (lam_star, x, certificate_or_None, duals, steps).  The certificate is
     only attached when lam_star is negative and the Farkas identity verifies.
     """
     m = blocks[0].num_vars
     d_scale = max(float(np.max(np.abs(b.constant))) for b in blocks)
     s_cap = 10.0 * (1.0 + d_scale)
-    aug_blocks = []
-    for b in blocks:
-        eye = np.eye(b.dim, dtype=complex)
-        coeffs = np.concatenate([b.coefficients, -eye[None, :, :]], axis=0)
-        aug = LmiBlock.__new__(LmiBlock)
-        aug.constant = b.constant
-        aug.coefficients = coeffs
-        aug.dim = b.dim
-        aug.num_vars = m + 1
-        aug_blocks.append(aug)
-    cap = LmiBlock.__new__(LmiBlock)
-    cap.constant = np.array([[s_cap]], dtype=complex)
-    cap.coefficients = np.concatenate(
-        [np.zeros((m, 1, 1), dtype=complex), -np.ones((1, 1, 1), dtype=complex)], axis=0
-    )
-    cap.dim = 1
-    cap.num_vars = m + 1
-    aug_blocks.append(cap)
+    aug_blocks = [
+        LmiBlock._trusted(
+            b.constant, np.concatenate([b.coefficients, -np.eye(b.dim, dtype=complex)[None]])
+        )
+        for b in blocks
+    ]
+    cap_coefficients = np.zeros((m + 1, 1, 1), dtype=complex)
+    cap_coefficients[-1] = -1.0
+    aug_blocks.append(LmiBlock._trusted(np.array([[s_cap]], dtype=complex), cap_coefficients))
 
     s0 = min(float(eigh(b.constant).eigenvalues[0]) for b in blocks) - 1.0
     x0 = np.zeros(m + 1)
@@ -408,7 +402,7 @@ def _phase1(blocks, settings: SdpSettings, early_margin: float | None = None):
         total = sum(float(np.trace(Z).real) for Z in Z_all)
         if total > 0:
             duals = [Z / total for Z in Z_all]
-            if lam_star < 0 and _verify_certificate(blocks, duals, settings):
+            if lam_star < 0 and verify_certificate(blocks, duals, settings):
                 certificate = duals
     return lam_star, x_part, certificate, duals, state.steps
 
@@ -452,14 +446,12 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
     c = problem.objective
     m = c.shape[0]
     delta = problem.strict_margin
-    work_blocks = []
-    for b in problem.blocks:
-        shifted = LmiBlock.__new__(LmiBlock)
-        shifted.constant = b.constant - delta * np.eye(b.dim) if delta > 0 else b.constant
-        shifted.coefficients = b.coefficients
-        shifted.dim = b.dim
-        shifted.num_vars = b.num_vars
-        work_blocks.append(shifted)
+    work_blocks = problem.blocks
+    if delta > 0:
+        work_blocks = [
+            LmiBlock._trusted(b.constant - delta * np.eye(b.dim), b.coefficients)
+            for b in problem.blocks
+        ]
 
     scale_f = 1.0 + max(float(np.max(np.abs(b.constant))) for b in work_blocks)
     steps_total = 0
@@ -468,7 +460,7 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
         x_start = np.asarray(x0, dtype=float)
         if x_start.shape != (m,):
             raise InputError("x0 has the wrong length")
-        if not all(_chol_ok(b.slack(x_start)) for b in work_blocks):
+        if _cholesky([b.slack(x_start) for b in work_blocks]) is None:
             raise InputError("supplied x0 is not strictly feasible")
     else:
         # A point with slack 1e-6 * scale is interior enough to start phase 2;
@@ -506,7 +498,7 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
             return SdpSolution(status=UNBOUNDED, value=-np.inf, ray=ray, newton_steps=steps_total)
         return SdpSolution(
             status=NUMERICAL_FAILURE,
-            message=f"objective fell below -{settings.unbounded_value:g} but no ray certified",
+            message=f"objective fell below -{UNBOUNDED_VALUE:g} but no ray certified",
             value=float(exc.value),
         )
     except _Stall as exc:
@@ -552,21 +544,10 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
 
 def _certify_ray(blocks, c, settings: SdpSettings):
     """Look for d with sum_i d_i F_i >= 0 on every block and c.d <= -1."""
-    m = c.shape[0]
-    ray_blocks = []
-    for b in blocks:
-        rb = LmiBlock.__new__(LmiBlock)
-        rb.constant = np.zeros((b.dim, b.dim), dtype=complex)
-        rb.coefficients = b.coefficients
-        rb.dim = b.dim
-        rb.num_vars = m
-        ray_blocks.append(rb)
-    neg = LmiBlock.__new__(LmiBlock)
-    neg.constant = np.array([[-1.0]], dtype=complex)
-    neg.coefficients = (-np.asarray(c, dtype=complex)).reshape(m, 1, 1)
-    neg.dim = 1
-    neg.num_vars = m
-    ray_blocks.append(neg)
+    ray_blocks = [LmiBlock._trusted(np.zeros_like(b.constant), b.coefficients) for b in blocks]
+    ray_blocks.append(
+        LmiBlock._trusted(np.array([[-1.0]], dtype=complex), -c.astype(complex).reshape(-1, 1, 1))
+    )
     sol = check_feasibility(ray_blocks, margin=0.0, settings=settings)
     if sol.feasible:
         d = sol.x / max(float(np.linalg.norm(sol.x)), 1e-300)

@@ -6,9 +6,14 @@ maps, and they routinely have empty interior: forcing a diagonal entry of a
 PSD matrix to zero kills the whole row.  Barrier methods need an interior,
 so the feasible face is located first: whenever the maximum achievable
 slack is zero, the phase-one dual matrix is (numerically) orthogonal to the
-entire set, and its kernel carries the face.  Compressing onto that kernel
-and re-solving the linear constraints is repeated until an interior point
-appears or the set collapses to a single point.
+entire set, and its kernel carries the face.  Each round works in the face's
+own coordinates X = V Y V*, with V the orthonormal support found so far:
+the constraints compress to tr(V* A_j V Y) = b_j on r x r matrices Y, and
+the round is repeated until an interior point appears or the set collapses
+to a single point (Drusvyatskiy & Wolkowicz, "The many faces of degeneracy
+in conic optimization", 2017).  The dual's kernel is only as accurate as the
+phase-one solve, so each new support takes one Gauss-Newton step toward a
+support on which the constraints hold before the next round.
 """
 
 from __future__ import annotations
@@ -49,7 +54,8 @@ def _from_real_coords(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _solve_affine(dim: int, constraints, rank_tol: float = 1e-9):
-    """Particular hermitian solution and null directions of tr(A_j X) = b_j."""
+    """Particular hermitian solution and null directions of tr(A_j X) = b_j;
+    (None, None) when the system is inconsistent."""
     rows = np.stack([_real_coords(hermitian_part(A)) for A, _ in constraints])
     rhs = np.array([float(b) for _, b in constraints])
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
@@ -67,38 +73,29 @@ def _solve_affine(dim: int, constraints, rank_tol: float = 1e-9):
 
 @dataclass
 class ReducedSpectrahedron:
-    """Interior description of the feasible face.
+    """Interior description of the feasible face in its own coordinates.
 
-    Points are X(z) = x0 + sum z_i dirs_i, all supported on the columns of
-    `support`; feasibility is equivalent to support* X(z) support >= 0.
+    Points are X(z) = V Y(z) V* with V = `support` (orthonormal columns) and
+    Y(z) = x0 + sum z_i dirs_i, r x r with r the face's rank; feasibility is
+    equivalent to Y(z) >= 0, and `z_interior` is strictly feasible.
     """
 
-    dim: int
     x0: np.ndarray
     dirs: list
     support: np.ndarray
     z_interior: np.ndarray
-    interior_margin: float
 
     def compressed_blocks(self) -> list:
-        V = self.support
-        block = sdp.LmiBlock.__new__(sdp.LmiBlock)
-        block.constant = hermitian_part(V.conj().T @ self.x0 @ V)
-        if self.dirs:
-            stack = np.stack([V.conj().T @ N @ V for N in self.dirs])
-            block.coefficients = (stack + stack.conj().transpose(0, 2, 1)) / 2.0
-        else:
-            r = V.shape[1]
-            block.coefficients = np.zeros((0, r, r), dtype=complex)
-        block.dim = V.shape[1]
-        block.num_vars = len(self.dirs)
-        return [block]
+        r = self.x0.shape[0]
+        stack = np.stack(self.dirs) if self.dirs else np.zeros((0, r, r), dtype=complex)
+        return [sdp.LmiBlock._trusted(self.x0, stack)]
 
     def point(self, z: np.ndarray) -> np.ndarray:
-        X = self.x0
+        Y = self.x0
         for zi, N in zip(z, self.dirs):
-            X = X + zi * N
-        return hermitian_part(X)
+            Y = Y + zi * N
+        V = self.support
+        return hermitian_part(V @ Y @ V.conj().T)
 
 
 class SpectrahedronInfeasible(InputError):
@@ -110,38 +107,42 @@ def reduce_spectrahedron(
 ) -> ReducedSpectrahedron:
     """Locate the feasible face of the constrained PSD set.
 
-    Raises SpectrahedronInfeasible when the set is empty (either the linear
-    system is inconsistent or the PSD part carries a Farkas certificate).
+    Raises SpectrahedronInfeasible when the set is empty: the unreduced
+    linear system is inconsistent, the unreduced candidate point of a
+    zero-dimensional system is not PSD, or the PSD part carries a verified
+    Farkas certificate.  The same findings on a reduced face rest on the
+    numerical kernel of a phase-one dual and raise NumericalFailureError.
     """
-    x0, dirs = _solve_affine(dim, constraints)
-    if x0 is None:
-        raise SpectrahedronInfeasible("affine constraints are inconsistent")
+    mats = np.stack([hermitian_part(A) for A, _ in constraints])
+    rhs = np.array([float(b) for _, b in constraints])
     support = np.eye(dim, dtype=complex)
     for _ in range(dim + 1):
         r = support.shape[1]
+        reduced = r < dim
+        x0, dirs = _solve_affine(r, list(zip(support.conj().T @ mats @ support, rhs)))
+        if x0 is None:
+            if reduced:
+                raise NumericalFailureError(
+                    "affine constraints are inconsistent with the located face"
+                )
+            raise SpectrahedronInfeasible("affine constraints are inconsistent")
         spec = ReducedSpectrahedron(
-            dim=dim,
-            x0=x0,
-            dirs=dirs,
-            support=support,
-            z_interior=np.zeros(len(dirs)),
-            interior_margin=0.0,
+            x0=x0, dirs=dirs, support=support, z_interior=np.zeros(len(dirs))
         )
-        blocks = spec.compressed_blocks()
-        scale = 1.0 + float(np.max(np.abs(blocks[0].constant)))
+        scale = 1.0 + float(np.max(np.abs(x0)))
         if len(dirs) == 0:
             # a single candidate point; PSD decides feasibility outright
-            ev = eigh(blocks[0].constant).eigenvalues
-            if ev[0] < -1e-8 * scale:
-                raise SpectrahedronInfeasible("unique candidate point is not PSD")
-            spec.interior_margin = float(ev[0])
-            return spec
-        sol = sdp.check_feasibility(blocks, margin=0.0, settings=settings)
+            if eigh(x0).eigenvalues[0] >= -1e-8 * scale:
+                return spec
+            if reduced:
+                raise NumericalFailureError("the located face's only point is not PSD")
+            raise SpectrahedronInfeasible("unique candidate point is not PSD")
+        (block,) = spec.compressed_blocks()
+        sol = sdp.check_feasibility([block], margin=0.0, settings=settings)
         if sol.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"face search failed: {sol.message}")
         if sol.value > FACE_TOL * scale:
             spec.z_interior = sol.x
-            spec.interior_margin = float(sol.value)
             return spec
         if sol.value < -FACE_TOL * scale:
             if sol.dual_certificate is not None:
@@ -161,41 +162,28 @@ def reduce_spectrahedron(
         ]
         if not kernel_cols or len(kernel_cols) == Z.shape[0]:
             raise NumericalFailureError("face certificate has no usable kernel")
-        V_new = np.stack(kernel_cols, axis=1)
-        if V_new.shape[1] >= support.shape[1]:
-            raise NumericalFailureError("facial reduction stopped making progress")
-        support = support @ V_new
-        # impose the support condition as fresh linear constraints and re-solve
-        x0, dirs = _solve_affine(dim, list(constraints) + _support_constraints(dim, support))
-        if x0 is None:
-            raise SpectrahedronInfeasible(
-                "affine constraints are inconsistent with the located face"
-            )
+        kernel = np.stack(kernel_cols, axis=1)
+        Y = hermitian_part(kernel.conj().T @ block.slack(sol.x) @ kernel)
+        support = _refine_support(support @ kernel, Y, mats, rhs)
     raise NumericalFailureError("facial reduction did not terminate")
 
 
-def _support_constraints(dim: int, support: np.ndarray):
-    """Hermitian equality constraints expressing P_perp X = 0."""
-    r = support.shape[1]
-    # complete support to a unitary frame
-    q, _ = np.linalg.qr(
-        np.concatenate([support, np.eye(dim, dtype=complex)], axis=1)
-    )
-    frame = q[:, :dim]
-    perp = frame[:, r:]
-    out = []
-    for a in range(perp.shape[1]):
-        u = perp[:, a]
-        out.append((np.outer(u, u.conj()), 0.0))
-        for b in range(a + 1, perp.shape[1]):
-            v = perp[:, b]
-            out.append((np.outer(u, v.conj()) + np.outer(v, u.conj()), 0.0))
-            out.append((1j * np.outer(u, v.conj()) - 1j * np.outer(v, u.conj()), 0.0))
-        for c in range(r):
-            w = support[:, c]
-            out.append((np.outer(u, w.conj()) + np.outer(w, u.conj()), 0.0))
-            out.append((1j * np.outer(u, w.conj()) - 1j * np.outer(w, u.conj()), 0.0))
-    return out
+def _refine_support(V: np.ndarray, Y: np.ndarray, mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """One Gauss-Newton step on the support V of the face point V Y V*.
+
+    A phase-one dual's kernel is only as accurate as the solve, and in face
+    coordinates that error would all land on the constraints.  Tangent
+    vectors of the rank-r matrices at V Y V* are V M* + M V*; the least
+    change M that meets the constraints to first order splits as
+    M = V H / 2 + E Y with E orthogonal to V, and V + E is the new support.
+    """
+    AV = mats @ V
+    rows = 2.0 * AV.view(float).reshape(len(rhs), -1)
+    resid = rhs - np.einsum("kab,ab->k", V.conj().T @ AV, Y.conj()).real
+    M = np.linalg.lstsq(rows, resid, rcond=None)[0].view(complex).reshape(V.shape)
+    Q = M - V @ (V.conj().T @ M)
+    E = np.linalg.solve(Y, Q.conj().T).conj().T
+    return np.linalg.qr(V + E)[0]
 
 
 def optimize_linear(
@@ -205,14 +193,14 @@ def optimize_linear(
     settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS,
 ):
     """Extremize tr(C X) over the reduced set; returns (value, optimizer)."""
-    C = hermitian_part(np.asarray(C, dtype=complex))
+    V = spec.support
+    C = hermitian_part(V.conj().T @ np.asarray(C, dtype=complex) @ V)
     base_val = float(np.vdot(C, spec.x0).real)
     if len(spec.dirs) == 0:
         return base_val, spec.point(np.zeros(0))
     sign = -1.0 if maximize else 1.0
     objective = sign * np.array([float(np.vdot(C, N).real) for N in spec.dirs])
-    blocks = spec.compressed_blocks()
-    prob = sdp.SdpProblem(objective=objective, blocks=blocks)
+    prob = sdp.SdpProblem(objective=objective, blocks=spec.compressed_blocks())
     sol = sdp.solve(prob, x0=spec.z_interior, settings=settings)
     if sol.status != sdp.OPTIMAL:
         raise NumericalFailureError(

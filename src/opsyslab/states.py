@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sdp, spectrahedron
-from .algebra import MatrixStarAlgebra, OperatorSubspace, commutant, gns
+from .algebra import MatrixStarAlgebra, OperatorSubspace, commutant, gns, span_coefficients
 from .errors import InputError, NumericalFailureError
 from .hermitian import eigh, hermitian, hermitian_part
 
@@ -326,7 +326,7 @@ def pure_decomposition(phi: StateFunctional, A: MatrixStarAlgebra) -> PureDecomp
         for part, w in ((xi1, w1), (xi2, w2)):
             values = []
             for b in hb:
-                coeffs, _ = _coefficients_over(A, b)
+                coeffs, _ = span_coefficients(A.basis, b)
                 rho_b = sum(c * im for c, im in zip(coeffs, data.images))
                 values.append(float(np.vdot(part, rho_b @ part).real) / w)
             d = A.riesz_density(np.array(values))
@@ -347,12 +347,6 @@ def _finish_decomposition(atoms: list, canonical: np.ndarray) -> PureDecompositi
     if np.linalg.norm(recon - canonical) > 1e-8 * (1.0 + np.linalg.norm(canonical)):
         raise NumericalFailureError("atoms do not reconstruct the canonical density")
     return result
-
-
-def _coefficients_over(A: MatrixStarAlgebra, X):
-    coeffs = np.array([np.vdot(b, X) for b in A.basis])
-    proj = sum(c * b for c, b in zip(coeffs, A.basis))
-    return coeffs, float(np.linalg.norm(X - proj))
 
 
 def _canonical_density(phi: StateFunctional, A: MatrixStarAlgebra) -> np.ndarray:

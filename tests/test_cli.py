@@ -12,11 +12,13 @@ import numpy as np
 import pytest
 
 from opsyslab import problems
-from opsyslab.cli import main
+from opsyslab.algebra import MatrixStarAlgebra
+from opsyslab.cli import COMMAND_KINDS, main
 from opsyslab.errors import InputError
 from opsyslab.sdp import SdpSettings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def doc_unperforated_instance() -> str:
@@ -139,7 +141,7 @@ def test_cli_batch_jobs(tmp_path, capsys):
     p2 = tmp_path / "b.json"
     p1.write_text(doc_unperforated_instance())
     p2.write_text(doc_unperforated_instance())
-    assert main(["check-unperforated", "--file", str(p1), "--file", str(p2), "--jobs", "2"]) == 0
+    assert main(["check-unperforated", "--file", str(p1), "--file", str(p2)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert isinstance(out, list) and len(out) == 2
     assert all(r["results"]["verdict"] == "INFEASIBLE" for r in out)
@@ -185,6 +187,53 @@ def test_cli_uep_document(tmp_path, capsys):
     assert out["results"]["holds"] is False
     witness = np.array([[complex(*c) for c in row] for row in out["results"]["witness"]])
     assert np.allclose(witness, np.diag([1.0, 0.0]))
+
+
+def test_algebra_is_parsed_once(monkeypatch):
+    doc = problems.parse_problem(
+        json.dumps(
+            {
+                "kind": "purity",
+                "payload": {
+                    "state": [[0.5, 0], [0, 0.5]],
+                    "A": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]],
+                },
+            }
+        )
+    )
+    assert isinstance(doc.payload["_A"], MatrixStarAlgebra)
+    assert "_A" not in doc.canonical["payload"]
+
+    from_basis = MatrixStarAlgebra.from_basis
+
+    def no_closure_check(mats, ambient_dim=None, check_closure=True):
+        # The GNS image is built unchecked; the document's algebra is not rebuilt.
+        assert not check_closure, "the document's algebra was built again after parsing"
+        return from_basis(mats, ambient_dim, check_closure)
+
+    monkeypatch.setattr(MatrixStarAlgebra, "from_basis", staticmethod(no_closure_check))
+    assert problems.run(doc)["results"] == {"pure": False}
+
+
+def test_command_kinds_cover_every_kind_once():
+    assert sorted(COMMAND_KINDS.values()) == sorted(problems.KINDS)
+    assert COMMAND_KINDS["check-unperforated"] == "unperforated"
+    assert all(cmd == kind for cmd, kind in COMMAND_KINDS.items() if kind != "unperforated")
+
+
+# Benchmark documents (extension workload, seeds 12 and 3) whose feasible
+# face has rank one.  The phase-one dual locates it only to about 1e-7; the
+# extension document used to be rejected as admitting no state extension.
+def test_rank_one_extension_face_is_never_an_input_error(capsys):
+    code = main(["extension-interval", "--file", str(DATA / "extension_flat_face_rank1.json")])
+    assert code != 2 and code in (0, 3)
+
+
+def test_rank_one_choi_face_is_located_exactly(capsys):
+    assert main(["boundary", "--file", str(DATA / "boundary_flat_face_rank1.json")]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["boundary"] is True
+    assert results["max_deviation"] <= 1e-9
 
 
 def test_cli_riesz_document(tmp_path, capsys):
@@ -254,7 +303,7 @@ def test_parse_echoes_valid_tolerances():
     assert parsed.canonical["tolerances"] == {"gap": 1e-6, "psd": 1e-9}
 
 
-@pytest.mark.parametrize("field", ["gap_tol", "psd_slack", "newton_tol", "cert_residual_tol"])
+@pytest.mark.parametrize("field", ["gap_tol", "psd_slack"])
 @pytest.mark.parametrize("bad", [-1e-7, 0.0, float("nan"), float("inf"), "1e-7"])
 def test_settings_reject_bad_tolerance(field, bad):
     with pytest.raises(InputError, match=field):

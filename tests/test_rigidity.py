@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from opsyslab import sdp
 from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace
 from opsyslab.errors import InputError
 from opsyslab.hermitian import is_psd, op_norm
@@ -86,6 +89,38 @@ def test_swap_instance_infeasible_with_certificate():
     inst = solve_unperforated_instance(S, T, a, b)
     assert inst.verdict == "INFEASIBLE"
     assert verify_instance_certificate(inst)
+
+
+def tampered(certificate, how):
+    Z = [np.array(Zk) for Zk in certificate]
+    if how == "sign-flipped":
+        return [-Zk for Zk in Z]
+    if how == "residual":
+        # PSD and blind to the constant -a, but sum_k <Z_k, F_k,i> moves by 1e-3.
+        Z[0] = Z[0] + 1e-3 * np.eye(2)
+        return Z
+    # Orthogonal to every matrix of the first block: only positivity breaks.
+    Z[0] = Z[0] + 10.0 * np.array([[0.0, 1j], [-1j, 0.0]])
+    return Z
+
+
+@pytest.mark.parametrize("how", ["sign-flipped", "residual", "non-psd"])
+def test_tampered_certificate_is_rejected_by_both_verifiers(how):
+    S, T = swap_vs_diagonal()
+    a = np.array([[0.0, 2.0], [2.0, 0.0]])
+    b = np.diag([1.0, 5.0])
+    inst = solve_unperforated_instance(S, T, a, b)
+    eye = np.eye(2)
+    blocks = [
+        sdp.LmiBlock(-a, T.basis),
+        sdp.LmiBlock(b, [-t for t in T.basis]),
+        sdp.LmiBlock(2.0 * eye, [-t for t in T.basis]),
+        sdp.LmiBlock(2.0 * eye, T.basis),
+    ]
+    assert sdp.verify_certificate(blocks, inst.certificate)
+    bad = tampered(inst.certificate, how)
+    assert not sdp.verify_certificate(blocks, bad)
+    assert not verify_instance_certificate(dataclasses.replace(inst, certificate=bad))
 
 
 def test_swap_instance_hand_derivation():

@@ -2,9 +2,11 @@
 
 Oracles used here: a closed-form determinant analysis for the 2x2 example,
 bisection on the minimum eigenvalue for one-variable problems, and a scalar
-interval intersection for the interpolation block family.  The last tests
+interval intersection for the interpolation block family, and central
+finite differences for the barrier's gradient and Hessian.  The last tests
 pin the barrier's final centering and facial reduction on seeded systems
-that used to fail: a set known to be nonempty must never be rejected.
+that used to fail: a set known to be nonempty must never be rejected, and
+the face's interior point must satisfy the original constraints.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from opsyslab import (
     sdp,
     spectrahedron,
 )
+from opsyslab.errors import InputError
 from opsyslab.hermitian import eigh, is_psd
 
 E11 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
@@ -224,6 +227,48 @@ def density_of_rank(rng, n, rank):
     return D / np.trace(D).real
 
 
+def test_barrier_gradient_and_hessian_match_finite_differences():
+    # Two stacked groups: blocks of size 2 (two of them) and of size 3.
+    rng = np.random.default_rng(3)
+    m = 3
+
+    def random_block(d):
+        constant = 2.0 * np.eye(d) + 0.3 * unit_norm_hermitian(rng, d)
+        return sdp.LmiBlock(constant, [unit_norm_hermitian(rng, d) for _ in range(m)])
+
+    blocks = [random_block(2), random_block(3), random_block(2)]
+    c = rng.standard_normal(m)
+    x = 0.1 * rng.standard_normal(m)
+    t = 1.7
+
+    def barrier(y):
+        return t * float(c @ y) - sum(np.linalg.slogdet(b.slack(y))[1] for b in blocks)
+
+    g, H = sdp._BarrierState(blocks, c, x, sdp.DEFAULT_SETTINGS)._grad_hess(t)
+    h = 1e-4
+    steps = h * np.eye(m)
+    g_fd = np.array([(barrier(x + e) - barrier(x - e)) / (2 * h) for e in steps])
+    H_fd = np.array(
+        [
+            [
+                (barrier(x + ei + ej) - barrier(x + ei - ej) - barrier(x - ei + ej)
+                 + barrier(x - ei - ej)) / (4 * h * h)
+                for ej in steps
+            ]
+            for ei in steps
+        ]
+    )
+    assert np.allclose(g, g_fd, atol=1e-7)
+    assert np.allclose(H, H_fd, atol=1e-5)
+
+
+def assert_interior_point_is_feasible(spec, constraints):
+    X = spec.point(spec.z_interior)
+    for A, b in constraints:
+        assert abs(np.vdot(A, X).real - b) <= 1e-7
+    assert is_psd(X, 1e-12)
+
+
 # Seeds whose last centering used to stop off-centre, so that the harvested
 # duals failed the gap check ("duality gap exceeds tolerance").
 @pytest.mark.parametrize("seed", [5, 15, 16, 18, 19, 32, 57, 70, 84, 89])
@@ -270,3 +315,25 @@ def test_flat_face_is_reduced_not_rejected(seed):
     V = spec.support
     assert V.shape[1] < n * n
     assert np.linalg.norm(V @ (V.conj().T @ J @ V) @ V.conj().T - J) <= 1e-6
+    assert_interior_point_is_feasible(spec, constraints)
+
+
+def test_extension_set_face_point_is_feasible():
+    # A state supported on span(e1, e2) that is 1 on the projection onto it:
+    # every extension lives on that 2 x 2 corner, a proper face with interior.
+    rng = np.random.default_rng(7)
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = density_of_rank(rng, 2, 2)
+    S = [np.eye(3), np.diag([1.0, 1.0, 0.0]), unit_norm_hermitian(rng, 3)]
+    constraints = [(s, float(np.trace(s @ rho).real)) for s in S]
+    spec = spectrahedron.reduce_spectrahedron(3, constraints)
+    assert spec.support.shape[1] == 2 and len(spec.dirs) > 0
+    assert_interior_point_is_feasible(spec, constraints)
+
+
+def test_inconsistent_unreduced_system_is_infeasible():
+    # tr X = 1 and tr X = 2: a certified "no", an input error (CLI exit 2).
+    constraints = [(np.eye(2), 1.0), (np.eye(2), 2.0)]
+    with pytest.raises(spectrahedron.SpectrahedronInfeasible) as info:
+        spectrahedron.reduce_spectrahedron(2, constraints)
+    assert isinstance(info.value, InputError)
