@@ -44,6 +44,14 @@ from .states import (
 
 SCHEMA = "opsyslab/1"
 
+# Work limits of one document, each about a minute at the largest size
+# measured (full M8, one BLAS thread): a riesz step is one feasibility SDP
+# (65 ms), an automatic bound pair two solves (550 ms), a search trial one
+# instance SDP (26 ms).  Smaller algebras run proportionally faster.
+MAX_RIESZ_N = 1000
+MAX_AUTO_BOUNDS = 100
+MAX_TRIALS = 2000
+
 KINDS = (
     "unperforated",
     "extension-interval",
@@ -230,15 +238,28 @@ def _opt_bool(payload, key, path, default=False):
     return v
 
 
-def _opt_int(payload, key, path, default=None, minimum=None):
-    v = payload.get(key, default)
-    if v is None:
-        return None
+def _opt_int(payload, key, path, default=None, minimum=None, maximum=None):
+    """An optional integer: `default` when the key is absent; a present
+    value, null included, must be an integer within the bounds."""
+    if key not in payload:
+        return default
+    v = payload[key]
     if isinstance(v, bool) or not isinstance(v, int):
         _fail(path / key, "expected an integer")
     if minimum is not None and v < minimum:
         _fail(path / key, f"expected at least {minimum}")
+    if maximum is not None and v > maximum:
+        _fail(path / key, f"expected at most {maximum}")
     return v
+
+
+def _opt_matrix_list(payload, key, path) -> list:
+    """An optional matrix list: an absent key and [] mean none; any other
+    value must be a nonempty matrix list."""
+    value = payload.get(key, [])
+    if value == []:
+        return []
+    return parse_matrix_list(value, path / key)
 
 
 def _req_number(payload, key, path):
@@ -263,7 +284,9 @@ def _parse_unperforated(payload, path):
         out["a"] = parse_matrix(payload["a"], path / "a")
         out["b"] = parse_matrix(payload["b"], path / "b")
     else:
-        out["trials"] = _opt_int(payload, "trials", path, default=50, minimum=1)
+        out["trials"] = _opt_int(
+            payload, "trials", path, default=50, minimum=1, maximum=MAX_TRIALS
+        )
     return out
 
 
@@ -325,15 +348,13 @@ def _parse_riesz(payload, path):
     out = {
         "B": B,
         "a": parse_matrix(payload.get("a"), path / "a"),
-        "lowers": parse_matrix_list(payload.get("lowers"), path / "lowers")
-        if payload.get("lowers")
-        else [],
-        "uppers": parse_matrix_list(payload.get("uppers"), path / "uppers")
-        if payload.get("uppers")
-        else [],
+        "lowers": _opt_matrix_list(payload, "lowers", path),
+        "uppers": _opt_matrix_list(payload, "uppers", path),
         "epsilon": _req_number(payload, "epsilon", path),
-        "N": _opt_int(payload, "N", path, default=5, minimum=1),
-        "auto_bounds": _opt_int(payload, "auto_bounds", path, default=0, minimum=0),
+        "N": _opt_int(payload, "N", path, default=5, minimum=1, maximum=MAX_RIESZ_N),
+        "auto_bounds": _opt_int(
+            payload, "auto_bounds", path, default=0, minimum=0, maximum=MAX_AUTO_BOUNDS
+        ),
     }
     return out
 

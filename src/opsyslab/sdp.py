@@ -4,21 +4,24 @@ Problem form: minimize c.x subject to, for every block k,
 
     F0_k + x_1 F_{k,1} + ... + x_m F_{k,m}  >=  0        (hermitian PSD)
 
-solved with a primal log-det barrier and damped Newton steps.  Feasibility
-is established first by maximizing the minimum slack s over all blocks
-(big-M capped); the same phase yields a Farkas-type certificate
+Feasibility comes first: the feasibility phase maximizes the minimum slack
+s over all blocks (capped, so the problem is bounded) with a primal-dual
+interior-point method, Nesterov-Todd scaling and Mehrotra's predictor-
+corrector.  Its primal iterate X is the dual of the slack problem, and when
+s < 0 it is a Farkas-type certificate
 
-    Z_k >= 0,   sum_k <Z_k, F_{k,i}> = 0  for all i,   sum_k <Z_k, F0_k> < 0
+    Z_k >= 0,   sum_k <Z_k, F_{k,i}> = 0  for all i,   sum_k <Z_k, F0_k> < 0.
 
-whenever the constraints are infeasible.  Certificates and weak duality are
-re-verified before any solution is returned; failures raise, never pass
-silently.  Everything is deterministic: same problem, same output.
-
-Each Newton iterate factors its slacks once: the Cholesky factors L of the
-accepted point give the barrier value, the gradient and the Hessian through
-the whitened coefficients W_i = L^-1 F_i L^-H (g_i = t c_i - tr W_i,
-H_ij = Re <W_i, W_j>), and the harvested duals S^-1 / t.  `SdpSettings`
-holds the two tolerances a document may set; the rest are module constants.
+The optimization phase starts from a strictly feasible point (the
+feasibility phase's or the caller's) and follows the central path of the
+primal log-det barrier with damped Newton steps; each iterate factors its
+slacks once, and the Cholesky factors L give the barrier value, the
+gradient and the Hessian through the whitened coefficients
+W_i = L^-1 F_i L^-H (g_i = t c_i - tr W_i, H_ij = Re <W_i, W_j>), and the
+duals.  Certificates and weak duality are re-verified before any solution
+is returned; failures raise, never pass silently.  Everything is
+deterministic: same problem, same output.  `SdpSettings` holds the two
+tolerances a document may set; the rest are module constants.
 """
 
 from __future__ import annotations
@@ -43,13 +46,14 @@ MAX_BLOCK_DIM = 64
 SOLVE_STATS = {"solves": 0, "duality_checks": 0, "certificate_checks": 0}
 
 
-MAX_NEWTON = 200  # per phase
+MAX_NEWTON = 200  # Newton steps or interior-point iterations, per phase
 T_GROWTH = 20.0
 NEWTON_TOL = 1e-7
 INNER_CAP = 60
 CERT_RESIDUAL_TOL = 1e-7
 CERT_NEGATIVITY = -1e-9
 UNBOUNDED_VALUE = 1e9
+STEP_FRACTION = 0.98  # of the way to the PSD boundary, per interior-point step
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,9 @@ def _logdet(factors) -> float:
 
 
 class _Stall(Exception):
-    pass
+    def __init__(self, message: str, steps: int = 0):
+        super().__init__(message)
+        self.steps = steps
 
 
 class _BarrierState:
@@ -207,20 +213,27 @@ class _BarrierState:
         x_scale = float(np.max(np.abs(self.x))) if self.x.size else 0.0
         self.x_blowup = 1e7 * (1.0 + scale + x_scale)
         self._chol = _cholesky(self._slack_stacks(self.x))
+        self._newton = None  # (t, step, decrement, whitened) at the current point
         if self._chol is None:
             raise _Stall("initial point is not strictly feasible")
 
     def _slack_stacks(self, x):
         return [F0 + (x @ F.reshape(x.shape[0], -1)).reshape(F0.shape) for _, F0, F in self.groups]
 
-    def _grad_hess(self, t: float):
+    def _whitened(self):
+        """L^-1 and the whitened coefficients L^-1 F_i L^-H of every group."""
+        out = []
+        for (_, _, F), L in zip(self.groups, self._chol):
+            Linv = np.linalg.inv(L)
+            out.append((Linv, Linv @ F @ Linv.conj().swapaxes(-1, -2)))
+        return out
+
+    def _grad_hess(self, t: float, whitened=None):
         """Gradient and Hessian of t c.x - log det S(x) at the current point."""
         m = self.c.shape[0]
         g = t * self.c
         H = np.zeros((m, m))
-        for (_, _, F), L in zip(self.groups, self._chol):
-            Linv = np.linalg.inv(L)
-            W = Linv @ F @ Linv.conj().swapaxes(-1, -2)
+        for _, W in whitened or self._whitened():
             g = g - np.einsum("ikaa->i", W).real
             # Re tr(W_i W_j) = Re <W_i, W_j>: one real Gram matrix over the
             # interleaved real and imaginary parts.
@@ -228,12 +241,31 @@ class _BarrierState:
             H += Wr @ Wr.T
         return g, (H + H.T) / 2.0
 
-    def center(self, t: float, tol: float, early_exit=None) -> None:
+    def _newton_step(self, t: float):
+        """Newton step of the barrier at t, its decrement and the whitened
+        stacks; kept until the point moves, so the centering's last
+        evaluation also serves the next centering at the same t and the
+        duals."""
+        if self._newton is None or self._newton[0] != t:
+            whitened = self._whitened()
+            g, H = self._grad_hess(t, whitened)
+            m = self.c.shape[0]
+            ridge = 1e-12 * (1.0 + float(np.trace(H)) / max(m, 1))
+            try:
+                step = np.linalg.solve(H + ridge * np.eye(m), -g)
+            except np.linalg.LinAlgError:
+                step = np.linalg.solve(H + 1e-6 * np.eye(m), -g)
+            self._newton = (t, step, float(np.sqrt(max(-g @ step, 0.0))), whitened)
+        return self._newton[1:]
+
+    def center(self, t: float, tol: float) -> None:
         """Damped Newton with Armijo backtracking on the barrier value.
 
         Degenerate problems (flat optimal faces) plateau above any tight
         decrement target, so stalled progress ends the centering instead of
-        burning the step budget.
+        burning the step budget.  Inside the Dikin region a full step halves
+        the decrement in exact arithmetic, so a step that fails to means the
+        decrement has reached the slack's rounding floor.
         """
         m = self.c.shape[0]
         if m == 0:
@@ -242,14 +274,8 @@ class _BarrierState:
         stall = 0
         prev_dec = np.inf
         for _ in range(INNER_CAP):
-            g, H = self._grad_hess(t)
-            ridge = 1e-12 * (1.0 + float(np.trace(H)) / max(m, 1))
-            try:
-                step = np.linalg.solve(H + ridge * np.eye(m), -g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.solve(H + 1e-6 * np.eye(m), -g)
-            dec = float(np.sqrt(max(-g @ step, 0.0)))
-            if dec <= tol:
+            step, dec, _ = self._newton_step(t)
+            if dec <= tol or (prev_dec < 0.25 and dec > 0.5 * prev_dec):
                 return
             if dec > 0.9 * prev_dec:
                 stall += 1
@@ -283,14 +309,13 @@ class _BarrierState:
                 raise _Stall("line search could not make progress")
             self.x = x_new
             self._chol = chol_new
+            self._newton = None
             f_cur = f_new
             self.steps += 1
             if self.steps > MAX_NEWTON:
                 raise _Stall(f"Newton budget of {MAX_NEWTON} steps exhausted")
-            if early_exit is not None and early_exit(self.x):
-                return
 
-    def follow_path(self, early_exit=None) -> float:
+    def follow_path(self) -> float:
         """Drive t until the duality gap bound meets gap_tol; returns final t.
 
         Intermediate stages are centered loosely; only the final stage is
@@ -298,9 +323,7 @@ class _BarrierState:
         """
         t = 1.0
         while True:
-            self.center(t, 0.05, early_exit=early_exit)
-            if early_exit is not None and early_exit(self.x):
-                return t
+            self.center(t, 0.05)
             if self._runaway():
                 # Suspected recession direction; the ray certification
                 # downstream confirms or refutes it.
@@ -308,7 +331,7 @@ class _BarrierState:
             value = float(self.c @ self.x)
             gap_target = self.settings.gap_tol * (1.0 + min(abs(value), self.value_clamp))
             if self.n_total / t <= gap_target:
-                self.center(t, NEWTON_TOL, early_exit=early_exit)
+                self.center(t, NEWTON_TOL)
                 if self._runaway():
                     raise _Unbounded(float(self.c @ self.x))
                 return t
@@ -321,13 +344,20 @@ class _BarrierState:
         return bool(self.x.size and float(np.max(np.abs(self.x))) > self.x_blowup)
 
     def duals(self, t: float):
-        """S^-1 / t for every block, from the current factors."""
+        """(S^-1 - S^-1 dS S^-1) / t for every block, with dS the slack change
+        of the Newton step at t.  S^-1 / t alone misses dual feasibility by
+        the gradient, which the final centering leaves at the slack's
+        rounding floor; the corrected blocks meet it to rounding and are PSD
+        inside the Dikin region, outside which the correction is dropped."""
+        step, dec, whitened = self._newton_step(t)
+        if dec >= 1.0:
+            step = np.zeros_like(step)
         out = [None] * len(self.blocks)
-        for (idxs, _, _), L in zip(self.groups, self._chol):
-            Linv = np.linalg.inv(L)
-            Sinv = Linv.conj().swapaxes(-1, -2) @ Linv
+        for (idxs, F0, _), (Linv, W) in zip(self.groups, whitened):
+            inner = np.eye(F0.shape[-1]) - np.tensordot(step, W, axes=(0, 0))
+            Z = Linv.conj().swapaxes(-1, -2) @ inner @ Linv
             for pos, i in enumerate(idxs):
-                out[i] = hermitian_part(Sinv[pos]) / t
+                out[i] = hermitian_part(Z[pos]) / t
         return out
 
 
@@ -358,53 +388,145 @@ def verify_certificate(
     return neg < CERT_NEGATIVITY
 
 
-def _phase1(blocks, settings: SdpSettings, early_margin: float | None = None):
-    """Maximize the minimum slack s with F(x) - s I >= 0 and s capped.
+def _step_length(lam: np.ndarray, direction: np.ndarray) -> float:
+    """Largest alpha <= 1 with diag(lam) + alpha * direction >= 0 on every
+    block of a stack, shortened to STEP_FRACTION of the way to the boundary."""
+    root = 1.0 / np.sqrt(lam)
+    worst = float(np.min(np.linalg.eigvalsh(direction * (root[..., :, None] * root[..., None, :]))))
+    return 1.0 if worst >= -STEP_FRACTION else STEP_FRACTION / -worst
 
-    Returns (lam_star, x, certificate_or_None, duals, steps).  The certificate is
-    only attached when lam_star is negative and the Farkas identity verifies.
+
+def _phase1(blocks, settings: SdpSettings):
+    """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap.
+
+    Primal-dual interior-point method with Nesterov-Todd scaling and
+    Mehrotra's predictor-corrector (Todd, Toh & Tutuncu 1998).  With y =
+    (x, s) the problem is: maximize s subject to S_k(y) = F0_k + sum_i x_i
+    F_ki - s I >= 0 on every block, and the cap s_cap I - s I >= 0 folded
+    into the stack of the smallest dimension.  Its dual asks for X_k >= 0
+    with sum_k <X_k, F_ki> = 0 and total trace 1, minimizing
+    sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides feasible
+    and bounded.  X starts at I/n and is infeasible until a full step; y
+    starts at x = 0, s = -1 - max_k ||F0_k||_F (below every eigenvalue) and
+    stays feasible, so F(x) - lam* I > 0 holds at the returned x, which
+    callers use as an interior point.  X over the non-cap blocks,
+    renormalized, is the Farkas certificate when lam* < 0.
+
+    Returns (lam_star, x, certificate_or_None, duals, iterations); raises
+    _Stall when an iterate loses definiteness or the budget runs out.
     """
     m = blocks[0].num_vars
     d_scale = max(float(np.max(np.abs(b.constant))) for b in blocks)
     s_cap = 10.0 * (1.0 + d_scale)
-    aug_blocks = [
-        LmiBlock._trusted(
-            b.constant, np.concatenate([b.coefficients, -np.eye(b.dim, dtype=complex)[None]])
+    dims = sorted({b.dim for b in blocks})
+    groups = []  # (block indices, F0 stack (k, d, d), coefficients (m + 1, k, d, d))
+    for d in dims:
+        idxs = [i for i, b in enumerate(blocks) if b.dim == d]
+        F0 = [blocks[i].constant for i in idxs]
+        F = [np.concatenate([blocks[i].coefficients, -np.eye(d)[None]]) for i in idxs]
+        if d == dims[0]:
+            cap = np.zeros((m + 1, d, d), dtype=complex)
+            cap[-1] = -np.eye(d)
+            F0.append(s_cap * np.eye(d, dtype=complex))
+            F.append(cap)
+        groups.append((idxs, np.stack(F0), np.stack(F, axis=1)))
+    n = sum(F0.shape[0] * F0.shape[1] for _, F0, _ in groups)
+    tol = settings.gap_tol / 10.0
+
+    y = np.zeros(m + 1)
+    y[-1] = -1.0 - max(float(np.linalg.norm(b.constant)) for b in blocks)
+    X = [np.broadcast_to(np.eye(F0.shape[1]) / n, F0.shape).astype(complex) for _, F0, _ in groups]
+    for iteration in range(MAX_NEWTON + 1):
+        # NT scaling G per block: G^-1 X G^-H = G^H S G = diag(lam), from the
+        # Cholesky factor L of X and the eigenvectors Q of L^H S L.
+        r_p = np.zeros(m + 1)
+        r_p[-1] = 1.0
+        M = np.zeros((m + 1, m + 1))
+        p_obj = 0.0
+        scaled = []
+        for (_, F0, F), Xg in zip(groups, X):
+            S = F0 + (y @ F.reshape(m + 1, -1)).reshape(F0.shape)
+            try:
+                L = np.linalg.cholesky(Xg)
+            except np.linalg.LinAlgError:
+                raise _Stall("primal iterate lost definiteness", iteration) from None
+            LH = L.conj().swapaxes(-1, -2)
+            w, Q = np.linalg.eigh(LH @ S @ L)
+            if not np.all(w > 0.0):
+                raise _Stall("dual slack lost definiteness", iteration)
+            lam = np.sqrt(w)
+            G = (L @ Q) / np.sqrt(lam)[..., None, :]
+            W = G.conj().swapaxes(-1, -2) @ F @ G
+            Wr = W.reshape(m + 1, -1).view(float)
+            M += Wr @ Wr.T
+            r_p += (F.reshape(m + 1, -1).conj() @ Xg.reshape(-1)).real
+            p_obj += float(np.vdot(F0, Xg).real)
+            scaled.append((G, lam, W))
+        # <X, S> = sum lam^2.  The dual residual is zero by construction;
+        # the primal one is relative to 1 + ||b|| = 2.
+        gap = sum(float(np.sum(lam * lam)) for _, lam, _ in scaled)
+        if (
+            gap <= tol * (1.0 + abs(p_obj) + abs(y[-1]))
+            and float(np.linalg.norm(r_p)) / 2.0 <= tol
+        ):
+            break
+        if iteration == MAX_NEWTON:
+            raise _Stall(f"interior-point budget of {MAX_NEWTON} iterations exhausted", iteration)
+        mu = gap / n
+
+        def direction(R_c):
+            """Newton direction for the scaled complementarity target
+            dX + dS = R_c, with dS = sum_i dy_i W_i and the primal
+            residual driven to zero."""
+            rhs = r_p + sum(
+                (Wg.reshape(m + 1, -1).conj() @ R.reshape(-1)).real
+                for (_, _, Wg), R in zip(scaled, R_c)
+            )
+            # An always-on ridge would bias y; it only rescues a singular M
+            # (a variable with no coefficient anywhere).
+            try:
+                dy = np.linalg.solve(M, rhs)
+            except np.linalg.LinAlgError:
+                ridge = 1e-12 * (1.0 + float(np.trace(M)) / (m + 1))
+                dy = np.linalg.solve(M + ridge * np.eye(m + 1), rhs)
+            dS = [np.tensordot(dy, Wg, axes=(0, 0)) for _, _, Wg in scaled]
+            dX = [R - D for R, D in zip(R_c, dS)]
+            a_p = min(_step_length(lam, D) for (_, lam, _), D in zip(scaled, dX))
+            a_d = min(_step_length(lam, D) for (_, lam, _), D in zip(scaled, dS))
+            return dy, dX, dS, a_p, a_d
+
+        # Predictor: the affine-scaling direction, dX + dS = -diag(lam).
+        lam_mats = [lam[..., None] * np.eye(lam.shape[-1]) for _, lam, _ in scaled]
+        _, dX, dS, a_p, a_d = direction([-Lm for Lm in lam_mats])
+        gap_aff = sum(
+            float(np.vdot(Lm + a_p * Dx, Lm + a_d * Ds).real)
+            for Lm, Dx, Ds in zip(lam_mats, dX, dS)
         )
-        for b in blocks
-    ]
-    cap_coefficients = np.zeros((m + 1, 1, 1), dtype=complex)
-    cap_coefficients[-1] = -1.0
-    aug_blocks.append(LmiBlock._trusted(np.array([[s_cap]], dtype=complex), cap_coefficients))
+        sigma = min(1.0, (gap_aff / gap) ** 3)
+        # Corrector: centre at sigma * mu and cancel the predictor's
+        # second-order term, in the Jordan product with diag(lam).
+        R_c = []
+        for Lm, Dx, Ds, (_, lam, _) in zip(lam_mats, dX, dS, scaled):
+            P = Dx @ Ds
+            H = sigma * mu * np.eye(lam.shape[-1]) - Lm * Lm - (P + P.conj().swapaxes(-1, -2)) / 2.0
+            R_c.append(2.0 * H / (lam[..., :, None] + lam[..., None, :]))
+        dy, dX, _, a_p, a_d = direction(R_c)
+        for g, ((G, _, _), D) in enumerate(zip(scaled, dX)):
+            Xg = X[g] + a_p * (G @ D @ G.conj().swapaxes(-1, -2))
+            X[g] = (Xg + Xg.conj().swapaxes(-1, -2)) / 2.0
+        y = y + a_d * dy
 
-    s0 = min(float(eigh(b.constant).eigenvalues[0]) for b in blocks) - 1.0
-    x0 = np.zeros(m + 1)
-    x0[-1] = s0
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-
-    early = None
-    if early_margin is not None:
-        early = lambda x: x[-1] > early_margin  # noqa: E731
-
-    state = _BarrierState(aug_blocks, c, x0, settings)
-    try:
-        t = state.follow_path(early_exit=early)
-    except _Unbounded as exc:
-        raise _Stall(f"iterate diverged during the feasibility phase (value {exc.value:g})") from exc
-    lam_star = float(state.x[-1])
-    x_part = state.x[:-1].copy()
-
+    lam_star = float(y[-1])
+    duals = [None] * len(blocks)
+    for (idxs, _, _), Xg in zip(groups, X):
+        for pos, i in enumerate(idxs):
+            duals[i] = Xg[pos]
+    total = sum(float(np.trace(Z).real) for Z in duals)
+    duals = [Z / total for Z in duals] if total > 0 else None
     certificate = None
-    duals = None
-    if early is None or not early(state.x):
-        Z_all = state.duals(t)[:-1]  # drop the cap block
-        total = sum(float(np.trace(Z).real) for Z in Z_all)
-        if total > 0:
-            duals = [Z / total for Z in Z_all]
-            if lam_star < 0 and verify_certificate(blocks, duals, settings):
-                certificate = duals
-    return lam_star, x_part, certificate, duals, state.steps
+    if duals is not None and lam_star < 0 and verify_certificate(blocks, duals, settings):
+        certificate = duals
+    return lam_star, y[:-1].copy(), certificate, duals, iteration
 
 
 def check_feasibility(blocks, margin: float = 0.0, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
@@ -419,7 +541,7 @@ def check_feasibility(blocks, margin: float = 0.0, settings: SdpSettings = DEFAU
     try:
         lam_star, x, certificate, duals, steps = _phase1(blocks, settings)
     except _Stall as exc:
-        return SdpSolution(status=NUMERICAL_FAILURE, message=str(exc))
+        return SdpSolution(status=NUMERICAL_FAILURE, message=str(exc), newton_steps=exc.steps)
     feasible = lam_star > margin
     status = OPTIMAL
     if certificate is not None and not feasible:
@@ -463,14 +585,14 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
         if _cholesky([b.slack(x_start) for b in work_blocks]) is None:
             raise InputError("supplied x0 is not strictly feasible")
     else:
-        # A point with slack 1e-6 * scale is interior enough to start phase 2;
-        # thinner problems fall through to the full slack maximization.
         try:
-            lam_star, x_start, certificate, _, steps = _phase1(
-                work_blocks, settings, early_margin=1e-6 * scale_f
-            )
+            lam_star, x_start, certificate, _, steps = _phase1(work_blocks, settings)
         except _Stall as exc:
-            return SdpSolution(status=NUMERICAL_FAILURE, message=f"feasibility phase stalled: {exc}")
+            return SdpSolution(
+                status=NUMERICAL_FAILURE,
+                message=f"feasibility phase stalled: {exc}",
+                newton_steps=exc.steps,
+            )
         steps_total += steps
         feas_tol = 1e-9 * scale_f
         if lam_star <= feas_tol:
@@ -491,18 +613,25 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
 
     try:
         state = _BarrierState(work_blocks, c, x_start, settings)
+    except _Stall as exc:
+        return SdpSolution(status=NUMERICAL_FAILURE, message=str(exc), newton_steps=steps_total)
+    try:
         t = state.follow_path()
     except _Unbounded as exc:
-        ray = _certify_ray(work_blocks, c, settings)
+        ray, ray_steps = _certify_ray(work_blocks, c, settings)
+        steps_total += state.steps + ray_steps
         if ray is not None:
             return SdpSolution(status=UNBOUNDED, value=-np.inf, ray=ray, newton_steps=steps_total)
         return SdpSolution(
             status=NUMERICAL_FAILURE,
             message=f"objective fell below -{UNBOUNDED_VALUE:g} but no ray certified",
             value=float(exc.value),
+            newton_steps=steps_total,
         )
     except _Stall as exc:
-        return SdpSolution(status=NUMERICAL_FAILURE, message=str(exc), newton_steps=steps_total)
+        return SdpSolution(
+            status=NUMERICAL_FAILURE, message=str(exc), newton_steps=steps_total + state.steps
+        )
 
     steps_total += state.steps
     x = state.x
@@ -510,10 +639,10 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
     duals = state.duals(t)
     raw_bound = -sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(duals, work_blocks))
 
-    # The harvested dual is feasible only up to the final Newton residual, so
-    # the raw bound may overshoot the value by a gap-tolerance amount; more
-    # than that is a genuine failure.  The reported bound is clamped so the
-    # weak-duality direction always holds for consumers.
+    # The duals are feasible to rounding, so the raw bound may overshoot the
+    # value by a gap-tolerance amount; more than that is a genuine failure.
+    # The reported bound is clamped so the weak-duality direction always
+    # holds for consumers.
     SOLVE_STATS["duality_checks"] += 1
     allowance = settings.gap_tol * (1.0 + abs(value))
     if raw_bound > value + allowance:
@@ -521,6 +650,7 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
             status=NUMERICAL_FAILURE,
             value=value,
             x=x,
+            newton_steps=steps_total,
             message=f"weak duality violated: bound {raw_bound!r} above value {value!r}",
         )
     gap = value - raw_bound
@@ -529,6 +659,7 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
             status=NUMERICAL_FAILURE,
             value=value,
             x=x,
+            newton_steps=steps_total,
             message=f"duality gap {gap:.3e} exceeds tolerance",
         )
     return SdpSolution(
@@ -543,7 +674,9 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
 
 
 def _certify_ray(blocks, c, settings: SdpSettings):
-    """Look for d with sum_i d_i F_i >= 0 on every block and c.d <= -1."""
+    """Look for d with sum_i d_i F_i >= 0 on every block and c.d <= -1.
+
+    Returns (d or None, iterations spent)."""
     ray_blocks = [LmiBlock._trusted(np.zeros_like(b.constant), b.coefficients) for b in blocks]
     ray_blocks.append(
         LmiBlock._trusted(np.array([[-1.0]], dtype=complex), -c.astype(complex).reshape(-1, 1, 1))
@@ -556,5 +689,5 @@ def _certify_ray(blocks, c, settings: SdpSettings):
             for b in blocks
         )
         if ok and float(c @ d) < 0:
-            return d
-    return None
+            return d, sol.newton_steps
+    return None, sol.newton_steps

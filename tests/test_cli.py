@@ -343,3 +343,66 @@ def test_repro_results_identical_across_blas_threads(case):
         )
         outputs.append(problems.render_value(json.loads(proc.stdout)["results"]))
     assert outputs[0] == outputs[1]
+
+
+def riesz_document(**fields) -> dict:
+    payload = {"B": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], "a": [[0, 0], [0, 1]], "epsilon": 0.5}
+    payload.update(fields)
+    return {"kind": "riesz", "payload": payload}
+
+
+@pytest.mark.parametrize("key", ["lowers", "uppers"])
+@pytest.mark.parametrize("falsy", [0, {}, "", False, None])
+def test_cli_falsy_bound_list_exits_2(tmp_path, capsys, key, falsy):
+    # Only an absent key or [] means "no bounds"; other values are matrix
+    # lists or errors.
+    path = tmp_path / "riesz.json"
+    path.write_text(json.dumps(riesz_document(**{key: falsy})))
+    assert main(["riesz", "--file", str(path)]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("riesz", riesz_document(N=None)),
+        ("riesz", riesz_document(auto_bounds=None)),
+        ("check-unperforated", {"kind": "unperforated", "payload": {
+            "S": [[[0, 2], [2, 0]]], "T": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "trials": None}}),
+        ("korovkin", {"kind": "korovkin", "payload": {"n": None}}),
+    ],
+)
+def test_cli_null_count_exits_2(tmp_path, capsys, command, doc):
+    # A present null is not an absent key: it used to escape as a TypeError.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--file", str(path)]) == 2
+    assert "expected an integer" in capsys.readouterr().err
+
+
+def test_parse_empty_bound_list_means_none():
+    doc = problems.parse_problem(json.dumps(riesz_document(lowers=[], uppers=[])))
+    assert doc.payload["lowers"] == [] and doc.payload["uppers"] == []
+
+
+def unperforated_search_document(trials: int) -> dict:
+    doc = json.loads(doc_unperforated_instance())
+    del doc["payload"]["a"], doc["payload"]["b"]
+    doc["payload"]["trials"] = trials
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make, key, limit",
+    [
+        (lambda v: riesz_document(N=v), "N", problems.MAX_RIESZ_N),
+        (lambda v: riesz_document(auto_bounds=v), "auto_bounds", problems.MAX_AUTO_BOUNDS),
+        (unperforated_search_document, "trials", problems.MAX_TRIALS),
+    ],
+)
+def test_parse_enforces_work_limits(make, key, limit):
+    # Parsing only: the documents at the limit are accepted, not run.
+    doc = problems.parse_problem(json.dumps(make(limit)))
+    assert doc.payload[key] == limit
+    with pytest.raises(InputError, match=f"{key}: expected at most {limit}"):
+        problems.parse_problem(json.dumps(make(limit + 1)))

@@ -139,6 +139,21 @@ def test_instance_trivial_when_a_in_T():
     assert inst.verdict == "FEASIBLE"
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_instance_with_forced_interpolant_is_feasible(seed):
+    # a = b in T forces b' = a: the maximal slack is zero, no certificate
+    # exists, and the re-verification tolerance must accept b'.
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = (G + G.conj().T) / 2.0
+    S = OperatorSubspace(ambient_dim=3, basis=[a], unital=False)
+    T = OperatorSubspace(ambient_dim=3, basis=[np.eye(3), a, np.diag([1.0, -1.0, 0.0])], unital=True)
+    inst = solve_unperforated_instance(S, T, a, a)
+    assert inst.verdict == "FEASIBLE"
+    assert abs(inst.max_slack) <= 1e-7
+    assert np.linalg.norm(inst.b_prime - a) <= 1e-6
+
+
 def test_instance_rejects_unordered_pair():
     S, T = swap_vs_diagonal()
     with pytest.raises(InputError):

@@ -1,12 +1,18 @@
 """SDP engine checks against independent oracles.
 
 Oracles used here: a closed-form determinant analysis for the 2x2 example,
-bisection on the minimum eigenvalue for one-variable problems, and a scalar
+bisection on the minimum eigenvalue for one-variable problems, a scalar
 interval intersection for the interpolation block family, and central
-finite differences for the barrier's gradient and Hessian.  The last tests
-pin the barrier's final centering and facial reduction on seeded systems
-that used to fail: a set known to be nonempty must never be rejected, and
-the face's interior point must satisfy the original constraints.
+finite differences for the optimization phase's barrier gradient and
+Hessian.  The primal-dual feasibility phase is held to its iteration count
+(the log-det barrier it replaced took about five times as many steps), to
+an interior returned point, and to the capped slack when the slack is
+unbounded; an unbounded solve reports the steps of all three of its
+phases.  The optimization phase's duals must be feasible to rounding.  The
+last tests pin the barrier's final centering and facial reduction on
+seeded systems that used to fail: a set known to be nonempty must never be
+rejected, and the face's interior point must satisfy the original
+constraints.
 """
 
 from __future__ import annotations
@@ -58,18 +64,22 @@ def test_solve_lambda_max():
     assert sol.value == pytest.approx(5.0, abs=1e-6)
 
 
-def test_infeasible_diagonal_cage():
+def diagonal_cage_blocks():
     # b' diagonal with b' >= [[0,2],[2,0]], b' <= diag(1,5), ||b'|| <= 2.
     a = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
     b = np.diag([1.0, 5.0]).astype(complex)
     d1 = np.diag([1.0, 0.0]).astype(complex)
     d2 = np.diag([0.0, 1.0]).astype(complex)
-    blocks = [
+    return [
         sdp.LmiBlock(-a, [d1, d2]),
         sdp.LmiBlock(b, [-d1, -d2]),
         sdp.LmiBlock(2 * I2, [-d1, -d2]),
         sdp.LmiBlock(2 * I2, [d1, d2]),
     ]
+
+
+def test_infeasible_diagonal_cage():
+    blocks = diagonal_cage_blocks()
     sol = sdp.check_feasibility(blocks)
     assert sol.status == sdp.INFEASIBLE
     assert not sol.feasible
@@ -98,6 +108,47 @@ def test_check_feasibility_constant_infeasible():
     assert sol.value == pytest.approx(-1.0, abs=1e-6)
     (Z,) = sol.dual_certificate
     assert np.vdot(Z, -I2).real < -1e-9
+
+
+def riesz_style_blocks(seed: int):
+    # The blocks of one Riesz interpolation step over full M3: norm cap on
+    # both sides, two lower and two upper bounds around a random a.
+    rng = np.random.default_rng(seed)
+    hb = hermitian_units(3)
+    eye = np.eye(3, dtype=complex)
+    a = unit_norm_hermitian(rng, 3)
+    blocks = [sdp.LmiBlock(1.5 * eye, [-h for h in hb]), sdp.LmiBlock(1.5 * eye, hb)]
+    for _ in range(2):
+        lower = a - rng.uniform(0.05, 0.5) * eye + 0.1 * unit_norm_hermitian(rng, 3)
+        upper = a + rng.uniform(0.05, 0.5) * eye + 0.1 * unit_norm_hermitian(rng, 3)
+        blocks.append(sdp.LmiBlock(-lower, hb))
+        blocks.append(sdp.LmiBlock(upper, [-h for h in hb]))
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "make", [diagonal_cage_blocks, lambda: riesz_style_blocks(11)], ids=["cage", "riesz"]
+)
+def test_feasibility_phase_iteration_count(make):
+    # The log-det barrier took 49 Newton steps on the cage; the primal-dual
+    # phase needs about ten iterations.
+    blocks = make()
+    sol = sdp.check_feasibility(blocks)
+    assert sol.status in (sdp.OPTIMAL, sdp.INFEASIBLE)
+    assert 0 < sol.newton_steps <= 25
+    if sol.feasible:
+        slack = min(eigh(b.slack(sol.x)).eigenvalues[0] for b in blocks)
+        assert slack >= sol.value
+
+
+def test_capped_slack_is_feasible_without_certificate():
+    # diag(1, -2) + x I has unbounded slack, so the cap s_cap = 10 (1 + 2)
+    # binds; the dual is then forced to zero on the block.
+    blk = sdp.LmiBlock(np.diag([1.0, -2.0]), [I2])
+    sol = sdp.check_feasibility([blk])
+    assert sol.status == sdp.OPTIMAL and sol.feasible
+    assert sol.value == pytest.approx(30.0, abs=1e-6 * 30.0)
+    assert sol.dual_certificate is None
 
 
 def scalar_interpolation_blocks(n: int):
@@ -155,14 +206,34 @@ def test_one_variable_matches_bisection(seed):
     assert sol.value == pytest.approx(oracle, abs=1e-6)
 
 
-def test_unbounded_detected():
+def test_unbounded_detected(monkeypatch):
     # minimize -x with [[x]] >= 0 has value -inf along the ray d = 1.
+    steps = []
+    phase1 = sdp._phase1
+    follow_path = sdp._BarrierState.follow_path
+
+    def counted_phase1(*args):
+        result = phase1(*args)
+        steps.append(result[-1])
+        return result
+
+    def counted_follow_path(state):
+        try:
+            return follow_path(state)
+        finally:
+            steps.append(state.steps)
+
+    monkeypatch.setattr(sdp, "_phase1", counted_phase1)
+    monkeypatch.setattr(sdp._BarrierState, "follow_path", counted_follow_path)
     blk = sdp.LmiBlock(np.zeros((1, 1), dtype=complex), [np.eye(1, dtype=complex)])
     prob = sdp.SdpProblem(objective=np.array([-1.0]), blocks=[blk])
     sol = sdp.solve(prob)
     assert sol.status == sdp.UNBOUNDED
     assert sol.ray is not None
     assert float(prob.objective @ sol.ray) < 0
+    # cold start, optimization phase, ray search: every step is reported
+    assert len(steps) == 3
+    assert sol.newton_steps == sum(steps) > 0
 
 
 def test_strict_margin_request():
@@ -260,6 +331,27 @@ def test_barrier_gradient_and_hessian_match_finite_differences():
     )
     assert np.allclose(g, g_fd, atol=1e-7)
     assert np.allclose(H, H_fd, atol=1e-5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_duals_are_feasible_to_rounding(seed):
+    # sum_k <Z_k, F_ki> = c_i; S^-1 / t alone missed it by the final
+    # gradient (1.4e-8 to 1.5e-7 on these problems).
+    rng = np.random.default_rng(seed)
+    m, d = 4, 3
+    blocks = [
+        sdp.LmiBlock(2.0 * np.eye(d) + 0.3 * unit_norm_hermitian(rng, d),
+                     [unit_norm_hermitian(rng, d) for _ in range(m)])
+        for _ in range(3)
+    ]
+    c = rng.standard_normal(m)
+    sol = sdp.solve(sdp.SdpProblem(objective=c, blocks=blocks), x0=np.zeros(m))
+    assert sol.status == sdp.OPTIMAL
+    for i in range(m):
+        pairing = sum(np.vdot(Z, b.coefficients[i]).real for Z, b in zip(sol.dual_blocks, blocks))
+        assert abs(pairing - c[i]) <= 1e-12 * (1.0 + abs(c[i]))
+    for Z in sol.dual_blocks:
+        assert is_psd(Z, 1e-12)
 
 
 def assert_interior_point_is_feasible(spec, constraints):
