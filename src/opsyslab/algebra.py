@@ -1,10 +1,16 @@
 """Structure computations for matrix *-algebras.
 
-An algebra is carried as an orthonormal (Hilbert-Schmidt) spanning set of
-matrices inside an ambient M_n.  Generation from a hermitian spanning set,
-commutants, and GNS representations of states are all phrased as dense
-linear algebra on the coefficient space; rank decisions share one relative
-eigenvalue threshold.
+Every basis is one read-only (k, n, n) array: the orthonormal
+(Hilbert-Schmidt) basis of an algebra inside M_n, the hermitian basis of an
+operator subspace.  One orthonormalizer (`orthonormalize`, two-pass
+classical Gram-Schmidt in input order, over the reals on the float view of
+hermitian matrices) and one coefficient map (`span_coefficients`, a whole
+stack of matrices in one matmul) serve generation, closure checks,
+commutants and GNS, whose structure constants C[a, l, j] = <b_l, b_a b_j>
+and checks are tensor contractions over blocks of basis rows (bounded
+memory up to dimension 256).  A state is pure iff its GNS image is all of
+M_r (Burnside), so purity needs no commutant.  Rank decisions share one
+relative threshold.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from .hermitian import eigh_coefficient_space, hermitian, hermitian_part
 MAX_AMBIENT = 16
 RANK_TOL = 1e-9
 CLOSURE_TOL = 1e-8
+# Complex entries in one block of pairwise products (16 MB).
+_BLOCK_ENTRIES = 1 << 20
 
 
 def _as_matrix(M, n=None):
@@ -30,63 +38,102 @@ def _as_matrix(M, n=None):
     return A
 
 
-def orthonormalize(mats, tol: float = RANK_TOL):
-    """Modified Gram-Schmidt over the HS inner product; drops dependent inputs.
+def _flat(stack: np.ndarray) -> np.ndarray:
+    """Row-major vectorization of the last two axes: (..., n, m) -> (..., n*m)."""
+    return stack.reshape(stack.shape[:-2] + (stack.shape[-2] * stack.shape[-1],))
 
-    Inputs that are already orthonormal are returned unchanged, which keeps
-    caller-chosen basis orderings stable.
+
+def _readonly(stack: np.ndarray) -> np.ndarray:
+    stack.setflags(write=False)
+    return stack
+
+
+def _matrix_units(n: int) -> np.ndarray:
+    """The matrix units of M_n, E_pq at index p * n + q."""
+    return _readonly(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
+
+
+def _real_gram(stack: np.ndarray) -> np.ndarray:
+    """Re <s_i, s_j> for a stack of matrices."""
+    F = _flat(stack)
+    return (F.conj() @ F.T).real
+
+
+def _independent(residual, norm, tol: float = RANK_TOL):
+    """The shared rank cut: a residual above sqrt(tol) of the norm (or of 1)."""
+    return residual > np.sqrt(tol) * np.maximum(norm, 1.0)
+
+
+def _row_blocks(k: int, width: int) -> list:
+    """Slices of range(k) such that a block of rows, each a slab of
+    k * width entries, holds at most _BLOCK_ENTRIES entries."""
+    step = max(1, _BLOCK_ENTRIES // max(1, k * width))
+    return [slice(i, i + step) for i in range(0, k, step)]
+
+
+def orthonormalize(mats, tol: float = RANK_TOL) -> np.ndarray:
+    """Two-pass classical Gram-Schmidt over the HS inner product, in input
+    order; drops the candidates that fail the shared rank cut.
+
+    An orthonormal prefix comes back unchanged up to rounding, which keeps
+    caller-chosen basis orderings stable.  A real stack is orthonormalized
+    over the reals.  Returns a read-only stack of the input's trailing shape.
     """
-    out = []
-    for M in mats:
-        v = np.asarray(M, dtype=complex).copy()
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        for b in out:
-            v -= np.vdot(b, v) * b
-        # second pass for numerical orthogonality
-        for b in out:
-            v -= np.vdot(b, v) * b
-        norm = np.linalg.norm(v)
-        if norm > np.sqrt(tol) * max(norm0, 1.0):
-            out.append(v / norm)
-    return out
+    mats = np.asarray(mats)
+    cands = _flat(mats)
+    out = np.empty_like(cands)
+    r = 0
+    for v in cands:
+        if r == cands.shape[1]:
+            break  # the space is exhausted: every later candidate is dependent
+        Q = out[:r]
+        w = v - (Q.conj() @ v) @ Q
+        w -= (Q.conj() @ w) @ Q
+        norm = np.linalg.norm(w)
+        if _independent(norm, np.linalg.norm(v), tol):
+            out[r] = w / norm
+            r += 1
+    return _readonly(out[:r].reshape((r,) + mats.shape[1:]))
 
 
-def span_coefficients(basis, X):
-    """Coefficients of X over an orthonormal basis plus the residual norm."""
-    X = np.asarray(X, dtype=complex)
-    coeffs = np.array([np.vdot(b, X) for b in basis])
-    proj = sum(c * b for c, b in zip(coeffs, basis)) if basis else np.zeros_like(X)
-    return coeffs, float(np.linalg.norm(X - proj))
+def span_coefficients(basis: np.ndarray, X):
+    """Coefficients over an orthonormal (k, n, n) basis, shape (..., k), and
+    the HS norms of the residuals, shape (...), of a stack X of shape
+    (..., n, n)."""
+    F = _flat(basis)
+    x = _flat(np.asarray(X, dtype=complex))
+    coeffs = x @ F.conj().T
+    return coeffs, np.linalg.norm(x - coeffs @ F, axis=-1)
+
+
+def _products_in_span(basis: np.ndarray, rows: slice):
+    """span_coefficients of the products b_a b_j, a in rows: the structure
+    constants C[a, j, l] = <b_l, b_a b_j> and the residuals."""
+    return span_coefficients(basis, basis[rows, None] @ basis[None])
 
 
 @dataclass
 class OperatorSubspace:
-    """Self-adjoint subspace given by a hermitian basis inside M_n.
+    """Self-adjoint subspace given by a hermitian basis inside M_n, stored
+    as a read-only (k, n, n) array.
 
     The basis must be linearly independent over the reals; when `unital` the
     identity must be reconstructible from it.
     """
 
     ambient_dim: int
-    basis: list
+    basis: np.ndarray
     unital: bool = True
 
     def __post_init__(self):
         n = self.ambient_dim
-        if not self.basis:
+        if len(self.basis) == 0:
             raise InputError("subspace needs at least one basis element")
-        self.basis = [hermitian(_as_matrix(b, n)) for b in self.basis]
-        k = len(self.basis)
-        gram = np.empty((k, k))
-        for i in range(k):
-            for j in range(i, k):
-                gram[i, j] = gram[j, i] = float(np.vdot(self.basis[i], self.basis[j]).real)
-        ev = eigh_coefficient_space(gram.astype(complex)).eigenvalues
+        self.basis = _readonly(np.stack([hermitian(_as_matrix(b, n)) for b in self.basis]))
+        self._gram = _real_gram(self.basis)
+        ev = eigh_coefficient_space(self._gram.astype(complex)).eigenvalues
         if ev[0] <= RANK_TOL * max(float(ev[-1]), 1.0):
             raise InputError("subspace basis is not linearly independent")
-        self._gram = gram
         if self.unital:
             coeffs, resid = self.coefficients_of(np.eye(n), tol=None)
             if resid > 1e-9 * (1.0 + np.sqrt(n)):
@@ -102,10 +149,10 @@ class OperatorSubspace:
     def coefficients_of(self, X, tol: float | None = 1e-7):
         """Real coefficients of a hermitian X over the basis; residual checked."""
         X = hermitian(_as_matrix(X, self.ambient_dim))
-        rhs = np.array([float(np.vdot(b, X).real) for b in self.basis])
-        coeffs = np.linalg.solve(self._gram, rhs)
-        recon = sum(c * b for c, b in zip(coeffs, self.basis))
-        resid = float(np.linalg.norm(X - recon))
+        F = _flat(self.basis)
+        x = X.reshape(-1)
+        coeffs = np.linalg.solve(self._gram, (F.conj() @ x).real)
+        resid = float(np.linalg.norm(x - coeffs @ F))
         if tol is not None and resid > tol * (1.0 + np.linalg.norm(X)):
             raise InputError(f"matrix is not in the subspace (residual {resid:.3e})")
         return coeffs, resid
@@ -114,7 +161,7 @@ class OperatorSubspace:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (len(self.basis),):
             raise InputError("coefficient vector has the wrong length")
-        return hermitian_part(sum(c * b for c, b in zip(coeffs, self.basis)))
+        return hermitian_part(np.tensordot(coeffs, self.basis, axes=1))
 
     def identity_coefficients(self) -> np.ndarray:
         if self._identity_coefficients is None:
@@ -124,13 +171,14 @@ class OperatorSubspace:
 
 @dataclass
 class MatrixStarAlgebra:
-    """A *-closed span with an orthonormal basis; products stay inside."""
+    """A *-closed span with an orthonormal basis, stored as a read-only
+    (k, n, n) array; products stay inside."""
 
     ambient_dim: int
-    basis: list
+    basis: np.ndarray
     contains_identity: bool
     _full: bool = field(default=False, repr=False)
-    _herm_basis: list | None = field(default=None, repr=False)
+    _herm_basis: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
     def from_basis(mats, ambient_dim=None, check_closure=True) -> "MatrixStarAlgebra":
@@ -138,28 +186,17 @@ class MatrixStarAlgebra:
         if not mats:
             raise InputError("algebra needs at least one spanning matrix")
         n = mats[0].shape[0]
-        for M in mats:
-            if M.shape[0] != n:
-                raise InputError("spanning matrices disagree on dimension")
-        basis = orthonormalize(mats)
-        alg = MatrixStarAlgebra(
-            ambient_dim=n,
-            basis=basis,
-            contains_identity=_identity_in_span(basis, n),
-        )
+        if any(M.shape[0] != n for M in mats):
+            raise InputError("spanning matrices disagree on dimension")
+        basis = orthonormalize(np.stack(mats))
+        alg = MatrixStarAlgebra(n, basis, contains_identity=_identity_in_span(basis, n))
         if check_closure:
             alg.verify_closure()
         return alg
 
     @staticmethod
     def full(n: int) -> "MatrixStarAlgebra":
-        basis = []
-        for i in range(n):
-            for j in range(n):
-                E = np.zeros((n, n), dtype=complex)
-                E[i, j] = 1.0
-                basis.append(E)
-        return MatrixStarAlgebra(ambient_dim=n, basis=basis, contains_identity=True, _full=True)
+        return MatrixStarAlgebra(n, _matrix_units(n), contains_identity=True, _full=True)
 
     @property
     def dim(self) -> int:
@@ -173,27 +210,29 @@ class MatrixStarAlgebra:
         """
         X = _as_matrix(X, self.ambient_dim)
         coeffs, _ = span_coefficients(self.basis, X)
-        proj = sum(c * b for c, b in zip(coeffs, self.basis))
+        proj = np.tensordot(coeffs, self.basis, axes=1)
         if np.linalg.norm(X - X.conj().T) <= 1e-12 * (1 + np.linalg.norm(X)):
             proj = hermitian_part(proj)
         return proj
 
     def membership_residual(self, X) -> float:
         _, resid = span_coefficients(self.basis, _as_matrix(X, self.ambient_dim))
-        return resid
+        return float(resid)
 
     def contains(self, X, tol: float = 1e-8) -> bool:
         return self.membership_residual(X) <= tol * (1.0 + float(np.linalg.norm(X)))
 
     def verify_closure(self, tol: float = CLOSURE_TOL) -> None:
-        for i, a in enumerate(self.basis):
-            if self.membership_residual(a.conj().T) > tol:
-                raise InputError(f"span is not adjoint-closed at basis element {i}")
-            for b in self.basis:
-                if self.membership_residual(a @ b) > tol:
-                    raise InputError("span is not closed under multiplication")
+        B = self.basis
+        _, resid = span_coefficients(B, B.conj().swapaxes(1, 2))
+        if np.any(resid > tol):
+            i = int(np.argmax(resid > tol))
+            raise InputError(f"span is not adjoint-closed at basis element {i}")
+        for rows in _row_blocks(len(B), self.ambient_dim ** 2):
+            if np.any(_products_in_span(B, rows)[1] > tol):
+                raise InputError("span is not closed under multiplication")
 
-    def hermitian_basis(self) -> list:
+    def hermitian_basis(self) -> np.ndarray:
         """Hermitian basis of the self-adjoint part (real dimension = dim).
 
         Full algebras use the standard elements E_ii, E_ij + E_ji,
@@ -204,41 +243,22 @@ class MatrixStarAlgebra:
             return self._herm_basis
         n = self.ambient_dim
         if self._full:
-            out = []
-            for i in range(n):
-                E = np.zeros((n, n), dtype=complex)
-                E[i, i] = 1.0
-                out.append(E)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    X = np.zeros((n, n), dtype=complex)
-                    X[i, j] = X[j, i] = 1.0
-                    out.append(X)
-                    Y = np.zeros((n, n), dtype=complex)
-                    Y[i, j] = 1.0j
-                    Y[j, i] = -1.0j
-                    out.append(Y)
+            units = _matrix_units(n)
+            i, j = np.triu_indices(n, 1)
+            upper, lower = units[i * n + j], units[j * n + i]
+            pairs = np.stack([upper + lower, 1.0j * (upper - lower)], axis=1)
+            out = np.concatenate([units[:: n + 1], pairs.reshape(-1, n, n)])
         else:
-            cands = []
-            for b in self.basis:
-                cands.append(hermitian_part(b))
-                cands.append(hermitian_part(-1.0j * b))
-            out = []
-            for h in cands:
-                v = h.copy()
-                for prev in out:
-                    v -= np.vdot(prev, v).real * prev
-                for prev in out:
-                    v -= np.vdot(prev, v).real * prev
-                norm = np.linalg.norm(v)
-                if norm > 1e-8 * (1.0 + np.linalg.norm(h)):
-                    out.append(hermitian_part(v / norm))
+            parts = [hermitian_part(self.basis), hermitian_part(-1.0j * self.basis)]
+            cands = np.stack(parts, axis=1).reshape(-1, n, n)
+            # real Gram-Schmidt through the float view
+            out = hermitian_part(orthonormalize(cands.view(float)).view(complex))
             if len(out) != self.dim:
                 raise NumericalFailureError(
                     f"hermitian basis has size {len(out)}, expected {self.dim}"
                 )
-        self._herm_basis = out
-        return out
+        self._herm_basis = _readonly(out)
+        return self._herm_basis
 
     def riesz_density(self, values) -> np.ndarray:
         """The unique element D of the algebra with tr(h D) = value for every
@@ -247,12 +267,8 @@ class MatrixStarAlgebra:
         values = np.asarray(values, dtype=float)
         if values.shape != (len(hb),):
             raise InputError("value vector does not match the hermitian basis")
-        gram = np.empty((len(hb), len(hb)))
-        for i in range(len(hb)):
-            for j in range(i, len(hb)):
-                gram[i, j] = gram[j, i] = float(np.vdot(hb[i], hb[j]).real)
-        coeffs = np.linalg.solve(gram, values)
-        return hermitian_part(sum(c * h for c, h in zip(coeffs, hb)))
+        coeffs = np.linalg.solve(_real_gram(hb), values)
+        return hermitian_part(np.tensordot(coeffs, hb, axes=1))
 
     def subspace(self) -> OperatorSubspace:
         """The algebra viewed as an operator subspace via its hermitian basis."""
@@ -265,14 +281,15 @@ class MatrixStarAlgebra:
 
 def _identity_in_span(basis, n) -> bool:
     _, resid = span_coefficients(basis, np.eye(n, dtype=complex))
-    return resid <= 1e-9 * (1.0 + np.sqrt(n))
+    return bool(resid <= 1e-9 * (1.0 + np.sqrt(n)))
 
 
 def same_span(A: MatrixStarAlgebra, B: MatrixStarAlgebra, tol: float = 1e-8) -> bool:
     if A.ambient_dim != B.ambient_dim or A.dim != B.dim:
         return False
-    return all(B.membership_residual(a) <= tol for a in A.basis) and all(
-        A.membership_residual(b) <= tol for b in B.basis
+    return bool(
+        np.all(span_coefficients(B.basis, A.basis)[1] <= tol)
+        and np.all(span_coefficients(A.basis, B.basis)[1] <= tol)
     )
 
 
@@ -281,34 +298,36 @@ def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
 
     Iterates pairwise products until the span stabilizes; the span of
     hermitian generators is adjoint-closed at every stage, so products alone
-    suffice.
+    suffice.  Only products outside the current span reach Gram-Schmidt.
     """
     n = gen.ambient_dim
     if n > MAX_AMBIENT:
         raise InputError(f"ambient dimension {n} exceeds {MAX_AMBIENT} for algebra generation")
-    seed = list(gen.basis)
+    seed = gen.basis
     if gen.unital:
-        seed.append(np.eye(n, dtype=complex))
+        seed = np.concatenate([seed, np.eye(n, dtype=complex)[None]])
     basis = orthonormalize(seed)
     max_dim = n * n
     for _ in range(max_dim + 2):
         if len(basis) >= max_dim:
             break
-        products = [a @ b for a in basis for b in basis]
-        extended = orthonormalize(list(basis) + products)
+        cands = [basis]
+        for rows in _row_blocks(len(basis), n * n):
+            P = (basis[rows, None] @ basis[None]).reshape(-1, n, n)
+            _, resid = span_coefficients(basis, P)
+            cands.append(P[_independent(resid, np.linalg.norm(P, axis=(1, 2)))])
+        extended = orthonormalize(np.concatenate(cands))
         if len(extended) == len(basis):
             break
         basis = extended
     return MatrixStarAlgebra(
-        ambient_dim=n,
-        basis=basis,
-        contains_identity=_identity_in_span(basis, n),
-        _full=(len(basis) == max_dim),
+        n, basis, contains_identity=_identity_in_span(basis, n), _full=(len(basis) == max_dim)
     )
 
 
 def commutant(algebra: MatrixStarAlgebra) -> MatrixStarAlgebra:
-    """All X with XB = BX for every basis element B, via one kernel problem."""
+    """All X with XB = BX for every basis element B, via one kernel problem;
+    the kernel eigenvectors are already an orthonormal basis."""
     n = algebra.ambient_dim
     if n > MAX_AMBIENT:
         raise InputError(f"ambient dimension {n} exceeds {MAX_AMBIENT} for commutants")
@@ -321,43 +340,35 @@ def commutant(algebra: MatrixStarAlgebra) -> MatrixStarAlgebra:
         K += C.conj().T @ C
     dec = eigh_coefficient_space(hermitian_part(K))
     lam_max = max(float(dec.eigenvalues[-1]), 1.0)
-    kernel = [
-        dec.eigenvectors[:, i].reshape(n, n)
-        for i in range(n * n)
-        if dec.eigenvalues[i] <= RANK_TOL * lam_max
-    ]
-    if not kernel:
+    kernel = dec.eigenvectors[:, dec.eigenvalues <= RANK_TOL * lam_max]
+    m = kernel.shape[1]
+    if m == 0:
         raise NumericalFailureError("commutant kernel came out empty (identity must commute)")
-    return MatrixStarAlgebra(
-        ambient_dim=n,
-        basis=orthonormalize(kernel),
-        contains_identity=True,
-        _full=(len(kernel) == n * n),
-    )
+    basis = _readonly(kernel.T.reshape(m, n, n))
+    return MatrixStarAlgebra(n, basis, contains_identity=True, _full=(m == n * n))
 
 
 @dataclass
 class GnsData:
     """Cyclic representation of a state: images of the algebra basis on the
-    quotient space, the cyclic vector, and the Gram matrix that built it."""
+    quotient space as a (k, r, r) array, the cyclic vector, and the Gram
+    matrix that built it."""
 
     rep_dim: int
-    images: list
+    images: np.ndarray
     cyclic_vector: np.ndarray
     gram: np.ndarray
-    algebra: MatrixStarAlgebra
 
     def image_algebra(self) -> MatrixStarAlgebra:
-        return MatrixStarAlgebra.from_basis(
-            self.images, ambient_dim=self.rep_dim, check_closure=False
-        )
+        return MatrixStarAlgebra.from_basis(self.images, self.rep_dim, check_closure=False)
 
 
-def _evaluate(phi, M):
-    if callable(phi):
-        return complex(phi(M))
-    density = np.asarray(phi, dtype=complex)
-    return complex(np.trace(M @ density))
+def _density(phi, n: int) -> np.ndarray:
+    """The matrix D with phi(M) = tr(M D): a density is taken as given, a
+    callable is read off the matrix units, D[q, p] = phi(E_pq)."""
+    if not callable(phi):
+        return np.asarray(phi, dtype=complex)
+    return np.array([complex(phi(E)) for E in _matrix_units(n)]).reshape(n, n).T
 
 
 def gns(phi, algebra: MatrixStarAlgebra) -> GnsData:
@@ -365,17 +376,17 @@ def gns(phi, algebra: MatrixStarAlgebra) -> GnsData:
 
     The representation space is the column space of the Gram matrix
     G[i, j] = phi(b_i* b_j) at the shared rank threshold; a non-positive G
-    (beyond tolerance) means phi is not a state on the algebra.
+    (beyond tolerance) means phi is not a state on the algebra.  The image
+    of b_a is E C_a E^+, with C_a[l, j] = <b_l, b_a b_j> the matrix of left
+    multiplication by b_a and E^* E the compressed Gram matrix.
     """
     if not algebra.contains_identity:
         raise InputError("GNS needs a unital algebra")
     basis = algebra.basis
-    k = len(basis)
-    G = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            G[i, j] = _evaluate(phi, basis[i].conj().T @ basis[j])
-    G = hermitian_part(G)
+    k, n = len(basis), algebra.ambient_dim
+    density = _density(phi, n)
+    # phi(b_i* b_j) = tr(b_i* b_j D) = <b_i, b_j D>
+    G = hermitian_part(_flat(basis).conj() @ _flat(basis @ density).T)
     dec = eigh_coefficient_space(G)
     lam_max = max(float(dec.eigenvalues[-1]), 0.0)
     if dec.eigenvalues[0] < -1e-8 * (1.0 + lam_max):
@@ -388,53 +399,38 @@ def gns(phi, algebra: MatrixStarAlgebra) -> GnsData:
     roots = np.sqrt(dec.eigenvalues[keep])
     E = (U * roots).conj().T          # r x k, E+ E = compressed Gram
     pinv = U / roots                  # k x r
-
-    # coefficient matrices: C_a[l, j] = coefficient of b_l in a @ b_j
-    images = []
-    coeff_mats = []
-    for a in basis:
-        C = np.empty((k, k), dtype=complex)
-        for j in range(k):
-            prod = a @ basis[j]
-            for l in range(k):
-                C[l, j] = np.vdot(basis[l], prod)
-        coeff_mats.append(C)
-        images.append(E @ C @ pinv)
-
-    eye_coeffs, resid = span_coefficients(basis, np.eye(algebra.ambient_dim, dtype=complex))
+    images = np.concatenate([E @ _products_in_span(basis, rows)[0].swapaxes(1, 2) @ pinv
+                             for rows in _row_blocks(k, n * n)])
+    eye_coeffs, _ = span_coefficients(basis, np.eye(n, dtype=complex))
     cyclic = E @ eye_coeffs
 
-    _verify_gns(phi, algebra, images, coeff_mats, cyclic, r)
-    return GnsData(rep_dim=r, images=images, cyclic_vector=cyclic, gram=G, algebra=algebra)
+    _verify_gns(density, basis, images, cyclic, r)
+    return GnsData(rep_dim=r, images=images, cyclic_vector=cyclic, gram=G)
 
 
-def _verify_gns(phi, algebra, images, coeff_mats, cyclic, r, tol: float = 1e-8):
-    basis = algebra.basis
-    k = len(basis)
-    scale = 1.0 + max(float(np.linalg.norm(im)) for im in images)
-    # multiplicativity: rho(b_i) rho(b_j) = sum_l C_i[l, j] rho(b_l)
-    for i in range(k):
-        Ci = coeff_mats[i]
-        for j in range(k):
-            lhs = images[i] @ images[j]
-            rhs = sum(Ci[l, j] * images[l] for l in range(k))
-            if np.linalg.norm(lhs - rhs) > tol * scale * scale:
-                raise NumericalFailureError("GNS representation is not multiplicative")
+def _verify_gns(density, basis, images, cyclic, r, tol: float = 1e-8):
+    k, n = len(basis), basis.shape[1]
+    scale = 1.0 + float(np.max(np.linalg.norm(images, axis=(1, 2))))
+    flat_images = _flat(images)
+    # multiplicativity: rho(b_a) rho(b_j) = sum_l C[a, j, l] rho(b_l)
+    for rows in _row_blocks(k, max(n * n, r * r)):
+        lhs = _flat(images[rows, None] @ images[None])
+        rhs = _products_in_span(basis, rows)[0] @ flat_images
+        if np.max(np.linalg.norm(lhs - rhs, axis=-1)) > tol * scale * scale:
+            raise NumericalFailureError("GNS representation is not multiplicative")
     # *-preservation
-    for i in range(k):
-        coeffs, resid = span_coefficients(basis, basis[i].conj().T)
-        if resid > tol:
-            raise NumericalFailureError("algebra basis is not adjoint-closed")
-        rhs = sum(c * im for c, im in zip(coeffs, images))
-        if np.linalg.norm(images[i].conj().T - rhs) > tol * scale:
-            raise NumericalFailureError("GNS representation does not preserve adjoints")
-    # vector state reproduces phi
-    for i in range(k):
-        val = complex(np.vdot(cyclic, images[i] @ cyclic))
-        if abs(val - _evaluate(phi, basis[i])) > tol * scale:
-            raise NumericalFailureError("GNS cyclic vector does not reproduce the state")
+    coeffs, resid = span_coefficients(basis, basis.conj().swapaxes(1, 2))
+    if np.any(resid > tol):
+        raise NumericalFailureError("algebra basis is not adjoint-closed")
+    adjoints = _flat(images.conj().swapaxes(1, 2))
+    if np.max(np.linalg.norm(adjoints - coeffs @ flat_images, axis=-1)) > tol * scale:
+        raise NumericalFailureError("GNS representation does not preserve adjoints")
+    # vector state reproduces phi: <xi, rho(b_i) xi> = tr(b_i D)
+    orbit = images @ cyclic
+    values = orbit @ cyclic.conj()
+    if np.max(np.abs(values - _flat(basis) @ density.T.reshape(-1))) > tol * scale:
+        raise NumericalFailureError("GNS cyclic vector does not reproduce the state")
     # cyclicity
-    orbit = np.stack([im @ cyclic for im in images], axis=1)
     sv = np.linalg.svd(orbit, compute_uv=False)
     if int(np.sum(sv > RANK_TOL * max(float(sv[0]), 1e-300))) < r:
         raise NumericalFailureError("GNS cyclic vector is not cyclic")

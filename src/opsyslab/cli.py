@@ -7,7 +7,8 @@ Usage:
 Commands: check-unperforated, extension-interval, uep, purity, decompose,
 riesz, boundary, nosp, korovkin, repro.  Each command runs the problem
 document(s) of the matching kind; `repro --id CASE` and `korovkin --n N`
-also work without a file.
+also work without a file.  `--id` and `--list` belong to repro, `--n`,
+`--grid-size` and `--fn` to korovkin; given to another command they exit 2.
 
 Exit codes: 0 = verdict produced (INFEASIBLE is an answer), 2 = input
 error, 3 = numerical failure.
@@ -31,34 +32,37 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
+# Options that only one command accepts: flag -> (command, argument
+# keywords).  They default to None, so any value given is seen.
+COMMAND_ONLY = {
+    "--id": ("repro", dict(dest="case_id", help="built-in case id (alternative to --file)")),
+    "--list": ("repro", dict(dest="list", action="store_true", default=None, help="list case ids")),
+    "--n": ("korovkin", dict(dest="n", type=int, help="operator degree")),
+    "--grid-size": ("korovkin", dict(dest="grid_size", type=int, help="number of grid points")),
+    "--fn": ("korovkin", dict(dest="functions", action="append", help="extra test function")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opsyslab",
         description="desk-scale lab for operator-system state problems",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMAND_KINDS:
-        p = sub.add_parser(name, help=f"run a {COMMAND_KINDS[name]} document")
-        p.add_argument("--file", action="append", default=[], metavar="PATH",
-                       help="problem document; repeat for batch mode")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed override (batch documents get seed+index)")
-        p.add_argument("--tol-gap", type=float, default=None, dest="tol_gap",
-                       help="SDP duality-gap tolerance override")
-        p.add_argument("--tol-psd", type=float, default=None, dest="tol_psd",
-                       help="PSD slack tolerance override")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="JSON report (default)")
-        fmt.add_argument("--table", action="store_true", help="human-readable table")
-        if name == "repro":
-            p.add_argument("--id", dest="case_id", default=None,
-                           help="built-in case id (alternative to --file)")
-            p.add_argument("--list", action="store_true", help="list built-in case ids")
-        if name == "korovkin":
-            p.add_argument("--n", type=int, default=None, help="operator degree")
-            p.add_argument("--grid-size", type=int, default=None, dest="grid_size")
-            p.add_argument("--fn", action="append", default=[], dest="functions",
-                           help="extra named test function; repeatable")
+    parser.add_argument("command", choices=list(COMMAND_KINDS),
+                        help="document kind to run (check-unperforated runs unperforated)")
+    parser.add_argument("--file", action="append", default=[], metavar="PATH",
+                        help="problem document; repeat for batch mode")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed override (batch documents get seed+index)")
+    parser.add_argument("--tol-gap", type=float, default=None, dest="tol_gap",
+                        help="SDP duality-gap tolerance override")
+    parser.add_argument("--tol-psd", type=float, default=None, dest="tol_psd",
+                        help="PSD slack tolerance override")
+    fmt = parser.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON report (default)")
+    fmt.add_argument("--table", action="store_true", help="human-readable table")
+    for flag, (command, keywords) in COMMAND_ONLY.items():
+        parser.add_argument(flag, **dict(keywords, help=f"{command}: {keywords['help']}"))
     return parser
 
 
@@ -126,8 +130,11 @@ def _format_table(report: dict) -> str:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, (command, keywords) in COMMAND_ONLY.items():
+        if args.command != command and getattr(args, keywords["dest"]) is not None:
+            parser.error(f"{flag} is only accepted by {command}")
 
-    if args.command == "repro" and getattr(args, "list", False):
+    if args.list:
         from .repro import CASES
 
         print("\n".join(sorted(CASES)))

@@ -54,9 +54,10 @@ def hermitian(entries) -> np.ndarray:
 
 
 def hermitian_part(A) -> np.ndarray:
-    """(A + A*)/2 without any rejection check."""
+    """(A + A*)/2 without any rejection check; a stack (..., n, n) is taken
+    matrix by matrix."""
     A = np.asarray(A, dtype=complex)
-    return (A + A.conj().T) / 2.0
+    return (A + A.conj().swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,6 @@ def is_psd(A, tol: float = PSD_TOL) -> bool:
     ev = eigh(A).eigenvalues
     norm = float(np.max(np.abs(ev)))
     return bool(ev[0] >= -tol * (1.0 + norm))
-
-
-def min_eigenvalue(A) -> float:
-    return float(eigh(A).eigenvalues[0])
 
 
 def clip_spectrum(b, r: float) -> np.ndarray:

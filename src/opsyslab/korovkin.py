@@ -7,6 +7,11 @@ import numpy as np
 
 from .errors import InputError
 
+# Work limits of one demo: at the largest degree a grid point costs about
+# 80 us (one BLAS thread, 2-core box), so the largest grid is about a minute.
+MAX_DEGREE = 2000
+MAX_GRID_SIZE = 750_000
+
 TEST_FUNCTIONS = {
     "1": lambda x: np.ones_like(x),
     "x": lambda x: x,
@@ -72,8 +77,10 @@ def korovkin_demo(n: int, grid_size: int, test_functions=()) -> dict:
         raise InputError("degree must be at least 1")
     if grid_size < 2:
         raise InputError("grid needs at least two points")
-    if n > 2000:
-        raise InputError("degrees above 2000 are not supported")
+    if n > MAX_DEGREE:
+        raise InputError(f"degrees above {MAX_DEGREE} are not supported")
+    if grid_size > MAX_GRID_SIZE:
+        raise InputError(f"grids above {MAX_GRID_SIZE} points are not supported")
     grid = np.linspace(0.0, 1.0, grid_size)
     table = {}
     fns = [("1", TEST_FUNCTIONS["1"]), ("x", TEST_FUNCTIONS["x"]), ("x^2", TEST_FUNCTIONS["x^2"])]

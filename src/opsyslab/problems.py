@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .algebra import MatrixStarAlgebra, OperatorSubspace
+from .algebra import MAX_AMBIENT, MatrixStarAlgebra, OperatorSubspace
 from .errors import InputError, NumericalFailureError
 from .hermitian import hermitian, op_norm
 from .korovkin import korovkin_demo
@@ -302,8 +302,8 @@ def _algebra_field(payload, key, path, default_dim=None) -> dict:
     if isinstance(value, bool):
         _fail(path / key, "expected a matrix list or an integer dimension")
     if isinstance(value, int):
-        if not 1 <= value <= 16:
-            _fail(path / key, "full algebra dimension must be between 1 and 16")
+        if not 1 <= value <= MAX_AMBIENT:
+            _fail(path / key, f"full algebra dimension must be between 1 and {MAX_AMBIENT}")
         return {key: value, f"_{key}": MatrixStarAlgebra.full(value)}
     mats = parse_matrix_list(value, path / key)
     try:

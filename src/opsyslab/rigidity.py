@@ -31,6 +31,8 @@ from .hermitian import (
 )
 
 INSTANCE_TOL = 1e-7
+# Largest ambient dimension of a fixed-set extent (its Choi matrices are n^2 x n^2).
+MAX_CHOI_AMBIENT = 4
 
 
 # ----------------------------------------------------------- instances
@@ -542,8 +544,8 @@ def ucp_fixed_extent(
     S, i.e. it has the unique extension property.
     """
     n = S.ambient_dim
-    if n > 4:
-        raise InputError("fixed-set extent is limited to ambient dimension 4")
+    if n > MAX_CHOI_AMBIENT:
+        raise InputError(f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}")
     A = algebra if algebra is not None else generate_algebra(S)
     spec = spectrahedron.reduce_spectrahedron(n * n, _choi_constraints(S, n), settings=settings)
     coord_funcs = MatrixStarAlgebra.full(n).hermitian_basis()

@@ -137,17 +137,14 @@ def verify_state_on_subspace(
     id_coeffs = S.identity_coefficients()
     if abs(float(id_coeffs @ values) - 1.0) > 1e-8:
         return False
-    n = S.ambient_dim
-    traces = np.array([float(np.trace(b).real) for b in S.basis])
+    traces = np.trace(S.basis, axis1=1, axis2=2).real
     # affine slice {x : traces.x = 1} through x_p, directions spanning its null space
     x_p = id_coeffs / float(traces @ id_coeffs)
     _, _, vt = np.linalg.svd(traces.reshape(1, -1))
     null_dirs = vt[1:]
-    coeff_mats = [
-        sum(d[j] * S.basis[j] for j in range(S.dim)) for d in null_dirs
-    ]
-    base = sum(x_p[j] * S.basis[j] for j in range(S.dim))
-    block = sdp.LmiBlock(base, coeff_mats)
+    block = sdp.LmiBlock(
+        np.tensordot(x_p, S.basis, axes=1), np.tensordot(null_dirs, S.basis, axes=1)
+    )
     objective = null_dirs @ values
     prob = sdp.SdpProblem(objective=objective, blocks=[block])
     sol = sdp.solve(prob, x0=np.zeros(len(null_dirs)), settings=settings)
@@ -250,14 +247,16 @@ def has_uep(
 
 
 def is_pure(phi: StateFunctional, A: MatrixStarAlgebra) -> bool:
-    """Purity via irreducibility of the GNS image: commutant of dimension 1.
+    """Purity via irreducibility of the GNS representation on C^r, decided
+    by Burnside's theorem: irreducible iff its image is all of M_r, i.e.
+    has dimension r^2.
 
     Rank decisions sit at the shared 1e-9 relative threshold, so inputs that
     are themselves only 1e-7-close to a pure state can tip either way; feed
     exact densities where exactness matters.
     """
     data = gns(phi, A)
-    return commutant(data.image_algebra()).dim == 1
+    return data.image_algebra().dim == data.rep_dim ** 2
 
 
 def _split_projection(com: MatrixStarAlgebra) -> np.ndarray:
@@ -271,15 +270,10 @@ def _split_projection(com: MatrixStarAlgebra) -> np.ndarray:
             continue
         dec = eigh(h)
         lam = dec.eigenvalues
-        scale = 1.0 + float(np.max(np.abs(lam)))
-        cut = 0
-        for i in range(1, r):
-            if lam[i] - lam[i - 1] > 1e-8 * scale:
-                cut = i
-                break
-        if cut == 0:
+        gaps = np.flatnonzero(np.diff(lam) > 1e-8 * (1.0 + float(np.max(np.abs(lam)))))
+        if gaps.size == 0:
             continue
-        vecs = dec.eigenvectors[:, :cut]
+        vecs = dec.eigenvectors[:, : gaps[0] + 1]
         return vecs @ vecs.conj().T
     raise NumericalFailureError("could not find a splitting projection in the commutant")
 
@@ -311,11 +305,11 @@ def pure_decomposition(phi: StateFunctional, A: MatrixStarAlgebra) -> PureDecomp
             raise NumericalFailureError("pure decomposition did not terminate")
         state = StateFunctional(density=density, domain=A)
         data = gns(state, A)
-        com = commutant(data.image_algebra())
-        if com.dim == 1:
+        image = data.image_algebra()
+        if image.dim == data.rep_dim ** 2:  # irreducible (Burnside)
             atoms.append((weight, state))
             return
-        p = _split_projection(com)
+        p = _split_projection(commutant(image))
         xi = data.cyclic_vector
         xi1 = p @ xi
         xi2 = xi - xi1
@@ -323,15 +317,11 @@ def pure_decomposition(phi: StateFunctional, A: MatrixStarAlgebra) -> PureDecomp
         w2 = float(np.vdot(xi2, xi2).real)
         if w1 < 1e-12 or w2 < 1e-12:
             raise NumericalFailureError("splitting projection degenerated on the cyclic vector")
+        # rho(h) for every hermitian basis element h, through its coordinates in A
+        rho_hb = np.tensordot(span_coefficients(A.basis, hb)[0], data.images, axes=1)
         for part, w in ((xi1, w1), (xi2, w2)):
-            values = []
-            for b in hb:
-                coeffs, _ = span_coefficients(A.basis, b)
-                rho_b = sum(c * im for c, im in zip(coeffs, data.images))
-                values.append(float(np.vdot(part, rho_b @ part).real) / w)
-            d = A.riesz_density(np.array(values))
-            d = _snap_density(d)
-            recurse(d, weight * w, depth + 1)
+            values = ((rho_hb @ part) @ part.conj()).real / w
+            recurse(_snap_density(A.riesz_density(values)), weight * w, depth + 1)
 
     recurse(canonical, 1.0, 0)
     return _finish_decomposition(atoms, canonical)

@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 from opsyslab import problems
-from opsyslab.algebra import MatrixStarAlgebra
-from opsyslab.cli import COMMAND_KINDS, main
+from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra
+from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
 from opsyslab.errors import InputError
+from opsyslab.hermitian import MAX_DIM
+from opsyslab.korovkin import MAX_GRID_SIZE
+from opsyslab.rigidity import MAX_CHOI_AMBIENT
 from opsyslab.sdp import SdpSettings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -319,6 +322,18 @@ def test_cli_bad_tolerance_exits_2(tmp_path, capsys):
     assert main(["repro", "--id", "E:perf", "--tol-gap", "-1"]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--id", "E:perf"), ("--list", None), ("--n", "0"), ("--grid-size", "11"), ("--fn", "exp"),
+])
+def test_command_only_option_exits_2_elsewhere(capsys, flag, value):
+    own, _ = COMMAND_ONLY[flag]
+    other = "korovkin" if own == "repro" else "repro"
+    with pytest.raises(SystemExit) as exc:
+        main([other, flag] + ([value] if value is not None else []))
+    assert exc.value.code == 2
+    assert f"{flag} is only accepted by {own}" in capsys.readouterr().err
+
+
 def test_cli_korovkin_high_degree(capsys):
     assert main(["korovkin", "--n", "1500", "--grid-size", "101", "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -331,7 +346,7 @@ def test_cli_non_finite_result_exits_3(monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["E:perf", "E:ueprepstates", "ideal-uep"])
+@pytest.mark.parametrize("case", ["E:perf", "E:ueprepstates", "ideal-uep", "E:notpurerestriction"])
 def test_repro_results_identical_across_blas_threads(case):
     outputs = []
     for threads in ("1", "2"):
@@ -343,6 +358,47 @@ def test_repro_results_identical_across_blas_threads(case):
         )
         outputs.append(problems.render_value(json.loads(proc.stdout)["results"]))
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("grid_size", [MAX_GRID_SIZE + 1, 10**13])
+def test_cli_korovkin_grid_limit_exits_2(capsys, grid_size):
+    # 10**13 points used to escape cli.main as a numpy allocation error.
+    assert main(["korovkin", "--n", "10", "--grid-size", str(grid_size)]) == 2
+    err = capsys.readouterr().err
+    assert f"grids above {MAX_GRID_SIZE} points" in err and "Traceback" not in err
+
+
+def m4_plus_c_basis() -> list:
+    """A hermitian basis of M4 + C inside M5 (17 elements)."""
+    mats = []
+    for i in range(4):
+        for j in range(i, 4):
+            for z in ((1.0,) if i == j else (1.0, 1.0j)):
+                M = np.zeros((5, 5), dtype=complex)
+                M[i, j], M[j, i] = z, np.conj(z)
+                mats.append(M)
+    mats.append(np.diag([0.0, 0.0, 0.0, 0.0, 1.0]))
+    return mats
+
+
+@pytest.mark.parametrize(
+    "state, A",
+    [
+        (np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) / 15.0, m4_plus_c_basis()),
+        (np.eye(5) / 5.0, 5),
+    ],
+    ids=["M4+C-full-rank", "M5-maximally-mixed"],
+)
+def test_cli_purity_beyond_commutant_limit(tmp_path, capsys, state, A):
+    # The GNS image lives in M_17 and M_25 here; purity is decided without
+    # a commutant, so the 16-dimensional commutant limit does not apply.
+    A = A if isinstance(A, int) else [problems.matrix_to_json(M) for M in A]
+    path = tmp_path / "purity.json"
+    path.write_text(json.dumps(
+        {"kind": "purity", "payload": {"state": problems.matrix_to_json(state), "A": A}}
+    ))
+    assert main(["purity", "--file", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {"pure": False}
 
 
 def riesz_document(**fields) -> dict:
@@ -406,3 +462,39 @@ def test_parse_enforces_work_limits(make, key, limit):
     assert doc.payload[key] == limit
     with pytest.raises(InputError, match=f"{key}: expected at most {limit}"):
         problems.parse_problem(json.dumps(make(limit + 1)))
+
+
+def full_algebra_purity_document(n: int) -> dict:
+    return {"kind": "purity", "payload": {"state": (np.eye(n) / n).tolist(), "A": n}}
+
+
+def identity_pair_document(n: int) -> dict:
+    return {"kind": "unperforated", "payload": {"S": [np.eye(n).tolist()], "T": [np.eye(n).tolist()]}}
+
+
+@pytest.mark.parametrize(
+    "command, make, limit, message",
+    [
+        ("purity", full_algebra_purity_document, MAX_AMBIENT,
+         f"full algebra dimension must be between 1 and {MAX_AMBIENT}"),
+        ("check-unperforated", identity_pair_document, MAX_DIM,
+         f"exceeds the supported maximum {MAX_DIM}"),
+    ],
+    ids=["algebra", "matrix"],
+)
+def test_size_limits_at_their_boundaries(tmp_path, capsys, command, make, limit, message):
+    # Parsing only at the limit; one above, the document exits 2.
+    problems.parse_problem(json.dumps(make(limit)))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(make(limit + 1)))
+    assert main([command, "--file", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_boundary_beyond_choi_limit_exits_2(tmp_path, capsys):
+    n = MAX_CHOI_AMBIENT + 1
+    S = [np.eye(n).tolist(), np.diag(np.arange(n) * 1.0).tolist()]
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"kind": "boundary", "payload": {"S": S}}))
+    assert main(["boundary", "--file", str(path)]) == 2
+    assert f"limited to ambient dimension {MAX_CHOI_AMBIENT}" in capsys.readouterr().err
