@@ -17,6 +17,7 @@ error, 3 = numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import problems
@@ -66,6 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main's, built once: parse_args leaves it unchanged
+
+
 def _inline_document(args) -> str | None:
     """Documents synthesized from flags for the file-less commands."""
     if args.command == "repro" and args.case_id is not None:
@@ -90,6 +94,8 @@ def _apply_overrides(text: str, args, index: int) -> problems.ProblemDocument:
             f"document, got {doc.kind!r}"
         )
     if args.seed is not None:
+        if args.seed < 0:
+            raise InputError("--seed: expected a non-negative integer")
         doc.seed = args.seed + index
         doc.canonical["seed"] = doc.seed
     if args.tol_gap is not None or args.tol_psd is not None:
@@ -128,7 +134,7 @@ def _format_table(report: dict) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     for flag, (command, keywords) in COMMAND_ONLY.items():
         if args.command != command and getattr(args, keywords["dest"]) is not None:
@@ -148,7 +154,7 @@ def main(argv=None) -> int:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 texts.append(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
     if not texts:

@@ -24,6 +24,9 @@ MAX_DIM = 64
 # errors, smaller ones are absorbed by symmetrization.
 HERMITIAN_REJECT = 1e-8
 
+# Largest entry modulus accepted at construction; (A + A*)/2 overflows beyond.
+MAX_ENTRY = np.finfo(float).max / 2
+
 # Relative tolerance of the default PSD decision.
 PSD_TOL = 1e-9
 
@@ -42,13 +45,21 @@ def hermitian(entries) -> np.ndarray:
         raise InputError(f"expected a nonempty square matrix, got shape {A.shape}")
     if A.shape[0] > MAX_DIM:
         raise InputError(f"dimension {A.shape[0]} exceeds the supported maximum {MAX_DIM}")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    return hermitian_stack(A)
+
+
+def hermitian_stack(A: np.ndarray) -> np.ndarray:
+    """`hermitian`'s checks and symmetrization on a stack (..., n, n)."""
+    if not np.isfinite(A).all():
         raise InputError("matrix entries must be finite (no NaN/Inf)")
-    scale = 1.0 + float(np.max(np.abs(A)))
-    dev = float(np.max(np.abs(A - A.conj().T)))
-    if dev > HERMITIAN_REJECT * scale:
-        raise InputError(f"matrix is not hermitian: max |A - A*| = {dev:.3e}")
-    H = (A + A.conj().T) / 2.0
+    A_star = A.conj().swapaxes(-1, -2)
+    peak = np.abs(A).max(axis=(-2, -1))
+    if (peak > MAX_ENTRY).any():
+        raise InputError(f"matrix entries must have modulus at most {MAX_ENTRY:.6g}")
+    dev = np.abs(A - A_star).max(axis=(-2, -1))
+    if (dev > HERMITIAN_REJECT * (1.0 + peak)).any():
+        raise InputError(f"matrix is not hermitian: max |A - A*| = {dev.max():.3e}")
+    H = (A + A_star) / 2.0
     H.setflags(write=False)
     return H
 

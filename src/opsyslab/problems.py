@@ -23,7 +23,7 @@ import numpy as np
 from . import sdp
 from .algebra import MAX_AMBIENT, MatrixStarAlgebra, OperatorSubspace
 from .errors import InputError, NumericalFailureError
-from .hermitian import hermitian, op_norm
+from .hermitian import MAX_DIM, hermitian, hermitian_stack, op_norm
 from .korovkin import korovkin_demo
 from .rigidity import (
     ChoiMap,
@@ -72,6 +72,9 @@ KINDS = (
 def render_value(obj) -> str:
     """Canonical JSON with deterministic float rendering (17 significant
     digits); dict key order is preserved as constructed."""
+    if isinstance(obj, _MatrixJson) and np.isfinite(obj.array).all():
+        row = "[" + ",".join(["[%.17g,%.17g]"] * obj.array.shape[1]) + "]"
+        return ("[" + ",".join([row] * len(obj)) + "]") % tuple(obj.array.ravel().tolist())
     if obj is None:
         return "null"
     if obj is True:
@@ -96,9 +99,18 @@ def render_value(obj) -> str:
     raise InputError(f"cannot serialize object of type {type(obj).__name__}")
 
 
+class _MatrixJson(list):
+    """A matrix as nested [re, im] lists (a plain JSON value) that keeps its
+    (rows, cols, 2) float array for render_value; never mutated."""
+
+    def __init__(self, pairs):
+        super().__init__(pairs.tolist())
+        self.array = pairs
+
+
 def matrix_to_json(M) -> list:
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return _MatrixJson(np.stack([M.real, M.imag], axis=-1))
 
 
 def matrices_to_json(mats) -> list:
@@ -108,18 +120,11 @@ def matrices_to_json(mats) -> list:
 # ------------------------------------------------------------- parsing
 
 
-class _Path:
-    def __init__(self, *parts):
-        self.parts = list(parts)
+class _Path(str):
+    """A field path such as payload.S[0][1]; `path / key` extends it."""
 
     def __truediv__(self, part):
-        return _Path(*self.parts, part)
-
-    def __str__(self):
-        out = ""
-        for p in self.parts:
-            out += f"[{p}]" if isinstance(p, int) else ("." + p if out else p)
-        return out
+        return _Path(f"{self}[{part}]" if isinstance(part, int) else f"{self}.{part}")
 
 
 def _fail(path, message):
@@ -129,20 +134,34 @@ def _fail(path, message):
 def _parse_entry(value, path) -> complex:
     if isinstance(value, bool):
         _fail(path, "expected a number or [re, im], got a boolean")
-    if isinstance(value, (int, float)):
-        z = complex(float(value), 0.0)
-    elif isinstance(value, list) and len(value) == 2 and all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-    ):
-        z = complex(float(value[0]), float(value[1]))
-    else:
+    parts = value if isinstance(value, list) and len(value) == 2 else [value, 0.0]
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
         _fail(path, "expected a number or [re, im]")
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
+    if not all(abs(v) <= sys.float_info.max for v in parts):  # as in _req_number
         _fail(path, "entries must be finite")
-    return z
+    return complex(float(parts[0]), float(parts[1]))
+
+
+def _read_stack(value, ndim):
+    """`value` read in one pass as a read-only (..., n, n) hermitian stack
+    (`ndim` 2 for one matrix, 3 for a list), or None where the walk in
+    parse_matrix would reject or read it otherwise: only the walk words errors."""
+    cells = np.array(value, dtype=object)  # ragged input gives a shallower array
+    shape, pair = cells.shape[:ndim], cells.shape[ndim:]
+    if len(shape) < ndim or pair not in ((), (2,)) or not 1 <= shape[-1] == shape[-2] <= MAX_DIM:
+        return None
+    if not set(map(type, cells.flat)) <= {int, float}:
+        return None
+    try:
+        parts = cells.astype(float)
+        return hermitian_stack(parts.view(complex)[..., 0] if pair else parts.astype(complex))
+    except (OverflowError, InputError):  # an integer beyond the float range, a rejected matrix
+        return None
 
 
 def parse_matrix(value, path) -> np.ndarray:
+    if (stack := _read_stack(value, 2)) is not None:
+        return stack
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty matrix (array of rows)")
     n = len(value)
@@ -159,6 +178,8 @@ def parse_matrix(value, path) -> np.ndarray:
 
 
 def parse_matrix_list(value, path) -> list:
+    if (stack := _read_stack(value, 3)) is not None:
+        return list(stack)
     if not isinstance(value, list) or not value:
         _fail(path, "expected a nonempty array of matrices")
     mats = [parse_matrix(m, path / i) for i, m in enumerate(value)]
@@ -196,7 +217,9 @@ def parse_problem(text: str) -> ProblemDocument:
     """Validate a JSON document; rejections name the offending field."""
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except RecursionError:
+        raise InputError("document is nested too deeply") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InputError(f"document is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("document must be a JSON object")
@@ -207,8 +230,8 @@ def parse_problem(text: str) -> ProblemDocument:
     if not isinstance(payload, dict):
         raise InputError("payload: expected an object")
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise InputError("seed: expected an integer")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+        raise InputError("seed: expected a non-negative integer")
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise InputError("tolerances: expected an object")

@@ -14,7 +14,7 @@ import pytest
 from opsyslab import problems
 from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra
 from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
-from opsyslab.errors import InputError
+from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import MAX_DIM
 from opsyslab.korovkin import MAX_GRID_SIZE
 from opsyslab.rigidity import MAX_CHOI_AMBIENT
@@ -498,3 +498,132 @@ def test_boundary_beyond_choi_limit_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"kind": "boundary", "payload": {"S": S}}))
     assert main(["boundary", "--file", str(path)]) == 2
     assert f"limited to ambient dimension {MAX_CHOI_AMBIENT}" in capsys.readouterr().err
+
+
+def matrix_list_document(S) -> dict:
+    return {"kind": "unperforated", "payload": {
+        "S": S, "T": [[[1, 0], [0, 1]]], "a": [[1, 0], [0, 1]], "b": [[1, 0], [0, 1]]}}
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1, True], [True, 3]], "S[1][0][1]: expected a number or [re, im], got a boolean"),
+        ([[1, "x"], ["x", 3]], "S[1][0][1]: expected a number or [re, im]"),
+        ([[1, float("nan")], [0, 3]], "S[1][0][1]: entries must be finite"),
+        ([[1, 0], [0, float("inf")]], "S[1][1][1]: entries must be finite"),
+        ([[1, 10**400], [0, 3]], "S[1][0][1]: entries must be finite"),
+        ([[1, [0, -10**400]], [0, 3]], "S[1][0][1]: entries must be finite"),
+        ([[1, [2]], [[2], 3]], "S[1][0][1]: expected a number or [re, im]"),
+        ([[1, 0], [0]], "S[1][1]: expected a row of length 2"),
+        ([[1, 5], [0, 3]], "S[1]: matrix is not hermitian: max |A - A*| = 5.000e+00"),
+        ([[1e308, 0], [0, 1]], "S[1]: matrix entries must have modulus at most 8.98847e+307"),
+        ([[1]], "S: matrices disagree on dimension: [1, 2]"),
+        ([], "S[1]: expected a nonempty matrix (array of rows)"),
+        (7, "S[1]: expected a nonempty matrix (array of rows)"),
+        (json.loads("[" * 50 + "]" * 50), "S[1][0][0]: expected a number or [re, im]"),
+    ],
+    ids=["bool", "string", "nan", "inf", "huge-int", "huge-int-im", "re-only", "ragged",
+         "non-hermitian", "overflowing", "dimension", "empty", "number", "deep"],
+)
+def test_matrix_rejection_names_path_and_reason(tmp_path, capsys, matrix, message):
+    # Integers beyond the float range used to escape as an OverflowError,
+    # and entries above MAX_ENTRY overflowed to inf when symmetrized.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(matrix_list_document([[[1, 0], [0, 1]], matrix])))
+    assert main(["check-unperforated", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: payload.{message}\n"
+
+
+def test_mixed_entry_forms_parse_like_pairs():
+    # A matrix mixing bare numbers and [re, im] pairs is read cell by cell;
+    # the same numbers written uniformly are read in one pass.
+    mixed = [[1, [0.5, 2]], [[0.5, -2], -0.0]]
+    pairs = [[[1, 0], [0.5, 2]], [[0.5, -2], [-0.0, 0]]]
+    for value in (mixed, pairs):
+        M = problems.parse_matrix(value, problems._Path("m"))
+        assert M.tobytes() == problems.parse_matrix(pairs, problems._Path("m")).tobytes()
+        assert not M.flags.writeable
+    mats = problems.parse_matrix_list([pairs, mixed], problems._Path("S"))
+    assert mats[0].tobytes() == mats[1].tobytes()
+
+
+SEEDED_DOCUMENTS = [
+    ("check-unperforated", unperforated_search_document(2)),
+    ("riesz", riesz_document(auto_bounds=1)),
+]
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+@pytest.mark.parametrize("command, doc", SEEDED_DOCUMENTS, ids=["search", "auto-bounds"])
+def test_cli_bad_document_seed_exits_2(tmp_path, capsys, command, doc, seed):
+    # A negative seed escaped from numpy's default_rng as a ValueError, and
+    # true ran as seed 1.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(dict(doc, seed=seed)))
+    assert main([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: seed: expected a non-negative integer\n"
+    assert problems.parse_problem(json.dumps(dict(doc, seed=0))).seed == 0
+
+
+@pytest.mark.parametrize("command, doc", SEEDED_DOCUMENTS, ids=["search", "auto-bounds"])
+def test_cli_negative_seed_option_exits_2(tmp_path, capsys, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--file", str(path), "--seed", "-5"]) == 2
+    assert capsys.readouterr().err == "error: --seed: expected a non-negative integer\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "document is nested too deeply"),
+        ('{"kind": "korovkin", "payload": {}, "seed": ' + "1" * 5000 + "}",
+         "document is not valid JSON: Exceeds the limit"),
+    ],
+    ids=["nested", "long-integer"],
+)
+def test_cli_unreadable_document_exits_2(tmp_path, capsys, text, message):
+    # json.loads raised RecursionError and a plain ValueError here, and both
+    # escaped cli.main.
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    assert main(["korovkin", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cli_file_not_utf8_exits_2(tmp_path, capsys):
+    # Reading it raised UnicodeDecodeError out of cli.main.
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"kind": "korovkin", "payload": {}, "note": "\xff"}')
+    assert main(["korovkin", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+
+GOLDEN_VALUE = {
+    "zero": -0.0,
+    "tiny": 5e-324,
+    "big": 1e16,
+    "tenth": 0.1,
+    "ints": [0, -7, 2**70, np.int64(3)],
+    "flags": (True, False, None),
+    "name": "Schur–Stinespring é",
+    "matrix": problems.matrix_to_json(np.array([[1e16, 0.1 + 5e-324j], [0.1 - 5e-324j, complex(-0.0, -0.0)]])),
+}
+GOLDEN_TEXT = (
+    '{"zero":-0,"tiny":4.9406564584124654e-324,"big":10000000000000000,'
+    '"tenth":0.10000000000000001,"ints":[0,-7,1180591620717411303424,3],'
+    '"flags":[true,false,null],"name":"Schur\\u2013Stinespring \\u00e9",'
+    '"matrix":[[[10000000000000000,0],[0.10000000000000001,4.9406564584124654e-324]],'
+    '[[0.10000000000000001,-4.9406564584124654e-324],[-0,-0]]]}'
+)
+
+
+def test_render_golden(capsys):
+    assert problems.render_value(GOLDEN_VALUE) == GOLDEN_TEXT
+    # The matrix is also a plain JSON value holding the same numbers.
+    assert json.loads(json.dumps(GOLDEN_VALUE["matrix"])) == json.loads(GOLDEN_TEXT)["matrix"]
+    with pytest.raises(NumericalFailureError):
+        problems.render_value({"m": problems.matrix_to_json(np.array([[1.0, np.nan]]))})
+    assert main(["repro", "--id", "E:unpmatrices", "--table"]) == 0
+    assert "  b_prime: <matrix 3x3>\n" in capsys.readouterr().out
