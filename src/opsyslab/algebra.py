@@ -8,9 +8,10 @@ hermitian matrices) and one coefficient map (`span_coefficients`, a whole
 stack of matrices in one matmul) serve generation, closure checks,
 commutants and GNS, whose structure constants C[a, l, j] = <b_l, b_a b_j>
 and checks are tensor contractions over blocks of basis rows (bounded
-memory up to dimension 256).  A state is pure iff its GNS image is all of
-M_r (Burnside), so purity needs no commutant.  Rank decisions share one
-relative threshold.
+memory up to dimension 256).  `wedderburn` splits a unital algebra into
+its blocks, U*AU = (+) M_{n_i} (x) I_{m_i}, from one generic element of the
+commutant; purity and pure decomposition are read off those blocks.  Rank
+decisions share one relative threshold.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalFailureError
-from .hermitian import eigh_coefficient_space, hermitian, hermitian_part
+from .hermitian import eigh, eigh_coefficient_space, hermitian, hermitian_part
 
 MAX_AMBIENT = 16
 RANK_TOL = 1e-9
@@ -346,6 +347,43 @@ def commutant(algebra: MatrixStarAlgebra) -> MatrixStarAlgebra:
         raise NumericalFailureError("commutant kernel came out empty (identity must commute)")
     basis = _readonly(kernel.T.reshape(m, n, n))
     return MatrixStarAlgebra(n, basis, contains_identity=True, _full=(m == n * n))
+
+
+def wedderburn(algebra: MatrixStarAlgebra) -> list:
+    """The blocks of a unital algebra A in M_n, U*AU = (+) M_{d_i} (x) I_{m_i},
+    as pairs (V_i, m_i): V_i is an n x d_i isometry onto one copy of block i
+    (V_i* A V_i = M_{d_i}) and m_i is the number of copies.
+
+    h = sum_b b X b* over the orthonormal basis of A, X fixed and generic, is
+    a generic element of the commutant, so each eigenvector of h lies in one
+    copy.  Eigenvectors e, f share a copy iff ||E_A(e f*)||^2 =
+    sum_b |<e, b f>|^2 is nonzero; that relation must be an equivalence and
+    each copy must carry all of M_d (both checked).  Copies on which A has
+    the same character tr(V* b V) form one block.  Full A is V = I, m = 1.
+    """
+    n, B = algebra.ambient_dim, algebra.basis
+    if not algebra.contains_identity:
+        raise InputError("block decomposition needs a unital algebra")
+    if algebra.dim == n * n:
+        return [(np.eye(n, dtype=complex), 1)]
+    X = hermitian_part(np.random.default_rng(2010).standard_normal((n, 2 * n)).view(complex))
+    h = np.sum(B @ X @ B.conj().swapaxes(1, 2), axis=0)  # in the commutant
+    Q = eigh(h).eigenvectors
+    C = Q.conj().T @ B @ Q  # the compressions of A to the eigenbasis of h
+    linked = _independent(np.sqrt(np.sum(np.abs(C) ** 2, axis=0)), 1.0)
+    first = np.argmax(linked, axis=1)  # the first eigenvector of each one's copy
+    if np.any(linked != (first[:, None] == first[None])):
+        raise NumericalFailureError("eigenvectors of the commutant element mix invariant subspaces")
+    heads, copy = np.unique(first, return_inverse=True)  # the copy of each eigenvector
+    for g in np.flatnonzero(np.bincount(copy) > 1):  # one eigenvector alone carries M_1
+        c = np.flatnonzero(copy == g)
+        sv = np.linalg.svd(_flat(C[:, c[:, None], c]), compute_uv=False)
+        if np.sum(_independent(sv, sv[0])) != len(c) ** 2:
+            raise NumericalFailureError("an invariant subspace does not carry a full matrix block")
+    characters = np.diagonal(C, axis1=1, axis2=2) @ (copy[:, None] == np.arange(len(heads)))
+    same = ~_independent(np.linalg.norm(characters[:, :, None] - characters[:, None], axis=0), 1.0)
+    lead = np.argmax(same, axis=1)  # the first copy of each copy's block
+    return [(Q[:, copy == g], int(np.sum(lead == g))) for g in np.unique(lead)]
 
 
 @dataclass

@@ -355,6 +355,8 @@ def _parse_uep(payload, path):
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
         "state": parse_matrix(payload.get("state"), path / "state"),
     }
+    if out["state"].shape != S[0].shape:
+        _fail(path / "state", "subspace dimension does not match the state")
     out.update(_algebra_field(payload, "A", path, S[0].shape[0]))
     return out
 
@@ -397,7 +399,7 @@ def _parse_nosp(payload, path):
     choi = payload.get("Pi_choi")
     if not isinstance(choi, dict):
         _fail(path / "Pi_choi", "expected an object with dim_in, dim_out, choi")
-    dim_in = _opt_int(choi, "dim_in", path / "Pi_choi", minimum=1)
+    dim_in = _opt_int(choi, "dim_in", path / "Pi_choi", minimum=1, maximum=MAX_AMBIENT)
     dim_out = _opt_int(choi, "dim_out", path / "Pi_choi", minimum=1)
     if dim_in is None or dim_out is None:
         _fail(path / "Pi_choi", "dim_in and dim_out are required")

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sdp, spectrahedron
-from .algebra import MatrixStarAlgebra, OperatorSubspace, commutant, gns, span_coefficients
+from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, wedderburn
 from .errors import InputError, NumericalFailureError
 from .hermitian import eigh, hermitian, hermitian_part
 
@@ -35,11 +35,8 @@ DENSITY_TRACE_TOL = 1e-10
 
 
 def _domain_hermitian_basis(domain):
-    if isinstance(domain, MatrixStarAlgebra):
-        return domain.hermitian_basis()
-    if isinstance(domain, OperatorSubspace):
-        return domain.basis
-    raise InputError("domain must be an OperatorSubspace or a MatrixStarAlgebra")
+    """A state's domain is checked on construction to be one of the two."""
+    return domain.hermitian_basis() if isinstance(domain, MatrixStarAlgebra) else domain.basis
 
 
 @dataclass
@@ -57,7 +54,8 @@ class StateFunctional:
         tr = float(np.trace(self.density).real)
         if abs(tr - 1.0) > DENSITY_TRACE_TOL:
             raise InputError(f"density trace {tr!r} is not 1")
-        _domain_hermitian_basis(self.domain)  # validates the domain type
+        if not isinstance(self.domain, (MatrixStarAlgebra, OperatorSubspace)):
+            raise InputError("domain must be an OperatorSubspace or a MatrixStarAlgebra")
 
     @property
     def ambient_dim(self) -> int:
@@ -246,84 +244,48 @@ def has_uep(
     return UepResult(holds=True, witness=None, interval=None)
 
 
-def is_pure(phi: StateFunctional, A: MatrixStarAlgebra) -> bool:
-    """Purity via irreducibility of the GNS representation on C^r, decided
-    by Burnside's theorem: irreducible iff its image is all of M_r, i.e.
-    has dimension r^2.
+def _block_spectra(phi: StateFunctional, A: MatrixStarAlgebra):
+    """The canonical density D of phi, the rank cut (RANK_TOL times the
+    largest eigenvalue over all blocks) and, for each block M_d (x) I_m of A,
+    (V, m, eigh(V* D V)) on one copy V of the block.  Each eigenpair
+    (lam, w) above the cut is a pure atom E_A(v v*), v = V w, of weight m lam.
+    """
+    blocks = wedderburn(A)
+    canonical = _snap_density(hermitian_part(A.project(phi.density)))
+    decs = [(V, m, eigh(V.conj().T @ canonical @ V)) for V, m in blocks]
+    return canonical, RANK_TOL * max(float(dec.eigenvalues[-1]) for _, _, dec in decs), decs
 
-    Rank decisions sit at the shared 1e-9 relative threshold, so inputs that
-    are themselves only 1e-7-close to a pure state can tip either way; feed
+
+def is_pure(phi: StateFunctional, A: MatrixStarAlgebra) -> bool:
+    """Purity read off the block decomposition of A: phi is pure iff exactly
+    one eigenvalue of the compressed densities V* D V is above the rank cut,
+    across all blocks.
+
+    The cut is the shared 1e-9 relative threshold, so inputs that are
+    themselves only 1e-7-close to a pure state can tip either way; feed
     exact densities where exactness matters.
     """
-    data = gns(phi, A)
-    return data.image_algebra().dim == data.rep_dim ** 2
-
-
-def _split_projection(com: MatrixStarAlgebra) -> np.ndarray:
-    """A nontrivial spectral projection of some non-scalar hermitian element
-    of a commutant with dim >= 2."""
-    r = com.ambient_dim
-    eye = np.eye(r, dtype=complex)
-    for h in com.hermitian_basis():
-        centered = h - (np.trace(h).real / r) * eye
-        if np.linalg.norm(centered) <= 1e-8 * (1.0 + np.linalg.norm(h)):
-            continue
-        dec = eigh(h)
-        lam = dec.eigenvalues
-        gaps = np.flatnonzero(np.diff(lam) > 1e-8 * (1.0 + float(np.max(np.abs(lam)))))
-        if gaps.size == 0:
-            continue
-        vecs = dec.eigenvectors[:, : gaps[0] + 1]
-        return vecs @ vecs.conj().T
-    raise NumericalFailureError("could not find a splitting projection in the commutant")
+    _, cut, decs = _block_spectra(phi, A)
+    return sum(int(np.sum(dec.eigenvalues > cut)) for _, _, dec in decs) == 1
 
 
 def pure_decomposition(phi: StateFunctional, A: MatrixStarAlgebra) -> PureDecomposition:
     """Finite atomic decomposition into pure states of the algebra.
 
-    Works on the canonical in-algebra representative of phi (conditional
-    expectation of the density), recursively splitting along spectral
-    projections of the GNS commutant until every piece is irreducible.  The
-    atoms' canonical densities then sum back to the representative exactly
-    up to solver tolerances.
+    Works on the canonical in-algebra representative D of phi (conditional
+    expectation of the density).  On one copy V of each block M_d (x) I_m of
+    A, each eigenpair (lam, w) of V* D V above the rank cut gives the pure
+    atom E_A(v v*), v = V w, with weight m lam; the atoms' canonical
+    densities sum back to D up to rounding, which is checked.
     """
-    hb = A.hermitian_basis()
-    canonical = _canonical_density(phi, A)
-    atoms: list = []
-
-    if getattr(A, "_full", False):
-        # On a full matrix algebra the atomic decomposition is the spectral
-        # decomposition of the density itself: eigenvector states.
-        dec = eigh(canonical)
-        for lam, vec in zip(dec.eigenvalues, dec.eigenvectors.T):
-            if lam > 1e-12:
-                atoms.append((float(lam), vector_state(vec, A)))
-        return _finish_decomposition(atoms, canonical)
-
-    def recurse(density: np.ndarray, weight: float, depth: int):
-        if depth > A.ambient_dim * A.ambient_dim + 2:
-            raise NumericalFailureError("pure decomposition did not terminate")
-        state = StateFunctional(density=density, domain=A)
-        data = gns(state, A)
-        image = data.image_algebra()
-        if image.dim == data.rep_dim ** 2:  # irreducible (Burnside)
-            atoms.append((weight, state))
-            return
-        p = _split_projection(commutant(image))
-        xi = data.cyclic_vector
-        xi1 = p @ xi
-        xi2 = xi - xi1
-        w1 = float(np.vdot(xi1, xi1).real)
-        w2 = float(np.vdot(xi2, xi2).real)
-        if w1 < 1e-12 or w2 < 1e-12:
-            raise NumericalFailureError("splitting projection degenerated on the cyclic vector")
-        # rho(h) for every hermitian basis element h, through its coordinates in A
-        rho_hb = np.tensordot(span_coefficients(A.basis, hb)[0], data.images, axes=1)
-        for part, w in ((xi1, w1), (xi2, w2)):
-            values = ((rho_hb @ part) @ part.conj()).real / w
-            recurse(_snap_density(A.riesz_density(values)), weight * w, depth + 1)
-
-    recurse(canonical, 1.0, 0)
+    canonical, cut, decs = _block_spectra(phi, A)
+    atoms = []
+    for V, m, dec in decs:
+        for lam, v in zip(dec.eigenvalues, (V @ dec.eigenvectors).T):
+            if lam > cut:
+                v = v / np.linalg.norm(v)
+                atom = StateFunctional(density=A.project(np.outer(v, v.conj())), domain=A)
+                atoms.append((m * float(lam), atom))
     return _finish_decomposition(atoms, canonical)
 
 
@@ -337,11 +299,6 @@ def _finish_decomposition(atoms: list, canonical: np.ndarray) -> PureDecompositi
     if np.linalg.norm(recon - canonical) > 1e-8 * (1.0 + np.linalg.norm(canonical)):
         raise NumericalFailureError("atoms do not reconstruct the canonical density")
     return result
-
-
-def _canonical_density(phi: StateFunctional, A: MatrixStarAlgebra) -> np.ndarray:
-    proj = hermitian_part(A.project(phi.density))
-    return _snap_density(proj)
 
 
 def _snap_density(d: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ from opsyslab.algebra import (
     generate_algebra,
     gns,
     same_span,
+    wedderburn,
 )
 from opsyslab.errors import InputError
 
@@ -95,6 +96,54 @@ def test_bicommutant_recovers_span():
     alg = MatrixStarAlgebra.from_basis([d1, d2])
     dbl = commutant(commutant(alg))
     assert same_span(dbl, alg)
+
+
+def rotated(mats, seed):
+    n = len(mats[0])
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return [U @ M @ U.conj().T for M in mats]
+
+
+def block_units(sizes, multiplicity=1):
+    """Matrix units of (+) M_d (x) I_m over the block sizes d, one m for all."""
+    n = sum(sizes) * multiplicity
+    mats, offset = [], 0
+    for d in sizes:
+        for i in range(d):
+            for j in range(d):
+                M = np.zeros((n, n), dtype=complex)
+                M[offset:offset + d * multiplicity, offset:offset + d * multiplicity] = np.kron(
+                    E(d, i, j), np.eye(multiplicity))
+                mats.append(M)
+        offset += d * multiplicity
+    return mats
+
+
+@pytest.mark.parametrize(
+    "sizes, multiplicity",
+    [((2,), 2), ((1, 1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((1, 1), 2), ((2, 1), 2), ((8, 8), 1)],
+)
+def test_wedderburn_recovers_blocks_and_multiplicities(sizes, multiplicity):
+    A = MatrixStarAlgebra.from_basis(rotated(block_units(sizes, multiplicity), 3))
+    blocks = wedderburn(A)
+    assert sorted((V.shape[1], m) for V, m in blocks) == sorted((d, multiplicity) for d in sizes)
+    for V, _ in blocks:
+        assert np.allclose(V.conj().T @ V, np.eye(V.shape[1]), atol=1e-10)
+        # V* A V is all of M_d, and V's range is invariant under A
+        compressed = MatrixStarAlgebra.from_basis(V.conj().T @ A.basis @ V, check_closure=False)
+        assert compressed.dim == V.shape[1] ** 2
+        assert np.allclose(A.basis @ V, V @ (V.conj().T @ A.basis @ V), atol=1e-10)
+
+
+def test_wedderburn_of_full_algebra_is_the_identity_block():
+    [(V, m)] = wedderburn(MatrixStarAlgebra.full(3))
+    assert m == 1 and np.array_equal(V, np.eye(3))
+
+
+def test_wedderburn_rejects_non_unital():
+    with pytest.raises(InputError, match="unital"):
+        wedderburn(MatrixStarAlgebra.from_basis([E(2, 0, 0)]))
 
 
 def vector_state(xi):

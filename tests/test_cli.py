@@ -370,14 +370,21 @@ def test_cli_korovkin_grid_limit_exits_2(capsys, grid_size):
 
 def m4_plus_c_basis() -> list:
     """A hermitian basis of M4 + C inside M5 (17 elements)."""
-    mats = []
-    for i in range(4):
-        for j in range(i, 4):
-            for z in ((1.0,) if i == j else (1.0, 1.0j)):
-                M = np.zeros((5, 5), dtype=complex)
-                M[i, j], M[j, i] = z, np.conj(z)
-                mats.append(M)
-    mats.append(np.diag([0.0, 0.0, 0.0, 0.0, 1.0]))
+    return hermitian_units([4, 1])
+
+
+def hermitian_units(sizes) -> list:
+    """A hermitian basis of the block-diagonal algebra (+) M_d over the sizes."""
+    n = sum(sizes)
+    mats, offset = [], 0
+    for d in sizes:
+        for i in range(offset, offset + d):
+            for j in range(i, offset + d):
+                for z in ((1.0,) if i == j else (1.0, 1.0j)):
+                    M = np.zeros((n, n), dtype=complex)
+                    M[i, j], M[j, i] = z, np.conj(z)
+                    mats.append(M)
+        offset += d
     return mats
 
 
@@ -386,19 +393,56 @@ def m4_plus_c_basis() -> list:
     [
         (np.diag([1.0, 2.0, 3.0, 4.0, 5.0]) / 15.0, m4_plus_c_basis()),
         (np.eye(5) / 5.0, 5),
+        (np.eye(16) / 16.0, 16),
+        (np.eye(16) / 16.0, hermitian_units([8, 8])),
     ],
-    ids=["M4+C-full-rank", "M5-maximally-mixed"],
+    ids=["M4+C-full-rank", "M5-maximally-mixed", "M16-maximally-mixed", "M8+M8-maximally-mixed"],
 )
-def test_cli_purity_beyond_commutant_limit(tmp_path, capsys, state, A):
-    # The GNS image lives in M_17 and M_25 here; purity is decided without
-    # a commutant, so the 16-dimensional commutant limit does not apply.
-    A = A if isinstance(A, int) else [problems.matrix_to_json(M) for M in A]
-    path = tmp_path / "purity.json"
-    path.write_text(json.dumps(
-        {"kind": "purity", "payload": {"state": problems.matrix_to_json(state), "A": A}}
-    ))
-    assert main(["purity", "--file", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["results"] == {"pure": False}
+def test_cli_purity_and_decompose_at_size(tmp_path, capsys, state, A):
+    # The GNS space of these states has dimension up to 256; purity and
+    # decomposition read the blocks of A itself, inside M_n with n <= 16.
+    A = A if isinstance(A, int) else problems.matrices_to_json(A)
+    path = tmp_path / "doc.json"
+    for command in ("purity", "decompose"):
+        path.write_text(json.dumps(
+            {"kind": command, "payload": {"state": problems.matrix_to_json(state), "A": A}}
+        ))
+        assert main([command, "--file", str(path)]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        if command == "purity":
+            assert results == {"pure": False}
+        else:
+            weights = [atom["weight"] for atom in results["atoms"]]
+            assert sorted(weights) == pytest.approx(np.linalg.eigvalsh(state), abs=1e-12)
+            pairs = np.array([atom["density"] for atom in results["atoms"]])
+            total = np.tensordot(weights, pairs[..., 0] + 1j * pairs[..., 1], axes=1)
+            assert np.allclose(total, state, atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["purity", "decompose"])
+def test_cli_state_and_algebra_dimension_mismatch_exits_2(tmp_path, capsys, command):
+    # purity used to let a numpy ValueError escape here
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": command, "payload": {"state": [[1, 0], [0, 0]], "A": 3}}))
+    assert main([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: expected dimension 3, got 2\n"
+
+
+def test_cli_uep_state_dimension_must_match_s(tmp_path, capsys):
+    path = tmp_path / "uep.json"
+    path.write_text(json.dumps({"kind": "uep", "payload": {
+        "S": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], "state": [[1]]}}))
+    assert main(["uep", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == "error: payload.state: subspace dimension does not match the state\n"
+
+
+@pytest.mark.parametrize("dim_in", [MAX_AMBIENT + 1, 10**30])
+def test_cli_nosp_choi_input_dimension_is_bounded(tmp_path, capsys, dim_in):
+    path = tmp_path / "nosp.json"
+    path.write_text(json.dumps({"kind": "nosp", "payload": {
+        "pi_images": [[[1]]], "Pi_choi": {"dim_in": dim_in, "dim_out": 1, "choi": [[1]]}}}))
+    assert main(["nosp", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: payload.Pi_choi.dim_in: expected at most {MAX_AMBIENT}\n"
 
 
 def riesz_document(**fields) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,85 @@ def test_pure_decomposition_block_algebra():
     assert abs(sum(w for w, _ in dec.atoms) - 1.0) < 1e-9
     for _, atom in dec.atoms:
         assert is_pure(atom, B)
+
+
+def m2_tensor_i2() -> MatrixStarAlgebra:
+    """M2 (x) I2 inside M4: one block M2 with multiplicity 2."""
+    units = [np.kron(E(2, i, j), np.eye(2)) for i in range(2) for j in range(2)]
+    return MatrixStarAlgebra.from_basis(units)
+
+
+def partial_trace_second(rho):
+    return np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
+
+
+def test_multiplicity_product_vector_state_is_one_atom():
+    rng = np.random.default_rng(71)
+    A = m2_tensor_i2()
+    x, y = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    psi = vector_state(np.kron(x, y), A)
+    assert is_pure(psi, A)
+    dec = pure_decomposition(psi, A)
+    assert len(dec.atoms) == 1
+    assert dec.atoms[0][0] == pytest.approx(1.0, abs=1e-9)
+    # the atom is the canonical density (x x* / |x|^2) (x) I/2
+    expected = np.kron(np.outer(x, x.conj()) / np.vdot(x, x).real, np.eye(2) / 2)
+    assert np.allclose(dec.atoms[0][1].density, expected, atol=1e-10)
+
+
+def test_multiplicity_entangled_vector_state_is_mixed():
+    A = m2_tensor_i2()
+    psi = vector_state([1.0, 0.0, 0.0, 1.0], A)
+    assert not is_pure(psi, A)
+    assert sorted(w for w, _ in pure_decomposition(psi, A).atoms) == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+def test_multiplicity_weights_are_twice_the_block_spectrum():
+    rng = np.random.default_rng(73)
+    A = m2_tensor_i2()
+    rho = random_density(rng, 4)
+    dec = pure_decomposition(StateFunctional(density=rho, domain=A), A)
+    # E_A(rho) = D1 (x) I2 with compressed block density D1 = tr_2(rho) / 2
+    block_spectrum = np.linalg.eigvalsh(partial_trace_second(rho) / 2)
+    assert len(dec.atoms) == 2
+    assert sorted(w for w, _ in dec.atoms) == pytest.approx(sorted(2 * block_spectrum), abs=1e-10)
+    (_, a1), (_, a2) = dec.atoms
+    for atom in (a1, a2):
+        assert is_pure(atom, A)
+    # distinct atoms, not one atom listed once per copy
+    assert abs(np.trace(a1.density @ a2.density)) < 1e-10
+    assert np.allclose(dec.mixture_density(), np.kron(partial_trace_second(rho), np.eye(2) / 2), atol=1e-10)
+
+
+@pytest.mark.parametrize("decide", [is_pure, pure_decomposition])
+def test_purity_rejects_a_non_unital_algebra(decide):
+    A = MatrixStarAlgebra.from_basis([E(2, 0, 0)])
+    with pytest.raises(InputError, match="unital"):
+        decide(StateFunctional(density=np.diag([0.0, 1.0]).astype(complex), domain=A), A)
+
+
+def test_purity_and_decomposition_do_not_go_through_gns(monkeypatch, tmp_path, capsys):
+    import opsyslab
+    from opsyslab import algebra, cli, problems, states
+
+    def no_gns(*args, **kwargs):
+        raise AssertionError("gns was called")
+
+    monkeypatch.setattr(algebra, "gns", no_gns)
+    monkeypatch.setattr(opsyslab, "gns", no_gns)
+    monkeypatch.setattr(states, "gns", no_gns, raising=False)
+    B = m2_plus_c()
+    psi = StateFunctional(density=np.diag([0.2, 0.3, 0.5]).astype(complex), domain=B)
+    assert not is_pure(psi, B)
+    assert len(pure_decomposition(psi, B).atoms) == 3
+    X, Y = E(3, 0, 1) + E(3, 1, 0), 1j * (E(3, 0, 1) - E(3, 1, 0))
+    spanning = [E(3, 0, 0), E(3, 1, 1), E(3, 2, 2), X, Y]
+    path = tmp_path / "doc.json"
+    for command in ("purity", "decompose"):
+        path.write_text(json.dumps({"kind": command, "payload": {
+            "state": np.diag([0.2, 0.3, 0.5]).tolist(), "A": problems.matrices_to_json(spanning)}}))
+        assert cli.main([command, "--file", str(path)]) == 0
+    capsys.readouterr()
 
 
 # ------------------------------------------------- pure majorizing states
