@@ -332,13 +332,16 @@ def commutant(algebra: MatrixStarAlgebra) -> MatrixStarAlgebra:
     n = algebra.ambient_dim
     if n > MAX_AMBIENT:
         raise InputError(f"ambient dimension {n} exceeds {MAX_AMBIENT} for commutants")
+    # Row-major vec: vec(XB - BX) = C_B vec(X) with C_B = I (x) B^T - B (x) I,
+    # and K = sum_B C_B* C_B over the scaled basis is, in closed form,
+    # I (x) conj(sum B B*) + (sum B*B) (x) I - R - R*,  R = sum_B B (x) conj(B).
+    Bs = algebra.basis / np.maximum(np.linalg.norm(algebra.basis, axis=(1, 2)), 1.0)[:, None, None]
     eye = np.eye(n, dtype=complex)
-    K = np.zeros((n * n, n * n), dtype=complex)
-    for B in algebra.basis:
-        # row-major vec: vec(XB - BX) = (I (x) B^T - B (x) I) vec(X)
-        C = np.kron(eye, B.T) - np.kron(B, eye)
-        C /= max(float(np.linalg.norm(B)), 1.0)
-        K += C.conj().T @ C
+    flat = Bs.reshape(len(Bs), n * n)
+    R = (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    BBh = np.einsum("kij,klj->il", Bs, Bs.conj())
+    BhB = np.einsum("kji,kjl->il", Bs.conj(), Bs)
+    K = np.kron(eye, BBh.conj()) + np.kron(BhB, eye) - R - R.conj().T
     dec = eigh_coefficient_space(hermitian_part(K))
     lam_max = max(float(dec.eigenvalues[-1]), 1.0)
     kernel = dec.eigenvectors[:, dec.eigenvalues <= RANK_TOL * lam_max]

@@ -336,15 +336,24 @@ def _algebra_field(payload, key, path, default_dim=None) -> dict:
     return {key: mats, f"_{key}": algebra}
 
 
+def _check_dim(path, got: int, n: int, of: str):
+    if got != n:
+        _fail(path, f"expected dimension {n} (that of {of}), got {got}")
+
+
 def _parse_extension(payload, path):
     S = parse_matrix_list(payload.get("S"), path / "S")
+    n = S[0].shape[0]
     out = {
         "S": S,
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
         "phi": parse_matrix(payload.get("phi"), path / "phi"),
         "t": parse_matrix(payload.get("t"), path / "t"),
     }
-    out.update(_algebra_field(payload, "ambient", path, S[0].shape[0]))
+    _check_dim(path / "phi", out["phi"].shape[0], n, "S")
+    _check_dim(path / "t", out["t"].shape[0], n, "S")
+    out.update(_algebra_field(payload, "ambient", path, n))
+    _check_dim(path / "ambient", out["_ambient"].ambient_dim, n, "S")
     return out
 
 
@@ -358,6 +367,7 @@ def _parse_uep(payload, path):
     if out["state"].shape != S[0].shape:
         _fail(path / "state", "subspace dimension does not match the state")
     out.update(_algebra_field(payload, "A", path, S[0].shape[0]))
+    _check_dim(path / "A", out["_A"].ambient_dim, S[0].shape[0], "S")
     return out
 
 
@@ -365,6 +375,7 @@ def _parse_state_algebra(payload, path):
     state = parse_matrix(payload.get("state"), path / "state")
     out = {"state": state}
     out.update(_algebra_field(payload, "A", path, state.shape[0]))
+    _check_dim(path / "state", state.shape[0], out["_A"].ambient_dim, "A")
     return out
 
 
@@ -391,6 +402,8 @@ def _parse_boundary(payload, path):
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
     }
     out.update(_algebra_field(payload, "algebra", path))
+    if "_algebra" in out:
+        _check_dim(path / "algebra", out["_algebra"].ambient_dim, S[0].shape[0], "S")
     return out
 
 

@@ -538,8 +538,13 @@ def ucp_fixed_extent(
     """Maximum deviation from the identity among unital CP maps fixing S.
 
     The deviation is measured entrywise on a hermitian basis of the
-    generated algebra, each direction pushed to both extremes over the Choi
-    spectrahedron (2 dim^2 programs per basis element).  A zero extent
+    generated algebra, one objective per pair (basis element, coordinate
+    function of M_n) over the Choi spectrahedron.  An objective whose
+    certified range bound on the reduced face is at most FACE_TOL
+    (`ReducedSpectrahedron.linear_range`) costs no program: its deviation is
+    its distance from the identity's value at the base point plus that
+    bound, and its witness is the face's interior point.  Every other
+    objective is pushed to both extremes (two programs).  A zero extent
     (<= 1e-6) says the identity representation is the unique UCP map fixing
     S, i.e. it has the unique extension property.
     """
@@ -548,22 +553,33 @@ def ucp_fixed_extent(
         raise InputError(f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}")
     A = algebra if algebra is not None else generate_algebra(S)
     spec = spectrahedron.reduce_spectrahedron(n * n, _choi_constraints(S, n), settings=settings)
+    herm = A.hermitian_basis()
     coord_funcs = MatrixStarAlgebra.full(n).hermitian_basis()
+    # C[a, u] = kron(herm[a].T, coord_funcs[u])
+    Cs = np.einsum("arp,uqs->aupqrs", herm, coord_funcs).reshape(-1, n * n, n * n)
+    Cs = hermitian_part(Cs)
+    values, bounds = spec.linear_range(Cs)
+    pairs = ((ai, U) for ai in herm for U in coord_funcs)
     best = 0.0
     best_J = None
-    for ai in A.hermitian_basis():
-        for U in coord_funcs:
-            C = hermitian_part(np.kron(ai.T, U))
-            base = float(np.trace(ai @ U).real)
-            for maximize in (True, False):
-                value, J = spectrahedron.optimize_linear(spec, C, maximize=maximize, settings=settings)
-                deviation = abs(value - base)
-                if deviation > best:
-                    best = deviation
-                    best_J = J
+    for (ai, U), C, at_base, bound in zip(pairs, Cs, values, bounds):
+        base = float(np.trace(ai @ U).real)
+        if bound <= spectrahedron.FACE_TOL:
+            deviation = abs(at_base - base) + bound
+            if deviation > best:
+                best = deviation
+                best_J = None
+            continue
+        for maximize in (True, False):
+            value, J = spectrahedron.optimize_linear(spec, C, maximize=maximize, settings=settings)
+            deviation = abs(value - base)
+            if deviation > best:
+                best = deviation
+                best_J = J
     witness = None
-    if best > 1e-6 and best_J is not None:
-        witness = ChoiMap(dim_in=n, dim_out=n, choi=best_J, unital=True)
+    if best > 1e-6:
+        choi = best_J if best_J is not None else spec.point(spec.z_interior)
+        witness = ChoiMap(dim_in=n, dim_out=n, choi=choi, unital=True)
     return best, witness
 
 

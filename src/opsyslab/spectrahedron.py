@@ -27,6 +27,8 @@ from .errors import InputError, NumericalFailureError
 from .hermitian import eigh, hermitian_part
 
 FACE_TOL = 1e-7
+# |tr N| below this counts as traceless for a unit direction N
+TRACELESS_TOL = 1e-12
 # Conservative kernel cut: an overestimated kernel only costs one more
 # reduction round, an underestimated one breaks the affine consistency.
 KERNEL_TOL = 1e-4
@@ -90,6 +92,33 @@ class ReducedSpectrahedron:
         stack = np.stack(self.dirs) if self.dirs else np.zeros((0, r, r), dtype=complex)
         return [sdp.LmiBlock._trusted(self.x0, stack)]
 
+    def compress(self, C) -> np.ndarray:
+        """V* C V in face coordinates (hermitian part); a stack is taken
+        matrix by matrix."""
+        V = self.support
+        return hermitian_part(V.conj().T @ np.asarray(C, dtype=complex) @ V)
+
+    def linear_range(self, Cs) -> tuple[np.ndarray, np.ndarray]:
+        """For a stack of objectives C_k: tr(C_k X) at the base point V x0 V*,
+        and a certified bound on the range of tr(C_k X) over the face.
+
+        With every direction traceless, all points of the face are PSD of
+        trace tau = tr x0, so any two lie within sqrt(2) tau of each other in
+        Frobenius norm; the directions are orthonormal, so tr(C_k X) varies
+        by at most sqrt(2) tau ||r_k|| with r_kj = Re<V* C_k V, N_j>.  If a
+        direction carries a trace, every bound is +inf.
+        """
+        Cs = self.compress(Cs)
+        values = np.array([float(np.vdot(C, self.x0).real) for C in Cs])
+        if not self.dirs:
+            return values, np.zeros(len(Cs))
+        N = np.stack(self.dirs)
+        if np.max(np.abs(np.trace(N, axis1=1, axis2=2))) > TRACELESS_TOL:
+            return values, np.full(len(Cs), np.inf)
+        r = np.einsum("kab,jab->kj", Cs.conj(), N).real
+        tau = float(np.trace(self.x0).real)
+        return values, np.sqrt(2.0) * tau * np.linalg.norm(r, axis=1)
+
     def point(self, z: np.ndarray) -> np.ndarray:
         Y = self.x0
         for zi, N in zip(z, self.dirs):
@@ -145,6 +174,8 @@ def reduce_spectrahedron(
             spec.z_interior = sol.x
             return spec
         if sol.value < -FACE_TOL * scale:
+            if reduced:
+                raise NumericalFailureError("the located face came out empty")
             if sol.dual_certificate is not None:
                 raise SpectrahedronInfeasible("PSD face is empty (certified)")
             raise NumericalFailureError("face search: infeasible but uncertified")
@@ -180,7 +211,9 @@ def _refine_support(V: np.ndarray, Y: np.ndarray, mats: np.ndarray, rhs: np.ndar
     AV = mats @ V
     rows = 2.0 * AV.view(float).reshape(len(rhs), -1)
     resid = rhs - np.einsum("kab,ab->k", V.conj().T @ AV, Y.conj()).real
-    M = np.linalg.lstsq(rows, resid, rcond=None)[0].view(complex).reshape(V.shape)
+    # Redundant constraints make the rows rank-deficient; a relative cut keeps
+    # rounding noise in resid from turning into an O(1) step along them.
+    M = np.linalg.lstsq(rows, resid, rcond=1e-9)[0].view(complex).reshape(V.shape)
     Q = M - V @ (V.conj().T @ M)
     E = np.linalg.solve(Y, Q.conj().T).conj().T
     return np.linalg.qr(V + E)[0]
@@ -193,8 +226,7 @@ def optimize_linear(
     settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS,
 ):
     """Extremize tr(C X) over the reduced set; returns (value, optimizer)."""
-    V = spec.support
-    C = hermitian_part(V.conj().T @ np.asarray(C, dtype=complex) @ V)
+    C = spec.compress(C)
     base_val = float(np.vdot(C, spec.x0).real)
     if len(spec.dirs) == 0:
         return base_val, spec.point(np.zeros(0))

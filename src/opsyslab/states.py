@@ -227,7 +227,10 @@ def has_uep(
 
     Decided by degeneracy of every extension interval over a hermitian basis
     of psi's domain algebra; the first fat interval is returned as a witness.
-    The extension set is reduced once and reused across basis elements.
+    The extension set is reduced once and reused across basis elements.  A
+    basis element whose certified range bound on that face
+    (`ReducedSpectrahedron.linear_range`) is at most UEP_TOL cannot carry a
+    fat interval and costs no program; each other one costs two.
     """
     A = psi.domain
     if not isinstance(A, MatrixStarAlgebra):
@@ -237,7 +240,9 @@ def has_uep(
             raise InputError("subspace is not contained in the state's algebra")
     restricted = psi.restrict(S)
     spec = _extension_set(restricted, settings=settings)
-    for t in A.hermitian_basis():
+    basis = A.hermitian_basis()
+    _, bounds = spec.linear_range(basis)
+    for t in basis[bounds > UEP_TOL]:
         interval = _interval_from_set(spec, restricted, t, A, settings=settings)
         if interval.length > UEP_TOL:
             return UepResult(holds=False, witness=t, interval=interval)

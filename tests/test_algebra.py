@@ -120,6 +120,31 @@ def block_units(sizes, multiplicity=1):
     return mats
 
 
+def commutant_kernel_by_loop(A):
+    """The commutant's kernel matrix built one Kronecker product per basis element."""
+    n = A.ambient_dim
+    eye = np.eye(n, dtype=complex)
+    K = np.zeros((n * n, n * n), dtype=complex)
+    for B in A.basis:
+        C = np.kron(eye, B.T) - np.kron(B, eye)
+        C /= max(float(np.linalg.norm(B)), 1.0)
+        K += C.conj().T @ C
+    return K
+
+
+@pytest.mark.parametrize("sizes, multiplicity", [((2, 1), 1), ((1, 1, 1), 1), ((1, 1), 2), ((2,), 2)])
+def test_commutant_kernel_matches_the_kronecker_loop(monkeypatch, sizes, multiplicity):
+    from opsyslab import algebra
+
+    A = MatrixStarAlgebra.from_basis(rotated(block_units(sizes, multiplicity), 5))
+    seen = []
+    eigh_k = algebra.eigh_coefficient_space
+    monkeypatch.setattr(algebra, "eigh_coefficient_space", lambda K: seen.append(K) or eigh_k(K))
+    com = commutant(A)
+    assert np.abs(seen[0] - commutant_kernel_by_loop(A)).max() <= 1e-12
+    assert com.dim == len(sizes) * multiplicity**2
+
+
 @pytest.mark.parametrize(
     "sizes, multiplicity",
     [((2,), 2), ((1, 1, 1), 1), ((2, 1), 1), ((3, 1), 1), ((1, 1), 2), ((2, 1), 2), ((8, 8), 1)],

@@ -17,7 +17,7 @@ from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import MAX_DIM
 from opsyslab.korovkin import MAX_GRID_SIZE
-from opsyslab.rigidity import MAX_CHOI_AMBIENT
+from opsyslab.rigidity import MAX_CHOI_AMBIENT, ChoiMap
 from opsyslab.sdp import SdpSettings
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -232,6 +232,21 @@ def test_rank_one_extension_face_is_never_an_input_error(capsys):
     assert code != 2 and code in (0, 3)
 
 
+def test_choi_face_of_a_commuting_system_is_never_an_input_error(capsys):
+    # S = span{I, h} in M3.  The identity map always fixes S, yet a noisy
+    # support refinement used to give a wrong face whose emptiness was
+    # reported as certified (exit 2).
+    assert main(["boundary", "--file", str(DATA / "boundary_wrong_face.json")]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["boundary"] is False
+    S = json.loads((DATA / "boundary_wrong_face.json").read_text())["payload"]["S"]
+    pairs = np.array(results["witness_choi"])
+    witness = ChoiMap(dim_in=3, dim_out=3, choi=pairs[..., 0] + 1j * pairs[..., 1], unital=True)
+    for pairs in np.array(S):
+        s = pairs[..., 0] + 1j * pairs[..., 1]
+        assert np.linalg.norm(witness.apply(s) - s) <= 1e-6
+
+
 def test_rank_one_choi_face_is_located_exactly(capsys):
     assert main(["boundary", "--file", str(DATA / "boundary_flat_face_rank1.json")]) == 0
     results = json.loads(capsys.readouterr().out)["results"]
@@ -425,7 +440,27 @@ def test_cli_state_and_algebra_dimension_mismatch_exits_2(tmp_path, capsys, comm
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"kind": command, "payload": {"state": [[1, 0], [0, 0]], "A": 3}}))
     assert main([command, "--file", str(path)]) == 2
-    assert capsys.readouterr().err == "error: expected dimension 3, got 2\n"
+    assert capsys.readouterr().err == "error: payload.state: expected dimension 3 (that of A), got 2\n"
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("uep", {"S": [[[1, 0], [0, 1]]], "state": [[1, 0], [0, 0]], "A": 3},
+     "payload.A: expected dimension 2 (that of S), got 3"),
+    ("extension-interval", {"S": [[[1, 0], [0, 1]]], "phi": [[1, 0], [0, 0]], "t": [[1, 0], [0, 0]],
+                            "ambient": 3},
+     "payload.ambient: expected dimension 2 (that of S), got 3"),
+    ("extension-interval", {"S": [[[1, 0], [0, 1]]], "phi": [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+                            "t": [[1, 0], [0, 0]]},
+     "payload.phi: expected dimension 2 (that of S), got 3"),
+    ("boundary", {"S": [[[1, 0], [0, 1]]], "algebra": 3},
+     "payload.algebra: expected dimension 2 (that of S), got 3"),
+])
+def test_cli_algebra_and_state_dimensions_must_match_s(tmp_path, capsys, kind, payload, message):
+    # boundary used to let a numpy ValueError escape here
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}))
+    assert main([kind, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_uep_state_dimension_must_match_s(tmp_path, capsys):

@@ -373,6 +373,25 @@ def test_ucp_extent_zero_for_offdiag_system():
     assert witness is None
 
 
+@pytest.mark.parametrize("S", [
+    offdiag_system(),
+    OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -0.5])], unital=True),
+])
+def test_ucp_extent_of_a_boundary_system_solves_no_program(monkeypatch, S):
+    # every objective is constant on the Choi face (a point for the
+    # off-diagonal system, the Schur multipliers for the diagonal one, on
+    # whose generated algebra every such map is the identity)
+    from opsyslab import spectrahedron
+
+    def no_program(*args, **kwargs):
+        raise AssertionError("optimize_linear was called")
+
+    monkeypatch.setattr(spectrahedron, "optimize_linear", no_program)
+    extent, witness = ucp_fixed_extent(S)
+    assert extent <= 1e-12
+    assert witness is None
+
+
 def test_ucp_extent_zero_for_full_subspace():
     S = MatrixStarAlgebra.full(2).subspace()
     extent, _ = ucp_fixed_extent(S)

@@ -423,6 +423,30 @@ def test_extension_set_face_point_is_feasible():
     assert_interior_point_is_feasible(spec, constraints)
 
 
+def test_linear_range_bounds_the_extremes_on_the_face():
+    rng = np.random.default_rng(71)
+    rho = np.zeros((3, 3), dtype=complex)
+    rho[:2, :2] = density_of_rank(rng, 2, 2)
+    S = [np.eye(3), np.diag([1.0, 1.0, 0.0])]
+    spec = spectrahedron.reduce_spectrahedron(3, [(s, float(np.trace(s @ rho).real)) for s in S])
+    Cs = np.stack([unit_norm_hermitian(rng, 3) for _ in range(4)] + [np.diag([0.0, 0.0, 1.0])])
+    values, bounds = spec.linear_range(Cs)
+    for C, value, bound in zip(Cs, values, bounds):
+        hi, _ = spectrahedron.optimize_linear(spec, C, maximize=True)
+        lo, _ = spectrahedron.optimize_linear(spec, C, maximize=False)
+        assert lo - 1e-7 <= value <= hi + 1e-7
+        assert hi - lo <= bound + 1e-7
+    assert bounds[-1] <= 1e-12 < bounds[:-1].min()
+
+
+def test_linear_range_needs_traceless_directions():
+    spec = spectrahedron.ReducedSpectrahedron(
+        x0=np.eye(2, dtype=complex) / 2, dirs=[np.diag([1.0, 0.0]).astype(complex)],
+        support=np.eye(2, dtype=complex), z_interior=np.zeros(1))
+    _, bounds = spec.linear_range(np.stack([np.eye(2, dtype=complex)]))
+    assert np.isinf(bounds).all()
+
+
 def test_inconsistent_unreduced_system_is_infeasible():
     # tr X = 1 and tr X = 2: a certified "no", an input error (CLI exit 2).
     constraints = [(np.eye(2), 1.0), (np.eye(2), 2.0)]

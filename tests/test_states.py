@@ -190,6 +190,66 @@ def test_has_uep_fails_with_mass_on_summand():
     assert result.interval.length > 1e-3
 
 
+def test_has_uep_on_the_whole_algebra_solves_no_program(monkeypatch):
+    # S = A = M2 (+) C: the extension set is one point on A, so every range
+    # bound vanishes; checking each of the 5 basis intervals took 10 solves
+    from opsyslab import sdp
+
+    A = m2_plus_c()
+    density = np.zeros((3, 3), dtype=complex)
+    density[:2, :2] = 0.7 * random_density(np.random.default_rng(61), 2)
+    density[2, 2] = 0.3
+    calls = []
+    solve = sdp.solve
+    monkeypatch.setattr(sdp, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    assert has_uep(StateFunctional(density=density, domain=A), A.subspace()).holds
+    assert calls == []
+
+
+def has_uep_by_intervals(psi, S):
+    """UEP from the extension interval of every hermitian basis element."""
+    from opsyslab.states import UEP_TOL, UepResult, _extension_set, _interval_from_set
+
+    restricted = psi.restrict(S)
+    spec = _extension_set(restricted)
+    for t in psi.domain.hermitian_basis():
+        interval = _interval_from_set(spec, restricted, t, psi.domain)
+        if interval.length > UEP_TOL:
+            return UepResult(holds=False, witness=t, interval=interval)
+    return UepResult(holds=True, witness=None, interval=None)
+
+
+def uep_cases():
+    rng = np.random.default_rng(67)
+    full3 = MatrixStarAlgebra.full(3)
+    for _ in range(3):
+        yield block_supported_state(rng, full3), m2_plus_c().subspace()
+    for n, extra, rank in ((2, 1, 1), (2, 2, 2), (3, 1, 1), (3, 2, 2), (3, 4, 3), (3, 7, 1)):
+        mats = [np.eye(n, dtype=complex)]
+        for _ in range(extra):
+            raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            mats.append((raw + raw.conj().T) / 2)
+        vecs = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        density = vecs @ vecs.conj().T
+        psi = StateFunctional(density=density / np.trace(density).real,
+                              domain=MatrixStarAlgebra.full(n))
+        yield psi, OperatorSubspace(ambient_dim=n, basis=mats, unital=True)
+
+
+def test_has_uep_agrees_with_every_basis_interval():
+    verdicts = set()
+    for psi, S in uep_cases():
+        got, want = has_uep(psi, S), has_uep_by_intervals(psi, S)
+        verdicts.add(want.holds)
+        assert got.holds == want.holds
+        if not want.holds:
+            assert np.array_equal(got.witness, want.witness)
+            assert (got.interval.min, got.interval.max) == (want.interval.min, want.interval.max)
+            for w_got, w_want in zip(got.interval.witnesses, want.interval.witnesses):
+                assert np.array_equal(w_got.density, w_want.density)
+    assert verdicts == {True, False}
+
+
 # ------------------------------------------------------------------ purity
 
 
