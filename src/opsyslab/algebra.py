@@ -21,13 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalFailureError
-from .hermitian import eigh, eigh_coefficient_space, hermitian, hermitian_part
+from .hermitian import BLOCK_ENTRIES, eigh, eigh_coefficient_space, hermitian, hermitian_part
 
 MAX_AMBIENT = 16
 RANK_TOL = 1e-9
 CLOSURE_TOL = 1e-8
-# Complex entries in one block of pairwise products (16 MB).
-_BLOCK_ENTRIES = 1 << 20
 
 
 def _as_matrix(M, n=None):
@@ -67,8 +65,8 @@ def _independent(residual, norm, tol: float = RANK_TOL):
 
 def _row_blocks(k: int, width: int) -> list:
     """Slices of range(k) such that a block of rows, each a slab of
-    k * width entries, holds at most _BLOCK_ENTRIES entries."""
-    step = max(1, _BLOCK_ENTRIES // max(1, k * width))
+    k * width entries, holds at most BLOCK_ENTRIES entries."""
+    step = max(1, BLOCK_ENTRIES // max(1, k * width))
     return [slice(i, i + step) for i in range(0, k, step)]
 
 

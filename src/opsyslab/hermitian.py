@@ -20,6 +20,9 @@ from .errors import InputError, NumericalFailureError
 
 MAX_DIM = 64
 
+# Complex entries in one block of a batched array computation (16 MB).
+BLOCK_ENTRIES = 1 << 20
+
 # Hermitian deviation accepted at construction; larger deviations are user
 # errors, smaller ones are absorbed by symmetrization.
 HERMITIAN_REJECT = 1e-8

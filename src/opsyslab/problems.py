@@ -44,10 +44,10 @@ from .states import (
 
 SCHEMA = "opsyslab/1"
 
-# Work limits of one document, each about a minute at the largest size
-# measured (full M8, one BLAS thread): a riesz step is one feasibility SDP
-# (65 ms), an automatic bound pair two solves (550 ms), a search trial one
-# instance SDP (26 ms).  Smaller algebras run proportionally faster.
+# Work limits of one document, each at most about a minute at the largest
+# size measured (full M8, one BLAS thread): N = 1000 riesz steps, one batch
+# of feasibility SDPs, took 28 s (peak RSS 162 MB), an automatic bound pair
+# two solves (550 ms), a search trial one instance SDP (26 ms).
 MAX_RIESZ_N = 1000
 MAX_AUTO_BOUNDS = 100
 MAX_TRIALS = 2000
@@ -303,9 +303,12 @@ def _parse_unperforated(payload, path):
     }
     if ("a" in payload) != ("b" in payload):
         _fail(path, "instance mode needs both a and b; search mode needs neither")
+    n = out["S"][0].shape[0]
+    _check_dim(path / "T", out["T"][0].shape[0], n, "S")
     if "a" in payload:
-        out["a"] = parse_matrix(payload["a"], path / "a")
-        out["b"] = parse_matrix(payload["b"], path / "b")
+        for key in ("a", "b"):
+            out[key] = parse_matrix(payload[key], path / key)
+            _check_dim(path / key, out[key].shape[0], n, "S")
     else:
         out["trials"] = _opt_int(
             payload, "trials", path, default=50, minimum=1, maximum=MAX_TRIALS
@@ -392,6 +395,9 @@ def _parse_riesz(payload, path):
             payload, "auto_bounds", path, default=0, minimum=0, maximum=MAX_AUTO_BOUNDS
         ),
     }
+    for key, mats in (("a", [out["a"]]), ("lowers", out["lowers"]), ("uppers", out["uppers"])):
+        for M in mats[:1]:
+            _check_dim(path / key, M.shape[0], B[0].shape[0], "B")
     return out
 
 
@@ -425,6 +431,7 @@ def _parse_nosp(payload, path):
         },
     }
     out.update(_algebra_field(payload, "A", path, dim_in))
+    _check_dim(path / "A", out["_A"].ambient_dim, dim_in, "Pi_choi.dim_in")
     return out
 
 

@@ -413,7 +413,11 @@ def riesz_sequence(req: InterpolationRequest,
     Each beta_n sits between every lower bound minus I/n and every upper
     bound plus I/n with norm at most (1 + eps/n) ||a||; finite-dimensional
     algebras always admit such interpolants, so infeasibility signals
-    inconsistent input and is reported with a certificate.
+    inconsistent input and is reported with a certificate for the first
+    failing n.  The N programs differ only in their constants and are solved
+    as one batch.  beta_n maximizes the minimum slack, a maximizer that need
+    not be unique (the optimal set can be a face): the gap tolerance fixes
+    its slack, and only the solver's arithmetic fixes beta_n itself.
     """
     lowers = list(req.lowers)
     uppers = list(req.uppers)
@@ -426,18 +430,20 @@ def riesz_sequence(req: InterpolationRequest,
     n_amb = req.B.ambient_dim
     eye = np.eye(n_amb, dtype=complex)
     na = op_norm(req.a)
-    out = []
+    # Validated once; each n shifts the constants by validated matrices.
+    plus = sdp.LmiBlock(eye, hb).coefficients
+    minus = -plus
+    bounds = [sdp.LmiBlock(-l, plus) for l in lowers] + [sdp.LmiBlock(u, minus) for u in uppers]
+    problems = []
     for n in range(1, req.N + 1):
         cap = (1.0 + req.epsilon / n) * na
-        blocks = [
-            sdp.LmiBlock(cap * eye, [-h for h in hb]),
-            sdp.LmiBlock(cap * eye, hb),
-        ]
-        for l in lowers:
-            blocks.append(sdp.LmiBlock(eye / n - l, hb))
-        for u in uppers:
-            blocks.append(sdp.LmiBlock(u + eye / n, [-h for h in hb]))
-        sol = sdp.check_feasibility(blocks, margin=0.0, settings=settings)
+        problems.append(
+            [sdp.LmiBlock._trusted(cap * eye, minus), sdp.LmiBlock._trusted(cap * eye, plus)]
+            + [sdp.LmiBlock._trusted(b.constant + eye / n, b.coefficients) for b in bounds]
+        )
+    out = []
+    solutions = sdp.check_feasibility_batch(problems, margin=0.0, settings=settings)
+    for n, (blocks, sol) in enumerate(zip(problems, solutions), start=1):
         if sol.status == sdp.INFEASIBLE:
             raise InfeasibleInterpolation(
                 f"no interpolant exists at n={n}: bound lists are inconsistent",

@@ -7,8 +7,9 @@ Problem form: minimize c.x subject to, for every block k,
 Feasibility comes first: the feasibility phase maximizes the minimum slack
 s over all blocks (capped, so the problem is bounded) with a primal-dual
 interior-point method, Nesterov-Todd scaling and Mehrotra's predictor-
-corrector.  Its primal iterate X is the dual of the slack problem, and when
-s < 0 it is a Farkas-type certificate
+corrector, for a batch of programs at once, each bitwise as if alone.  Its
+primal iterate X is the dual of the slack problem, and when s < 0 it is a
+Farkas-type certificate
 
     Z_k >= 0,   sum_k <Z_k, F_{k,i}> = 0  for all i,   sum_k <Z_k, F0_k> < 0.
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .hermitian import eigh, hermitian_part
+from .hermitian import BLOCK_ENTRIES, eigh, hermitian_part
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -177,9 +178,7 @@ def _logdet(factors) -> float:
 
 
 class _Stall(Exception):
-    def __init__(self, message: str, steps: int = 0):
-        super().__init__(message)
-        self.steps = steps
+    """The barrier's optimization phase cannot go on."""
 
 
 class _BarrierState:
@@ -374,187 +373,236 @@ def verify_certificate(
     every i within residual_tol, and sum_k <Z_k, F0_k> < 0.  Certificates are
     normalized to unit total trace."""
     SOLVE_STATS["certificate_checks"] += 1
-    m = blocks[0].num_vars
     scale = 1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)
     for Z in certificate:
         ev = eigh(Z).eigenvalues
         if ev[0] < -settings.psd_slack * (1.0 + float(np.max(np.abs(ev)))):
             return False
-    for i in range(m):
-        resid = sum(float(np.vdot(Z, b.coefficients[i]).real) for Z, b in zip(certificate, blocks))
-        if abs(resid) > residual_tol * scale:
-            return False
+    resid = sum((b.coefficients.reshape(b.num_vars, b.dim**2).conj() @ Z.ravel()).real
+                for Z, b in zip(certificate, blocks))
+    if np.any(np.abs(resid) > residual_tol * scale):
+        return False
     neg = sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(certificate, blocks))
     return neg < CERT_NEGATIVITY
 
 
-def _step_length(lam: np.ndarray, direction: np.ndarray) -> float:
-    """Largest alpha <= 1 with diag(lam) + alpha * direction >= 0 on every
-    block of a stack, shortened to STEP_FRACTION of the way to the boundary."""
-    root = 1.0 / np.sqrt(lam)
-    worst = float(np.min(np.linalg.eigvalsh(direction * (root[..., :, None] * root[..., None, :]))))
-    return 1.0 if worst >= -STEP_FRACTION else STEP_FRACTION / -worst
+def _rows_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re <A_r, B_r> for every row r of two stacks of equal shape."""
+    rows = A.shape[0]
+    return (A.view(float).reshape(rows, 1, -1) @ B.view(float).reshape(rows, -1, 1))[:, 0, 0]
 
 
-def _phase1(blocks, settings: SdpSettings):
-    """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap.
+def _by_rows(fn, fallback, *stacks):
+    """fn over stacks of rows, or row by row after a LinAlgError with
+    fallback(*row) where it raises; the results and the rows that fell back."""
+    try:
+        return fn(*stacks), []
+    except np.linalg.LinAlgError:
+        out, fell_back = [], []
+        for r, row in enumerate(zip(*stacks)):
+            try:
+                out.append(fn(*row))
+            except np.linalg.LinAlgError:
+                out.append(fallback(*row))
+                fell_back.append(r)
+        return np.stack(out), fell_back
+
+
+def _solve_vectors(M: np.ndarray, b: np.ndarray, ridge: bool = False) -> np.ndarray:
+    """M^-1 b for stacks.  An always-on ridge would bias y; `ridge` only
+    rescues a singular M (a variable with no coefficient anywhere)."""
+    if ridge:
+        M = M + 1e-12 * (1.0 + float(np.trace(M)) / len(M)) * np.eye(len(M))
+    return np.linalg.solve(M, b[..., None])[..., 0]
+
+
+def _phase1(problems, margin: float, settings: SdpSettings) -> list:
+    """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap, for
+    programs with the same block dimensions and variable count at once.
 
     Primal-dual interior-point method with Nesterov-Todd scaling and
     Mehrotra's predictor-corrector (Todd, Toh & Tutuncu 1998).  With y =
     (x, s) the problem is: maximize s subject to S_k(y) = F0_k + sum_i x_i
-    F_ki - s I >= 0 on every block, and the cap s_cap I - s I >= 0 folded
-    into the stack of the smallest dimension.  Its dual asks for X_k >= 0
-    with sum_k <X_k, F_ki> = 0 and total trace 1, minimizing
-    sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides feasible
-    and bounded.  X starts at I/n and is infeasible until a full step; y
-    starts at x = 0, s = -1 - max_k ||F0_k||_F (below every eigenvalue) and
-    stays feasible, so F(x) - lam* I > 0 holds at the returned x, which
-    callers use as an interior point.  X over the non-cap blocks,
-    renormalized, is the Farkas certificate when lam* < 0.
+    F_ki - s I >= 0 on every block and on the cap block s_cap I - s I.  Its
+    dual asks for X_k >= 0 with sum_k <X_k, F_ki> = 0 and total trace 1,
+    minimizing sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides
+    feasible and bounded.  X starts at I/n and is infeasible until a full
+    step; y starts at x = 0, s = -1 - max_k ||F0_k||_F and stays feasible,
+    so callers use the returned x as an interior point.  X over the non-cap
+    blocks, renormalized, is the Farkas certificate when lam* < 0.
 
-    Returns (lam_star, x, certificate_or_None, duals, iterations); raises
-    _Stall when an iterate loses definiteness or the budget runs out.
+    A program is one row of every array, and each operation acts on each row
+    alone (its own LAPACK and BLAS calls, step lengths and stopping test), so
+    its result is bitwise the same in any batch.  It leaves the arrays on
+    the pass it converges or stalls.  Returns an SdpSolution per program,
+    feasible iff lam* > margin.
     """
-    m = blocks[0].num_vars
-    d_scale = max(float(np.max(np.abs(b.constant))) for b in blocks)
-    s_cap = 10.0 * (1.0 + d_scale)
-    dims = sorted({b.dim for b in blocks})
-    groups = []  # (block indices, F0 stack (k, d, d), coefficients (m + 1, k, d, d))
-    for d in dims:
-        idxs = [i for i, b in enumerate(blocks) if b.dim == d]
-        F0 = [blocks[i].constant for i in idxs]
-        F = [np.concatenate([blocks[i].coefficients, -np.eye(d)[None]]) for i in idxs]
-        if d == dims[0]:
-            cap = np.zeros((m + 1, d, d), dtype=complex)
-            cap[-1] = -np.eye(d)
-            F0.append(s_cap * np.eye(d, dtype=complex))
-            F.append(cap)
-        groups.append((idxs, np.stack(F0), np.stack(F, axis=1)))
-    n = sum(F0.shape[0] * F0.shape[1] for _, F0, _ in groups)
+    P, m = len(problems), problems[0][0].num_vars
+    s_start = [-1.0 - max(float(np.linalg.norm(b.constant)) for b in blocks) for blocks in problems]
+    s_cap = [10.0 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)) for blocks in problems]
+    d = min(b.dim for b in problems[0])
+    programs = [blocks + [LmiBlock._trusted(s * np.eye(d, dtype=complex), np.zeros((m, d, d), complex))]
+                for blocks, s in zip(problems, s_cap)]
+    n = sum(b.dim for b in programs[0])
+    # Per group of equal dimension d: block indices, [F0, F_1..F_m, -I] as a
+    # real (P, m + 2, 2 k d d) view (slacks, residuals), and F_1..F_m, -I as
+    # (P, k, d (m + 1), d), rows (a, i) holding F_i[a, :] (scaling).
+    groups, eyes, X = [], [], []
+    for d in sorted({b.dim for b in programs[0]}):
+        idxs = [i for i, b in enumerate(programs[0]) if b.dim == d]
+        F = np.zeros((P, len(idxs), m + 2, d, d), dtype=complex)
+        F[:, :, 0] = [[blocks[i].constant for i in idxs] for blocks in programs]
+        F[:, :, 1:-1] = [[blocks[i].coefficients for i in idxs] for blocks in programs]
+        F[:, :, -1] = -np.eye(d)
+        Ft = np.ascontiguousarray(F.transpose(0, 2, 1, 3, 4)).reshape(P, m + 2, -1).view(float)
+        Fc = np.ascontiguousarray(F[:, :, 1:].transpose(0, 1, 3, 2, 4)).reshape(P, len(idxs), -1, d)
+        groups.append([idxs, Ft, Fc])
+        del F  # a chunk's F can take 16 MB
+        eyes.append(np.eye(d, dtype=complex))
+        X.append(np.broadcast_to(eyes[-1] / n, (P, len(idxs), d, d)).copy())
+    y = np.zeros((P, m + 2))  # (1, x, s): the constant's weight, then y
+    y[:, 0], y[:, -1] = 1.0, s_start
     tol = settings.gap_tol / 10.0
-
-    y = np.zeros(m + 1)
-    y[-1] = -1.0 - max(float(np.linalg.norm(b.constant)) for b in blocks)
-    X = [np.broadcast_to(np.eye(F0.shape[1]) / n, F0.shape).astype(complex) for _, F0, _ in groups]
+    active = np.arange(P)  # the program of each row
+    solutions = [None] * P
     for iteration in range(MAX_NEWTON + 1):
+        rows = len(active)
         # NT scaling G per block: G^-1 X G^-H = G^H S G = diag(lam), from the
         # Cholesky factor L of X and the eigenvectors Q of L^H S L.
-        r_p = np.zeros(m + 1)
-        r_p[-1] = 1.0
-        M = np.zeros((m + 1, m + 1))
-        p_obj = 0.0
+        failed = {}
+        r_p = np.zeros((rows, m + 2))  # <F0, X>, then the primal residual
+        r_p[:, -1] = 1.0
+        M = np.zeros((rows, m + 1, m + 1))
+        gap = np.zeros(rows)
         scaled = []
-        for (_, F0, F), Xg in zip(groups, X):
-            S = F0 + (y @ F.reshape(m + 1, -1)).reshape(F0.shape)
-            try:
-                L = np.linalg.cholesky(Xg)
-            except np.linalg.LinAlgError:
-                raise _Stall("primal iterate lost definiteness", iteration) from None
-            LH = L.conj().swapaxes(-1, -2)
-            w, Q = np.linalg.eigh(LH @ S @ L)
-            if not np.all(w > 0.0):
-                raise _Stall("dual slack lost definiteness", iteration)
+        for (_, Ft, Fc), eye, Xg in zip(groups, eyes, X):
+            S = (y[:, None, :] @ Ft).view(complex).reshape(Xg.shape)
+            L, lost = _by_rows(np.linalg.cholesky, lambda row: np.broadcast_to(eye, row.shape), Xg)
+            for r in lost:
+                failed.setdefault(r, "primal iterate lost definiteness")
+            w, Q = np.linalg.eigh(L.conj().swapaxes(-1, -2) @ S @ L)
+            if not (w > 0.0).all():
+                for r in np.flatnonzero(~(w > 0.0).all(axis=(1, 2))):
+                    failed.setdefault(r, "dual slack lost definiteness")
+                w = np.where(w > 0.0, w, 1.0)
             lam = np.sqrt(w)
             G = (L @ Q) / np.sqrt(lam)[..., None, :]
-            W = G.conj().swapaxes(-1, -2) @ F @ G
-            Wr = W.reshape(m + 1, -1).view(float)
-            M += Wr @ Wr.T
-            r_p += (F.reshape(m + 1, -1).conj() @ Xg.reshape(-1)).real
-            p_obj += float(np.vdot(F0, Xg).real)
-            scaled.append((G, lam, W))
+            # W_i = G^H F_i G for all i in two products per block, laid out
+            # (a, i, c), then variable-major for the Gram matrix M.
+            Wr = np.ascontiguousarray((G.conj().swapaxes(-1, -2) @ (Fc @ G).reshape(G.shape[:3] + (-1,)))
+                                      .reshape(G.shape[:3] + (m + 1, -1)).transpose(0, 3, 1, 2, 4))
+            Wr = Wr.reshape(rows, m + 1, -1).view(float)
+            M += Wr @ Wr.swapaxes(-1, -2)
+            r_p += (Ft @ Xg.view(float).reshape(rows, -1, 1))[..., 0]
+            gap += _rows_dot(lam, lam)
+            root = 1.0 / np.sqrt(lam)
+            scaled.append([G, lam, Wr, root[..., :, None] * root[..., None, :]])
         # <X, S> = sum lam^2.  The dual residual is zero by construction;
         # the primal one is relative to 1 + ||b|| = 2.
-        gap = sum(float(np.sum(lam * lam)) for _, lam, _ in scaled)
-        if (
-            gap <= tol * (1.0 + abs(p_obj) + abs(y[-1]))
-            and float(np.linalg.norm(r_p)) / 2.0 <= tol
-        ):
-            break
-        if iteration == MAX_NEWTON:
-            raise _Stall(f"interior-point budget of {MAX_NEWTON} iterations exhausted", iteration)
+        p_obj, r_p = r_p[:, 0], r_p[:, 1:]
+        converged = (gap <= tol * (1.0 + np.abs(p_obj) + np.abs(y[:, -1]))) & (
+            np.sqrt(_rows_dot(r_p, r_p)) / 2.0 <= tol
+        )
+        done = converged | (iteration == MAX_NEWTON)
+        done[list(failed)] = True
+        if done.any():
+            for r in np.flatnonzero(done):
+                solutions[active[r]] = (
+                    _phase1_solution(problems[active[r]], groups, y[r], [Xg[r] for Xg in X],
+                                     iteration, margin, settings)
+                    if converged[r] and r not in failed
+                    else SdpSolution(status=NUMERICAL_FAILURE, newton_steps=iteration, message=failed.get(
+                        r, f"interior-point budget of {MAX_NEWTON} iterations exhausted"))
+                )
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return solutions
+            active, y, M, r_p, gap = (a[keep] for a in (active, y, M, r_p, gap))
+            X = [Xg[keep] for Xg in X]
+            scaled = [[a[keep] for a in arrays] for arrays in scaled]
+            groups = [[idxs] + [a[keep] for a in arrays] for idxs, *arrays in groups]
+            rows = len(active)
         mu = gap / n
 
         def direction(R_c):
-            """Newton direction for the scaled complementarity target
-            dX + dS = R_c, with dS = sum_i dy_i W_i and the primal
-            residual driven to zero."""
-            rhs = r_p + sum(
-                (Wg.reshape(m + 1, -1).conj() @ R.reshape(-1)).real
-                for (_, _, Wg), R in zip(scaled, R_c)
-            )
-            # An always-on ridge would bias y; it only rescues a singular M
-            # (a variable with no coefficient anywhere).
-            try:
-                dy = np.linalg.solve(M, rhs)
-            except np.linalg.LinAlgError:
-                ridge = 1e-12 * (1.0 + float(np.trace(M)) / (m + 1))
-                dy = np.linalg.solve(M + ridge * np.eye(m + 1), rhs)
-            dS = [np.tensordot(dy, Wg, axes=(0, 0)) for _, _, Wg in scaled]
-            dX = [R - D for R, D in zip(R_c, dS)]
-            a_p = min(_step_length(lam, D) for (_, lam, _), D in zip(scaled, dX))
-            a_d = min(_step_length(lam, D) for (_, lam, _), D in zip(scaled, dS))
-            return dy, dX, dS, a_p, a_d
+            """Newton direction for dX + dS = R_c (scaled), dS = sum_i dy_i
+            W_i and a zero primal residual; its step lengths to STEP_FRACTION
+            of the way to the PSD boundary, from one eigvalsh per group."""
+            rhs = r_p.copy()
+            for (_, _, Wr, _), R in zip(scaled, R_c):
+                rhs += (Wr @ R.view(float).reshape(rows, -1, 1))[..., 0]
+            dy, _ = _by_rows(_solve_vectors, lambda Mr, br: _solve_vectors(Mr, br, ridge=True), M, rhs)
+            pairs, worst = [], []
+            for (_, _, Wr, outer), R in zip(scaled, R_c):
+                D = np.empty((rows, 2) + R.shape[1:], dtype=complex)
+                D[:, 1] = (dy[:, None, :] @ Wr).view(complex).reshape(R.shape)
+                np.subtract(R, D[:, 1], out=D[:, 0])
+                worst.append(np.linalg.eigvalsh(D * outer[:, None]).min(axis=(2, 3)))
+                pairs.append(D)
+            step = np.minimum(1.0, STEP_FRACTION / np.maximum(-np.minimum.reduce(worst), STEP_FRACTION))
+            return dy, [D[:, 0] for D in pairs], [D[:, 1] for D in pairs], step[:, :1], step[:, 1:]
 
         # Predictor: the affine-scaling direction, dX + dS = -diag(lam).
-        lam_mats = [lam[..., None] * np.eye(lam.shape[-1]) for _, lam, _ in scaled]
+        lam_mats = [lam[..., None] * eye for eye, (_, lam, _, _) in zip(eyes, scaled)]
         _, dX, dS, a_p, a_d = direction([-Lm for Lm in lam_mats])
         gap_aff = sum(
-            float(np.vdot(Lm + a_p * Dx, Lm + a_d * Ds).real)
+            _rows_dot(Lm + a_p[..., None, None] * Dx, Lm + a_d[..., None, None] * Ds)
             for Lm, Dx, Ds in zip(lam_mats, dX, dS)
         )
-        sigma = min(1.0, (gap_aff / gap) ** 3)
+        ratio = gap_aff / gap
+        target = (np.minimum(1.0, ratio * ratio * ratio) * mu)[:, None, None, None]
         # Corrector: centre at sigma * mu and cancel the predictor's
         # second-order term, in the Jordan product with diag(lam).
         R_c = []
-        for Lm, Dx, Ds, (_, lam, _) in zip(lam_mats, dX, dS, scaled):
-            P = Dx @ Ds
-            H = sigma * mu * np.eye(lam.shape[-1]) - Lm * Lm - (P + P.conj().swapaxes(-1, -2)) / 2.0
+        for eye, Lm, Dx, Ds, (_, lam, _, _) in zip(eyes, lam_mats, dX, dS, scaled):
+            DD = Dx @ Ds
+            H = target * eye - Lm * Lm - (DD + DD.conj().swapaxes(-1, -2)) / 2.0
             R_c.append(2.0 * H / (lam[..., :, None] + lam[..., None, :]))
         dy, dX, _, a_p, a_d = direction(R_c)
-        for g, ((G, _, _), D) in enumerate(zip(scaled, dX)):
-            Xg = X[g] + a_p * (G @ D @ G.conj().swapaxes(-1, -2))
-            X[g] = (Xg + Xg.conj().swapaxes(-1, -2)) / 2.0
-        y = y + a_d * dy
+        for g, ((G, _, _, _), D) in enumerate(zip(scaled, dX)):
+            Xg = X[g] + a_p[..., None, None] * (G @ D @ G.conj().swapaxes(-1, -2))
+            X[g] = np.add(Xg, Xg.conj().swapaxes(-1, -2), out=np.empty_like(Xg)) / 2.0  # C order, for views
+        y[:, 1:] += a_d * dy
 
-    lam_star = float(y[-1])
-    duals = [None] * len(blocks)
-    for (idxs, _, _), Xg in zip(groups, X):
-        for pos, i in enumerate(idxs):
-            duals[i] = Xg[pos]
+
+def _phase1_solution(blocks, groups, y, X, iteration, margin, settings: SdpSettings) -> SdpSolution:
+    """The solution of a converged program from its row of the iterate."""
+    by_block = dict(zip((i for idxs, _, _ in groups for i in idxs), (Z for Xg in X for Z in Xg)))
+    duals = [by_block[i] for i in range(len(blocks))]  # the cap's dropped
     total = sum(float(np.trace(Z).real) for Z in duals)
     duals = [Z / total for Z in duals] if total > 0 else None
-    certificate = None
-    if duals is not None and lam_star < 0 and verify_certificate(blocks, duals, settings):
-        certificate = duals
-    return lam_star, y[:-1].copy(), certificate, duals, iteration
+    lam_star = float(y[-1])
+    certified = duals is not None and lam_star < 0 and verify_certificate(blocks, duals, settings)
+    certificate = duals if certified else None
+    feasible = lam_star > margin
+    status = INFEASIBLE if certificate is not None and not feasible else OPTIMAL
+    return SdpSolution(status=status, value=lam_star, x=y[1:-1].copy(), dual_certificate=certificate,
+                       dual_blocks=duals, newton_steps=iteration, feasible=feasible)
 
 
 def check_feasibility(blocks, margin: float = 0.0, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
     """Maximize the minimum slack over all blocks; feasible iff lam* > margin."""
-    blocks = list(blocks)
-    if not blocks:
+    return check_feasibility_batch([blocks], margin, settings)[0]
+
+
+def check_feasibility_batch(problems, margin: float = 0.0,
+                            settings: SdpSettings = DEFAULT_SETTINGS) -> list:
+    """check_feasibility of every program in `problems` (block lists with
+    the same block dimensions and variable count), solved together in chunks
+    whose scaled coefficients hold at most BLOCK_ENTRIES complex entries;
+    each solution is bitwise the one its program gives alone."""
+    problems = [list(blocks) for blocks in problems]
+    if not problems:
+        return []
+    if not all(problems):
         raise InputError("at least one LMI block is required")
-    m = blocks[0].num_vars
-    for b in blocks:
-        if b.num_vars != m:
-            raise InputError("blocks disagree on the variable count")
-    try:
-        lam_star, x, certificate, duals, steps = _phase1(blocks, settings)
-    except _Stall as exc:
-        return SdpSolution(status=NUMERICAL_FAILURE, message=str(exc), newton_steps=exc.steps)
-    feasible = lam_star > margin
-    status = OPTIMAL
-    if certificate is not None and not feasible:
-        status = INFEASIBLE
-    return SdpSolution(
-        status=status,
-        value=lam_star,
-        x=x,
-        dual_certificate=certificate,
-        dual_blocks=duals,
-        newton_steps=steps,
-        feasible=feasible,
-    )
+    shapes = [[(b.dim, b.num_vars) for b in blocks] for blocks in problems]
+    if len({v for _, v in shapes[0]}) > 1 or any(shape != shapes[0] for shape in shapes):
+        raise InputError("blocks disagree on the variable count, or programs on block dimensions")
+    dims = [d for d, _ in shapes[0]]
+    step = max(1, BLOCK_ENTRIES // ((shapes[0][0][1] + 1) * (sum(d * d for d in dims) + min(dims) ** 2)))
+    chunks = (problems[start:start + step] for start in range(0, len(problems), step))
+    return [sol for chunk in chunks for sol in _phase1(chunk, margin, settings)]
 
 
 def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
@@ -585,28 +633,26 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
         if _cholesky([b.slack(x_start) for b in work_blocks]) is None:
             raise InputError("supplied x0 is not strictly feasible")
     else:
-        try:
-            lam_star, x_start, certificate, _, steps = _phase1(work_blocks, settings)
-        except _Stall as exc:
+        (phase1,) = _phase1([work_blocks], 0.0, settings)
+        if phase1.status == NUMERICAL_FAILURE:
             return SdpSolution(
                 status=NUMERICAL_FAILURE,
-                message=f"feasibility phase stalled: {exc}",
-                newton_steps=exc.steps,
+                message=f"feasibility phase stalled: {phase1.message}",
+                newton_steps=phase1.newton_steps,
             )
-        steps_total += steps
-        feas_tol = 1e-9 * scale_f
-        if lam_star <= feas_tol:
-            if certificate is not None:
+        x_start, steps_total = phase1.x, phase1.newton_steps
+        if phase1.value <= 1e-9 * scale_f:
+            if phase1.dual_certificate is not None:
                 return SdpSolution(
                     status=INFEASIBLE,
-                    value=lam_star,
-                    dual_certificate=certificate,
+                    value=phase1.value,
+                    dual_certificate=phase1.dual_certificate,
                     newton_steps=steps_total,
                     feasible=False,
                 )
             return SdpSolution(
                 status=NUMERICAL_FAILURE,
-                value=lam_star,
+                value=phase1.value,
                 newton_steps=steps_total,
                 message="marginally feasible problem: no interior point and no certificate",
             )

@@ -463,6 +463,33 @@ def test_cli_algebra_and_state_dimensions_must_match_s(tmp_path, capsys, kind, p
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+I2, I3 = [[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+Z2, Z3 = [[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize("command, kind, payload, message", [
+    ("riesz", "riesz", {"B": [I2], "a": I3, "epsilon": 0.5},
+     "payload.a: expected dimension 2 (that of B), got 3"),
+    ("riesz", "riesz", {"B": [I2], "a": I2, "uppers": [I3], "epsilon": 0.5},
+     "payload.uppers: expected dimension 2 (that of B), got 3"),
+    ("check-unperforated", "unperforated", {"S": [I2], "T": [I3], "a": Z2, "b": I2},
+     "payload.T: expected dimension 2 (that of S), got 3"),
+    ("check-unperforated", "unperforated", {"S": [I2], "T": [I2], "a": Z3, "b": I2},
+     "payload.a: expected dimension 2 (that of S), got 3"),
+    ("check-unperforated", "unperforated", {"S": [I2], "T": [I2], "a": Z2, "b": I3},
+     "payload.b: expected dimension 2 (that of S), got 3"),
+    ("nosp", "nosp", {"pi_images": [I2], "A": 3, "Pi_choi": {
+        "dim_in": 2, "dim_out": 2, "choi": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}},
+     "payload.A: expected dimension 2 (that of Pi_choi.dim_in), got 3"),
+])
+def test_cli_dimension_mismatch_names_the_field(tmp_path, capsys, command, kind, payload, message):
+    # these used to exit 2 with no field path, some with a misleading message
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}))
+    assert main([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_cli_uep_state_dimension_must_match_s(tmp_path, capsys):
     path = tmp_path / "uep.json"
     path.write_text(json.dumps({"kind": "uep", "payload": {

@@ -290,6 +290,27 @@ def test_riesz_scalar_case():
     assert float(betas[0][0, 0].real) == pytest.approx(0.5, abs=1e-5)
 
 
+def test_riesz_prefix_does_not_depend_on_n():
+    # the N programs are one batch; beta_1..beta_5 of N = 8 are those of N = 5
+    rng = np.random.default_rng(41)
+    B = MatrixStarAlgebra.from_basis(
+        [E(4, i, j) + E(4, j, i) for i in range(2) for j in range(i, 2)]
+        + [1j * (E(4, 0, 1) - E(4, 1, 0)), E(4, 2, 2), E(4, 3, 3)]
+    )
+    raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a = (raw + raw.conj().T) / 2
+    lam = np.linalg.eigvalsh(a)
+    lowers, uppers = [(lam[0] - 0.3) * np.eye(4)], [(lam[-1] + 0.2) * np.eye(4)]
+
+    def betas(N):
+        return riesz_sequence(InterpolationRequest(
+            B=B, a=a, lowers=lowers, uppers=uppers, epsilon=0.4, N=N))
+
+    long, short = betas(8), betas(5)
+    assert len(long) == 8
+    assert [b.tobytes() for b in long[:5]] == [b.tobytes() for b in short]
+
+
 def test_riesz_self_interpolation():
     # a inside B: beta_n = a is feasible for all n, so the solver's choice
     # satisfies every block comfortably

@@ -12,7 +12,8 @@ phases.  The optimization phase's duals must be feasible to rounding.  The
 last tests pin the barrier's final centering and facial reduction on
 seeded systems that used to fail: a set known to be nonempty must never be
 rejected, and the face's interior point must satisfy the original
-constraints.
+constraints.  A program solved in a batch must equal its solo run bit for
+bit, whatever the batch and its chunks.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def test_unbounded_detected(monkeypatch):
 
     def counted_phase1(*args):
         result = phase1(*args)
-        steps.append(result[-1])
+        steps.extend(sol.newton_steps for sol in result)
         return result
 
     def counted_follow_path(state):
@@ -453,3 +454,93 @@ def test_inconsistent_unreduced_system_is_infeasible():
     with pytest.raises(spectrahedron.SpectrahedronInfeasible) as info:
         spectrahedron.reduce_spectrahedron(2, constraints)
     assert isinstance(info.value, InputError)
+
+
+def riesz_program(hb, a, lower, upper, n, scale=1.0):
+    """The feasibility program of beta_n (epsilon = 1/2), all matrices times
+    `scale`: one member of the batch `riesz_sequence` solves."""
+    eye = np.eye(a.shape[0], dtype=complex)
+    cap = (1.0 + 0.5 / n) * np.linalg.norm(a, 2)
+    blocks = [
+        sdp.LmiBlock(cap * eye, [-h for h in hb]),
+        sdp.LmiBlock(cap * eye, hb),
+        sdp.LmiBlock(eye / n - lower, hb),
+        sdp.LmiBlock(upper + eye / n, [-h for h in hb]),
+    ]
+    return [sdp.LmiBlock(scale * b.constant, scale * b.coefficients) for b in blocks]
+
+
+def riesz_batch():
+    """Four consistent members, one with inconsistent bounds (infeasible,
+    certified) and one scaled by 1e12, on which the interior-point method
+    loses definiteness."""
+    rng = np.random.default_rng(7)
+    U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    B = MatrixStarAlgebra.from_basis([U @ m @ U.conj().T for m in (
+        np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0]), np.diag([0.0, 0.0, 1.0]),
+        np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), np.array([[0, 1j, 0], [-1j, 0, 0], [0, 0, 0]]),
+    )])
+    hb = list(B.hermitian_basis())
+    raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = (raw + raw.conj().T) / 2
+    # bounds in B on either side of a, as the order workload draws them
+    h_lo, h_up = (sum(c * h for c, h in zip(rng.standard_normal(len(hb)), hb)) for _ in range(2))
+    lower = h_lo - (np.linalg.eigvalsh(h_lo - a)[-1] + 0.1) * np.eye(3)
+    upper = h_up + (np.linalg.eigvalsh(a - h_up)[-1] + 0.2) * np.eye(3)
+    programs = [riesz_program(hb, a, lower, upper, n) for n in range(1, 5)]
+    programs.insert(2, riesz_program(hb, a, a + 3 * np.eye(3), a - 3 * np.eye(3), 1))
+    programs.insert(4, riesz_program(hb, a, lower, upper, 2, scale=1e12))
+    return programs
+
+
+def same_bits(a: sdp.SdpSolution, b: sdp.SdpSolution) -> bool:
+    def arrays(sol):
+        mats = [np.float64(sol.value), sol.x] + list(sol.dual_blocks or []) + list(sol.dual_certificate or [])
+        return [None if v is None else np.asarray(v).tobytes() for v in mats]
+
+    return (
+        (a.status, a.feasible, a.newton_steps, a.message, a.dual_certificate is None)
+        == (b.status, b.feasible, b.newton_steps, b.message, b.dual_certificate is None)
+        and arrays(a) == arrays(b)
+    )
+
+
+def test_batch_members_equal_their_solo_runs():
+    programs = riesz_batch()
+    solo = [sdp.check_feasibility(p) for p in programs]
+    statuses = [s.status for s in solo]
+    assert statuses == [sdp.OPTIMAL] * 2 + [sdp.INFEASIBLE, sdp.OPTIMAL, sdp.NUMERICAL_FAILURE, sdp.OPTIMAL]
+    assert solo[2].dual_certificate is not None
+    assert solo[4].message.endswith("lost definiteness")
+    batch = sdp.check_feasibility_batch(programs)
+    assert all(same_bits(b, s) for b, s in zip(batch, solo))
+    # a member's result does not depend on its batch or its place in it
+    reordered = sdp.check_feasibility_batch(programs[::-1])[::-1]
+    assert all(same_bits(b, s) for b, s in zip(reordered, solo))
+    assert all(same_bits(b, s) for b, s in zip(sdp.check_feasibility_batch(programs[3:5]), solo[3:5]))
+
+
+def test_batch_chunks_do_not_change_results(monkeypatch):
+    programs = riesz_batch()
+    whole = sdp.check_feasibility_batch(programs)
+    monkeypatch.setattr(sdp, "BLOCK_ENTRIES", 1)  # one program per chunk
+    assert all(same_bits(a, b) for a, b in zip(sdp.check_feasibility_batch(programs), whole))
+
+
+def test_batch_rejects_programs_of_different_shape():
+    programs = riesz_batch()
+    with pytest.raises(InputError, match="programs on block dimensions"):
+        sdp.check_feasibility_batch([programs[0], programs[1][:3]])
+    assert sdp.check_feasibility_batch([]) == []
+
+
+def test_batch_ridge_rescues_only_the_singular_member():
+    # x2 has no coefficient in the first program: its Schur matrix is
+    # singular, and only that row is solved again with a ridge
+    E = np.diag([1.0, 0.0]).astype(complex)
+    singular = [sdp.LmiBlock(-E, [I2, np.zeros((2, 2), dtype=complex)])]
+    regular = [sdp.LmiBlock(-E, [I2, E])]
+    batch = sdp.check_feasibility_batch([singular, regular])
+    assert [s.status for s in batch] == [sdp.OPTIMAL, sdp.OPTIMAL]
+    assert batch[0].x[1] == 0.0
+    assert all(same_bits(b, sdp.check_feasibility(p)) for b, p in zip(batch, [singular, regular]))
