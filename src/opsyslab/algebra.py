@@ -133,13 +133,9 @@ class OperatorSubspace:
         ev = eigh_coefficient_space(self._gram.astype(complex)).eigenvalues
         if ev[0] <= RANK_TOL * max(float(ev[-1]), 1.0):
             raise InputError("subspace basis is not linearly independent")
-        if self.unital:
-            coeffs, resid = self.coefficients_of(np.eye(n), tol=None)
-            if resid > 1e-9 * (1.0 + np.sqrt(n)):
-                raise InputError("unital flag set but identity is not in the span")
-            self._identity_coefficients = coeffs
-        else:
-            self._identity_coefficients = None
+        self._identity_coefficients = self.identity_in_span() if self.unital else None
+        if self.unital and self._identity_coefficients is None:
+            raise InputError("unital flag set but identity is not in the span")
 
     @property
     def dim(self) -> int:
@@ -161,6 +157,12 @@ class OperatorSubspace:
         if coeffs.shape != (len(self.basis),):
             raise InputError("coefficient vector has the wrong length")
         return hermitian_part(np.tensordot(coeffs, self.basis, axes=1))
+
+    def identity_in_span(self) -> np.ndarray | None:
+        """Coefficients of I over the basis, or None when the residual says
+        I is not in the span, whatever the `unital` flag."""
+        coeffs, resid = self.coefficients_of(np.eye(self.ambient_dim), tol=None)
+        return coeffs if resid <= 1e-9 * (1.0 + np.sqrt(self.ambient_dim)) else None
 
     def identity_coefficients(self) -> np.ndarray:
         if self._identity_coefficients is None:

@@ -62,7 +62,11 @@ def hermitian_stack(A: np.ndarray) -> np.ndarray:
     dev = np.abs(A - A_star).max(axis=(-2, -1))
     if (dev > HERMITIAN_REJECT * (1.0 + peak)).any():
         raise InputError(f"matrix is not hermitian: max |A - A*| = {dev.max():.3e}")
-    H = (A + A_star) / 2.0
+    # Halved in the real view: complex division by 2 does not keep a zero's
+    # sign, and this way a second pass gives the same bits.
+    H = A + A_star
+    half = H.view(float)
+    half *= 0.5
     H.setflags(write=False)
     return H
 

@@ -34,6 +34,7 @@ from .rigidity import (
     solve_unperforated_instance,
     ucp_fixed_extent,
 )
+from .spectrahedron import FaceTooLarge
 from .states import (
     StateFunctional,
     extension_interval,
@@ -71,10 +72,13 @@ KINDS = (
 
 def render_value(obj) -> str:
     """Canonical JSON with deterministic float rendering (17 significant
-    digits); dict key order is preserved as constructed."""
+    digits, and -0.0 for a negative zero, which `-0` would read back as +0);
+    dict key order is preserved as constructed."""
     if isinstance(obj, _MatrixJson) and np.isfinite(obj.array).all():
         row = "[" + ",".join(["[%.17g,%.17g]"] * obj.array.shape[1]) + "]"
-        return ("[" + ",".join([row] * len(obj)) + "]") % tuple(obj.array.ravel().tolist())
+        text = ("[" + ",".join([row] * len(obj)) + "]") % tuple(obj.array.ravel().tolist())
+        # %.17g writes a zero as "0" or "-0", and every number ends at , or ]
+        return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
     if obj is None:
         return "null"
     if obj is True:
@@ -88,7 +92,8 @@ def render_value(obj) -> str:
         if value != value or value in (float("inf"), float("-inf")):
             # Documents are parsed finite, so this is a computed value.
             raise NumericalFailureError("cannot serialize a non-finite number")
-        return format(value, ".17g")
+        text = format(value, ".17g")
+        return "-0.0" if text == "-0" else text
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -629,7 +634,12 @@ _RUNNERS = {
 def run(doc: ProblemDocument) -> dict:
     """Dispatch a parsed document and wrap the outcome in a report."""
     start = time.perf_counter()
-    results = _RUNNERS[doc.kind](doc)
+    try:
+        results = _RUNNERS[doc.kind](doc)
+    except FaceTooLarge as exc:
+        # uep, extension-interval and boundary: the face of an r x r set
+        # pinned by S has up to r^2 - dim S coordinates
+        _fail(_Path("payload") / "S", f"{exc}, and S pins too few of them at this matrix size")
     elapsed = time.perf_counter() - start
     provenance = doc.payload.get("id") if doc.kind == "repro" else None
     return {

@@ -135,13 +135,17 @@ def search_counterexample(
     Each trial samples a normalized a in S, then drives b toward an extreme
     point of { b in T : b >= a } by minimizing a random linear functional
     (extreme points are where failures live), and decides the instance.
-    Returns the first INFEASIBLE instance, or None; absence of a
-    counterexample is not a proof.
+    The generation program starts at b = 2I when I is in span T and from
+    its feasibility phase otherwise.  Returns the first INFEASIBLE
+    instance, or None; absence of a counterexample is not a proof.
     """
     if trials < 1:
         raise InputError("need at least one trial")
     n = T.ambient_dim
     eye = np.eye(n, dtype=complex)
+    # b = 2I is strictly inside every generation program (a <= I, box >= 16)
+    identity = T.identity_in_span()
+    x0 = None if identity is None else 2.0 * identity
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         a = S.element(rng.standard_normal(S.dim))
@@ -159,7 +163,7 @@ def search_counterexample(
             sdp.LmiBlock(box * eye, T.basis),
         ]
         objective = np.array([float(np.vdot(G, t).real) for t in T.basis])
-        gen = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), settings=settings)
+        gen = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
         if gen.status != sdp.OPTIMAL:
             continue  # no b >= a in T for this sample (or solver gave up)
         b = T.element(gen.x)
@@ -550,9 +554,9 @@ def ucp_fixed_extent(
     (`ReducedSpectrahedron.linear_range`) costs no program: its deviation is
     its distance from the identity's value at the base point plus that
     bound, and its witness is the face's interior point.  Every other
-    objective is pushed to both extremes (two programs).  A zero extent
-    (<= 1e-6) says the identity representation is the unique UCP map fixing
-    S, i.e. it has the unique extension property.
+    objective is pushed to both extremes (two programs), all in one batch.
+    A zero extent (<= 1e-6) says the identity representation is the unique
+    UCP map fixing S, i.e. it has the unique extension property.
     """
     n = S.ambient_dim
     if n > MAX_CHOI_AMBIENT:
@@ -566,19 +570,22 @@ def ucp_fixed_extent(
     Cs = hermitian_part(Cs)
     values, bounds = spec.linear_range(Cs)
     pairs = ((ai, U) for ai in herm for U in coord_funcs)
+    settled = bounds <= spectrahedron.FACE_TOL
+    # every other objective at both extremes, in one batch: max C, then max -C
+    open_Cs = Cs[~settled]
+    extremes = (spectrahedron.optimize_linear(spec, np.concatenate([open_Cs, -open_Cs]), settings=settings)
+                if len(open_Cs) else [])
+    open_pairs = iter(zip(extremes[:len(open_Cs)], extremes[len(open_Cs):]))
     best = 0.0
     best_J = None
-    for (ai, U), C, at_base, bound in zip(pairs, Cs, values, bounds):
+    for (ai, U), at_base, bound, done in zip(pairs, values, bounds, settled):
         base = float(np.trace(ai @ U).real)
-        if bound <= spectrahedron.FACE_TOL:
-            deviation = abs(at_base - base) + bound
-            if deviation > best:
-                best = deviation
-                best_J = None
-            continue
-        for maximize in (True, False):
-            value, J = spectrahedron.optimize_linear(spec, C, maximize=maximize, settings=settings)
-            deviation = abs(value - base)
+        if done:
+            candidates = [(abs(at_base - base) + bound, None)]
+        else:
+            (hi, J_hi), (neg_lo, J_lo) = next(open_pairs)
+            candidates = [(abs(hi - base), J_hi), (abs(-neg_lo - base), J_lo)]
+        for deviation, J in candidates:
             if deviation > best:
                 best = deviation
                 best_J = J

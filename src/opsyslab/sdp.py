@@ -4,25 +4,25 @@ Problem form: minimize c.x subject to, for every block k,
 
     F0_k + x_1 F_{k,1} + ... + x_m F_{k,m}  >=  0        (hermitian PSD)
 
-Feasibility comes first: the feasibility phase maximizes the minimum slack
-s over all blocks (capped, so the problem is bounded) with a primal-dual
-interior-point method, Nesterov-Todd scaling and Mehrotra's predictor-
-corrector, for a batch of programs at once, each bitwise as if alone.  Its
-primal iterate X is the dual of the slack problem, and when s < 0 it is a
-Farkas-type certificate
+One primal-dual interior-point loop solves every program: Nesterov-Todd
+scaling and Mehrotra's predictor-corrector (Todd, Toh & Tutuncu 1998) for
+"maximize b.y subject to F0 + sum_i y_i F_i >= 0" from a strictly feasible
+y, with the primal iterate X as the dual.  It runs a batch of programs at
+once, each bitwise as if alone.
+
+The feasibility phase gives y one more entry s and maximizes the minimum
+slack s over all blocks (capped, so the problem is bounded).  When s < 0
+its X is a Farkas-type certificate
 
     Z_k >= 0,   sum_k <Z_k, F_{k,i}> = 0  for all i,   sum_k <Z_k, F0_k> < 0.
 
-The optimization phase starts from a strictly feasible point (the
-feasibility phase's or the caller's) and follows the central path of the
-primal log-det barrier with damped Newton steps; each iterate factors its
-slacks once, and the Cholesky factors L give the barrier value, the
-gradient and the Hessian through the whitened coefficients
-W_i = L^-1 F_i L^-H (g_i = t c_i - tr W_i, H_ij = Re <W_i, W_j>), and the
-duals.  Certificates and weak duality are re-verified before any solution
-is returned; failures raise, never pass silently.  Everything is
-deterministic: same problem, same output.  `SdpSettings` holds the two
-tolerances a document may set; the rest are module constants.
+The optimization phase maximizes -c.x from a strictly feasible point (the
+feasibility phase's or the caller's); its X, moved onto sum_k <Z_k, F_ki> =
+c_i, gives the bound c.x >= -sum_k <Z_k, F0_k>.  Certificates and weak
+duality are re-verified before any solution is returned; failures raise,
+never pass silently.  Everything is deterministic: same problem, same
+output.  `SdpSettings` holds the two tolerances a document may set; the
+rest are module constants.
 """
 
 from __future__ import annotations
@@ -47,10 +47,7 @@ MAX_BLOCK_DIM = 64
 SOLVE_STATS = {"solves": 0, "duality_checks": 0, "certificate_checks": 0}
 
 
-MAX_NEWTON = 200  # Newton steps or interior-point iterations, per phase
-T_GROWTH = 20.0
-NEWTON_TOL = 1e-7
-INNER_CAP = 60
+MAX_NEWTON = 200  # interior-point iterations, per phase
 CERT_RESIDUAL_TOL = 1e-7
 CERT_NEGATIVITY = -1e-9
 UNBOUNDED_VALUE = 1e9
@@ -165,204 +162,11 @@ class SdpSolution:
 
 
 def _cholesky(slacks) -> list | None:
-    """Cholesky factors of every slack (matrices or stacks); None when one is
-    not positive definite."""
+    """Cholesky factors of every slack; None when one is not positive definite."""
     try:
         return [np.linalg.cholesky(S) for S in slacks]
     except np.linalg.LinAlgError:
         return None
-
-
-def _logdet(factors) -> float:
-    return sum(2.0 * float(np.sum(np.log(np.einsum("...aa->...a", L).real))) for L in factors)
-
-
-class _Stall(Exception):
-    """The barrier's optimization phase cannot go on."""
-
-
-class _BarrierState:
-    """Path-following minimize c.x over strictly feasible LMI slices.
-
-    Blocks of equal dimension are stacked so every barrier evaluation is a
-    handful of batched LAPACK calls instead of a Python loop over blocks.
-    The Cholesky factors of the current iterate's slacks are kept and serve
-    the barrier value, the Newton system and the duals.
-    """
-
-    def __init__(self, blocks, c, x, settings: SdpSettings):
-        self.blocks = blocks
-        self.c = np.asarray(c, dtype=float)
-        self.x = np.asarray(x, dtype=float).copy()
-        self.settings = settings
-        self.steps = 0
-        self.n_total = sum(b.dim for b in blocks)
-        self.groups = []
-        for d in sorted({b.dim for b in blocks}):
-            idxs = [i for i, b in enumerate(blocks) if b.dim == d]
-            F0 = np.stack([blocks[i].constant for i in idxs])
-            # (m, k, d, d): variable-major, so the whitened stack reshapes
-            # to one row per variable without a copy.
-            F = np.stack([blocks[i].coefficients for i in idxs], axis=1)
-            self.groups.append((idxs, F0, F))
-        # Clamp the relative-gap target so a runaway objective cannot loosen
-        # it; unbounded problems then keep descending until detected.
-        scale = max(float(np.max(np.abs(b.constant))) for b in blocks)
-        self.value_clamp = 1e4 * (1.0 + scale + abs(float(self.c @ self.x)))
-        x_scale = float(np.max(np.abs(self.x))) if self.x.size else 0.0
-        self.x_blowup = 1e7 * (1.0 + scale + x_scale)
-        self._chol = _cholesky(self._slack_stacks(self.x))
-        self._newton = None  # (t, step, decrement, whitened) at the current point
-        if self._chol is None:
-            raise _Stall("initial point is not strictly feasible")
-
-    def _slack_stacks(self, x):
-        return [F0 + (x @ F.reshape(x.shape[0], -1)).reshape(F0.shape) for _, F0, F in self.groups]
-
-    def _whitened(self):
-        """L^-1 and the whitened coefficients L^-1 F_i L^-H of every group."""
-        out = []
-        for (_, _, F), L in zip(self.groups, self._chol):
-            Linv = np.linalg.inv(L)
-            out.append((Linv, Linv @ F @ Linv.conj().swapaxes(-1, -2)))
-        return out
-
-    def _grad_hess(self, t: float, whitened=None):
-        """Gradient and Hessian of t c.x - log det S(x) at the current point."""
-        m = self.c.shape[0]
-        g = t * self.c
-        H = np.zeros((m, m))
-        for _, W in whitened or self._whitened():
-            g = g - np.einsum("ikaa->i", W).real
-            # Re tr(W_i W_j) = Re <W_i, W_j>: one real Gram matrix over the
-            # interleaved real and imaginary parts.
-            Wr = W.reshape(m, -1).view(float)
-            H += Wr @ Wr.T
-        return g, (H + H.T) / 2.0
-
-    def _newton_step(self, t: float):
-        """Newton step of the barrier at t, its decrement and the whitened
-        stacks; kept until the point moves, so the centering's last
-        evaluation also serves the next centering at the same t and the
-        duals."""
-        if self._newton is None or self._newton[0] != t:
-            whitened = self._whitened()
-            g, H = self._grad_hess(t, whitened)
-            m = self.c.shape[0]
-            ridge = 1e-12 * (1.0 + float(np.trace(H)) / max(m, 1))
-            try:
-                step = np.linalg.solve(H + ridge * np.eye(m), -g)
-            except np.linalg.LinAlgError:
-                step = np.linalg.solve(H + 1e-6 * np.eye(m), -g)
-            self._newton = (t, step, float(np.sqrt(max(-g @ step, 0.0))), whitened)
-        return self._newton[1:]
-
-    def center(self, t: float, tol: float) -> None:
-        """Damped Newton with Armijo backtracking on the barrier value.
-
-        Degenerate problems (flat optimal faces) plateau above any tight
-        decrement target, so stalled progress ends the centering instead of
-        burning the step budget.  Inside the Dikin region a full step halves
-        the decrement in exact arithmetic, so a step that fails to means the
-        decrement has reached the slack's rounding floor.
-        """
-        m = self.c.shape[0]
-        if m == 0:
-            return
-        f_cur = t * float(self.c @ self.x) - _logdet(self._chol)
-        stall = 0
-        prev_dec = np.inf
-        for _ in range(INNER_CAP):
-            step, dec, _ = self._newton_step(t)
-            if dec <= tol or (prev_dec < 0.25 and dec > 0.5 * prev_dec):
-                return
-            if dec > 0.9 * prev_dec:
-                stall += 1
-                if stall >= 4:
-                    return
-            else:
-                stall = 0
-            prev_dec = dec
-            alpha = 1.0 if dec <= 4.0 else 1.0 / (1.0 + dec)
-            # Inside the Dikin region (dec < 1/4) the full Newton step of a
-            # self-concordant barrier is feasible and contracts the decrement
-            # quadratically (Nesterov-Nemirovski); the barrier value's own
-            # rounding can hide that decrease, so there the full step only
-            # has to keep the slack positive definite.
-            dikin = dec < 0.25
-            accepted = False
-            while alpha > 1e-14:
-                x_new = self.x + alpha * step
-                chol_new = _cholesky(self._slack_stacks(x_new))
-                if chol_new is not None:
-                    f_new = t * float(self.c @ x_new) - _logdet(chol_new)
-                    if (
-                        (dikin and alpha == 1.0)
-                        or f_new <= f_cur - 0.25 * alpha * dec * dec
-                        or f_new < f_cur
-                    ):
-                        accepted = True
-                        break
-                alpha *= 0.5
-            if not accepted:
-                raise _Stall("line search could not make progress")
-            self.x = x_new
-            self._chol = chol_new
-            self._newton = None
-            f_cur = f_new
-            self.steps += 1
-            if self.steps > MAX_NEWTON:
-                raise _Stall(f"Newton budget of {MAX_NEWTON} steps exhausted")
-
-    def follow_path(self) -> float:
-        """Drive t until the duality gap bound meets gap_tol; returns final t.
-
-        Intermediate stages are centered loosely; only the final stage is
-        driven to a tight Newton decrement so the harvested duals are clean.
-        """
-        t = 1.0
-        while True:
-            self.center(t, 0.05)
-            if self._runaway():
-                # Suspected recession direction; the ray certification
-                # downstream confirms or refutes it.
-                raise _Unbounded(float(self.c @ self.x))
-            value = float(self.c @ self.x)
-            gap_target = self.settings.gap_tol * (1.0 + min(abs(value), self.value_clamp))
-            if self.n_total / t <= gap_target:
-                self.center(t, NEWTON_TOL)
-                if self._runaway():
-                    raise _Unbounded(float(self.c @ self.x))
-                return t
-            t *= T_GROWTH
-
-    def _runaway(self) -> bool:
-        value = float(self.c @ self.x)
-        if value < -UNBOUNDED_VALUE or value < -self.value_clamp:
-            return True
-        return bool(self.x.size and float(np.max(np.abs(self.x))) > self.x_blowup)
-
-    def duals(self, t: float):
-        """(S^-1 - S^-1 dS S^-1) / t for every block, with dS the slack change
-        of the Newton step at t.  S^-1 / t alone misses dual feasibility by
-        the gradient, which the final centering leaves at the slack's
-        rounding floor; the corrected blocks meet it to rounding and are PSD
-        inside the Dikin region, outside which the correction is dropped."""
-        step, dec, whitened = self._newton_step(t)
-        if dec >= 1.0:
-            step = np.zeros_like(step)
-        out = [None] * len(self.blocks)
-        for (idxs, F0, _), (Linv, W) in zip(self.groups, whitened):
-            inner = np.eye(F0.shape[-1]) - np.tensordot(step, W, axes=(0, 0))
-            Z = Linv.conj().swapaxes(-1, -2) @ inner @ Linv
-            for pos, i in enumerate(idxs):
-                out[i] = hermitian_part(Z[pos]) / t
-        return out
-
-
-class _Unbounded(Exception):
-    def __init__(self, value):
-        self.value = value
 
 
 def verify_certificate(
@@ -416,63 +220,73 @@ def _solve_vectors(M: np.ndarray, b: np.ndarray, ridge: bool = False) -> np.ndar
     return np.linalg.solve(M, b[..., None])[..., 0]
 
 
-def _phase1(problems, margin: float, settings: SdpSettings) -> list:
-    """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap, for
-    programs with the same block dimensions and variable count at once.
+# Why a program left the loop without converging: its objective ran past
+# -UNBOUNDED_VALUE, or it used up the budget.
+_RUNAWAY = f"objective fell below -{UNBOUNDED_VALUE:g}"
+_BUDGET = f"interior-point budget of {MAX_NEWTON} iterations exhausted"
+# Arrays of the scaled coefficients' size that one pass holds per program:
+# the two coefficient layouts, F_i G, W, its variable-major copy and the
+# previous pass's copy.
+_WORKING_SET = 6
+
+
+def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> list:
+    """Maximize b.y subject to S_k(y) = F0_k + sum_i y_i F_ki >= 0 on every
+    block, for programs with the same block dimensions and variable count;
+    y and b are rows (1, y) and (0, b), the first entry the weight of F0.
 
     Primal-dual interior-point method with Nesterov-Todd scaling and
-    Mehrotra's predictor-corrector (Todd, Toh & Tutuncu 1998).  With y =
-    (x, s) the problem is: maximize s subject to S_k(y) = F0_k + sum_i x_i
-    F_ki - s I >= 0 on every block and on the cap block s_cap I - s I.  Its
-    dual asks for X_k >= 0 with sum_k <X_k, F_ki> = 0 and total trace 1,
-    minimizing sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides
-    feasible and bounded.  X starts at I/n and is infeasible until a full
-    step; y starts at x = 0, s = -1 - max_k ||F0_k||_F and stays feasible,
-    so callers use the returned x as an interior point.  X over the non-cap
-    blocks, renormalized, is the Farkas certificate when lam* < 0.
+    Mehrotra's predictor-corrector (Todd, Toh & Tutuncu 1998).  The primal
+    asks for X_k >= 0 with sum_k <X_k, F_ki> = -b_i, minimizing
+    sum_k <X_k, F0_k>; X starts at xi I and is infeasible until a full step,
+    and y starts strictly feasible and stays so.  With `caps`, y gains a last
+    entry s, every block gets the column -I and one more block s_cap I - s I
+    of the smallest block dimension comes last: the feasibility phase.
+    Without, b.y above UNBOUNDED_VALUE stops a program (a suspected ray).
 
     A program is one row of every array, and each operation acts on each row
     alone (its own LAPACK and BLAS calls, step lengths and stopping test), so
     its result is bitwise the same in any batch.  It leaves the arrays on
-    the pass it converges or stalls.  Returns an SdpSolution per program,
-    feasible iff lam* > margin.
+    the pass it converges, fails or stops.  Returns per program (y, X in
+    block order, iterations, None or why it stopped, whether X is feasible).
     """
     P, m = len(problems), problems[0][0].num_vars
-    s_start = [-1.0 - max(float(np.linalg.norm(b.constant)) for b in blocks) for blocks in problems]
-    s_cap = [10.0 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)) for blocks in problems]
-    d = min(b.dim for b in problems[0])
-    programs = [blocks + [LmiBlock._trusted(s * np.eye(d, dtype=complex), np.zeros((m, d, d), complex))]
-                for blocks, s in zip(problems, s_cap)]
-    n = sum(b.dim for b in programs[0])
-    # Per group of equal dimension d: block indices, [F0, F_1..F_m, -I] as a
-    # real (P, m + 2, 2 k d d) view (slacks, residuals), and F_1..F_m, -I as
-    # (P, k, d (m + 1), d), rows (a, i) holding F_i[a, :] (scaling).
+    q = b.shape[1] - 1  # m, or m + 1 with the slack s
+    if caps is not None:
+        d = min(blk.dim for blk in problems[0])
+        problems = [blocks + [LmiBlock._trusted(s * np.eye(d, dtype=complex), np.zeros((m, d, d), complex))]
+                    for blocks, s in zip(problems, caps)]
+    n = sum(blk.dim for blk in problems[0])
+    # Per group of equal dimension d: block indices, [F0, F_1..F_q] as a
+    # real (P, q + 1, 2 k d d) view (slacks, residuals), and F_1..F_q as
+    # (P, k, d q, d), rows (a, i) holding F_i[a, :] (scaling).
     groups, eyes, X = [], [], []
-    for d in sorted({b.dim for b in programs[0]}):
-        idxs = [i for i, b in enumerate(programs[0]) if b.dim == d]
-        F = np.zeros((P, len(idxs), m + 2, d, d), dtype=complex)
-        F[:, :, 0] = [[blocks[i].constant for i in idxs] for blocks in programs]
-        F[:, :, 1:-1] = [[blocks[i].coefficients for i in idxs] for blocks in programs]
-        F[:, :, -1] = -np.eye(d)
-        Ft = np.ascontiguousarray(F.transpose(0, 2, 1, 3, 4)).reshape(P, m + 2, -1).view(float)
+    for d in sorted({blk.dim for blk in problems[0]}):
+        idxs = [i for i, blk in enumerate(problems[0]) if blk.dim == d]
+        F = np.zeros((P, len(idxs), q + 1, d, d), dtype=complex)
+        F[:, :, 0] = [[blocks[i].constant for i in idxs] for blocks in problems]
+        F[:, :, 1:m + 1] = [[blocks[i].coefficients for i in idxs] for blocks in problems]
+        if caps is not None:
+            F[:, :, -1] = -np.eye(d)
+        Ft = np.ascontiguousarray(F.transpose(0, 2, 1, 3, 4)).reshape(P, q + 1, -1).view(float)
         Fc = np.ascontiguousarray(F[:, :, 1:].transpose(0, 1, 3, 2, 4)).reshape(P, len(idxs), -1, d)
         groups.append([idxs, Ft, Fc])
         del F  # a chunk's F can take 16 MB
         eyes.append(np.eye(d, dtype=complex))
-        X.append(np.broadcast_to(eyes[-1] / n, (P, len(idxs), d, d)).copy())
-    y = np.zeros((P, m + 2))  # (1, x, s): the constant's weight, then y
-    y[:, 0], y[:, -1] = 1.0, s_start
+        X.append(np.broadcast_to(eyes[-1] * xi[:, None, None, None], (P, len(idxs), d, d)).copy())
+    y = y.copy()
+    b_norm = 1.0 + np.sqrt(_rows_dot(b, b))
+    limit = np.inf if caps is not None else UNBOUNDED_VALUE
     tol = settings.gap_tol / 10.0
     active = np.arange(P)  # the program of each row
-    solutions = [None] * P
+    outcomes = [None] * P
     for iteration in range(MAX_NEWTON + 1):
         rows = len(active)
         # NT scaling G per block: G^-1 X G^-H = G^H S G = diag(lam), from the
         # Cholesky factor L of X and the eigenvectors Q of L^H S L.
         failed = {}
-        r_p = np.zeros((rows, m + 2))  # <F0, X>, then the primal residual
-        r_p[:, -1] = 1.0
-        M = np.zeros((rows, m + 1, m + 1))
+        r_p = b.copy()  # <F0, X>, then the primal residual
+        M = np.zeros((rows, q, q))
         gap = np.zeros(rows)
         scaled = []
         for (_, Ft, Fc), eye, Xg in zip(groups, eyes, X):
@@ -490,34 +304,32 @@ def _phase1(problems, margin: float, settings: SdpSettings) -> list:
             # W_i = G^H F_i G for all i in two products per block, laid out
             # (a, i, c), then variable-major for the Gram matrix M.
             Wr = np.ascontiguousarray((G.conj().swapaxes(-1, -2) @ (Fc @ G).reshape(G.shape[:3] + (-1,)))
-                                      .reshape(G.shape[:3] + (m + 1, -1)).transpose(0, 3, 1, 2, 4))
-            Wr = Wr.reshape(rows, m + 1, -1).view(float)
+                                      .reshape(G.shape[:3] + (q, -1)).transpose(0, 3, 1, 2, 4))
+            Wr = Wr.reshape(rows, q, -1).view(float)
             M += Wr @ Wr.swapaxes(-1, -2)
             r_p += (Ft @ Xg.view(float).reshape(rows, -1, 1))[..., 0]
             gap += _rows_dot(lam, lam)
             root = 1.0 / np.sqrt(lam)
             scaled.append([G, lam, Wr, root[..., :, None] * root[..., None, :]])
         # <X, S> = sum lam^2.  The dual residual is zero by construction;
-        # the primal one is relative to 1 + ||b|| = 2.
+        # the primal one is relative to 1 + ||b||.
         p_obj, r_p = r_p[:, 0], r_p[:, 1:]
-        converged = (gap <= tol * (1.0 + np.abs(p_obj) + np.abs(y[:, -1]))) & (
-            np.sqrt(_rows_dot(r_p, r_p)) / 2.0 <= tol
-        )
-        done = converged | (iteration == MAX_NEWTON)
+        d_obj = y[:, -1] if caps is not None else _rows_dot(y, b)  # b.y; with caps, b picks s
+        feasible = np.sqrt(_rows_dot(r_p, r_p)) / b_norm <= tol
+        converged = (gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible
+        runaway = d_obj > limit
+        done = converged | runaway | (iteration == MAX_NEWTON)
         done[list(failed)] = True
         if done.any():
             for r in np.flatnonzero(done):
-                solutions[active[r]] = (
-                    _phase1_solution(problems[active[r]], groups, y[r], [Xg[r] for Xg in X],
-                                     iteration, margin, settings)
-                    if converged[r] and r not in failed
-                    else SdpSolution(status=NUMERICAL_FAILURE, newton_steps=iteration, message=failed.get(
-                        r, f"interior-point budget of {MAX_NEWTON} iterations exhausted"))
-                )
+                by_block = dict(zip((i for idxs, _, _ in groups for i in idxs), (Z for Xg in X for Z in Xg[r])))
+                reason = failed.get(r, None if converged[r] else _RUNAWAY if runaway[r] else _BUDGET)
+                outcomes[active[r]] = (y[r].copy(), [by_block[i] for i in range(len(by_block))],
+                                       iteration, reason, bool(feasible[r]))
             keep = np.flatnonzero(~done)
             if not keep.size:
-                return solutions
-            active, y, M, r_p, gap = (a[keep] for a in (active, y, M, r_p, gap))
+                return outcomes
+            active, y, b, b_norm, M, r_p, gap = (a[keep] for a in (active, y, b, b_norm, M, r_p, gap))
             X = [Xg[keep] for Xg in X]
             scaled = [[a[keep] for a in arrays] for arrays in scaled]
             groups = [[idxs] + [a[keep] for a in arrays] for idxs, *arrays in groups]
@@ -565,10 +377,54 @@ def _phase1(problems, margin: float, settings: SdpSettings) -> list:
         y[:, 1:] += a_d * dy
 
 
-def _phase1_solution(blocks, groups, y, X, iteration, margin, settings: SdpSettings) -> SdpSolution:
+def _in_chunks(run, problems, columns, *rows):
+    """run(chunk, *rows of the chunk) over chunks of `problems` whose working
+    set (_WORKING_SET arrays of the scaled coefficients, `columns` of them
+    per block) holds at most BLOCK_ENTRIES complex entries."""
+    dims = [blk.dim for blk in problems[0]]
+    step = max(1, BLOCK_ENTRIES // (_WORKING_SET * (columns + 1) * (sum(d * d for d in dims) + min(dims) ** 2)))
+    return [out for start in range(0, len(problems), step)
+            for out in run(problems[start:start + step], *(a[start:start + step] for a in rows))]
+
+
+def _same_shapes(problems) -> None:
+    if not all(problems):
+        raise InputError("at least one LMI block is required")
+    shapes = [[(b.dim, b.num_vars) for b in blocks] for blocks in problems]
+    if len({v for _, v in shapes[0]}) > 1 or any(shape != shapes[0] for shape in shapes):
+        raise InputError("blocks disagree on the variable count, or programs on block dimensions")
+
+
+def _phase1(problems, margin: float, settings: SdpSettings) -> list:
+    """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap, for
+    programs with the same block dimensions and variable count at once.
+
+    The dual asks for X_k >= 0 with sum_k <X_k, F_ki> = 0 and total trace 1,
+    minimizing sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides
+    feasible and bounded.  X starts at I/n; y starts at x = 0, s = -1 -
+    max_k ||F0_k||_F, so callers use the returned x as an interior point.  X
+    over the non-cap blocks, renormalized, is the Farkas certificate when
+    lam* < 0.  Returns an SdpSolution per program, feasible iff lam* > margin.
+    """
+    P, m = len(problems), problems[0][0].num_vars
+    y = np.zeros((P, m + 2))  # (1, x, s)
+    y[:, 0] = 1.0
+    y[:, -1] = [-1.0 - max(float(np.linalg.norm(b.constant)) for b in blocks) for blocks in problems]
+    caps = [10.0 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)) for blocks in problems]
+    b = np.zeros((P, m + 2))
+    b[:, -1] = 1.0
+    n = sum(blk.dim for blk in problems[0]) + min(blk.dim for blk in problems[0])
+    outcomes = _interior_point(problems, b, y, np.full(P, 1.0 / n), settings, caps)
+    return [
+        _phase1_solution(blocks, y, X, iteration, margin, settings) if reason is None
+        else SdpSolution(status=NUMERICAL_FAILURE, newton_steps=iteration, message=reason)
+        for blocks, (y, X, iteration, reason, _) in zip(problems, outcomes)
+    ]
+
+
+def _phase1_solution(blocks, y, X, iteration, margin, settings: SdpSettings) -> SdpSolution:
     """The solution of a converged program from its row of the iterate."""
-    by_block = dict(zip((i for idxs, _, _ in groups for i in idxs), (Z for Xg in X for Z in Xg)))
-    duals = [by_block[i] for i in range(len(blocks))]  # the cap's dropped
+    duals = X[:-1]  # the cap's dropped
     total = sum(float(np.trace(Z).real) for Z in duals)
     duals = [Z / total for Z in duals] if total > 0 else None
     lam_star = float(y[-1])
@@ -588,21 +444,13 @@ def check_feasibility(blocks, margin: float = 0.0, settings: SdpSettings = DEFAU
 def check_feasibility_batch(problems, margin: float = 0.0,
                             settings: SdpSettings = DEFAULT_SETTINGS) -> list:
     """check_feasibility of every program in `problems` (block lists with
-    the same block dimensions and variable count), solved together in chunks
-    whose scaled coefficients hold at most BLOCK_ENTRIES complex entries;
-    each solution is bitwise the one its program gives alone."""
+    the same block dimensions and variable count), solved together in
+    chunks; each solution is bitwise the one its program gives alone."""
     problems = [list(blocks) for blocks in problems]
     if not problems:
         return []
-    if not all(problems):
-        raise InputError("at least one LMI block is required")
-    shapes = [[(b.dim, b.num_vars) for b in blocks] for blocks in problems]
-    if len({v for _, v in shapes[0]}) > 1 or any(shape != shapes[0] for shape in shapes):
-        raise InputError("blocks disagree on the variable count, or programs on block dimensions")
-    dims = [d for d, _ in shapes[0]]
-    step = max(1, BLOCK_ENTRIES // ((shapes[0][0][1] + 1) * (sum(d * d for d in dims) + min(dims) ** 2)))
-    chunks = (problems[start:start + step] for start in range(0, len(problems), step))
-    return [sol for chunk in chunks for sol in _phase1(chunk, margin, settings)]
+    _same_shapes(problems)
+    return _in_chunks(lambda chunk: _phase1(chunk, margin, settings), problems, problems[0][0].num_vars + 1)
 
 
 def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
@@ -612,111 +460,131 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
     phase.  A strict_margin delta > 0 asks for a point with margin delta on
     every block; the margin is absorbed by shifting each constant term.
     """
-    SOLVE_STATS["solves"] += 1
-    c = problem.objective
-    m = c.shape[0]
-    delta = problem.strict_margin
-    work_blocks = problem.blocks
-    if delta > 0:
-        work_blocks = [
-            LmiBlock._trusted(b.constant - delta * np.eye(b.dim), b.coefficients)
-            for b in problem.blocks
-        ]
+    return solve_batch([problem], [x0], settings)[0]
 
-    scale_f = 1.0 + max(float(np.max(np.abs(b.constant))) for b in work_blocks)
-    steps_total = 0
 
-    if x0 is not None:
-        x_start = np.asarray(x0, dtype=float)
-        if x_start.shape != (m,):
-            raise InputError("x0 has the wrong length")
-        if _cholesky([b.slack(x_start) for b in work_blocks]) is None:
-            raise InputError("supplied x0 is not strictly feasible")
-    else:
-        (phase1,) = _phase1([work_blocks], 0.0, settings)
-        if phase1.status == NUMERICAL_FAILURE:
-            return SdpSolution(
-                status=NUMERICAL_FAILURE,
-                message=f"feasibility phase stalled: {phase1.message}",
-                newton_steps=phase1.newton_steps,
-            )
-        x_start, steps_total = phase1.x, phase1.newton_steps
-        if phase1.value <= 1e-9 * scale_f:
-            if phase1.dual_certificate is not None:
-                return SdpSolution(
-                    status=INFEASIBLE,
-                    value=phase1.value,
-                    dual_certificate=phase1.dual_certificate,
-                    newton_steps=steps_total,
-                    feasible=False,
-                )
-            return SdpSolution(
-                status=NUMERICAL_FAILURE,
-                value=phase1.value,
-                newton_steps=steps_total,
-                message="marginally feasible problem: no interior point and no certificate",
-            )
+def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) -> list:
+    """solve of every problem (the same block dimensions and variable count)
+    from its start in `x0s` (None for a cold start), solved together; each
+    solution is bitwise the one its problem gives alone.
 
-    try:
-        state = _BarrierState(work_blocks, c, x_start, settings)
-    except _Stall as exc:
-        return SdpSolution(status=NUMERICAL_FAILURE, message=str(exc), newton_steps=steps_total)
-    try:
-        t = state.follow_path()
-    except _Unbounded as exc:
-        ray, ray_steps = _certify_ray(work_blocks, c, settings)
-        steps_total += state.steps + ray_steps
-        if ray is not None:
-            return SdpSolution(status=UNBOUNDED, value=-np.inf, ray=ray, newton_steps=steps_total)
-        return SdpSolution(
-            status=NUMERICAL_FAILURE,
-            message=f"objective fell below -{UNBOUNDED_VALUE:g} but no ray certified",
-            value=float(exc.value),
-            newton_steps=steps_total,
-        )
-    except _Stall as exc:
-        return SdpSolution(
-            status=NUMERICAL_FAILURE, message=str(exc), newton_steps=steps_total + state.steps
-        )
+    The optimization phase maximizes -c.x over F(x) >= 0 with the loop of
+    the feasibility phase, without its slack column and cap, from a strictly
+    feasible x; the primal iterate X, started at xi I, is the dual.  A
+    program whose objective runs past -UNBOUNDED_VALUE, or that uses up its
+    budget with X still infeasible, gets a recession ray or fails.
+    """
+    problems = list(problems)
+    x0s = [None] * len(problems) if x0s is None else list(x0s)
+    if len(x0s) != len(problems):
+        raise InputError("need one start (or None) per problem")
+    if not problems:
+        return []
+    SOLVE_STATS["solves"] += len(problems)
+    work = [
+        [LmiBlock._trusted(b.constant - p.strict_margin * np.eye(b.dim), b.coefficients) for b in p.blocks]
+        if p.strict_margin > 0 else p.blocks
+        for p in problems
+    ]
+    _same_shapes(work)
+    m = problems[0].objective.shape[0]
+    starts, steps, solutions = [None] * len(problems), [0] * len(problems), [None] * len(problems)
+    for k, (blocks, x0) in enumerate(zip(work, x0s)):
+        if x0 is not None:
+            starts[k] = np.asarray(x0, dtype=float)
+            if starts[k].shape != (m,):
+                raise InputError("x0 has the wrong length")
+            if _cholesky([b.slack(starts[k]) for b in blocks]) is None:
+                raise InputError("supplied x0 is not strictly feasible")
+    cold = [k for k, x0 in enumerate(starts) if x0 is None]
+    if cold:
+        phase1 = _in_chunks(lambda chunk: _phase1(chunk, 0.0, settings), [work[k] for k in cold], m + 1)
+        for k, sol in zip(cold, phase1):
+            starts[k], steps[k], solutions[k] = sol.x, sol.newton_steps, _cold_start_failure(work[k], sol)
+    warm = [k for k in range(len(problems)) if solutions[k] is None]
+    if not warm:
+        return solutions
+    cs = np.stack([problems[k].objective for k in warm])
+    y = np.concatenate([np.ones((len(warm), 1)), np.stack([starts[k] for k in warm])], axis=1)
+    # X starts at xi I of trace 1 + ||c||, the size of a dual with <X, F_i> = c_i
+    n = sum(b.dim for b in work[0])
+    xi = np.array([(1.0 + float(np.linalg.norm(c))) / n for c in cs])
+    b = np.concatenate([np.zeros((len(warm), 1)), -cs], axis=1)
+    outcomes = _in_chunks(lambda chunk, b, y, xi: _interior_point(chunk, b, y, xi, settings),
+                          [work[k] for k in warm], m, b, y, xi)
+    for k, c, outcome in zip(warm, cs, outcomes):
+        solutions[k] = _optimization_solution(work[k], c, outcome, steps[k], settings)
+    return solutions
 
-    steps_total += state.steps
-    x = state.x
+
+def _cold_start_failure(blocks, phase1: SdpSolution) -> SdpSolution | None:
+    """The solution of a cold start whose feasibility phase found no
+    interior point; None when it found one."""
+    if phase1.status == NUMERICAL_FAILURE:
+        return SdpSolution(status=NUMERICAL_FAILURE, message=f"feasibility phase stalled: {phase1.message}",
+                           newton_steps=phase1.newton_steps)
+    if phase1.value > 1e-9 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)):
+        return None
+    if phase1.dual_certificate is not None:
+        return SdpSolution(status=INFEASIBLE, value=phase1.value, dual_certificate=phase1.dual_certificate,
+                           newton_steps=phase1.newton_steps, feasible=False)
+    return SdpSolution(status=NUMERICAL_FAILURE, value=phase1.value, newton_steps=phase1.newton_steps,
+                       message="marginally feasible problem: no interior point and no certificate")
+
+
+def _optimization_solution(blocks, c, outcome, steps: int, settings: SdpSettings) -> SdpSolution:
+    """The solution of one program from its outcome of the optimization
+    phase, after `steps` iterations of its feasibility phase."""
+    y, duals, iterations, reason, primal_feasible = outcome
+    steps += iterations
+    x = y[1:]
     value = float(c @ x)
-    duals = state.duals(t)
-    raw_bound = -sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(duals, work_blocks))
-
+    if reason == _RUNAWAY or (reason == _BUDGET and not primal_feasible):
+        # Suspected recession direction; the ray search confirms or refutes it.
+        ray, ray_steps = _certify_ray(blocks, c, settings)
+        if ray is not None:
+            return SdpSolution(status=UNBOUNDED, value=-np.inf, ray=ray, newton_steps=steps + ray_steps)
+        return SdpSolution(status=NUMERICAL_FAILURE, value=value, newton_steps=steps + ray_steps,
+                           message=f"{reason} but no ray certified")
+    if reason is not None:
+        return SdpSolution(status=NUMERICAL_FAILURE, newton_steps=steps, message=reason)
+    duals = _onto_constraints(blocks, c, duals)
+    raw_bound = -sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(duals, blocks))
     # The duals are feasible to rounding, so the raw bound may overshoot the
     # value by a gap-tolerance amount; more than that is a genuine failure.
     # The reported bound is clamped so the weak-duality direction always
     # holds for consumers.
     SOLVE_STATS["duality_checks"] += 1
-    allowance = settings.gap_tol * (1.0 + abs(value))
-    if raw_bound > value + allowance:
-        return SdpSolution(
-            status=NUMERICAL_FAILURE,
-            value=value,
-            x=x,
-            newton_steps=steps_total,
-            message=f"weak duality violated: bound {raw_bound!r} above value {value!r}",
-        )
-    gap = value - raw_bound
-    if gap > 10.0 * settings.gap_tol * (1.0 + abs(value)):
-        return SdpSolution(
-            status=NUMERICAL_FAILURE,
-            value=value,
-            x=x,
-            newton_steps=steps_total,
-            message=f"duality gap {gap:.3e} exceeds tolerance",
-        )
-    return SdpSolution(
-        status=OPTIMAL,
-        value=value,
-        x=x,
-        dual_blocks=duals,
-        dual_bound=min(raw_bound, value),
-        newton_steps=steps_total,
-        feasible=True,
-    )
+    failure = None
+    if raw_bound > value + settings.gap_tol * (1.0 + abs(value)):
+        failure = f"weak duality violated: bound {raw_bound!r} above value {value!r}"
+    elif value - raw_bound > 10.0 * settings.gap_tol * (1.0 + abs(value)):
+        failure = f"duality gap {value - raw_bound:.3e} exceeds tolerance"
+    if failure is not None:
+        return SdpSolution(status=NUMERICAL_FAILURE, value=value, x=x, newton_steps=steps, message=failure)
+    return SdpSolution(status=OPTIMAL, value=value, x=x, dual_blocks=duals, dual_bound=min(raw_bound, value),
+                       newton_steps=steps, feasible=True)
+
+
+def _onto_constraints(blocks, c, duals) -> list:
+    """The duals moved onto sum_k <Z_k, F_ki> = c_i, which the loop meets
+    only to its tolerance, by the least change in the metric of X:
+    Z_k + sum_i v_i Z_k F_ki Z_k = Z^1/2 (I + E) Z^1/2 with ||E||_F^2 = v.M v.
+    The move is taken only well inside the Dikin ellipsoid (v.M v <= 1/4),
+    where it keeps every Z_k positive definite."""
+    m = len(c)
+    if not m:
+        return duals
+    ZFZ = [Z @ b.coefficients @ Z for Z, b in zip(duals, blocks)]
+    r = sum((b.coefficients.reshape(m, -1).conj() @ Z.ravel()).real for Z, b in zip(duals, blocks)) - c
+    M = sum((b.coefficients.reshape(m, -1).conj() @ W.reshape(m, -1).T).real for W, b in zip(ZFZ, blocks))
+    try:
+        v = np.linalg.solve(M, -r)
+    except np.linalg.LinAlgError:
+        return duals
+    if not v @ M @ v <= 0.25:
+        return duals
+    return [hermitian_part(Z + np.tensordot(v, W, axes=(0, 0))) for Z, W in zip(duals, ZFZ)]
 
 
 def _certify_ray(blocks, c, settings: SdpSettings):

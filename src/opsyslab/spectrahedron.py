@@ -3,7 +3,7 @@
 The sets handled here are { X hermitian PSD : tr(A_j X) = b_j }.  They are
 the extension spectrahedra of states and the Choi spectrahedra of unital CP
 maps, and they routinely have empty interior: forcing a diagonal entry of a
-PSD matrix to zero kills the whole row.  Barrier methods need an interior,
+PSD matrix to zero kills the whole row.  The SDP engine needs an interior,
 so the feasible face is located first: whenever the maximum achievable
 slack is zero, the phase-one dual matrix is (numerically) orthogonal to the
 entire set, and its kernel carries the face.  Each round works in the face's
@@ -219,24 +219,32 @@ def _refine_support(V: np.ndarray, Y: np.ndarray, mats: np.ndarray, rhs: np.ndar
     return np.linalg.qr(V + E)[0]
 
 
-def optimize_linear(
-    spec: ReducedSpectrahedron,
-    C,
-    maximize: bool = True,
-    settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS,
-):
-    """Extremize tr(C X) over the reduced set; returns (value, optimizer)."""
-    C = spec.compress(C)
-    base_val = float(np.vdot(C, spec.x0).real)
+class FaceTooLarge(InputError):
+    """The located face has more coordinates than an SDP takes."""
+
+    def __init__(self, count: int):
+        super().__init__(f"the located face has {count} coordinates; one SDP takes at most {sdp.MAX_VARIABLES}")
+
+
+def optimize_linear(spec: ReducedSpectrahedron, Cs, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> list:
+    """Maximize tr(C_k X) over the reduced set for every objective C_k of
+    the stack (pass -C to minimize), as one batch of programs; returns a
+    (value, optimizer) pair per objective."""
+    Cs = spec.compress(Cs)
+    base = [float(np.vdot(C, spec.x0).real) for C in Cs]
     if len(spec.dirs) == 0:
-        return base_val, spec.point(np.zeros(0))
-    sign = -1.0 if maximize else 1.0
-    objective = sign * np.array([float(np.vdot(C, N).real) for N in spec.dirs])
-    prob = sdp.SdpProblem(objective=objective, blocks=spec.compressed_blocks())
-    sol = sdp.solve(prob, x0=spec.z_interior, settings=settings)
-    if sol.status != sdp.OPTIMAL:
-        raise NumericalFailureError(
-            f"spectrahedron optimization failed: {sol.status} {sol.message}"
-        )
-    value = base_val + sign * sol.value
-    return value, spec.point(sol.x)
+        return [(value, spec.point(np.zeros(0))) for value in base]
+    if len(spec.dirs) > sdp.MAX_VARIABLES:
+        raise FaceTooLarge(len(spec.dirs))
+    N = np.stack(spec.dirs)
+    # minimize -tr(C_k X) over the face's coordinates z
+    objectives = -(Cs.reshape(len(Cs), -1).conj() @ N.reshape(len(N), -1).T).real
+    blocks = spec.compressed_blocks()
+    problems = [sdp.SdpProblem(objective=c, blocks=blocks) for c in objectives]
+    solutions = sdp.solve_batch(problems, [spec.z_interior] * len(problems), settings=settings)
+    for sol in solutions:
+        if sol.status != sdp.OPTIMAL:
+            raise NumericalFailureError(
+                f"spectrahedron optimization failed: {sol.status} {sol.message}"
+            )
+    return [(value - sol.value, spec.point(sol.x)) for value, sol in zip(base, solutions)]

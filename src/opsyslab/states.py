@@ -7,12 +7,15 @@ algebra are obtained through the trace-preserving conditional expectation
 (the HS projection onto the span), which is what decomposition results are
 reconstructed against.
 
-Extension endpoints are computed as semidefinite programs
+Extension endpoints are semidefinite programs over the extension set
+{ Y >= 0 : tr(s_j Y) = phi(s_j) }, reduced to its face:
 
-    max over extensions of psi(t)  =  inf { phi(s) : s in S, s >= t }
+    max over extensions of psi(t)  =  max { tr(t Y) : Y in the set },
 
-and the optimal dual matrix of each program is itself the extension state
-attaining the endpoint, so witnesses come out of the same solve.
+whose dual is inf { phi(s) : s in S, s >= t }.  The witness of each endpoint
+is the optimal primal point `spec.point(x)`, an extension density, checked
+against phi and the endpoint before it is returned; the min and max of an
+interval are solved as one batch.
 """
 
 from __future__ import annotations
@@ -158,8 +161,8 @@ def _extension_set(
     """The compact set of extending densities { Y >= 0 : tr(s_j Y) = phi(s_j) }.
 
     Solved with facial reduction: forcing part of a density to vanish (block
-    supported states) leaves a set with empty interior, and the barrier
-    needs the actual face.
+    supported states) leaves a set with empty interior, and the interior-point
+    method needs the actual face.
     """
     basis = _domain_hermitian_basis(phi.domain)
     values = phi.values_on(basis)
@@ -181,8 +184,8 @@ def _interval_from_set(
 ) -> ExtensionInterval:
     basis = _domain_hermitian_basis(phi.domain)
     values = phi.values_on(basis)
-    hi, Y_hi = spectrahedron.optimize_linear(spec, t, maximize=True, settings=settings)
-    lo, Y_lo = spectrahedron.optimize_linear(spec, t, maximize=False, settings=settings)
+    (hi, Y_hi), (neg_lo, Y_lo) = spectrahedron.optimize_linear(spec, np.stack([t, -t]), settings=settings)
+    lo = -neg_lo
     if lo > hi + 1e-8 * (1 + abs(hi)):
         raise NumericalFailureError(f"extension interval came out inverted: [{lo}, {hi}]")
     witnesses = []
@@ -230,7 +233,8 @@ def has_uep(
     The extension set is reduced once and reused across basis elements.  A
     basis element whose certified range bound on that face
     (`ReducedSpectrahedron.linear_range`) is at most UEP_TOL cannot carry a
-    fat interval and costs no program; each other one costs two.
+    fat interval and costs no program; each other one costs a batch of two
+    (its min and max), in basis order until the first fat interval.
     """
     A = psi.domain
     if not isinstance(A, MatrixStarAlgebra):

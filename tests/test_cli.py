@@ -403,6 +403,39 @@ def hermitian_units(sizes) -> list:
     return mats
 
 
+PEAK_GROWTH_SCRIPT = """
+import contextlib, io, resource, sys
+from opsyslab.cli import main
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["riesz", "--file", sys.argv[1], "--json"])
+print(code, (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) / 1024.0)
+"""
+
+
+def test_riesz_batch_memory_stays_bounded(tmp_path):
+    # Full M8 with N = 40: when the chunk budget counted only the scaled
+    # coefficients, a chunk of about 36 programs held six arrays of that
+    # size and the run's peak grew by about 89 MB (to about 126 MB, against
+    # 56 MB for N = 1); budgeting the whole working set keeps the growth
+    # near that of one program, about 20 MB.
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((8, 8))
+    a = (g + g.T) / np.linalg.norm(g + g.T, 2)
+    pairs = lambda M: np.stack([M.real, M.imag], axis=-1).tolist()
+    path = tmp_path / "riesz.json"
+    path.write_text(json.dumps({"kind": "riesz", "payload": {
+        "B": [pairs(M) for M in hermitian_units([8])], "a": a.tolist(), "epsilon": 0.5, "N": 40,
+        "lowers": [(a - 0.3 * np.eye(8)).tolist()], "uppers": [(a + 0.2 * np.eye(8)).tolist()]}}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PEAK_GROWTH_SCRIPT, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    code, growth_mb = proc.stdout.split()
+    assert code == "0"
+    assert float(growth_mb) < 40.0
+
+
 @pytest.mark.parametrize(
     "state, A",
     [
@@ -505,6 +538,24 @@ def test_cli_nosp_choi_input_dimension_is_bounded(tmp_path, capsys, dim_in):
         "pi_images": [[[1]]], "Pi_choi": {"dim_in": dim_in, "dim_out": 1, "choi": [[1]]}}}))
     assert main(["nosp", "--file", str(path)]) == 2
     assert capsys.readouterr().err == f"error: payload.Pi_choi.dim_in: expected at most {MAX_AMBIENT}\n"
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("uep", {"state": np.eye(12) / 12}),
+    ("extension-interval", {"phi": np.eye(12) / 12, "t": np.diag(np.arange(12.0))}),
+])
+def test_cli_face_beyond_the_variable_limit_names_s(tmp_path, capsys, kind, fields):
+    # a full-rank state on M12 pinned by 4 matrices leaves 144 - 4 face
+    # coordinates, more than one SDP takes; this used to exit 2 with
+    # "140 variables exceeds 128" and no field
+    S = [np.eye(12)] + [np.diag(np.arange(12.0) == k).astype(float) for k in range(3)]
+    payload = {"S": [s.tolist() for s in S], **{key: M.tolist() for key, M in fields.items()}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}))
+    assert main([kind, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: payload.S: the located face has 140 coordinates; one SDP takes at most 128,"
+        " and S pins too few of them at this matrix size\n")
 
 
 def riesz_document(**fields) -> dict:
@@ -717,11 +768,11 @@ GOLDEN_VALUE = {
     "matrix": problems.matrix_to_json(np.array([[1e16, 0.1 + 5e-324j], [0.1 - 5e-324j, complex(-0.0, -0.0)]])),
 }
 GOLDEN_TEXT = (
-    '{"zero":-0,"tiny":4.9406564584124654e-324,"big":10000000000000000,'
+    '{"zero":-0.0,"tiny":4.9406564584124654e-324,"big":10000000000000000,'
     '"tenth":0.10000000000000001,"ints":[0,-7,1180591620717411303424,3],'
     '"flags":[true,false,null],"name":"Schur\\u2013Stinespring \\u00e9",'
     '"matrix":[[[10000000000000000,0],[0.10000000000000001,4.9406564584124654e-324]],'
-    '[[0.10000000000000001,-4.9406564584124654e-324],[-0,-0]]]}'
+    '[[0.10000000000000001,-4.9406564584124654e-324],[-0.0,-0.0]]]}'
 )
 
 

@@ -480,8 +480,8 @@ def test_zero_extent_forces_degenerate_choi_set():
         a_dir = np.outer(xi, xi.conj())  # vector-state functional of Phi(a)
         for t in MatrixStarAlgebra.full(2).hermitian_basis():
             C = np.kron(t.T, a_dir)
-            hi, _ = spectrahedron.optimize_linear(spec, C, maximize=True)
-            lo, _ = spectrahedron.optimize_linear(spec, C, maximize=False)
+            (hi, _), (neg_lo, _) = spectrahedron.optimize_linear(spec, np.stack([C, -C]))
+            lo = -neg_lo
             assert hi - lo <= 1e-6
 
 

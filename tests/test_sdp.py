@@ -1,19 +1,19 @@
 """SDP engine checks against independent oracles.
 
 Oracles used here: a closed-form determinant analysis for the 2x2 example,
-bisection on the minimum eigenvalue for one-variable problems, a scalar
-interval intersection for the interpolation block family, and central
-finite differences for the optimization phase's barrier gradient and
-Hessian.  The primal-dual feasibility phase is held to its iteration count
-(the log-det barrier it replaced took about five times as many steps), to
-an interior returned point, and to the capped slack when the slack is
-unbounded; an unbounded solve reports the steps of all three of its
-phases.  The optimization phase's duals must be feasible to rounding.  The
-last tests pin the barrier's final centering and facial reduction on
-seeded systems that used to fail: a set known to be nonempty must never be
-rejected, and the face's interior point must satisfy the original
-constraints.  A program solved in a batch must equal its solo run bit for
-bit, whatever the batch and its chunks.
+bisection on the minimum eigenvalue for one-variable problems, and a scalar
+interval intersection for the interpolation block family.  The one
+interior-point loop is held to its iteration count (the log-det barrier it
+replaced took about five times as many steps in the feasibility phase and
+9 to 35 steps per solve on extension faces), to an interior returned
+point, and to the capped slack when the slack is unbounded; an unbounded
+solve reports the steps of all three of its phases.  The optimization
+phase's duals must meet the KKT conditions, and the constraints to
+rounding.  Facial reduction is pinned on seeded systems that used to fail:
+a set known to be nonempty must never be rejected, and the face's interior
+point must satisfy the original constraints.  A program solved in a batch,
+of either phase, must equal its solo run bit for bit, whatever the batch
+and its chunks.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from opsyslab import (
     extension_interval,
     sdp,
     spectrahedron,
+    states,
 )
 from opsyslab.errors import InputError
 from opsyslab.hermitian import eigh, is_psd
@@ -210,22 +211,14 @@ def test_one_variable_matches_bisection(seed):
 def test_unbounded_detected(monkeypatch):
     # minimize -x with [[x]] >= 0 has value -inf along the ray d = 1.
     steps = []
-    phase1 = sdp._phase1
-    follow_path = sdp._BarrierState.follow_path
+    interior_point = sdp._interior_point
 
-    def counted_phase1(*args):
-        result = phase1(*args)
-        steps.extend(sol.newton_steps for sol in result)
+    def counted_interior_point(*args, **kwargs):
+        result = interior_point(*args, **kwargs)
+        steps.extend(iterations for _, _, iterations, _, _ in result)
         return result
 
-    def counted_follow_path(state):
-        try:
-            return follow_path(state)
-        finally:
-            steps.append(state.steps)
-
-    monkeypatch.setattr(sdp, "_phase1", counted_phase1)
-    monkeypatch.setattr(sdp._BarrierState, "follow_path", counted_follow_path)
+    monkeypatch.setattr(sdp, "_interior_point", counted_interior_point)
     blk = sdp.LmiBlock(np.zeros((1, 1), dtype=complex), [np.eye(1, dtype=complex)])
     prob = sdp.SdpProblem(objective=np.array([-1.0]), blocks=[blk])
     sol = sdp.solve(prob)
@@ -299,45 +292,42 @@ def density_of_rank(rng, n, rank):
     return D / np.trace(D).real
 
 
-def test_barrier_gradient_and_hessian_match_finite_differences():
-    # Two stacked groups: blocks of size 2 (two of them) and of size 3.
-    rng = np.random.default_rng(3)
+def random_blocks(rng, dims, m):
+    return [
+        sdp.LmiBlock(2.0 * np.eye(d) + 0.3 * unit_norm_hermitian(rng, d),
+                     [unit_norm_hermitian(rng, d) for _ in range(m)])
+        for d in dims
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_optimization_phase_meets_kkt(seed):
+    # Two groups (blocks of size 2, 3, 2): the duals are PSD, meet
+    # sum_k <Z_k, F_ki> = c_i, and close the gap to the value.
+    rng = np.random.default_rng(100 + seed)
     m = 3
-
-    def random_block(d):
-        constant = 2.0 * np.eye(d) + 0.3 * unit_norm_hermitian(rng, d)
-        return sdp.LmiBlock(constant, [unit_norm_hermitian(rng, d) for _ in range(m)])
-
-    blocks = [random_block(2), random_block(3), random_block(2)]
+    blocks = random_blocks(rng, (2, 3, 2), m)
     c = rng.standard_normal(m)
-    x = 0.1 * rng.standard_normal(m)
-    t = 1.7
-
-    def barrier(y):
-        return t * float(c @ y) - sum(np.linalg.slogdet(b.slack(y))[1] for b in blocks)
-
-    g, H = sdp._BarrierState(blocks, c, x, sdp.DEFAULT_SETTINGS)._grad_hess(t)
-    h = 1e-4
-    steps = h * np.eye(m)
-    g_fd = np.array([(barrier(x + e) - barrier(x - e)) / (2 * h) for e in steps])
-    H_fd = np.array(
-        [
-            [
-                (barrier(x + ei + ej) - barrier(x + ei - ej) - barrier(x - ei + ej)
-                 + barrier(x - ei - ej)) / (4 * h * h)
-                for ej in steps
-            ]
-            for ei in steps
-        ]
-    )
-    assert np.allclose(g, g_fd, atol=1e-7)
-    assert np.allclose(H, H_fd, atol=1e-5)
+    sol = sdp.solve(sdp.SdpProblem(objective=c, blocks=blocks), x0=np.zeros(m))
+    assert sol.status == sdp.OPTIMAL
+    settings = sdp.DEFAULT_SETTINGS
+    for Z in sol.dual_blocks:
+        ev = np.linalg.eigvalsh(Z)
+        assert ev[0] >= -settings.psd_slack * (1.0 + np.abs(ev).max())
+    pairing = [sum(np.vdot(Z, b.coefficients[i]).real for Z, b in zip(sol.dual_blocks, blocks)) for i in range(m)]
+    assert np.allclose(pairing, c, rtol=0.0, atol=settings.gap_tol)
+    bound = -sum(np.vdot(Z, b.constant).real for Z, b in zip(sol.dual_blocks, blocks))
+    assert sol.dual_bound <= sol.value
+    assert sol.value - bound <= 10.0 * settings.gap_tol * (1.0 + abs(sol.value))
+    slacks = [b.slack(sol.x) for b in blocks]
+    assert sum(np.vdot(Z, S).real for Z, S in zip(sol.dual_blocks, slacks)) <= 10.0 * settings.gap_tol
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_solve_duals_are_feasible_to_rounding(seed):
-    # sum_k <Z_k, F_ki> = c_i; S^-1 / t alone missed it by the final
-    # gradient (1.4e-8 to 1.5e-7 on these problems).
+    # sum_k <Z_k, F_ki> = c_i; the loop's X meets it only to its stopping
+    # tolerance (2.6e-10 to 2.6e-9 on these problems), the move onto the
+    # constraints to rounding.
     rng = np.random.default_rng(seed)
     m, d = 4, 3
     blocks = [
@@ -433,8 +423,8 @@ def test_linear_range_bounds_the_extremes_on_the_face():
     Cs = np.stack([unit_norm_hermitian(rng, 3) for _ in range(4)] + [np.diag([0.0, 0.0, 1.0])])
     values, bounds = spec.linear_range(Cs)
     for C, value, bound in zip(Cs, values, bounds):
-        hi, _ = spectrahedron.optimize_linear(spec, C, maximize=True)
-        lo, _ = spectrahedron.optimize_linear(spec, C, maximize=False)
+        (hi, _), (neg_lo, _) = spectrahedron.optimize_linear(spec, np.stack([C, -C]))
+        lo = -neg_lo
         assert lo - 1e-7 <= value <= hi + 1e-7
         assert hi - lo <= bound + 1e-7
     assert bounds[-1] <= 1e-12 < bounds[:-1].min()
@@ -544,3 +534,43 @@ def test_batch_ridge_rescues_only_the_singular_member():
     assert [s.status for s in batch] == [sdp.OPTIMAL, sdp.OPTIMAL]
     assert batch[0].x[1] == 0.0
     assert all(same_bits(b, sdp.check_feasibility(p)) for b, p in zip(batch, [singular, regular]))
+
+
+def test_solve_batch_members_equal_their_solo_runs(monkeypatch):
+    # Cold starts (one infeasible with a certificate, one stalling in the
+    # feasibility phase) and warm starts, with objectives of either sign.
+    programs = riesz_batch()
+    rng = np.random.default_rng(8)
+    problems = [sdp.SdpProblem(objective=rng.standard_normal(p[0].num_vars), blocks=p) for p in programs]
+    problems += [sdp.SdpProblem(objective=-p.objective, blocks=p.blocks) for p in problems[:2]]
+    x0s = [None] * len(programs) + [sdp.check_feasibility(p).x for p in programs[:2]]
+    solo = [sdp.solve(p, x0) for p, x0 in zip(problems, x0s)]
+    assert [s.status for s in solo] == [sdp.OPTIMAL] * 2 + [
+        sdp.INFEASIBLE, sdp.OPTIMAL, sdp.NUMERICAL_FAILURE, sdp.OPTIMAL, sdp.OPTIMAL, sdp.OPTIMAL]
+    assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems, x0s), solo))
+    reordered = sdp.solve_batch(problems[::-1], x0s[::-1])[::-1]
+    assert all(same_bits(b, s) for b, s in zip(reordered, solo))
+    monkeypatch.setattr(sdp, "BLOCK_ENTRIES", 1)  # one program per chunk
+    assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems, x0s), solo))
+
+
+@pytest.mark.parametrize("seed", [5, 15, 57, 84])
+def test_optimization_iterations_on_extension_faces(seed):
+    # The faces of extension sets, as `extension-interval` and `uep` solve
+    # them: each program of a min/max batch stops within 25 iterations (the
+    # barrier took 9 to 35 Newton steps per solve on such faces).
+    rng = np.random.default_rng(seed)
+    n = 3 + seed % 2
+    basis = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(1 + (seed // 2) % (n * n - 2))]
+    S = OperatorSubspace(ambient_dim=n, basis=basis, unital=True)
+    phi = StateFunctional(density=density_of_rank(rng, n, 1 + (seed // 2) % n), domain=S)
+    spec = states._extension_set(phi)
+    (block,) = spec.compressed_blocks()
+    objectives = [spec.compress(unit_norm_hermitian(rng, n)) for _ in range(3)]
+    problems = [
+        sdp.SdpProblem(objective=sign * np.array([np.vdot(C, N).real for N in spec.dirs]), blocks=[block])
+        for C in objectives for sign in (1.0, -1.0)
+    ]
+    solutions = sdp.solve_batch(problems, [spec.z_interior] * len(problems))
+    assert [s.status for s in solutions] == [sdp.OPTIMAL] * len(problems)
+    assert max(s.newton_steps for s in solutions) <= 25
