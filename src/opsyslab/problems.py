@@ -48,7 +48,8 @@ SCHEMA = "opsyslab/1"
 # Work limits of one document, each at most about a minute at the largest
 # size measured (full M8, one BLAS thread): N = 1000 riesz steps, one batch
 # of feasibility SDPs, took 28 s (peak RSS 162 MB), an automatic bound pair
-# two solves (550 ms), a search trial one instance SDP (26 ms).
+# two warm-started solves (about 40 ms), a search trial one instance SDP
+# (26 ms).
 MAX_RIESZ_N = 1000
 MAX_AUTO_BOUNDS = 100
 MAX_TRIALS = 2000

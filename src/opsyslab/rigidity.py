@@ -390,12 +390,18 @@ class InfeasibleInterpolation(InputError):
 def extreme_bound(B: MatrixStarAlgebra, a, rng, upper: bool,
                   settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS):
     """An extremal-ish element of { u in B : u >= a } (or <= a) found by
-    minimizing a random linear functional inside a generous norm box."""
+    minimizing a random linear functional inside a generous norm box,
+    started at u = +-(1 + ||a||) I."""
     hb = B.hermitian_basis()
     n = B.ambient_dim
     eye = np.eye(n, dtype=complex)
-    box = 4.0 * (1.0 + op_norm(a))
+    reach = 1.0 + op_norm(a)
+    box = 4.0 * reach
     sign = 1.0 if upper else -1.0
+    # coefficients of I over hb (I is in B); the start has margin >= 1 in
+    # every block
+    F = hb.reshape(len(hb), -1)
+    x0 = sign * reach * np.linalg.solve((F.conj() @ F.T).real, np.trace(hb, axis1=1, axis2=2).real)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = hermitian_part(raw)
     blocks = [
@@ -404,7 +410,7 @@ def extreme_bound(B: MatrixStarAlgebra, a, rng, upper: bool,
         sdp.LmiBlock(box * eye, hb),
     ]
     objective = np.array([float(np.vdot(G, h).real) for h in hb])
-    sol = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), settings=settings)
+    sol = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
     if sol.status != sdp.OPTIMAL:
         raise NumericalFailureError(f"extreme bound generation failed: {sol.status}")
     return hermitian_part(sum(x * h for x, h in zip(sol.x, hb)))

@@ -11,9 +11,14 @@ own coordinates X = V Y V*, with V the orthonormal support found so far:
 the constraints compress to tr(V* A_j V Y) = b_j on r x r matrices Y, and
 the round is repeated until an interior point appears or the set collapses
 to a single point (Drusvyatskiy & Wolkowicz, "The many faces of degeneracy
-in conic optimization", 2017).  The dual's kernel is only as accurate as the
-phase-one solve, so each new support takes one Gauss-Newton step toward a
-support on which the constraints hold before the next round.
+in conic optimization", 2017).  A round first tests the least-norm solution
+x0 of the compressed system: when I is in the span of the constraints, x0
+is the projection of a multiple of I onto the affine set, and it is often
+interior already.  A Cholesky factorization of x0 - FACE_TOL scale I then
+settles the round with no phase-one program, at the threshold the
+program's value would be held to.  The dual's kernel is only as accurate
+as the phase-one solve, so each new support takes one Gauss-Newton step
+toward a support on which the constraints hold before the next round.
 """
 
 from __future__ import annotations
@@ -35,31 +40,35 @@ KERNEL_TOL = 1e-4
 
 
 def _real_coords(A: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a hermitian matrix: diagonal, then
-    sqrt(2)-scaled real and imaginary upper-triangular parts."""
-    d = A.shape[0]
-    iu = np.triu_indices(d, k=1)
+    """Isometric real coordinates of a stack (m, d, d) of hermitian
+    matrices, one row each: diagonal, then sqrt(2)-scaled real and
+    imaginary upper-triangular parts."""
+    iu = np.triu_indices(A.shape[-1], k=1)
+    upper = A[:, iu[0], iu[1]]
     return np.concatenate(
-        [np.diag(A).real, np.sqrt(2.0) * A[iu].real, np.sqrt(2.0) * A[iu].imag]
+        [np.diagonal(A, axis1=1, axis2=2).real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag],
+        axis=1,
     )
 
 
 def _from_real_coords(x: np.ndarray, d: int) -> np.ndarray:
+    """The stack (m, d, d) of hermitian matrices whose coordinates are the
+    rows of x."""
     iu = np.triu_indices(d, k=1)
     k = iu[0].size
-    A = np.zeros((d, d), dtype=complex)
-    A[np.diag_indices(d)] = x[:d]
-    upper = (x[d : d + k] + 1j * x[d + k :]) / np.sqrt(2.0)
-    A[iu] = upper
-    A[(iu[1], iu[0])] = upper.conj()
+    A = np.zeros((len(x), d, d), dtype=complex)
+    A[:, np.arange(d), np.arange(d)] = x[:, :d]
+    upper = (x[:, d : d + k] + 1j * x[:, d + k :]) / np.sqrt(2.0)
+    A[:, iu[0], iu[1]] = upper
+    A[:, iu[1], iu[0]] = upper.conj()
     return A
 
 
-def _solve_affine(dim: int, constraints, rank_tol: float = 1e-9):
-    """Particular hermitian solution and null directions of tr(A_j X) = b_j;
-    (None, None) when the system is inconsistent."""
-    rows = np.stack([_real_coords(hermitian_part(A)) for A, _ in constraints])
-    rhs = np.array([float(b) for _, b in constraints])
+def _solve_affine(mats: np.ndarray, rhs: np.ndarray, rank_tol: float = 1e-9):
+    """Particular hermitian solution and the stack of null directions of
+    tr(A_j X) = b_j for a stack A of shape (m, d, d); (None, None) when the
+    system is inconsistent."""
+    rows = _real_coords(hermitian_part(mats))
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
     scale = float(s[0]) if s.size else 0.0
     rank = int(np.sum(s > rank_tol * max(scale, 1.0)))
@@ -68,9 +77,8 @@ def _solve_affine(dim: int, constraints, rank_tol: float = 1e-9):
     resid = float(np.linalg.norm(rows @ pinv_rhs - rhs))
     if resid > 1e-7 * (1.0 + float(np.linalg.norm(rhs))):
         return None, None
-    x0 = _from_real_coords(pinv_rhs, dim)
-    null = [_from_real_coords(v, dim) for v in vt[rank:]]
-    return hermitian_part(x0), [hermitian_part(N) for N in null]
+    points = hermitian_part(_from_real_coords(np.vstack([pinv_rhs, vt[rank:]]), mats.shape[-1]))
+    return points[0], points[1:]
 
 
 @dataclass
@@ -79,18 +87,21 @@ class ReducedSpectrahedron:
 
     Points are X(z) = V Y(z) V* with V = `support` (orthonormal columns) and
     Y(z) = x0 + sum z_i dirs_i, r x r with r the face's rank; feasibility is
-    equivalent to Y(z) >= 0, and `z_interior` is strictly feasible.
+    equivalent to Y(z) >= 0, and `z_interior` is strictly feasible.  `dirs`
+    is stored as one (k, r, r) array.
     """
 
     x0: np.ndarray
-    dirs: list
+    dirs: np.ndarray
     support: np.ndarray
     z_interior: np.ndarray
 
-    def compressed_blocks(self) -> list:
+    def __post_init__(self):
         r = self.x0.shape[0]
-        stack = np.stack(self.dirs) if self.dirs else np.zeros((0, r, r), dtype=complex)
-        return [sdp.LmiBlock._trusted(self.x0, stack)]
+        self.dirs = np.asarray(self.dirs, dtype=complex).reshape(-1, r, r)
+
+    def compressed_blocks(self) -> list:
+        return [sdp.LmiBlock._trusted(self.x0, self.dirs)]
 
     def compress(self, C) -> np.ndarray:
         """V* C V in face coordinates (hermitian part); a stack is taken
@@ -109,20 +120,22 @@ class ReducedSpectrahedron:
         direction carries a trace, every bound is +inf.
         """
         Cs = self.compress(Cs)
-        values = np.array([float(np.vdot(C, self.x0).real) for C in Cs])
-        if not self.dirs:
+        values = self.base_values(Cs)
+        if len(self.dirs) == 0:
             return values, np.zeros(len(Cs))
-        N = np.stack(self.dirs)
+        N = self.dirs
         if np.max(np.abs(np.trace(N, axis1=1, axis2=2))) > TRACELESS_TOL:
             return values, np.full(len(Cs), np.inf)
         r = np.einsum("kab,jab->kj", Cs.conj(), N).real
         tau = float(np.trace(self.x0).real)
         return values, np.sqrt(2.0) * tau * np.linalg.norm(r, axis=1)
 
+    def base_values(self, compressed: np.ndarray) -> np.ndarray:
+        """tr(C_k x0) for a stack of objectives already in face coordinates."""
+        return np.einsum("kab,ab->k", compressed.conj(), self.x0).real
+
     def point(self, z: np.ndarray) -> np.ndarray:
-        Y = self.x0
-        for zi, N in zip(z, self.dirs):
-            Y = Y + zi * N
+        Y = self.x0 + np.tensordot(z, self.dirs, axes=1)
         V = self.support
         return hermitian_part(V @ Y @ V.conj().T)
 
@@ -136,19 +149,25 @@ def reduce_spectrahedron(
 ) -> ReducedSpectrahedron:
     """Locate the feasible face of the constrained PSD set.
 
+    Each round tries the least-norm point x0 of the compressed system first:
+    if x0 - FACE_TOL scale I has a Cholesky factor (scale = 1 + max |x0|),
+    the face is found with z_interior = 0 and no phase-one program runs;
+    otherwise the phase-one program decides between an interior point, a
+    flat face and an empty set.
+
     Raises SpectrahedronInfeasible when the set is empty: the unreduced
     linear system is inconsistent, the unreduced candidate point of a
     zero-dimensional system is not PSD, or the PSD part carries a verified
     Farkas certificate.  The same findings on a reduced face rest on the
     numerical kernel of a phase-one dual and raise NumericalFailureError.
     """
-    mats = np.stack([hermitian_part(A) for A, _ in constraints])
+    mats = hermitian_part(np.array([A for A, _ in constraints], dtype=complex))
     rhs = np.array([float(b) for _, b in constraints])
     support = np.eye(dim, dtype=complex)
     for _ in range(dim + 1):
         r = support.shape[1]
         reduced = r < dim
-        x0, dirs = _solve_affine(r, list(zip(support.conj().T @ mats @ support, rhs)))
+        x0, dirs = _solve_affine(support.conj().T @ mats @ support, rhs)
         if x0 is None:
             if reduced:
                 raise NumericalFailureError(
@@ -166,6 +185,9 @@ def reduce_spectrahedron(
             if reduced:
                 raise NumericalFailureError("the located face's only point is not PSD")
             raise SpectrahedronInfeasible("unique candidate point is not PSD")
+        # x0 is interior at the search's own threshold: the search would agree
+        if sdp._cholesky([x0 - FACE_TOL * scale * np.eye(r)]) is not None:
+            return spec
         (block,) = spec.compressed_blocks()
         sol = sdp.check_feasibility([block], margin=0.0, settings=settings)
         if sol.status == sdp.NUMERICAL_FAILURE:
@@ -231,12 +253,12 @@ def optimize_linear(spec: ReducedSpectrahedron, Cs, settings: sdp.SdpSettings = 
     the stack (pass -C to minimize), as one batch of programs; returns a
     (value, optimizer) pair per objective."""
     Cs = spec.compress(Cs)
-    base = [float(np.vdot(C, spec.x0).real) for C in Cs]
+    base = spec.base_values(Cs)
     if len(spec.dirs) == 0:
-        return [(value, spec.point(np.zeros(0))) for value in base]
+        return [(float(value), spec.point(np.zeros(0))) for value in base]
     if len(spec.dirs) > sdp.MAX_VARIABLES:
         raise FaceTooLarge(len(spec.dirs))
-    N = np.stack(spec.dirs)
+    N = spec.dirs
     # minimize -tr(C_k X) over the face's coordinates z
     objectives = -(Cs.reshape(len(Cs), -1).conj() @ N.reshape(len(N), -1).T).real
     blocks = spec.compressed_blocks()
@@ -247,4 +269,4 @@ def optimize_linear(spec: ReducedSpectrahedron, Cs, settings: sdp.SdpSettings = 
             raise NumericalFailureError(
                 f"spectrahedron optimization failed: {sol.status} {sol.message}"
             )
-    return [(value - sol.value, spec.point(sol.x)) for value, sol in zip(base, solutions)]
+    return [(float(value - sol.value), spec.point(sol.x)) for value, sol in zip(base, solutions)]

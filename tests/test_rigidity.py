@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from opsyslab import sdp
+from opsyslab import problems, rigidity, sdp
 from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace
 from opsyslab.errors import InputError
 from opsyslab.hermitian import is_psd, op_norm
@@ -367,6 +368,44 @@ def test_riesz_auto_bounds():
                                auto_bounds=2, seed=31)
     betas = riesz_sequence(req)
     assert len(betas) == 3
+
+
+def test_riesz_auto_bounds_start_inside_their_programs(monkeypatch):
+    # Each generated bound's program starts at +-(1 + ||a||) I, strictly
+    # inside its three blocks, so no feasibility phase runs for it.
+    inside, bounds = [], []
+    real_phase1, real_bound = sdp._phase1, rigidity.extreme_bound
+
+    def phase1(*args, **kwargs):
+        assert not inside, "a generated bound ran a feasibility phase"
+        return real_phase1(*args, **kwargs)
+
+    def bound(B, a, rng, upper, settings=sdp.DEFAULT_SETTINGS):
+        inside.append(upper)
+        try:
+            u = real_bound(B, a, rng, upper, settings=settings)
+        finally:
+            inside.pop()
+        bounds.append((upper, u))
+        return u
+
+    monkeypatch.setattr(sdp, "_phase1", phase1)
+    monkeypatch.setattr(rigidity, "extreme_bound", bound)
+    doc = problems.parse_problem(json.dumps({"kind": "riesz", "seed": 5, "payload": {
+        "B": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], "a": [[0, 0.5], [0.5, 1]],
+        "epsilon": 0.5, "N": 3, "auto_bounds": 2}}))
+    betas = problems.run(doc)["results"]["betas"]
+    assert len(betas) == 3 and sorted(upper for upper, _ in bounds) == [False, False, True, True]
+    B = MatrixStarAlgebra.from_basis([np.eye(2), np.diag([1.0, -1.0])])
+    a = np.array([[0.0, 0.5], [0.5, 1.0]], dtype=complex)
+    for upper, u in bounds:
+        assert B.contains(u)
+        assert is_psd(u - a if upper else a - u, 1e-8)
+    for n, beta in enumerate(betas, start=1):
+        beta = problems.parse_matrix(beta, "beta")
+        for upper, u in bounds:
+            gap = u - beta if upper else beta - u
+            assert is_psd(gap + np.eye(2) / n, 1e-8)
 
 
 # ----------------------------------------------------------- CP maps

@@ -11,9 +11,10 @@ solve reports the steps of all three of its phases.  The optimization
 phase's duals must meet the KKT conditions, and the constraints to
 rounding.  Facial reduction is pinned on seeded systems that used to fail:
 a set known to be nonempty must never be rejected, and the face's interior
-point must satisfy the original constraints.  A program solved in a batch,
-of either phase, must equal its solo run bit for bit, whatever the batch
-and its chunks.
+point must satisfy the original constraints.  A round whose least-norm
+point is interior runs no face search; one whose least-norm point is
+singular still does.  A program solved in a batch, of either phase, must
+equal its solo run bit for bit, whatever the batch and its chunks.
 """
 
 from __future__ import annotations
@@ -401,16 +402,65 @@ def test_flat_face_is_reduced_not_rejected(seed):
     assert_interior_point_is_feasible(spec, constraints)
 
 
-def test_extension_set_face_point_is_feasible():
+def count_face_searches(monkeypatch) -> list:
+    """Record every feasibility program that facial reduction runs."""
+    calls = []
+    real = sdp.check_feasibility
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "check_feasibility", spy)
+    return calls
+
+
+def test_extension_set_face_point_is_feasible(monkeypatch):
     # A state supported on span(e1, e2) that is 1 on the projection onto it:
     # every extension lives on that 2 x 2 corner, a proper face with interior.
+    # The least-norm point of the unreduced set is not interior, so the face
+    # search runs.
     rng = np.random.default_rng(7)
     rho = np.zeros((3, 3), dtype=complex)
     rho[:2, :2] = density_of_rank(rng, 2, 2)
     S = [np.eye(3), np.diag([1.0, 1.0, 0.0]), unit_norm_hermitian(rng, 3)]
     constraints = [(s, float(np.trace(s @ rho).real)) for s in S]
+    calls = count_face_searches(monkeypatch)
     spec = spectrahedron.reduce_spectrahedron(3, constraints)
+    assert len(calls) >= 1
     assert spec.support.shape[1] == 2 and len(spec.dirs) > 0
+    assert_interior_point_is_feasible(spec, constraints)
+
+
+def test_full_rank_extension_set_skips_the_face_search(monkeypatch):
+    # A full-rank state: the least-norm point of its extension set is well
+    # inside the PSD cone, so no feasibility program runs.
+    rng = np.random.default_rng(11)
+    n = 3
+    rho = density_of_rank(rng, n, n)
+    S = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(3)]
+    constraints = [(s, float(np.trace(s @ rho).real)) for s in S]
+    calls = count_face_searches(monkeypatch)
+    spec = spectrahedron.reduce_spectrahedron(n, constraints)
+    assert calls == []
+    assert spec.support.shape[1] == n and np.array_equal(spec.z_interior, np.zeros(len(spec.dirs)))
+    scale = 1.0 + float(np.max(np.abs(spec.x0)))
+    assert eigh(spec.point(spec.z_interior)).eigenvalues[0] > spectrahedron.FACE_TOL * scale
+    assert_interior_point_is_feasible(spec, constraints)
+
+
+def test_singular_least_norm_point_of_a_full_dimensional_set(monkeypatch):
+    # tr Y = 1 and tr(diag(1, -1, 0) Y) = 2/3: the least-norm point
+    # diag(2/3, 0, 1/3) is singular, yet diag(0.8, 2/15, 1/15) is interior,
+    # so one face search must supply the interior point.
+    constraints = [(np.eye(3), 1.0), (np.diag([1.0, -1.0, 0.0]), 2.0 / 3.0)]
+    calls = count_face_searches(monkeypatch)
+    spec = spectrahedron.reduce_spectrahedron(3, constraints)
+    assert len(calls) == 1
+    assert np.allclose(spec.x0, np.diag([2.0 / 3.0, 0.0, 1.0 / 3.0]), atol=1e-12)
+    assert spec.support.shape[1] == 3
+    assert np.linalg.norm(spec.z_interior) > 0
+    assert eigh(spec.point(spec.z_interior)).eigenvalues[0] > spectrahedron.FACE_TOL
     assert_interior_point_is_feasible(spec, constraints)
 
 
