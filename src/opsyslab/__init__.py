@@ -19,6 +19,7 @@ from .errors import InputError, NumericalFailureError, OpsyslabError
 from .hermitian import (
     EigenDecomposition,
     clip_spectrum,
+    eigenvalues,
     eigh,
     hermitian,
     hs_inner,
@@ -76,6 +77,7 @@ __all__ = [
     "clip_spectrum",
     "commutant",
     "decide_unperforated_lines",
+    "eigenvalues",
     "eigh",
     "extension_interval",
     "find_pure_majorizing_state",

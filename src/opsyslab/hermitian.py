@@ -1,13 +1,17 @@
 """Dense complex hermitian linear algebra.
 
-The eigensolver is LAPACK's divide-and-conquer `zheevd`, reached through
-`np.linalg.eigh`.  Its output is not trusted blindly: every decomposition is
-checked for reconstruction, ||Q diag(lam) Q* - A|| <= 1e-10 (1 + ||A||), and
-for unitarity, ||Q*Q - I|| <= 1e-10, and a failure raises
-NumericalFailureError instead of returning degraded output.  The bound is
-absolute in ||A||, so the relative accuracy on graded matrices that a Jacobi
-method would add is not needed.  Eigenvalues come sorted ascending, and
-results are deterministic for equal input.
+The eigensolver is LAPACK's `zheevd`: `np.linalg.eigh` (`eigh`) where
+eigenvectors are used, `np.linalg.eigvalsh` (`eigenvalues`, `op_norm`,
+`is_psd`, which also take a (k, n, n) stack in one call) where they are not.
+Neither output is trusted blindly.  A decomposition must meet reconstruction,
+||Q diag(lam) Q* - A|| <= 1e-10 (1 + ||A||), and unitarity, ||Q*Q - I|| <=
+1e-10; eigenvalues alone must meet |sum lam - tr A| <= 1e-10 ||A||_F and
+|sum lam^2 - ||A||_F^2| <= 1e-10 ||A||_F^2.  The residuals are formed on A
+over its largest entry modulus, so they cannot overflow, and a failure
+raises NumericalFailureError instead of returning degraded output.  The
+bounds are absolute in ||A||: a graded matrix gets no more relative accuracy
+than LAPACK gives.  Eigenvalues come sorted ascending, and results are
+deterministic for equal input.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ MAX_ENTRY = np.finfo(float).max / 2
 PSD_TOL = 1e-9
 
 _RECONSTRUCT_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 def hermitian(entries) -> np.ndarray:
@@ -43,22 +48,28 @@ def hermitian(entries) -> np.ndarray:
     anti-hermitian part exceeds HERMITIAN_REJECT relative to the entry scale,
     so file-format rounding is absorbed without masking genuine errors.
     """
+    return _checked(entries, (2,))
+
+
+def _checked(entries, ndims) -> np.ndarray:
+    """`hermitian` on a matrix or, with ndims (2, 3), a nonempty stack."""
     A = np.asarray(entries, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] == 0:
+    if A.ndim not in ndims or A.shape[-1] != A.shape[-2] or 0 in A.shape:
         raise InputError(f"expected a nonempty square matrix, got shape {A.shape}")
-    if A.shape[0] > MAX_DIM:
-        raise InputError(f"dimension {A.shape[0]} exceeds the supported maximum {MAX_DIM}")
+    if A.shape[-1] > MAX_DIM:
+        raise InputError(f"dimension {A.shape[-1]} exceeds the supported maximum {MAX_DIM}")
     return hermitian_stack(A)
 
 
 def hermitian_stack(A: np.ndarray) -> np.ndarray:
     """`hermitian`'s checks and symmetrization on a stack (..., n, n)."""
-    if not np.isfinite(A).all():
-        raise InputError("matrix entries must be finite (no NaN/Inf)")
-    A_star = A.conj().swapaxes(-1, -2)
     peak = np.abs(A).max(axis=(-2, -1))
-    if (peak > MAX_ENTRY).any():
+    # NaN and infinite entries fail this comparison too.
+    if not (peak <= MAX_ENTRY).all():
+        if not np.isfinite(A).all():
+            raise InputError("matrix entries must be finite (no NaN/Inf)")
         raise InputError(f"matrix entries must have modulus at most {MAX_ENTRY:.6g}")
+    A_star = A.conj().swapaxes(-1, -2)
     dev = np.abs(A - A_star).max(axis=(-2, -1))
     if (dev > HERMITIAN_REJECT * (1.0 + peak)).any():
         raise InputError(f"matrix is not hermitian: max |A - A*| = {dev.max():.3e}")
@@ -113,15 +124,20 @@ def eigh_coefficient_space(A) -> EigenDecomposition:
     return _eigh_checked((A + A.conj().T) / 2.0)
 
 
-def _eigh_checked(H: np.ndarray) -> EigenDecomposition:
-    n = H.shape[0]
+def _lapack(solver, H):
     try:
-        lam, Q = np.linalg.eigh(H)
+        return solver(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-    scale = float(np.max(np.abs(lam))) if n > 0 else 0.0
-    bound = _RECONSTRUCT_TOL * (1.0 + scale)
-    recon = float(np.linalg.norm((Q * lam) @ Q.conj().T - H))
+
+
+def _eigh_checked(H: np.ndarray) -> EigenDecomposition:
+    n = H.shape[0]
+    lam, Q = _lapack(np.linalg.eigh, H)
+    s = max(float(np.abs(H).max(initial=0.0)), _TINY)
+    bound = _RECONSTRUCT_TOL * (1.0 + (float(np.max(np.abs(lam))) if n > 0 else 0.0))
+    # The residual of H / s, which cannot overflow, scaled back.
+    recon = s * float(np.linalg.norm((Q * (lam / s)) @ Q.conj().T - (H.view(float) / s).view(complex)))
     unit = float(np.linalg.norm(Q.conj().T @ Q - np.eye(n)))
     # Negated comparisons so that NaN output fails the check too.
     if not (recon <= bound and unit <= _RECONSTRUCT_TOL):
@@ -133,10 +149,33 @@ def _eigh_checked(H: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=lam, eigenvectors=Q)
 
 
-def op_norm(A) -> float:
-    """Operator norm of a hermitian matrix: max |eigenvalue|."""
-    ev = eigh(A).eigenvalues
-    return float(np.max(np.abs(ev)))
+def eigenvalues(A) -> np.ndarray:
+    """Eigenvalues, ascending, of a hermitian matrix, or of every matrix of
+    a nonempty (k, n, n) stack as a (k, n) array, from one LAPACK call; the
+    input gets `hermitian`'s checks, the output the trace and square-sum
+    checks of the module docstring."""
+    H = _checked(A, (2, 3))
+    lam = _lapack(np.linalg.eigvalsh, H)
+    s = np.maximum(np.abs(H).max(axis=(-2, -1)), _TINY)[..., None]
+    Hs = H.reshape(H.shape[:-2] + (-1,)).view(float) / s  # rows of re, im pairs
+    ls = lam / s
+    frob2 = np.einsum("...i,...i->...", Hs, Hs)
+    trace = np.abs(ls.sum(axis=-1) - Hs[..., :: 2 * H.shape[-1] + 2].sum(axis=-1))
+    squares = np.abs(np.einsum("...i,...i->...", ls, ls) - frob2)
+    # Negated comparison so that NaN or infinite output fails the check too.
+    if not ((trace <= _RECONSTRUCT_TOL * np.sqrt(frob2)) & (squares <= _RECONSTRUCT_TOL * frob2)).all():
+        raise NumericalFailureError(
+            f"eigenvalues failed their invariants (trace {trace.max():.2e}, squares {squares.max():.2e})"
+        )
+    lam.setflags(write=False)
+    return lam
+
+
+def op_norm(A):
+    """Operator norm max |eigenvalue| of a hermitian matrix; an array of
+    them for a (k, n, n) stack."""
+    norm = np.abs(eigenvalues(A)).max(axis=-1)
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def hs_inner(A, B) -> complex:
@@ -148,17 +187,22 @@ def hs_inner(A, B) -> complex:
     return complex(np.vdot(A, B))
 
 
-def is_psd(A, tol: float = PSD_TOL) -> bool:
-    """Positive semidefinite test: lambda_min >= -tol * (1 + ||A||).
+def is_psd(A, tol: float = PSD_TOL):
+    """Positive semidefinite test: lambda_min >= -tol * (1 + ||A||); an array
+    of verdicts for a (k, n, n) stack.
 
     The tolerance is relative so the decision behaves uniformly across matrix
     scales.
     """
     if tol < 0:
         raise InputError("tol must be nonnegative")
-    ev = eigh(A).eigenvalues
-    norm = float(np.max(np.abs(ev)))
-    return bool(ev[0] >= -tol * (1.0 + norm))
+    return spectrum_psd(eigenvalues(A), tol)
+
+
+def spectrum_psd(ev, tol: float):
+    """`is_psd` from ascending eigenvalues (..., n)."""
+    ok = ev[..., 0] >= -tol * (1.0 + np.abs(ev).max(axis=-1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def clip_spectrum(b, r: float) -> np.ndarray:

@@ -54,20 +54,6 @@ MAX_RIESZ_N = 1000
 MAX_AUTO_BOUNDS = 100
 MAX_TRIALS = 2000
 
-KINDS = (
-    "unperforated",
-    "extension-interval",
-    "uep",
-    "purity",
-    "decompose",
-    "riesz",
-    "boundary",
-    "nosp",
-    "korovkin",
-    "repro",
-)
-
-
 # ----------------------------------------------------------- rendering
 
 
@@ -249,7 +235,7 @@ def parse_problem(text: str) -> ProblemDocument:
         gap_tol=tol.get("gap", sdp.DEFAULT_SETTINGS.gap_tol),
         psd_slack=tol.get("psd", sdp.DEFAULT_SETTINGS.psd_slack),
     )
-    parsed = _PARSERS[kind](payload, _Path("payload"))
+    parsed = _KINDS[kind][0](payload, _Path("payload"))
     canonical = {"kind": kind, "payload": _canonical_payload(parsed)}
     if seed is not None:
         canonical["seed"] = seed
@@ -459,20 +445,6 @@ def _parse_repro(payload, path):
     return {"id": ident}
 
 
-_PARSERS = {
-    "unperforated": _parse_unperforated,
-    "extension-interval": _parse_extension,
-    "uep": _parse_uep,
-    "purity": _parse_state_algebra,
-    "decompose": _parse_state_algebra,
-    "riesz": _parse_riesz,
-    "boundary": _parse_boundary,
-    "nosp": _parse_nosp,
-    "korovkin": _parse_korovkin,
-    "repro": _parse_repro,
-}
-
-
 # ------------------------------------------------------------- running
 
 
@@ -484,11 +456,11 @@ def _instance_results(inst):
     out = {
         "verdict": inst.verdict,
         "max_slack": inst.max_slack,
-        "norm_a": op_norm(inst.a),
+        "norm_a": inst.norm_a,
     }
     if inst.b_prime is not None:
         out["b_prime"] = matrix_to_json(inst.b_prime)
-        out["norm_b_prime"] = op_norm(inst.b_prime)
+        out["norm_b_prime"] = inst.norm_b_prime
     if inst.certificate is not None:
         out["certificate"] = matrices_to_json(inst.certificate)
     return out
@@ -576,11 +548,8 @@ def _run_riesz(doc: ProblemDocument):
         seed=doc.seed if p["auto_bounds"] else None,
     )
     betas = riesz_sequence(req, settings=doc.settings)
-    return {
-        "betas": matrices_to_json(betas),
-        "norms": [op_norm(b) for b in betas],
-        "norm_a": op_norm(p["a"]),
-    }
+    *norms, norm_a = op_norm(np.stack([*betas, req.a])).tolist()
+    return {"betas": matrices_to_json(betas), "norms": norms, "norm_a": norm_a}
 
 
 def _run_boundary(doc: ProblemDocument):
@@ -618,25 +587,27 @@ def _run_repro(doc: ProblemDocument):
     return repro.run_case(doc.payload["id"], settings=doc.settings)
 
 
-_RUNNERS = {
-    "unperforated": _run_unperforated,
-    "extension-interval": _run_extension,
-    "uep": _run_uep,
-    "purity": _run_purity,
-    "decompose": _run_decompose,
-    "riesz": _run_riesz,
-    "boundary": _run_boundary,
-    "nosp": _run_nosp,
-    "korovkin": _run_korovkin,
-    "repro": _run_repro,
+# kind -> (parser, runner)
+_KINDS = {
+    "unperforated": (_parse_unperforated, _run_unperforated),
+    "extension-interval": (_parse_extension, _run_extension),
+    "uep": (_parse_uep, _run_uep),
+    "purity": (_parse_state_algebra, _run_purity),
+    "decompose": (_parse_state_algebra, _run_decompose),
+    "riesz": (_parse_riesz, _run_riesz),
+    "boundary": (_parse_boundary, _run_boundary),
+    "nosp": (_parse_nosp, _run_nosp),
+    "korovkin": (_parse_korovkin, _run_korovkin),
+    "repro": (_parse_repro, _run_repro),
 }
+KINDS = tuple(_KINDS)
 
 
 def run(doc: ProblemDocument) -> dict:
     """Dispatch a parsed document and wrap the outcome in a report."""
     start = time.perf_counter()
     try:
-        results = _RUNNERS[doc.kind](doc)
+        results = _KINDS[doc.kind][1](doc)
     except FaceTooLarge as exc:
         # uep, extension-interval and boundary: the face of an r x r set
         # pinned by S has up to r^2 - dim S coordinates

@@ -12,7 +12,7 @@ import numpy as np
 from . import sdp
 from .algebra import MatrixStarAlgebra, OperatorSubspace
 from .errors import InputError
-from .hermitian import is_psd, op_norm
+from .hermitian import is_psd
 from .korovkin import korovkin_demo
 from .problems import matrices_to_json, matrix_to_json
 from .rigidity import (
@@ -49,8 +49,8 @@ def _case_unp_matrices(settings):
     return {
         "verdict": inst.verdict,
         "b_prime": matrix_to_json(inst.b_prime),
-        "norm_b_prime": op_norm(inst.b_prime),
-        "norm_a": op_norm(a),
+        "norm_b_prime": inst.norm_b_prime,
+        "norm_a": inst.norm_a,
         "scalar_inequalities": [[sense, coeff] for sense, coeff in inequalities],
         "forced_lambda": [window[0], window[1]],
     }

@@ -23,11 +23,13 @@ from .errors import InputError, NumericalFailureError
 from .hermitian import (
     clip_spectrum,
     commutator_norm,
+    eigenvalues,
     eigh,
     hermitian,
     hermitian_part,
     is_psd,
     op_norm,
+    spectrum_psd,
 )
 
 INSTANCE_TOL = 1e-7
@@ -50,6 +52,8 @@ class UnperforatedInstance:
     b_prime: np.ndarray | None
     certificate: list | None
     max_slack: float
+    norm_a: float
+    norm_b_prime: float | None = None
 
     @property
     def verdict(self) -> str:
@@ -57,15 +61,10 @@ class UnperforatedInstance:
 
 
 def _instance_blocks(T: OperatorSubspace, a, b, norm_a):
-    n = T.ambient_dim
-    eye = np.eye(n, dtype=complex)
-    basis = T.basis
-    return [
-        sdp.LmiBlock(-a, basis),
-        sdp.LmiBlock(b, [-t for t in basis]),
-        sdp.LmiBlock(norm_a * eye, [-t for t in basis]),
-        sdp.LmiBlock(norm_a * eye, basis),
-    ]
+    """The four blocks from validated a, b and T's validated basis."""
+    cap = norm_a * np.eye(T.ambient_dim, dtype=complex)
+    return [sdp.LmiBlock._trusted(-a, T.basis), sdp.LmiBlock._trusted(b, -T.basis),
+            sdp.LmiBlock._trusted(cap, -T.basis), sdp.LmiBlock._trusted(cap, T.basis)]
 
 
 def solve_unperforated_instance(
@@ -86,28 +85,26 @@ def solve_unperforated_instance(
     b = hermitian(b)
     S.coefficients_of(a)
     T.coefficients_of(b)
-    if not is_psd(b - a, 1e-8):
+    ev = eigenvalues(np.stack([b - a, a]))
+    if not spectrum_psd(ev[0], 1e-8):
         raise InputError("instance requires a <= b")
-    norm_a = op_norm(a)
+    norm_a = float(np.abs(ev[1]).max())
     blocks = _instance_blocks(T, a, b, norm_a)
     sol = sdp.check_feasibility(blocks, margin=0.0, settings=settings)
     if sol.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"instance SDP failed: {sol.message}")
     candidate = T.element(sol.x)
-    ok = (
-        is_psd(candidate - a, INSTANCE_TOL)
-        and is_psd(b - candidate, INSTANCE_TOL)
-        and op_norm(candidate) <= norm_a + INSTANCE_TOL * (1.0 + norm_a)
-    )
-    if ok:
+    ev = eigenvalues(np.stack([candidate - a, b - candidate, candidate]))
+    norm_b_prime = float(np.abs(ev[2]).max())
+    if spectrum_psd(ev[:2], INSTANCE_TOL).all() and norm_b_prime <= norm_a + INSTANCE_TOL * (1.0 + norm_a):
         return UnperforatedInstance(
-            S=S, T=T, a=a, b=b, feasible=True, b_prime=candidate,
-            certificate=None, max_slack=float(sol.value),
+            S=S, T=T, a=a, b=b, feasible=True, b_prime=candidate, certificate=None,
+            max_slack=float(sol.value), norm_a=norm_a, norm_b_prime=norm_b_prime,
         )
     if sol.dual_certificate is not None:
         return UnperforatedInstance(
-            S=S, T=T, a=a, b=b, feasible=False, b_prime=None,
-            certificate=sol.dual_certificate, max_slack=float(sol.value),
+            S=S, T=T, a=a, b=b, feasible=False, b_prime=None, certificate=sol.dual_certificate,
+            max_slack=float(sol.value), norm_a=norm_a,
         )
     raise NumericalFailureError(
         f"instance neither verifiable nor certified (max slack {sol.value:.3e})"
@@ -119,7 +116,8 @@ def verify_instance_certificate(instance: UnperforatedInstance, tol: float = 1e-
     from scratch; `tol` bounds the relative residual."""
     if instance.certificate is None:
         return False
-    blocks = _instance_blocks(instance.T, instance.a, instance.b, op_norm(instance.a))
+    a, b = hermitian(instance.a), hermitian(instance.b)
+    blocks = _instance_blocks(instance.T, a, b, op_norm(a))
     return sdp.verify_certificate(blocks, instance.certificate, residual_tol=tol)
 
 
@@ -146,6 +144,7 @@ def search_counterexample(
     # b = 2I is strictly inside every generation program (a <= I, box >= 16)
     identity = T.identity_in_span()
     x0 = None if identity is None else 2.0 * identity
+    box = 16.0 * eye  # 8 (1 + ||a||) for the normalized a
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         a = S.element(rng.standard_normal(S.dim))
@@ -156,12 +155,8 @@ def search_counterexample(
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         G = hermitian_part(raw)
         G = G / max(np.linalg.norm(G), 1e-12)
-        box = 8.0 * (1.0 + op_norm(a))
-        blocks = [
-            sdp.LmiBlock(-a, T.basis),
-            sdp.LmiBlock(box * eye, [-t for t in T.basis]),
-            sdp.LmiBlock(box * eye, T.basis),
-        ]
+        blocks = [sdp.LmiBlock._trusted(-a, T.basis), sdp.LmiBlock._trusted(box, -T.basis),
+                  sdp.LmiBlock._trusted(box, T.basis)]
         objective = np.array([float(np.vdot(G, t).real) for t in T.basis])
         gen = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
         if gen.status != sdp.OPTIMAL:
@@ -365,16 +360,16 @@ class InterpolationRequest:
             raise InputError("sequence length must be at least 1")
         self.lowers = [hermitian(l) for l in self.lowers]
         self.uppers = [hermitian(u) for u in self.uppers]
-        for l in self.lowers:
-            if not self.B.contains(l):
-                raise InputError("a lower bound is not in the algebra")
-            if not is_psd(self.a - l, 1e-8):
-                raise InputError("a lower bound does not sit below the element")
-        for u in self.uppers:
-            if not self.B.contains(u):
-                raise InputError("an upper bound is not in the algebra")
-            if not is_psd(u - self.a, 1e-8):
-                raise InputError("an upper bound does not sit above the element")
+        if not all(self.B.contains(l) for l in self.lowers):
+            raise InputError("a lower bound is not in the algebra")
+        if not all(self.B.contains(u) for u in self.uppers):
+            raise InputError("an upper bound is not in the algebra")
+        gaps = [self.a - l for l in self.lowers] + [u - self.a for u in self.uppers]
+        ordered = is_psd(np.stack(gaps), 1e-8) if gaps else []
+        if not all(ordered[:len(self.lowers)]):
+            raise InputError("a lower bound does not sit below the element")
+        if not all(ordered):
+            raise InputError("an upper bound does not sit above the element")
         if self.auto_bounds and self.seed is None:
             raise InputError("auto-generated bounds need a seed")
 
@@ -461,22 +456,11 @@ def riesz_sequence(req: InterpolationRequest,
             )
         if sol.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"interpolation SDP failed: {sol.message}")
-        beta = hermitian_part(sum(x * h for x, h in zip(sol.x, hb)))
-        shift = INSTANCE_TOL * (1.0 + na)
-        for blk in blocks:
-            if not _psd_within(blk.slack(sol.x), shift):
-                raise NumericalFailureError(f"interpolant at n={n} violates its blocks")
-        out.append(beta)
+        slacks = np.stack([blk.slack(sol.x) for blk in blocks])
+        if not eigenvalues(slacks)[:, 0].min() >= -INSTANCE_TOL * (1.0 + na):
+            raise NumericalFailureError(f"interpolant at n={n} violates its blocks")
+        out.append(hermitian_part(sum(x * h for x, h in zip(sol.x, hb))))
     return out
-
-
-def _psd_within(S: np.ndarray, shift: float) -> bool:
-    """lambda_min(S) >= -shift, decided by a shifted Cholesky attempt."""
-    try:
-        np.linalg.cholesky(S + shift * np.eye(S.shape[0]))
-        return True
-    except np.linalg.LinAlgError:
-        return False
 
 
 # ------------------------------------------------------------ Choi maps
@@ -511,15 +495,9 @@ class ChoiMap:
 
     @staticmethod
     def from_map(func, dim_in: int, dim_out: int, unital: bool = False) -> "ChoiMap":
-        blocks = []
-        for i in range(dim_in):
-            row = []
-            for j in range(dim_in):
-                E = np.zeros((dim_in, dim_in), dtype=complex)
-                E[i, j] = 1.0
-                row.append(np.asarray(func(E), dtype=complex))
-            blocks.append(row)
-        J = np.block(blocks)
+        # units[i, j] = E_ij
+        units = np.eye(dim_in * dim_in, dtype=complex).reshape((dim_in,) * 4)
+        J = np.block([[np.asarray(func(E), dtype=complex) for E in row] for row in units])
         return ChoiMap(dim_in=dim_in, dim_out=dim_out, choi=J, unital=unital)
 
     @staticmethod

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import sdp
 from .errors import InputError, NumericalFailureError
-from .hermitian import eigh, hermitian_part
+from .hermitian import eigenvalues, eigh, hermitian_part
 
 FACE_TOL = 1e-7
 # |tr N| below this counts as traceless for a unit direction N
@@ -180,7 +180,7 @@ def reduce_spectrahedron(
         scale = 1.0 + float(np.max(np.abs(x0)))
         if len(dirs) == 0:
             # a single candidate point; PSD decides feasibility outright
-            if eigh(x0).eigenvalues[0] >= -1e-8 * scale:
+            if eigenvalues(x0)[0] >= -1e-8 * scale:
                 return spec
             if reduced:
                 raise NumericalFailureError("the located face's only point is not PSD")

@@ -28,7 +28,7 @@ import numpy as np
 from . import sdp, spectrahedron
 from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, wedderburn
 from .errors import InputError, NumericalFailureError
-from .hermitian import eigh, hermitian, hermitian_part
+from .hermitian import eigenvalues, eigh, hermitian, hermitian_part
 
 UEP_TOL = 1e-6
 WITNESS_AGREE_TOL = 1e-7
@@ -51,7 +51,7 @@ class StateFunctional:
 
     def __post_init__(self):
         self.density = hermitian(self.density)
-        ev = eigh(self.density).eigenvalues
+        ev = eigenvalues(self.density)
         if ev[0] < -DENSITY_EIG_TOL:
             raise InputError(f"density has a negative eigenvalue {ev[0]:.3e}")
         tr = float(np.trace(self.density).real)

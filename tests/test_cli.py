@@ -356,7 +356,8 @@ def test_cli_korovkin_high_degree(capsys):
 
 
 def test_cli_non_finite_result_exits_3(monkeypatch, capsys):
-    monkeypatch.setitem(problems._RUNNERS, "korovkin", lambda doc: {"value": float("nan")})
+    kind = (problems._parse_korovkin, lambda doc: {"value": float("nan")})
+    monkeypatch.setitem(problems._KINDS, "korovkin", kind)
     assert main(["korovkin", "--n", "10", "--json"]) == 3
     assert "non-finite" in capsys.readouterr().err
 

@@ -1,21 +1,32 @@
 """Checks for the hermitian kernel: eigensolver, PSD test, spectral clamp.
 
-The package route is np.linalg.eigh (LAPACK zheevd) behind reconstruction
-and unitarity checks.  np.linalg.eigvalsh is the eigenvalue oracle; since it
-comes from the same LAPACK, the tests also pin the invariants themselves:
-reconstruction, ordering, determinism, and that a decomposition failing its
-checks raises instead of being returned.
+The package routes are np.linalg.eigh (LAPACK zheevd) behind reconstruction
+and unitarity checks, and np.linalg.eigvalsh behind trace and square-sum
+checks.  np.linalg.eigvalsh is the eigenvalue oracle; since it comes from
+the same LAPACK, the tests also pin the invariants themselves:
+reconstruction, ordering, determinism, and that output failing its checks
+raises instead of being returned.  The last tests count the spectral calls
+that whole documents make.
 """
 
 from __future__ import annotations
 
+import importlib
+import json
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
+from opsyslab import problems
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import (
+    MAX_DIM,
+    MAX_ENTRY,
     clip_spectrum,
     commutator_norm,
+    eigenvalues,
     eigh,
     eigh_coefficient_space,
     hermitian,
@@ -185,3 +196,164 @@ def test_eigenvalues_ascending():
         A = random_hermitian(rng, 6)
         ev = eigh(A).eigenvalues
         assert np.all(np.diff(ev) >= -1e-14)
+
+
+def test_eigh_invariants_do_not_overflow():
+    # Entries below MAX_ENTRY whose residuals would overflow when squared.
+    A = 1e300 * np.diag([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert eigh(A).eigenvalues == pytest.approx([1e300, 2e300], rel=1e-15)
+        assert eigenvalues(A) == pytest.approx([1e300, 2e300], rel=1e-15)
+        assert np.array_equal(eigenvalues(4e-323 * np.eye(2)), [4e-323, 4e-323])
+
+
+def degenerate_hermitian(rng, n: int) -> np.ndarray:
+    Q = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    spectrum = rng.choice([-1.5, 0.0, 2.0], size=n)  # repeated eigenvalues for n > 3
+    return (Q * spectrum) @ Q.conj().T
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_eigenvalues_match_eigh_on_stacks(n):
+    rng = np.random.default_rng(200 + n)
+    stack = np.stack([random_hermitian(rng, n) for _ in range(4)]
+                     + [degenerate_hermitian(rng, n) for _ in range(3)] + [np.zeros((n, n))])
+    ours = eigenvalues(stack)
+    assert ours.shape == (len(stack), n)
+    for A, ev in zip(stack, ours):
+        ref = eigh(A).eigenvalues
+        assert np.abs(ev - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+        assert np.array_equal(eigenvalues(A), ev)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([[0.0, 1.0], [0.0, 0.0]]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[np.inf]]),
+    2.0 * MAX_ENTRY * np.eye(2),
+    np.eye(MAX_DIM + 1),
+    np.zeros((2, 3)),
+])
+def test_eigenvalues_reject_what_hermitian_rejects(bad):
+    with pytest.raises(InputError) as expected:
+        hermitian(bad)
+    with pytest.raises(InputError) as got:
+        eigenvalues(bad)
+    assert str(got.value) == str(expected.value)
+    if bad.shape[0] == bad.shape[1]:  # the same message from inside a stack
+        with pytest.raises(InputError) as got:
+            eigenvalues(np.stack([np.eye(len(bad)), bad]))
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2, 2), (2, 0, 0), (2, 2, 2, 2), (2,)])
+def test_eigenvalues_reject_empty_and_misshapen_stacks(shape):
+    with pytest.raises(InputError):
+        eigenvalues(np.zeros(shape))
+
+
+def test_eigenvalues_raise_when_invariants_fail(monkeypatch):
+    A = np.diag([1.0, 2.0, 3.0])
+    lapack = np.linalg.eigvalsh
+
+    def lost_eigenvalue(H):
+        return lapack(H)[..., 1:]
+
+    def moved_eigenvalue(H):
+        return lapack(H) * np.array([1.0, 1.0, 0.9])
+
+    def nan_output(H):
+        return np.full(H.shape[:-1], np.nan)
+
+    def no_convergence(H):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for fake in (lost_eigenvalue, moved_eigenvalue, nan_output, no_convergence):
+        monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+        for arg in (A, np.stack([A, A])):
+            with pytest.raises(NumericalFailureError):
+                eigenvalues(arg)
+        with pytest.raises(NumericalFailureError):
+            op_norm(A)
+        with pytest.raises(NumericalFailureError):
+            is_psd(A)
+
+
+def test_op_norm_and_is_psd_on_stacks_match_single_calls():
+    rng = np.random.default_rng(31)
+    stack = np.stack([random_hermitian(rng, 4) for _ in range(5)]
+                     + [np.eye(4), -np.eye(4), np.linalg.matrix_power(degenerate_hermitian(rng, 4), 2)])
+    norms = op_norm(stack)
+    verdicts = is_psd(stack, 1e-8)
+    assert norms.shape == verdicts.shape == (len(stack),)
+    assert norms.tolist() == [op_norm(A) for A in stack]
+    assert verdicts.tolist() == [is_psd(A, 1e-8) for A in stack]
+    assert verdicts[5] and not verdicts[6]
+
+
+# ------------------------------------------------ spectral calls per document
+
+
+def _record_calls(monkeypatch, name):
+    """Replace every opsyslab module binding of hermitian.<name> (as the
+    benchmark tracer does) with a wrapper that records the argument shapes."""
+    original = getattr(importlib.import_module("opsyslab.hermitian"), name)
+    shapes = []
+
+    def wrapper(A, *args, **kwargs):
+        shapes.append(np.shape(A))
+        return original(A, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("opsyslab") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+    return shapes
+
+
+def _run_document(monkeypatch, kind, payload):
+    doc = problems.parse_problem(json.dumps({"kind": kind, "payload": payload}))
+    checked, only = _record_calls(monkeypatch, "eigh"), _record_calls(monkeypatch, "eigenvalues")
+    report = problems.run(doc)
+    monkeypatch.undo()
+    return report["results"], checked, only
+
+
+def _pairs(M):
+    return [[[z.real, z.imag] for z in row] for row in np.asarray(M, dtype=complex)]
+
+
+def test_unperforated_instance_makes_no_checked_eigh_call(monkeypatch):
+    # The benchmark's instance recipe: a in S, b = t + shift I above a, t in T.
+    verdicts = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 3
+        S = [random_hermitian(rng, n) for _ in range(1 + seed % 2)]
+        T = [np.eye(n)] + [random_hermitian(rng, n) for _ in range(1 + seed % n)]
+        a = sum(rng.standard_normal() * s for s in S)
+        t = sum(rng.standard_normal() * x for x in T[1:])
+        b = t + (np.linalg.eigvalsh(a - t)[-1] + rng.uniform(0.0, 0.5)) * np.eye(n)
+        payload = {"S": [_pairs(x) for x in S], "T": [_pairs(x) for x in T], "a": _pairs(a), "b": _pairs(b)}
+        results, checked, only = _run_document(monkeypatch, "unperforated", payload)
+        verdicts.add(results["verdict"])
+        assert checked == []
+        assert len(only) <= 3
+    assert verdicts == {"FEASIBLE", "INFEASIBLE"}
+
+
+@pytest.mark.parametrize("N", [3, 9])
+def test_riesz_norms_come_from_one_call(monkeypatch, N):
+    rng = np.random.default_rng(5)
+    n = 4
+    B = [np.diag(e) for e in np.eye(n)]  # the diagonal algebra
+    a = random_hermitian(rng, n)
+    low, top = np.linalg.eigvalsh(a)[[0, -1]]
+    payload = {"B": [_pairs(x) for x in B], "a": _pairs(a), "lowers": [_pairs((low - 0.5) * np.eye(n))],
+               "uppers": [_pairs((top + 0.5) * np.eye(n))], "epsilon": 0.5, "N": N}
+    results, checked, only = _run_document(monkeypatch, "riesz", payload)
+    assert len(results["norms"]) == N
+    assert checked == []
+    # the bound check, ||a||, the four block slacks of each beta_n, and the
+    # N norms with ||a||
+    assert only == [(2, n, n), (n, n)] + [(4, n, n)] * N + [(N + 1, n, n)]

@@ -78,18 +78,16 @@ def test_verify_state_negative_functional():
 def brute_force_offdiag_endpoint() -> tuple:
     # oracle for inf{c0 : c0 I + u X + v Y >= E11} via the 2x2 PSD closed
     # form det >= 0 & trace >= 0 on a grid, refined in c0.
-    def feasible(c0, u, v):
-        m = np.array([[c0 - 1.0, u + 1j * v], [u - 1j * v, c0]])
-        tr = m[0, 0].real + m[1, 1].real
-        det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-        return m[0, 0].real >= -1e-12 and tr >= -1e-12 and det >= -1e-12
-
-    best_hi = None
-    for c0 in np.linspace(0.0, 3.0, 601):
-        if any(feasible(c0, u, v) for u in np.linspace(-1, 1, 41) for v in np.linspace(-1, 1, 41)):
-            best_hi = c0
-            break
-    return best_hi
+    # The matrix is [[c0 - 1, u + iv], [u - iv, c0]], checked on the whole
+    # (c0, u, v) grid at once.
+    c0 = np.linspace(0.0, 3.0, 601)
+    m00, m11 = (c0 - 1.0)[:, None, None], c0[:, None, None]
+    u = np.linspace(-1, 1, 41)[:, None]
+    v = np.linspace(-1, 1, 41)[None, :]
+    det = m00 * m11 - (u * u + v * v)
+    feasible = (m00 >= -1e-12) & (m00 + m11 >= -1e-12) & (det >= -1e-12)
+    hits = np.flatnonzero(feasible.any(axis=(1, 2)))
+    return c0[hits[0]] if hits.size else None
 
 
 def chi_state(k: int) -> StateFunctional:
