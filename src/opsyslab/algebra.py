@@ -130,8 +130,9 @@ class OperatorSubspace:
             raise InputError("subspace needs at least one basis element")
         self.basis = _readonly(np.stack([hermitian(_as_matrix(b, n)) for b in self.basis]))
         self._gram = _real_gram(self.basis)
-        ev = eigh_coefficient_space(self._gram.astype(complex)).eigenvalues
-        if ev[0] <= RANK_TOL * max(float(ev[-1]), 1.0):
+        norms = np.sqrt(self._gram.diagonal())  # the cut is on the unit-normalized basis: scale invariant
+        ev = eigh_coefficient_space(self._gram / np.outer(norms, norms)).eigenvalues if norms.all() else [0.0]
+        if ev[0] <= RANK_TOL * ev[-1]:
             raise InputError("subspace basis is not linearly independent")
         self._identity_coefficients = self.identity_in_span() if self.unital else None
         if self.unital and self._identity_coefficients is None:

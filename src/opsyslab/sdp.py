@@ -23,6 +23,12 @@ duality are re-verified before any solution is returned; failures raise,
 never pass silently.  Everything is deterministic: same problem, same
 output.  `SdpSettings` holds the two tolerances a document may set; the
 rest are module constants.
+
+The loop calls numpy.linalg's own LAPACK kernels (the private module
+numpy.linalg._umath_linalg, numpy >= 1.24) without their wrappers: the same
+iterates, bitwise, for less dispatch.  A kernel fills a matrix it fails on
+with NaN instead of raising, so failures are per-row NaN masks: only that
+program ends NUMERICAL_FAILURE, or solves its singular system with a ridge.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InputError
 from .hermitian import BLOCK_ENTRIES, eigenvalues, hermitian_part, is_psd
@@ -195,40 +202,25 @@ def _rows_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (A.view(float).reshape(rows, 1, -1) @ B.view(float).reshape(rows, -1, 1))[:, 0, 0]
 
 
-def _by_rows(fn, fallback, *stacks):
-    """fn over stacks of rows, or row by row after a LinAlgError with
-    fallback(*row) where it raises; the results and the rows that fell back."""
-    try:
-        return fn(*stacks), []
-    except np.linalg.LinAlgError:
-        out, fell_back = [], []
-        for r, row in enumerate(zip(*stacks)):
-            try:
-                out.append(fn(*row))
-            except np.linalg.LinAlgError:
-                out.append(fallback(*row))
-                fell_back.append(r)
-        return np.stack(out), fell_back
-
-
-def _solve_vectors(M: np.ndarray, b: np.ndarray, ridge: bool = False) -> np.ndarray:
-    """M^-1 b for stacks.  An always-on ridge would bias y; `ridge` only
-    rescues a singular M (a variable with no coefficient anywhere)."""
-    if ridge:
-        M = M + 1e-12 * (1.0 + float(np.trace(M)) / len(M)) * np.eye(len(M))
-    return np.linalg.solve(M, b[..., None])[..., 0]
+def _lapack(kernel: str, *stacks):
+    """numpy.linalg's LAPACK kernel `kernel` (cholesky_lo, eigh_lo,
+    eigvalsh_lo or solve1) on stacks; a matrix it fails on comes back with
+    NaN entries.  Callers hold np.errstate(invalid="ignore")."""
+    return getattr(_umath_linalg, kernel)(*stacks)
 
 
 # Why a program left the loop without converging: its objective ran past
-# -UNBOUNDED_VALUE, or it used up the budget.
+# -UNBOUNDED_VALUE, it used up the budget, or its last step was NaN.
 _RUNAWAY = f"objective fell below -{UNBOUNDED_VALUE:g}"
 _BUDGET = f"interior-point budget of {MAX_NEWTON} iterations exhausted"
+_NAN_STEP = "interior-point step is not finite"
 # Arrays of the scaled coefficients' size that one pass holds per program:
 # the two coefficient layouts, F_i G, W, its variable-major copy and the
 # previous pass's copy.
 _WORKING_SET = 6
 
 
+@np.errstate(all="ignore")  # failed kernels and their rows leave NaN, read as failures
 def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> list:
     """Maximize b.y subject to S_k(y) = F0_k + sum_i y_i F_ki >= 0 on every
     block, for programs with the same block dimensions and variable count;
@@ -251,28 +243,28 @@ def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> lis
     """
     P, m = len(problems), problems[0][0].num_vars
     q = b.shape[1] - 1  # m, or m + 1 with the slack s
-    if caps is not None:
-        d = min(blk.dim for blk in problems[0])
-        problems = [blocks + [LmiBlock._trusted(s * np.eye(d, dtype=complex), np.zeros((m, d, d), complex))]
-                    for blocks, s in zip(problems, caps)]
-    n = sum(blk.dim for blk in problems[0])
+    dims = [blk.dim for blk in problems[0]]
+    n = sum(dims) + (min(dims) if caps is not None else 0)
     # Per group of equal dimension d: block indices, [F0, F_1..F_q] as a
     # real (P, q + 1, 2 k d d) view (slacks, residuals), and F_1..F_q as
     # (P, k, d q, d), rows (a, i) holding F_i[a, :] (scaling).
     groups, eyes, X = [], [], []
-    for d in sorted({blk.dim for blk in problems[0]}):
-        idxs = [i for i, blk in enumerate(problems[0]) if blk.dim == d]
-        F = np.zeros((P, len(idxs), q + 1, d, d), dtype=complex)
-        F[:, :, 0] = [[blocks[i].constant for i in idxs] for blocks in problems]
-        F[:, :, 1:m + 1] = [[blocks[i].coefficients for i in idxs] for blocks in problems]
+    for d in sorted(set(dims)):
+        idxs = [i for i, e in enumerate(dims) if e == d]
+        k, cap = len(idxs), caps is not None and d == min(dims)
+        members = [blocks[i] for blocks in problems for i in idxs]
+        F = np.zeros((P, q + 1, k + cap, d, d), dtype=complex)
+        F[:, 0, :k] = np.array([blk.constant for blk in members]).reshape(P, k, d, d)
+        F[:, 1:m + 1, :k] = np.array([blk.coefficients for blk in members]).reshape(P, k, m, d, d).swapaxes(1, 2)
         if caps is not None:
-            F[:, :, -1] = -np.eye(d)
-        Ft = np.ascontiguousarray(F.transpose(0, 2, 1, 3, 4)).reshape(P, q + 1, -1).view(float)
-        Fc = np.ascontiguousarray(F[:, :, 1:].transpose(0, 1, 3, 2, 4)).reshape(P, len(idxs), -1, d)
-        groups.append([idxs, Ft, Fc])
-        del F  # a chunk's F can take 16 MB
+            F[:, -1] = -np.eye(d)
+        if cap:
+            F[:, 0, k] = np.asarray(caps)[:, None, None] * np.eye(d)
+            idxs.append(len(dims))
+        Fc = np.ascontiguousarray(F[:, 1:].transpose(0, 2, 3, 1, 4)).reshape(P, k + cap, -1, d)
+        groups.append([idxs, F.reshape(P, q + 1, -1).view(float), Fc])
         eyes.append(np.eye(d, dtype=complex))
-        X.append(np.broadcast_to(eyes[-1] * xi[:, None, None, None], (P, len(idxs), d, d)).copy())
+        X.append((eyes[-1] * xi[:, None, None, None]).repeat(k + cap, axis=1))
     y = y.copy()
     b_norm = 1.0 + np.sqrt(_rows_dot(b, b))
     limit = np.inf if caps is not None else UNBOUNDED_VALUE
@@ -281,44 +273,44 @@ def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> lis
     outcomes = [None] * P
     for iteration in range(MAX_NEWTON + 1):
         rows = len(active)
-        # NT scaling G per block: G^-1 X G^-H = G^H S G = diag(lam), from the
-        # Cholesky factor L of X and the eigenvectors Q of L^H S L.
-        failed = {}
-        r_p = b.copy()  # <F0, X>, then the primal residual
-        M = np.zeros((rows, q, q))
-        gap = np.zeros(rows)
-        scaled = []
-        for (_, Ft, Fc), eye, Xg in zip(groups, eyes, X):
+        # NT scaling G per block: G^-1 X G^-H = G^H S G = diag(lam), from
+        # the Cholesky factor L of X and the eigenvectors Q of L^H S L.
+        # <X, S> = sum lam^2.  The dual residual is zero by construction;
+        # the primal one (b + <F0, X> at first) is relative to 1 + ||b||.
+        scaled, failed, M, r_p, gap = [], {}, 0.0, b, 0.0
+        for (_, Ft, Fc), Xg in zip(groups, X):
             S = (y[:, None, :] @ Ft).view(complex).reshape(Xg.shape)
-            L, lost = _by_rows(np.linalg.cholesky, lambda row: np.broadcast_to(eye, row.shape), Xg)
-            for r in lost:
-                failed.setdefault(r, "primal iterate lost definiteness")
-            w, Q = np.linalg.eigh(L.conj().swapaxes(-1, -2) @ S @ L)
-            if not (w > 0.0).all():
-                for r in np.flatnonzero(~(w > 0.0).all(axis=(1, 2))):
-                    failed.setdefault(r, "dual slack lost definiteness")
+            L = _lapack("cholesky_lo", Xg)
+            w, Q = _lapack("eigh_lo", L.conj().swapaxes(-1, -2) @ S @ L)
+            if not (w > 0.0).all():  # a row failed: its earliest cause wins
+                for reason, lost in ((_NAN_STEP, np.isnan(Xg).any(axis=(1, 2, 3)) | np.isnan(y).any(axis=1)),
+                                     ("primal iterate lost definiteness", np.isnan(L).any(axis=(1, 2, 3))),
+                                     ("dual slack lost definiteness", ~(w > 0.0).all(axis=(1, 2)))):
+                    for r in np.flatnonzero(lost):
+                        failed.setdefault(r, reason)
                 w = np.where(w > 0.0, w, 1.0)
             lam = np.sqrt(w)
-            G = (L @ Q) / np.sqrt(lam)[..., None, :]
-            # W_i = G^H F_i G for all i in two products per block, laid out
-            # (a, i, c), then variable-major for the Gram matrix M.
-            Wr = np.ascontiguousarray((G.conj().swapaxes(-1, -2) @ (Fc @ G).reshape(G.shape[:3] + (-1,)))
+            root = np.sqrt(lam)
+            G = (L @ Q) / root[..., None, :]
+            Gc = G.conj()  # kept C-ordered, so that every G^H is the same transposed view
+            # W_i = G^H F_i G for all i in two products per block, laid
+            # out (a, i, c), then variable-major for the Gram matrix M.
+            Wr = np.ascontiguousarray((Gc.swapaxes(-1, -2) @ (Fc @ G).reshape(G.shape[:3] + (-1,)))
                                       .reshape(G.shape[:3] + (q, -1)).transpose(0, 3, 1, 2, 4))
             Wr = Wr.reshape(rows, q, -1).view(float)
-            M += Wr @ Wr.swapaxes(-1, -2)
-            r_p += (Ft @ Xg.view(float).reshape(rows, -1, 1))[..., 0]
-            gap += _rows_dot(lam, lam)
-            root = 1.0 / np.sqrt(lam)
-            scaled.append([G, lam, Wr, root[..., :, None] * root[..., None, :]])
-        # <X, S> = sum lam^2.  The dual residual is zero by construction;
-        # the primal one is relative to 1 + ||b||.
+            M = M + Wr @ Wr.swapaxes(-1, -2)
+            r_p = r_p + (Ft @ Xg.view(float).reshape(rows, -1, 1))[..., 0]
+            gap = gap + _rows_dot(lam, lam)
+            root = 1.0 / root
+            scaled.append([G, Gc, lam, Wr, root[..., :, None] * root[..., None, :]])
         p_obj, r_p = r_p[:, 0], r_p[:, 1:]
         d_obj = y[:, -1] if caps is not None else _rows_dot(y, b)  # b.y; with caps, b picks s
         feasible = np.sqrt(_rows_dot(r_p, r_p)) / b_norm <= tol
         converged = (gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible
         runaway = d_obj > limit
         done = converged | runaway | (iteration == MAX_NEWTON)
-        done[list(failed)] = True
+        if failed:
+            done[list(failed)] = True
         if done.any():
             for r in np.flatnonzero(done):
                 by_block = dict(zip((i for idxs, _, _ in groups for i in idxs), (Z for Xg in X for Z in Xg[r])))
@@ -337,43 +329,49 @@ def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> lis
 
         def direction(R_c):
             """Newton direction for dX + dS = R_c (scaled), dS = sum_i dy_i
-            W_i and a zero primal residual; its step lengths to STEP_FRACTION
-            of the way to the PSD boundary, from one eigvalsh per group."""
-            rhs = r_p.copy()
-            for (_, _, Wr, _), R in zip(scaled, R_c):
-                rhs += (Wr @ R.view(float).reshape(rows, -1, 1))[..., 0]
-            dy, _ = _by_rows(_solve_vectors, lambda Mr, br: _solve_vectors(Mr, br, ridge=True), M, rhs)
-            pairs, worst = [], []
-            for (_, _, Wr, outer), R in zip(scaled, R_c):
+            W_i and a zero primal residual, and its step lengths to
+            STEP_FRACTION of the way to the PSD boundary.  A singular M
+            (a variable with no coefficient) is solved again with a
+            ridge, in its row: an always-on ridge would bias y."""
+            rhs = r_p
+            for (_, _, _, Wr, _), R in zip(scaled, R_c):
+                rhs = rhs + (Wr @ R.view(float).reshape(rows, -1, 1))[..., 0]
+            dy = _lapack("solve1", M, rhs)
+            if np.isnan(np.add.reduce(dy, axis=None)):
+                for r in np.flatnonzero(np.isnan(dy).any(axis=1)):
+                    ridge = 1e-12 * (1.0 + float(np.trace(M[r])) / q) * np.eye(q)
+                    dy[r] = _lapack("solve1", M[r] + ridge, rhs[r])
+            pairs, worst = [], np.inf
+            for (_, _, _, Wr, outer), R in zip(scaled, R_c):
                 D = np.empty((rows, 2) + R.shape[1:], dtype=complex)
                 D[:, 1] = (dy[:, None, :] @ Wr).view(complex).reshape(R.shape)
                 np.subtract(R, D[:, 1], out=D[:, 0])
-                worst.append(np.linalg.eigvalsh(D * outer[:, None]).min(axis=(2, 3)))
+                worst = np.minimum(worst, _lapack("eigvalsh_lo", D * outer[:, None]).min(axis=(2, 3)))
                 pairs.append(D)
-            step = np.minimum(1.0, STEP_FRACTION / np.maximum(-np.minimum.reduce(worst), STEP_FRACTION))
-            return dy, [D[:, 0] for D in pairs], [D[:, 1] for D in pairs], step[:, :1], step[:, 1:]
+            step = np.minimum(1.0, STEP_FRACTION / np.maximum(-worst, STEP_FRACTION))
+            dX, dS = [D[:, 0] for D in pairs], [D[:, 1] for D in pairs]
+            return dy, dX, dS, step[:, :1, None, None], step[:, 1:, None, None]
 
         # Predictor: the affine-scaling direction, dX + dS = -diag(lam).
-        lam_mats = [lam[..., None] * eye for eye, (_, lam, _, _) in zip(eyes, scaled)]
+        lam_mats = [lam[..., None] * eye for eye, (_, _, lam, _, _) in zip(eyes, scaled)]
         _, dX, dS, a_p, a_d = direction([-Lm for Lm in lam_mats])
-        gap_aff = sum(
-            _rows_dot(Lm + a_p[..., None, None] * Dx, Lm + a_d[..., None, None] * Ds)
-            for Lm, Dx, Ds in zip(lam_mats, dX, dS)
-        )
+        gap_aff = 0
+        for Lm, Dx, Ds in zip(lam_mats, dX, dS):
+            gap_aff = gap_aff + _rows_dot(Lm + a_p * Dx, Lm + a_d * Ds)
         ratio = gap_aff / gap
         target = (np.minimum(1.0, ratio * ratio * ratio) * mu)[:, None, None, None]
         # Corrector: centre at sigma * mu and cancel the predictor's
         # second-order term, in the Jordan product with diag(lam).
         R_c = []
-        for eye, Lm, Dx, Ds, (_, lam, _, _) in zip(eyes, lam_mats, dX, dS, scaled):
+        for eye, Lm, Dx, Ds, (_, _, lam, _, _) in zip(eyes, lam_mats, dX, dS, scaled):
             DD = Dx @ Ds
             H = target * eye - Lm * Lm - (DD + DD.conj().swapaxes(-1, -2)) / 2.0
             R_c.append(2.0 * H / (lam[..., :, None] + lam[..., None, :]))
         dy, dX, _, a_p, a_d = direction(R_c)
-        for g, ((G, _, _, _), D) in enumerate(zip(scaled, dX)):
-            Xg = X[g] + a_p[..., None, None] * (G @ D @ G.conj().swapaxes(-1, -2))
+        for g, ((G, Gc, *_), D) in enumerate(zip(scaled, dX)):
+            Xg = X[g] + a_p * (G @ D @ Gc.swapaxes(-1, -2))
             X[g] = np.add(Xg, Xg.conj().swapaxes(-1, -2), out=np.empty_like(Xg)) / 2.0  # C order, for views
-        y[:, 1:] += a_d * dy
+        y[:, 1:] += a_d[:, :, 0, 0] * dy
 
 
 def _in_chunks(run, problems, columns, *rows):
@@ -493,7 +491,7 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
             starts[k] = np.asarray(x0, dtype=float)
             if starts[k].shape != (m,):
                 raise InputError("x0 has the wrong length")
-            if _cholesky([b.slack(starts[k]) for b in blocks]) is None:
+            if not np.isfinite(starts[k]).all() or _cholesky([b.slack(starts[k]) for b in blocks]) is None:
                 raise InputError("supplied x0 is not strictly feasible")
     cold = [k for k, x0 in enumerate(starts) if x0 is None]
     if cold:

@@ -785,3 +785,79 @@ def test_render_golden(capsys):
         problems.render_value({"m": problems.matrix_to_json(np.array([[1.0, np.nan]]))})
     assert main(["repro", "--id", "E:unpmatrices", "--table"]) == 0
     assert "  b_prime: <matrix 3x3>\n" in capsys.readouterr().out
+
+
+def scaled_identity_instance(scale: float, second) -> dict:
+    """An unperforated instance whose T is {scale I, second}."""
+    doc = json.loads(doc_unperforated_instance())
+    doc["payload"]["T"] = [[[scale, 0], [0, scale]], second]
+    doc["payload"]["b"] = [[2, 1], [1, 2]]
+    return doc
+
+
+X_FLIP = [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e-5])
+def test_independence_test_is_scale_invariant(tmp_path, capsys, scale):
+    # An independent T = {scale I, X} used to be rejected as dependent: the
+    # rank cut was relative to the largest Gram eigenvalue, or to 1.
+    verdicts = []
+    for s in (1.0, scale):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(scaled_identity_instance(s, X_FLIP)))
+        assert main(["check-unperforated", "--file", str(path), "--json"]) == 0
+        verdicts.append(json.loads(capsys.readouterr().out)["results"]["verdict"])
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize("scale, second, code", [
+    (1e150, X_FLIP, 3),  # accepted; the feasibility phase is not scale invariant
+    (1.0, [[2, 0], [0, 2]], 2),
+    (1.0, [[1, 1e-12], [1e-12, 1]], 2),
+])
+def test_independence_test_at_the_extremes(tmp_path, capsys, scale, second, code):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(scaled_identity_instance(scale, second)))
+    assert main(["check-unperforated", "--file", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("not linearly independent" in err) == (code == 2) and "Traceback" not in err
+
+
+SDP_DOCUMENTS_SCRIPT = """
+import contextlib, io, json, sys
+from opsyslab.cli import main
+from opsyslab.problems import render_value
+for command, path in zip(sys.argv[1::2], sys.argv[2::2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main([command, "--file", path, "--json"]) == 0
+    print(render_value(json.loads(out.getvalue())["results"]))
+"""
+
+
+def test_sdp_document_results_identical_across_blas_threads(tmp_path):
+    # One instance, one riesz and one extension-interval document, each
+    # solved through the interior-point loop, in one interpreter per count.
+    documents = {
+        "check-unperforated": json.loads(doc_unperforated_instance()),
+        "riesz": {"kind": "riesz", "payload": {"B": [[[1, 0], [0, 1]]], "a": [[0, 0], [0, 1]],
+                                               "lowers": [[[0, 0], [0, 0]]], "uppers": [[[1, 0], [0, 1]]],
+                                               "epsilon": 1.0, "N": 3}},
+        "extension-interval": {"kind": "extension-interval", "payload": {
+            "S": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 1], [0, 1, 0]]],
+            "phi": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]], "t": [[1, 0.5, 0], [0.5, 0, 0.2], [0, 0.2, -1]]}},
+    }
+    argv = []
+    for command, doc in documents.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        argv += [command, str(path)]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", SDP_DOCUMENTS_SCRIPT] + argv,
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append(proc.stdout)
+    assert len(outputs[0].splitlines()) == 3 and outputs[0] == outputs[1]

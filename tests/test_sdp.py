@@ -14,7 +14,11 @@ a set known to be nonempty must never be rejected, and the face's interior
 point must satisfy the original constraints.  A round whose least-norm
 point is interior runs no face search; one whose least-norm point is
 singular still does.  A program solved in a batch, of either phase, must
-equal its solo run bit for bit, whatever the batch and its chunks.
+equal its solo run bit for bit, whatever the batch and its chunks.  The
+loop's LAPACK kernels must equal numpy.linalg bit for bit and flag (with
+NaN) exactly the matrices numpy.linalg rejects; a kernel failure in one row
+fails only that program, and the loop makes a fixed number of kernel calls
+per pass and calls no numpy.linalg wrapper.
 """
 
 from __future__ import annotations
@@ -247,6 +251,15 @@ def test_solve_with_warm_start_skips_phase1():
     sol = sdp.solve(prob, x0=np.array([5.0, 0.0, 0.0]))
     assert sol.status == sdp.OPTIMAL
     assert sol.value == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("x0", [[0.5], [np.nan], [np.inf]])
+def test_warm_start_must_be_strictly_feasible(x0):
+    # minimize x with diag(x - 1, x) >= 0; a NaN start used to pass the
+    # Cholesky test (it does not raise on NaN) and fail inside the loop.
+    blk = sdp.LmiBlock(-E11, [I2])
+    with pytest.raises(InputError, match="not strictly feasible"):
+        sdp.solve(sdp.SdpProblem(objective=np.array([1.0]), blocks=[blk]), x0=np.array(x0))
 
 
 def test_determinism():
@@ -624,3 +637,141 @@ def test_optimization_iterations_on_extension_faces(seed):
     solutions = sdp.solve_batch(problems, [spec.z_interior] * len(problems))
     assert [s.status for s in solutions] == [sdp.OPTIMAL] * len(problems)
     assert max(s.newton_steps for s in solutions) <= 25
+
+
+def hermitian_stack(rng, k, d):
+    raw = rng.standard_normal((k, d, d)) + 1j * rng.standard_normal((k, d, d))
+    return raw + raw.conj().swapaxes(-1, -2)
+
+
+def lapack(kernel, *stacks):
+    with np.errstate(invalid="ignore"):
+        return sdp._lapack(kernel, *stacks)
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_kernels_equal_numpy_linalg_bitwise(d):
+    rng = np.random.default_rng(100 + d)
+    H = hermitian_stack(rng, 6, d)
+    pd = H @ H + np.eye(d)
+    M = rng.standard_normal((6, d, d))
+    v = rng.standard_normal((6, d))
+    w, Q = lapack("eigh_lo", H)
+    w_np, Q_np = np.linalg.eigh(H)
+    assert w.tobytes() == w_np.tobytes() and Q.tobytes() == Q_np.tobytes()
+    assert lapack("eigvalsh_lo", H).tobytes() == np.linalg.eigvalsh(H).tobytes()
+    assert lapack("cholesky_lo", pd).tobytes() == np.linalg.cholesky(pd).tobytes()
+    # the loop's old call: b as a stack of one-column matrices
+    assert lapack("solve1", M, v).tobytes() == np.linalg.solve(M, v[..., None])[..., 0].tobytes()
+
+
+def linalg_fails(fn, *row) -> bool:
+    """Whether numpy.linalg raises on one matrix, or returns NaN itself."""
+    try:
+        return bool(np.isnan(fn(*row)[0]).any()) if fn is np.linalg.eigh else bool(np.isnan(fn(*row)).any())
+    except np.linalg.LinAlgError:
+        return True
+
+
+def test_kernels_flag_exactly_the_rows_numpy_linalg_rejects():
+    rng = np.random.default_rng(3)
+    H = hermitian_stack(rng, 5, 3)
+    pd = H @ H + np.eye(3)
+    pd[1, 2, 2] = -1.0  # not positive definite
+    pd[3, 0, 0] = np.nan
+    H[3, 1, 1] = np.nan
+    M = rng.standard_normal((5, 3, 3))
+    M[1, :, 2] = M[1, :, 0]  # singular
+    M[3, 0, 0] = np.nan
+    v = rng.standard_normal((5, 3))
+    cases = [
+        ("cholesky_lo", np.linalg.cholesky, (pd,)),
+        ("eigh_lo", np.linalg.eigh, (H,)),
+        ("eigvalsh_lo", np.linalg.eigvalsh, (H,)),
+        ("solve1", np.linalg.solve, (M, v)),
+    ]
+    for kernel, fn, stacks in cases:
+        out = lapack(kernel, *stacks)
+        first = out[0] if kernel == "eigh_lo" else out
+        flagged = np.isnan(first.reshape(5, -1)).any(axis=1)
+        expected = [linalg_fails(fn, *row) for row in zip(*stacks)]
+        assert flagged.tolist() == expected, kernel
+        assert flagged.any()
+        for r in np.flatnonzero(~flagged):  # the other rows as if alone
+            alone = fn(*(s[r] for s in stacks))
+            assert np.asarray(first[r]).tobytes() == np.asarray(alone[0] if kernel == "eigh_lo" else alone).tobytes()
+
+
+def nan_row_once(monkeypatch, kernel, row):
+    """Make the first call of one kernel return NaN in one row, as a kernel
+    does for a matrix it cannot handle."""
+    inner, calls = sdp._lapack, []
+
+    def patched(name, *stacks):
+        out = inner(name, *stacks)
+        if name == kernel and not calls:
+            calls.append(name)
+            for a in out if isinstance(out, tuple) else (out,):
+                a[row] = np.nan
+        return out
+
+    monkeypatch.setattr(sdp, "_lapack", patched)
+
+
+@pytest.mark.parametrize("kernel, message", [
+    ("cholesky_lo", "primal iterate lost definiteness"),
+    ("eigh_lo", "dual slack lost definiteness"),
+    ("eigvalsh_lo", "interior-point step is not finite"),
+])
+def test_a_failed_kernel_row_fails_only_its_program(monkeypatch, kernel, message):
+    programs = riesz_batch()
+    solo = [sdp.check_feasibility(p) for p in programs]
+    nan_row_once(monkeypatch, kernel, 1)
+    batch = sdp.check_feasibility_batch(programs)
+    assert (batch[1].status, batch[1].message) == (sdp.NUMERICAL_FAILURE, message)
+    assert all(same_bits(b, s) for k, (b, s) in enumerate(zip(batch, solo)) if k != 1)
+
+
+def test_a_failed_solve_row_is_solved_again_with_the_ridge(monkeypatch):
+    programs = riesz_batch()
+    solo = [sdp.check_feasibility(p) for p in programs]
+    nan_row_once(monkeypatch, "solve1", 1)
+    batch = sdp.check_feasibility_batch(programs)
+    assert batch[1].status == sdp.OPTIMAL and batch[1].feasible
+    assert all(same_bits(b, s) for k, (b, s) in enumerate(zip(batch, solo)) if k != 1)
+
+
+def test_one_kernel_call_per_step_and_group(monkeypatch):
+    # Per pass and block group: one Cholesky and one eigh (scaling), and
+    # one eigvalsh per direction; two solves per pass.  The last pass only
+    # scales.  Noise-free: these counts do not depend on the machine.
+    programs = riesz_batch()
+    counts, inner = {}, sdp._lapack
+
+    def counted(name, *stacks):
+        counts[name] = counts.get(name, 0) + 1
+        return inner(name, *stacks)
+
+    monkeypatch.setattr(sdp, "_lapack", counted)
+    batch = sdp.check_feasibility_batch(programs)
+    passes = max(sol.newton_steps for sol in batch) + 1
+    groups = len({blk.dim for blk in programs[0]})
+    assert counts == {"cholesky_lo": groups * passes, "eigh_lo": groups * passes,
+                      "eigvalsh_lo": 2 * groups * (passes - 1), "solve1": 2 * (passes - 1)}
+
+
+def test_the_loop_calls_no_numpy_linalg_wrapper(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg wrapper called inside the interior-point loop")
+
+    inner = sdp._interior_point
+
+    def guarded(*args, **kwargs):
+        with monkeypatch.context() as m:
+            for name in ("cholesky", "eigh", "eigvalsh", "solve"):
+                m.setattr(np.linalg, name, refuse)
+            return inner(*args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_interior_point", guarded)
+    statuses = [s.status for s in sdp.check_feasibility_batch(riesz_batch())]
+    assert statuses == [sdp.OPTIMAL] * 2 + [sdp.INFEASIBLE, sdp.OPTIMAL, sdp.NUMERICAL_FAILURE, sdp.OPTIMAL]
