@@ -7,14 +7,7 @@ and fixed-set checks for unital completely positive maps, all reduced to
 small dense semidefinite programs and hermitian eigenvalue problems.
 """
 
-from .algebra import (
-    GnsData,
-    MatrixStarAlgebra,
-    OperatorSubspace,
-    commutant,
-    generate_algebra,
-    gns,
-)
+from .algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra
 from .errors import InputError, NumericalFailureError, OpsyslabError
 from .hermitian import (
     EigenDecomposition,
@@ -59,7 +52,6 @@ __all__ = [
     "ChoiMap",
     "EigenDecomposition",
     "ExtensionInterval",
-    "GnsData",
     "InputError",
     "InterpolationRequest",
     "LmiBlock",
@@ -75,14 +67,12 @@ __all__ = [
     "UnperforatedInstance",
     "check_feasibility",
     "clip_spectrum",
-    "commutant",
     "decide_unperforated_lines",
     "eigenvalues",
     "eigh",
     "extension_interval",
     "find_pure_majorizing_state",
     "generate_algebra",
-    "gns",
     "has_uep",
     "hermitian",
     "hs_inner",

@@ -5,13 +5,15 @@ Every basis is one read-only (k, n, n) array: the orthonormal
 operator subspace.  One orthonormalizer (`orthonormalize`, two-pass
 classical Gram-Schmidt in input order, over the reals on the float view of
 hermitian matrices) and one coefficient map (`span_coefficients`, a whole
-stack of matrices in one matmul) serve generation, closure checks,
-commutants and GNS, whose structure constants C[a, l, j] = <b_l, b_a b_j>
-and checks are tensor contractions over blocks of basis rows (bounded
-memory up to dimension 256).  `wedderburn` splits a unital algebra into
-its blocks, U*AU = (+) M_{n_i} (x) I_{m_i}, from one generic element of the
-commutant; purity and pure decomposition are read off those blocks.  Rank
-decisions share one relative threshold.
+stack of matrices in one matmul) serve generation and the closure check.
+Both multiply basis elements pairwise over blocks of basis rows, which
+bounds memory up to dimension 256.  Every algebra built from spanning
+matrices is certified *-closed (`MatrixStarAlgebra.from_basis`).
+`wedderburn` splits a unital algebra into its blocks,
+U*AU = (+) M_{n_i} (x) I_{m_i}, from one generic element that commutes with
+it; purity and pure decomposition are read off those blocks.  Rank decisions
+share one relative threshold (RANK_TOL), membership and closure one
+residual threshold (CLOSURE_TOL).
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ def _real_gram(stack: np.ndarray) -> np.ndarray:
     return (F.conj() @ F.T).real
 
 
-def _independent(residual, norm, tol: float = RANK_TOL):
-    """The shared rank cut: a residual above sqrt(tol) of the norm (or of 1)."""
-    return residual > np.sqrt(tol) * np.maximum(norm, 1.0)
+def _independent(residual, norm):
+    """The shared rank cut: a residual above sqrt(RANK_TOL) of the norm (or of 1)."""
+    return residual > np.sqrt(RANK_TOL) * np.maximum(norm, 1.0)
 
 
 def _row_blocks(k: int, width: int) -> list:
@@ -70,7 +72,7 @@ def _row_blocks(k: int, width: int) -> list:
     return [slice(i, i + step) for i in range(0, k, step)]
 
 
-def orthonormalize(mats, tol: float = RANK_TOL) -> np.ndarray:
+def orthonormalize(mats) -> np.ndarray:
     """Two-pass classical Gram-Schmidt over the HS inner product, in input
     order; drops the candidates that fail the shared rank cut.
 
@@ -89,7 +91,7 @@ def orthonormalize(mats, tol: float = RANK_TOL) -> np.ndarray:
         w = v - (Q.conj() @ v) @ Q
         w -= (Q.conj() @ w) @ Q
         norm = np.linalg.norm(w)
-        if _independent(norm, np.linalg.norm(v), tol):
+        if _independent(norm, np.linalg.norm(v)):
             out[r] = w / norm
             r += 1
     return _readonly(out[:r].reshape((r,) + mats.shape[1:]))
@@ -103,12 +105,6 @@ def span_coefficients(basis: np.ndarray, X):
     x = _flat(np.asarray(X, dtype=complex))
     coeffs = x @ F.conj().T
     return coeffs, np.linalg.norm(x - coeffs @ F, axis=-1)
-
-
-def _products_in_span(basis: np.ndarray, rows: slice):
-    """span_coefficients of the products b_a b_j, a in rows: the structure
-    constants C[a, j, l] = <b_l, b_a b_j> and the residuals."""
-    return span_coefficients(basis, basis[rows, None] @ basis[None])
 
 
 @dataclass
@@ -183,7 +179,7 @@ class MatrixStarAlgebra:
     _herm_basis: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
-    def from_basis(mats, ambient_dim=None, check_closure=True) -> "MatrixStarAlgebra":
+    def from_basis(mats, ambient_dim=None) -> "MatrixStarAlgebra":
         mats = [_as_matrix(M, ambient_dim) for M in mats]
         if not mats:
             raise InputError("algebra needs at least one spanning matrix")
@@ -192,8 +188,7 @@ class MatrixStarAlgebra:
             raise InputError("spanning matrices disagree on dimension")
         basis = orthonormalize(np.stack(mats))
         alg = MatrixStarAlgebra(n, basis, contains_identity=_identity_in_span(basis, n))
-        if check_closure:
-            alg.verify_closure()
+        alg.verify_closure()
         return alg
 
     @staticmethod
@@ -221,17 +216,17 @@ class MatrixStarAlgebra:
         _, resid = span_coefficients(self.basis, _as_matrix(X, self.ambient_dim))
         return float(resid)
 
-    def contains(self, X, tol: float = 1e-8) -> bool:
-        return self.membership_residual(X) <= tol * (1.0 + float(np.linalg.norm(X)))
+    def contains(self, X) -> bool:
+        return self.membership_residual(X) <= CLOSURE_TOL * (1.0 + float(np.linalg.norm(X)))
 
-    def verify_closure(self, tol: float = CLOSURE_TOL) -> None:
+    def verify_closure(self) -> None:
         B = self.basis
         _, resid = span_coefficients(B, B.conj().swapaxes(1, 2))
-        if np.any(resid > tol):
-            i = int(np.argmax(resid > tol))
+        if np.any(resid > CLOSURE_TOL):
+            i = int(np.argmax(resid > CLOSURE_TOL))
             raise InputError(f"span is not adjoint-closed at basis element {i}")
         for rows in _row_blocks(len(B), self.ambient_dim ** 2):
-            if np.any(_products_in_span(B, rows)[1] > tol):
+            if np.any(span_coefficients(B, B[rows, None] @ B[None])[1] > CLOSURE_TOL):
                 raise InputError("span is not closed under multiplication")
 
     def hermitian_basis(self) -> np.ndarray:
@@ -262,16 +257,6 @@ class MatrixStarAlgebra:
         self._herm_basis = _readonly(out)
         return self._herm_basis
 
-    def riesz_density(self, values) -> np.ndarray:
-        """The unique element D of the algebra with tr(h D) = value for every
-        hermitian basis element h."""
-        hb = self.hermitian_basis()
-        values = np.asarray(values, dtype=float)
-        if values.shape != (len(hb),):
-            raise InputError("value vector does not match the hermitian basis")
-        coeffs = np.linalg.solve(_real_gram(hb), values)
-        return hermitian_part(np.tensordot(coeffs, hb, axes=1))
-
     def subspace(self) -> OperatorSubspace:
         """The algebra viewed as an operator subspace via its hermitian basis."""
         return OperatorSubspace(
@@ -284,15 +269,6 @@ class MatrixStarAlgebra:
 def _identity_in_span(basis, n) -> bool:
     _, resid = span_coefficients(basis, np.eye(n, dtype=complex))
     return bool(resid <= 1e-9 * (1.0 + np.sqrt(n)))
-
-
-def same_span(A: MatrixStarAlgebra, B: MatrixStarAlgebra, tol: float = 1e-8) -> bool:
-    if A.ambient_dim != B.ambient_dim or A.dim != B.dim:
-        return False
-    return bool(
-        np.all(span_coefficients(B.basis, A.basis)[1] <= tol)
-        and np.all(span_coefficients(A.basis, B.basis)[1] <= tol)
-    )
 
 
 def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
@@ -327,32 +303,6 @@ def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
     )
 
 
-def commutant(algebra: MatrixStarAlgebra) -> MatrixStarAlgebra:
-    """All X with XB = BX for every basis element B, via one kernel problem;
-    the kernel eigenvectors are already an orthonormal basis."""
-    n = algebra.ambient_dim
-    if n > MAX_AMBIENT:
-        raise InputError(f"ambient dimension {n} exceeds {MAX_AMBIENT} for commutants")
-    # Row-major vec: vec(XB - BX) = C_B vec(X) with C_B = I (x) B^T - B (x) I,
-    # and K = sum_B C_B* C_B over the scaled basis is, in closed form,
-    # I (x) conj(sum B B*) + (sum B*B) (x) I - R - R*,  R = sum_B B (x) conj(B).
-    Bs = algebra.basis / np.maximum(np.linalg.norm(algebra.basis, axis=(1, 2)), 1.0)[:, None, None]
-    eye = np.eye(n, dtype=complex)
-    flat = Bs.reshape(len(Bs), n * n)
-    R = (flat.T @ flat.conj()).reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    BBh = np.einsum("kij,klj->il", Bs, Bs.conj())
-    BhB = np.einsum("kji,kjl->il", Bs.conj(), Bs)
-    K = np.kron(eye, BBh.conj()) + np.kron(BhB, eye) - R - R.conj().T
-    dec = eigh_coefficient_space(hermitian_part(K))
-    lam_max = max(float(dec.eigenvalues[-1]), 1.0)
-    kernel = dec.eigenvectors[:, dec.eigenvalues <= RANK_TOL * lam_max]
-    m = kernel.shape[1]
-    if m == 0:
-        raise NumericalFailureError("commutant kernel came out empty (identity must commute)")
-    basis = _readonly(kernel.T.reshape(m, n, n))
-    return MatrixStarAlgebra(n, basis, contains_identity=True, _full=(m == n * n))
-
-
 def wedderburn(algebra: MatrixStarAlgebra) -> list:
     """The blocks of a unital algebra A in M_n, U*AU = (+) M_{d_i} (x) I_{m_i},
     as pairs (V_i, m_i): V_i is an n x d_i isometry onto one copy of block i
@@ -371,13 +321,13 @@ def wedderburn(algebra: MatrixStarAlgebra) -> list:
     if algebra.dim == n * n:
         return [(np.eye(n, dtype=complex), 1)]
     X = hermitian_part(np.random.default_rng(2010).standard_normal((n, 2 * n)).view(complex))
-    h = np.sum(B @ X @ B.conj().swapaxes(1, 2), axis=0)  # in the commutant
+    h = np.sum(B @ X @ B.conj().swapaxes(1, 2), axis=0)  # commutes with A
     Q = eigh(h).eigenvectors
     C = Q.conj().T @ B @ Q  # the compressions of A to the eigenbasis of h
     linked = _independent(np.sqrt(np.sum(np.abs(C) ** 2, axis=0)), 1.0)
     first = np.argmax(linked, axis=1)  # the first eigenvector of each one's copy
     if np.any(linked != (first[:, None] == first[None])):
-        raise NumericalFailureError("eigenvectors of the commutant element mix invariant subspaces")
+        raise NumericalFailureError("eigenvectors of h mix invariant subspaces")
     heads, copy = np.unique(first, return_inverse=True)  # the copy of each eigenvector
     for g in np.flatnonzero(np.bincount(copy) > 1):  # one eigenvector alone carries M_1
         c = np.flatnonzero(copy == g)
@@ -388,91 +338,3 @@ def wedderburn(algebra: MatrixStarAlgebra) -> list:
     same = ~_independent(np.linalg.norm(characters[:, :, None] - characters[:, None], axis=0), 1.0)
     lead = np.argmax(same, axis=1)  # the first copy of each copy's block
     return [(Q[:, copy == g], int(np.sum(lead == g))) for g in np.unique(lead)]
-
-
-@dataclass
-class GnsData:
-    """Cyclic representation of a state: images of the algebra basis on the
-    quotient space as a (k, r, r) array, the cyclic vector, and the Gram
-    matrix that built it."""
-
-    rep_dim: int
-    images: np.ndarray
-    cyclic_vector: np.ndarray
-    gram: np.ndarray
-
-    def image_algebra(self) -> MatrixStarAlgebra:
-        return MatrixStarAlgebra.from_basis(self.images, self.rep_dim, check_closure=False)
-
-
-def _density(phi, n: int) -> np.ndarray:
-    """The matrix D with phi(M) = tr(M D): a density is taken as given, a
-    callable is read off the matrix units, D[q, p] = phi(E_pq)."""
-    if not callable(phi):
-        return np.asarray(phi, dtype=complex)
-    return np.array([complex(phi(E)) for E in _matrix_units(n)]).reshape(n, n).T
-
-
-def gns(phi, algebra: MatrixStarAlgebra) -> GnsData:
-    """GNS construction of a state given by a callable or a density matrix.
-
-    The representation space is the column space of the Gram matrix
-    G[i, j] = phi(b_i* b_j) at the shared rank threshold; a non-positive G
-    (beyond tolerance) means phi is not a state on the algebra.  The image
-    of b_a is E C_a E^+, with C_a[l, j] = <b_l, b_a b_j> the matrix of left
-    multiplication by b_a and E^* E the compressed Gram matrix.
-    """
-    if not algebra.contains_identity:
-        raise InputError("GNS needs a unital algebra")
-    basis = algebra.basis
-    k, n = len(basis), algebra.ambient_dim
-    density = _density(phi, n)
-    # phi(b_i* b_j) = tr(b_i* b_j D) = <b_i, b_j D>
-    G = hermitian_part(_flat(basis).conj() @ _flat(basis @ density).T)
-    dec = eigh_coefficient_space(G)
-    lam_max = max(float(dec.eigenvalues[-1]), 0.0)
-    if dec.eigenvalues[0] < -1e-8 * (1.0 + lam_max):
-        raise InputError("functional is not positive on the algebra")
-    keep = dec.eigenvalues > RANK_TOL * max(lam_max, 1e-300)
-    r = int(np.sum(keep))
-    if r == 0:
-        raise InputError("functional vanishes on the algebra")
-    U = dec.eigenvectors[:, keep]
-    roots = np.sqrt(dec.eigenvalues[keep])
-    E = (U * roots).conj().T          # r x k, E+ E = compressed Gram
-    pinv = U / roots                  # k x r
-    images = np.concatenate([E @ _products_in_span(basis, rows)[0].swapaxes(1, 2) @ pinv
-                             for rows in _row_blocks(k, n * n)])
-    eye_coeffs, _ = span_coefficients(basis, np.eye(n, dtype=complex))
-    cyclic = E @ eye_coeffs
-
-    _verify_gns(density, basis, images, cyclic, r)
-    return GnsData(rep_dim=r, images=images, cyclic_vector=cyclic, gram=G)
-
-
-def _verify_gns(density, basis, images, cyclic, r, tol: float = 1e-8):
-    k, n = len(basis), basis.shape[1]
-    scale = 1.0 + float(np.max(np.linalg.norm(images, axis=(1, 2))))
-    flat_images = _flat(images)
-    # multiplicativity: rho(b_a) rho(b_j) = sum_l C[a, j, l] rho(b_l)
-    for rows in _row_blocks(k, max(n * n, r * r)):
-        lhs = _flat(images[rows, None] @ images[None])
-        rhs = _products_in_span(basis, rows)[0] @ flat_images
-        if np.max(np.linalg.norm(lhs - rhs, axis=-1)) > tol * scale * scale:
-            raise NumericalFailureError("GNS representation is not multiplicative")
-    # *-preservation
-    coeffs, resid = span_coefficients(basis, basis.conj().swapaxes(1, 2))
-    if np.any(resid > tol):
-        raise NumericalFailureError("algebra basis is not adjoint-closed")
-    adjoints = _flat(images.conj().swapaxes(1, 2))
-    if np.max(np.linalg.norm(adjoints - coeffs @ flat_images, axis=-1)) > tol * scale:
-        raise NumericalFailureError("GNS representation does not preserve adjoints")
-    # vector state reproduces phi: <xi, rho(b_i) xi> = tr(b_i D)
-    orbit = images @ cyclic
-    values = orbit @ cyclic.conj()
-    if np.max(np.abs(values - _flat(basis) @ density.T.reshape(-1))) > tol * scale:
-        raise NumericalFailureError("GNS cyclic vector does not reproduce the state")
-    # cyclicity
-    sv = np.linalg.svd(orbit, compute_uv=False)
-    if int(np.sum(sv > RANK_TOL * max(float(sv[0]), 1e-300))) < r:
-        raise NumericalFailureError("GNS cyclic vector is not cyclic")

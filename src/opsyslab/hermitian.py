@@ -110,9 +110,9 @@ def eigh(A) -> EigenDecomposition:
 def eigh_coefficient_space(A) -> EigenDecomposition:
     """Same solver without the ambient dimension cap.
 
-    Internal coefficient-space problems (Gram matrices, commutation kernels)
-    legitimately exceed the 64-dimensional cap that applies to ambient
-    operators; they are still bounded by 256 = 16^2.
+    The Gram matrices of subspace bases live in coefficient space, whose
+    dimension legitimately exceeds the 64-dimensional cap that applies to
+    ambient operators; it is still bounded by 256 = 16^2.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape[0] > 256:

@@ -336,6 +336,11 @@ def _check_dim(path, got: int, n: int, of: str):
         _fail(path, f"expected dimension {n} (that of {of}), got {got}")
 
 
+def _check_unital(out, key, path):
+    if not out[f"_{key}"].contains_identity:
+        _fail(path / key, "expected a unital algebra (the identity is not in the span)")
+
+
 def _parse_extension(payload, path):
     S = parse_matrix_list(payload.get("S"), path / "S")
     n = S[0].shape[0]
@@ -371,13 +376,16 @@ def _parse_state_algebra(payload, path):
     out = {"state": state}
     out.update(_algebra_field(payload, "A", path, state.shape[0]))
     _check_dim(path / "state", state.shape[0], out["_A"].ambient_dim, "A")
+    _check_unital(out, "A", path)
     return out
 
 
 def _parse_riesz(payload, path):
-    B = parse_matrix_list(payload.get("B"), path / "B")
-    out = {
-        "B": B,
+    out = _algebra_field(payload, "B", path)
+    if not out:
+        _fail(path / "B", "expected a matrix list or an integer dimension")
+    _check_unital(out, "B", path)
+    out.update({
         "a": parse_matrix(payload.get("a"), path / "a"),
         "lowers": _opt_matrix_list(payload, "lowers", path),
         "uppers": _opt_matrix_list(payload, "uppers", path),
@@ -386,10 +394,10 @@ def _parse_riesz(payload, path):
         "auto_bounds": _opt_int(
             payload, "auto_bounds", path, default=0, minimum=0, maximum=MAX_AUTO_BOUNDS
         ),
-    }
+    })
     for key, mats in (("a", [out["a"]]), ("lowers", out["lowers"]), ("uppers", out["uppers"])):
         for M in mats[:1]:
-            _check_dim(path / key, M.shape[0], B[0].shape[0], "B")
+            _check_dim(path / key, M.shape[0], out["_B"].ambient_dim, "B")
     return out
 
 
@@ -536,9 +544,8 @@ def _run_decompose(doc: ProblemDocument):
 
 def _run_riesz(doc: ProblemDocument):
     p = doc.payload
-    B = MatrixStarAlgebra.from_basis(p["B"])
     req = InterpolationRequest(
-        B=B,
+        B=p["_B"],
         a=p["a"],
         lowers=p["lowers"],
         uppers=p["uppers"],

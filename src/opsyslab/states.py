@@ -217,6 +217,8 @@ def extension_interval(
         raise InputError("element dimension does not match the state")
     if not ambient.contains(t):
         raise InputError("element does not belong to the ambient algebra")
+    if not all(ambient.contains(s) for s in phi.domain.basis):
+        raise InputError("the state's domain is not contained in the ambient algebra")
     spec = _extension_set(phi, settings=settings)
     return _interval_from_set(spec, phi, t, ambient, settings=settings)
 

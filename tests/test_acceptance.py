@@ -164,7 +164,7 @@ def proper_subalgebra_of_m4(rng):
             for j in range(size):
                 mats.append(u @ E(4, offset + i, offset + j) @ u.conj().T)
         offset += size
-    return MatrixStarAlgebra.from_basis(mats, check_closure=False)
+    return MatrixStarAlgebra.from_basis(mats)
 
 
 def test_criterion_06_interpolation_surrogate():

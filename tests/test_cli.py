@@ -207,15 +207,17 @@ def test_algebra_is_parsed_once(monkeypatch):
     assert isinstance(doc.payload["_A"], MatrixStarAlgebra)
     assert "_A" not in doc.canonical["payload"]
 
-    from_basis = MatrixStarAlgebra.from_basis
+    riesz = problems.parse_problem(json.dumps({"kind": "riesz", "payload": {
+        "B": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], "a": [[0.5, 0], [0, 0]], "epsilon": 1, "N": 1}}))
+    assert isinstance(riesz.payload["_B"], MatrixStarAlgebra)
+    assert "_B" not in riesz.canonical["payload"]
 
-    def no_closure_check(mats, ambient_dim=None, check_closure=True):
-        # The GNS image is built unchecked; the document's algebra is not rebuilt.
-        assert not check_closure, "the document's algebra was built again after parsing"
-        return from_basis(mats, ambient_dim, check_closure)
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("the document's algebra was built again after parsing")
 
-    monkeypatch.setattr(MatrixStarAlgebra, "from_basis", staticmethod(no_closure_check))
+    monkeypatch.setattr(MatrixStarAlgebra, "from_basis", staticmethod(rebuilt))
     assert problems.run(doc)["results"] == {"pure": False}
+    assert len(problems.run(riesz)["results"]["betas"]) == 1
 
 
 def test_command_kinds_cover_every_kind_once():
@@ -522,6 +524,47 @@ def test_cli_dimension_mismatch_names_the_field(tmp_path, capsys, command, kind,
     path.write_text(json.dumps({"kind": kind, "payload": payload}))
     assert main([command, "--file", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+NOT_CLOSED = "not a *-closed span: span is not closed under multiplication"
+NOT_UNITAL = "expected a unital algebra (the identity is not in the span)"
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("purity", {"state": [[0.5, 0], [0, 0.5]], "A": [[[1, 0], [0, -1]]]}, f"payload.A: {NOT_CLOSED}"),
+    ("riesz", {"B": [[[1, 0], [0, -1]]], "a": [[0.5, 0], [0, 0]], "epsilon": 1}, f"payload.B: {NOT_CLOSED}"),
+    ("purity", {"state": [[1, 0], [0, 0]], "A": [[[1, 0], [0, 0]]]}, f"payload.A: {NOT_UNITAL}"),
+    ("decompose", {"state": [[1, 0], [0, 0]], "A": [[[1, 0], [0, 0]]]}, f"payload.A: {NOT_UNITAL}"),
+    ("riesz", {"B": [[[1, 0], [0, 0]]], "a": [[1, 0], [0, 0]], "epsilon": 1}, f"payload.B: {NOT_UNITAL}"),
+    ("riesz", {"a": [[1, 0], [0, 0]], "epsilon": 1}, "payload.B: expected a matrix list or an integer dimension"),
+])
+def test_cli_algebra_field_rejections_name_the_field(tmp_path, capsys, kind, payload, message):
+    # these used to exit 2 with a message that named no field
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}))
+    assert main([kind, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_riesz_accepts_an_integer_b(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "riesz", "payload": {"B": 2, "a": [[0.5, 0], [0, 0]], "epsilon": 1}}))
+    assert main(["riesz", "--file", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["problem"]["payload"]["B"] == 2
+    norms = report["results"]["norms"]
+    assert len(norms) == 5
+    assert all(norm <= (1 + 1 / n) * 0.5 + 1e-6 for n, norm in enumerate(norms, start=1))
+
+
+def test_cli_extension_interval_rejects_s_outside_the_ambient_algebra(tmp_path, capsys):
+    # I is not in span{E11}; this used to answer with the interval [0, 1]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "extension-interval", "payload": {
+        "S": [[[1, 0], [0, 1]]], "phi": [[1, 0], [0, 0]], "t": [[1, 0], [0, 0]],
+        "ambient": [[[1, 0], [0, 0]]]}}))
+    assert main(["extension-interval", "--file", str(path)]) == 2
+    assert "not contained in the ambient algebra" in capsys.readouterr().err
 
 
 def test_cli_uep_state_dimension_must_match_s(tmp_path, capsys):

