@@ -48,11 +48,12 @@ def hermitian(entries) -> np.ndarray:
     anti-hermitian part exceeds HERMITIAN_REJECT relative to the entry scale,
     so file-format rounding is absorbed without masking genuine errors.
     """
-    return _checked(entries, (2,))
+    return hermitian_checked(entries, (2,))
 
 
-def _checked(entries, ndims) -> np.ndarray:
-    """`hermitian` on a matrix or, with ndims (2, 3), a nonempty stack."""
+def hermitian_checked(entries, ndims) -> np.ndarray:
+    """`hermitian` on an array of one of the dimensions `ndims`: 2 for a
+    matrix, 3 for a nonempty (k, n, n) stack."""
     A = np.asarray(entries, dtype=complex)
     if A.ndim not in ndims or A.shape[-1] != A.shape[-2] or 0 in A.shape:
         raise InputError(f"expected a nonempty square matrix, got shape {A.shape}")
@@ -154,7 +155,7 @@ def eigenvalues(A) -> np.ndarray:
     a nonempty (k, n, n) stack as a (k, n) array, from one LAPACK call; the
     input gets `hermitian`'s checks, the output the trace and square-sum
     checks of the module docstring."""
-    H = _checked(A, (2, 3))
+    H = hermitian_checked(A, (2, 3))
     lam = _lapack(np.linalg.eigvalsh, H)
     s = np.maximum(np.abs(H).max(axis=(-2, -1)), _TINY)[..., None]
     Hs = H.reshape(H.shape[:-2] + (-1,)).view(float) / s  # rows of re, im pairs

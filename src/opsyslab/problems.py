@@ -324,6 +324,8 @@ def _algebra_field(payload, key, path, default_dim=None) -> dict:
             _fail(path / key, f"full algebra dimension must be between 1 and {MAX_AMBIENT}")
         return {key: value, f"_{key}": MatrixStarAlgebra.full(value)}
     mats = parse_matrix_list(value, path / key)
+    if mats[0].shape[0] > MAX_AMBIENT:
+        _fail(path / key, f"algebra ambient dimension {mats[0].shape[0]} exceeds {MAX_AMBIENT}")
     try:
         algebra = MatrixStarAlgebra.from_basis(mats)
     except InputError as exc:

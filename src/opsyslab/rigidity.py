@@ -61,10 +61,10 @@ class UnperforatedInstance:
 
 
 def _instance_blocks(T: OperatorSubspace, a, b, norm_a):
-    """The four blocks from validated a, b and T's validated basis."""
+    """The four blocks a <= b' <= b, -||a|| <= b' <= ||a|| over b' in T."""
     cap = norm_a * np.eye(T.ambient_dim, dtype=complex)
-    return [sdp.LmiBlock._trusted(-a, T.basis), sdp.LmiBlock._trusted(b, -T.basis),
-            sdp.LmiBlock._trusted(cap, -T.basis), sdp.LmiBlock._trusted(cap, T.basis)]
+    return [sdp.LmiBlock(-a, T.basis), sdp.LmiBlock(b, -T.basis),
+            sdp.LmiBlock(cap, -T.basis), sdp.LmiBlock(cap, T.basis)]
 
 
 def solve_unperforated_instance(
@@ -145,6 +145,7 @@ def search_counterexample(
     identity = T.identity_in_span()
     x0 = None if identity is None else 2.0 * identity
     box = 16.0 * eye  # 8 (1 + ||a||) for the normalized a
+    walls = [sdp.LmiBlock(box, -T.basis), sdp.LmiBlock(box, T.basis)]
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         a = S.element(rng.standard_normal(S.dim))
@@ -155,8 +156,7 @@ def search_counterexample(
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         G = hermitian_part(raw)
         G = G / max(np.linalg.norm(G), 1e-12)
-        blocks = [sdp.LmiBlock._trusted(-a, T.basis), sdp.LmiBlock._trusted(box, -T.basis),
-                  sdp.LmiBlock._trusted(box, T.basis)]
+        blocks = [sdp.LmiBlock(-a, T.basis)] + walls
         objective = np.array([float(np.vdot(G, t).real) for t in T.basis])
         gen = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
         if gen.status != sdp.OPTIMAL:
@@ -435,16 +435,13 @@ def riesz_sequence(req: InterpolationRequest,
     n_amb = req.B.ambient_dim
     eye = np.eye(n_amb, dtype=complex)
     na = op_norm(req.a)
-    # Validated once; each n shifts the constants by validated matrices.
-    plus = sdp.LmiBlock(eye, hb).coefficients
-    minus = -plus
-    bounds = [sdp.LmiBlock(-l, plus) for l in lowers] + [sdp.LmiBlock(u, minus) for u in uppers]
+    bounds = [(-l, hb) for l in lowers] + [(u, -hb) for u in uppers]
     problems = []
     for n in range(1, req.N + 1):
         cap = (1.0 + req.epsilon / n) * na
         problems.append(
-            [sdp.LmiBlock._trusted(cap * eye, minus), sdp.LmiBlock._trusted(cap * eye, plus)]
-            + [sdp.LmiBlock._trusted(b.constant + eye / n, b.coefficients) for b in bounds]
+            [sdp.LmiBlock(cap * eye, -hb), sdp.LmiBlock(cap * eye, hb)]
+            + [sdp.LmiBlock(F0 + eye / n, F) for F0, F in bounds]
         )
     out = []
     solutions = sdp.check_feasibility_batch(problems, margin=0.0, settings=settings)

@@ -24,6 +24,13 @@ never pass silently.  Everything is deterministic: same problem, same
 output.  `SdpSettings` holds the two tolerances a document may set; the
 rest are module constants.
 
+`LmiBlock(constant, coefficients)` is the one way to build a block, and it
+checks every block as `hermitian` checks a matrix.  Every program the
+package poses is bounded (a norm box, trace-one densities or unital Choi
+matrices), so there is no unbounded verdict: an objective that runs past
+-UNBOUNDED_VALUE stops its program as NUMERICAL_FAILURE, as any other
+runaway does.
+
 The loop calls numpy.linalg's own LAPACK kernels (the private module
 numpy.linalg._umath_linalg, numpy >= 1.24) without their wrappers: the same
 iterates, bitwise, for less dispatch.  A kernel fills a matrix it fails on
@@ -40,15 +47,13 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InputError
-from .hermitian import BLOCK_ENTRIES, eigenvalues, hermitian_part, is_psd
+from .hermitian import BLOCK_ENTRIES, hermitian_checked, hermitian_part, is_psd
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
-UNBOUNDED = "UNBOUNDED"
 NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 
 MAX_VARIABLES = 128
-MAX_BLOCK_DIM = 64
 
 # Counters exposed for hygiene reporting; incremented once per verified event.
 SOLVE_STATS = {"solves": 0, "duality_checks": 0, "certificate_checks": 0}
@@ -90,41 +95,20 @@ DEFAULT_SETTINGS = SdpSettings()
 
 
 class LmiBlock:
-    """One linear matrix inequality F0 + sum_i x_i F_i >= 0."""
+    """One linear matrix inequality F0 + sum_i x_i F_i >= 0.
+
+    The only way to build a block: the stack [F0, F_1..F_m] gets
+    `hermitian`'s checks and symmetrization, and `constant` and
+    `coefficients` are read-only views of it."""
 
     def __init__(self, constant, coefficients):
-        F0 = np.asarray(constant, dtype=complex)
-        if F0.ndim != 2 or F0.shape[0] != F0.shape[1]:
-            raise InputError("block constant must be a square matrix")
-        d = F0.shape[0]
-        if d > MAX_BLOCK_DIM:
-            raise InputError(f"block dimension {d} exceeds {MAX_BLOCK_DIM}")
-        coeffs = [np.asarray(C, dtype=complex) for C in coefficients]
-        for C in coeffs:
-            if C.shape != (d, d):
-                raise InputError("all block coefficients must match the constant's shape")
-        stack = np.stack(coeffs, axis=0) if coeffs else np.zeros((0, d, d), dtype=complex)
-        scale = 1.0 + max(float(np.max(np.abs(F0))), float(np.max(np.abs(stack))) if coeffs else 0.0)
-        dev = float(np.max(np.abs(F0 - F0.conj().T)))
-        if coeffs:
-            dev = max(dev, float(np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)))))
-        if dev > 1e-8 * scale:
-            raise InputError(f"block matrices are not hermitian (deviation {dev:.3e})")
-        self._assign(hermitian_part(F0), (stack + stack.conj().transpose(0, 2, 1)) / 2.0)
-
-    @classmethod
-    def _trusted(cls, constant: np.ndarray, coefficients: np.ndarray) -> "LmiBlock":
-        """A block from a hermitian (d, d) constant and (m, d, d) coefficient
-        stack, unchecked: only for blocks derived from validated ones."""
-        block = cls.__new__(cls)
-        block._assign(constant, coefficients)
-        return block
-
-    def _assign(self, constant: np.ndarray, coefficients: np.ndarray) -> None:
-        self.constant = constant
-        self.coefficients = coefficients
-        self.dim = constant.shape[0]
-        self.num_vars = coefficients.shape[0]
+        try:
+            stack = np.array([constant, *coefficients], dtype=complex)
+        except ValueError:  # a ragged stack
+            raise InputError("all block coefficients must match the constant's shape") from None
+        H = hermitian_checked(stack, (3,))
+        self.constant, self.coefficients = H[0], H[1:]
+        self.dim, self.num_vars = H.shape[1], H.shape[0] - 1
 
     def slack(self, x: np.ndarray) -> np.ndarray:
         if self.num_vars == 0:
@@ -136,12 +120,13 @@ class LmiBlock:
 class SdpProblem:
     objective: np.ndarray
     blocks: list
-    strict_margin: float = 0.0
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1:
             raise InputError("objective must be a vector")
+        if not np.isfinite(self.objective).all():
+            raise InputError("objective entries must be finite (no NaN/Inf)")
         m = self.objective.shape[0]
         if m > MAX_VARIABLES:
             raise InputError(f"{m} variables exceeds {MAX_VARIABLES}")
@@ -150,8 +135,6 @@ class SdpProblem:
         for blk in self.blocks:
             if blk.num_vars != m:
                 raise InputError("all blocks must share the objective's variable count")
-        if self.strict_margin < 0:
-            raise InputError("strict_margin must be nonnegative")
 
 
 @dataclass
@@ -164,7 +147,6 @@ class SdpSolution:
     dual_bound: float | None = None
     newton_steps: int = 0
     feasible: bool | None = None
-    ray: np.ndarray | None = None
     message: str = ""
 
 
@@ -233,13 +215,13 @@ def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> lis
     and y starts strictly feasible and stays so.  With `caps`, y gains a last
     entry s, every block gets the column -I and one more block s_cap I - s I
     of the smallest block dimension comes last: the feasibility phase.
-    Without, b.y above UNBOUNDED_VALUE stops a program (a suspected ray).
+    Without, b.y above UNBOUNDED_VALUE stops a program (a runaway).
 
     A program is one row of every array, and each operation acts on each row
     alone (its own LAPACK and BLAS calls, step lengths and stopping test), so
     its result is bitwise the same in any batch.  It leaves the arrays on
     the pass it converges, fails or stops.  Returns per program (y, X in
-    block order, iterations, None or why it stopped, whether X is feasible).
+    block order, iterations, None or why it stopped).
     """
     P, m = len(problems), problems[0][0].num_vars
     q = b.shape[1] - 1  # m, or m + 1 with the slack s
@@ -316,7 +298,7 @@ def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> lis
                 by_block = dict(zip((i for idxs, _, _ in groups for i in idxs), (Z for Xg in X for Z in Xg[r])))
                 reason = failed.get(r, None if converged[r] else _RUNAWAY if runaway[r] else _BUDGET)
                 outcomes[active[r]] = (y[r].copy(), [by_block[i] for i in range(len(by_block))],
-                                       iteration, reason, bool(feasible[r]))
+                                       iteration, reason)
             keep = np.flatnonzero(~done)
             if not keep.size:
                 return outcomes
@@ -415,7 +397,7 @@ def _phase1(problems, margin: float, settings: SdpSettings) -> list:
     return [
         _phase1_solution(blocks, y, X, iteration, margin, settings) if reason is None
         else SdpSolution(status=NUMERICAL_FAILURE, newton_steps=iteration, message=reason)
-        for blocks, (y, X, iteration, reason, _) in zip(problems, outcomes)
+        for blocks, (y, X, iteration, reason) in zip(problems, outcomes)
     ]
 
 
@@ -454,8 +436,7 @@ def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS
     """Minimize the objective over the problem's LMI slice.
 
     `x0`, when given, must be strictly feasible and skips the feasibility
-    phase.  A strict_margin delta > 0 asks for a point with margin delta on
-    every block; the margin is absorbed by shifting each constant term.
+    phase.
     """
     return solve_batch([problem], [x0], settings)[0]
 
@@ -469,7 +450,7 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
     the feasibility phase, without its slack column and cap, from a strictly
     feasible x; the primal iterate X, started at xi I, is the dual.  A
     program whose objective runs past -UNBOUNDED_VALUE, or that uses up its
-    budget with X still infeasible, gets a recession ray or fails.
+    budget, ends NUMERICAL_FAILURE with that reason.
     """
     problems = list(problems)
     x0s = [None] * len(problems) if x0s is None else list(x0s)
@@ -478,15 +459,11 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
     if not problems:
         return []
     SOLVE_STATS["solves"] += len(problems)
-    work = [
-        [LmiBlock._trusted(b.constant - p.strict_margin * np.eye(b.dim), b.coefficients) for b in p.blocks]
-        if p.strict_margin > 0 else p.blocks
-        for p in problems
-    ]
-    _same_shapes(work)
+    programs = [p.blocks for p in problems]
+    _same_shapes(programs)
     m = problems[0].objective.shape[0]
     starts, steps, solutions = [None] * len(problems), [0] * len(problems), [None] * len(problems)
-    for k, (blocks, x0) in enumerate(zip(work, x0s)):
+    for k, (blocks, x0) in enumerate(zip(programs, x0s)):
         if x0 is not None:
             starts[k] = np.asarray(x0, dtype=float)
             if starts[k].shape != (m,):
@@ -495,22 +472,22 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
                 raise InputError("supplied x0 is not strictly feasible")
     cold = [k for k, x0 in enumerate(starts) if x0 is None]
     if cold:
-        phase1 = _in_chunks(lambda chunk: _phase1(chunk, 0.0, settings), [work[k] for k in cold], m + 1)
+        phase1 = _in_chunks(lambda chunk: _phase1(chunk, 0.0, settings), [programs[k] for k in cold], m + 1)
         for k, sol in zip(cold, phase1):
-            starts[k], steps[k], solutions[k] = sol.x, sol.newton_steps, _cold_start_failure(work[k], sol)
+            starts[k], steps[k], solutions[k] = sol.x, sol.newton_steps, _cold_start_failure(programs[k], sol)
     warm = [k for k in range(len(problems)) if solutions[k] is None]
     if not warm:
         return solutions
     cs = np.stack([problems[k].objective for k in warm])
     y = np.concatenate([np.ones((len(warm), 1)), np.stack([starts[k] for k in warm])], axis=1)
     # X starts at xi I of trace 1 + ||c||, the size of a dual with <X, F_i> = c_i
-    n = sum(b.dim for b in work[0])
+    n = sum(b.dim for b in programs[0])
     xi = np.array([(1.0 + float(np.linalg.norm(c))) / n for c in cs])
     b = np.concatenate([np.zeros((len(warm), 1)), -cs], axis=1)
     outcomes = _in_chunks(lambda chunk, b, y, xi: _interior_point(chunk, b, y, xi, settings),
-                          [work[k] for k in warm], m, b, y, xi)
+                          [programs[k] for k in warm], m, b, y, xi)
     for k, c, outcome in zip(warm, cs, outcomes):
-        solutions[k] = _optimization_solution(work[k], c, outcome, steps[k], settings)
+        solutions[k] = _optimization_solution(programs[k], c, outcome, steps[k], settings)
     return solutions
 
 
@@ -532,19 +509,12 @@ def _cold_start_failure(blocks, phase1: SdpSolution) -> SdpSolution | None:
 def _optimization_solution(blocks, c, outcome, steps: int, settings: SdpSettings) -> SdpSolution:
     """The solution of one program from its outcome of the optimization
     phase, after `steps` iterations of its feasibility phase."""
-    y, duals, iterations, reason, primal_feasible = outcome
+    y, duals, iterations, reason = outcome
     steps += iterations
-    x = y[1:]
-    value = float(c @ x)
-    if reason == _RUNAWAY or (reason == _BUDGET and not primal_feasible):
-        # Suspected recession direction; the ray search confirms or refutes it.
-        ray, ray_steps = _certify_ray(blocks, c, settings)
-        if ray is not None:
-            return SdpSolution(status=UNBOUNDED, value=-np.inf, ray=ray, newton_steps=steps + ray_steps)
-        return SdpSolution(status=NUMERICAL_FAILURE, value=value, newton_steps=steps + ray_steps,
-                           message=f"{reason} but no ray certified")
     if reason is not None:
         return SdpSolution(status=NUMERICAL_FAILURE, newton_steps=steps, message=reason)
+    x = y[1:]
+    value = float(c @ x)
     duals = _onto_constraints(blocks, c, duals)
     raw_bound = -sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(duals, blocks))
     # The duals are feasible to rounding, so the raw bound may overshoot the
@@ -583,22 +553,3 @@ def _onto_constraints(blocks, c, duals) -> list:
         return duals
     return [hermitian_part(Z + np.tensordot(v, W, axes=(0, 0))) for Z, W in zip(duals, ZFZ)]
 
-
-def _certify_ray(blocks, c, settings: SdpSettings):
-    """Look for d with sum_i d_i F_i >= 0 on every block and c.d <= -1.
-
-    Returns (d or None, iterations spent)."""
-    ray_blocks = [LmiBlock._trusted(np.zeros_like(b.constant), b.coefficients) for b in blocks]
-    ray_blocks.append(
-        LmiBlock._trusted(np.array([[-1.0]], dtype=complex), -c.astype(complex).reshape(-1, 1, 1))
-    )
-    sol = check_feasibility(ray_blocks, margin=0.0, settings=settings)
-    if sol.feasible:
-        d = sol.x / max(float(np.linalg.norm(sol.x)), 1e-300)
-        ok = all(
-            eigenvalues(b.slack(d) - b.constant)[0] >= -settings.psd_slack * 10
-            for b in blocks
-        )
-        if ok and float(c @ d) < 0:
-            return d, sol.newton_steps
-    return None, sol.newton_steps

@@ -101,7 +101,7 @@ class ReducedSpectrahedron:
         self.dirs = np.asarray(self.dirs, dtype=complex).reshape(-1, r, r)
 
     def compressed_blocks(self) -> list:
-        return [sdp.LmiBlock._trusted(self.x0, self.dirs)]
+        return [sdp.LmiBlock(self.x0, self.dirs)]
 
     def compress(self, C) -> np.ndarray:
         """V* C V in face coordinates (hermitian part); a stack is taken

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsyslab import problems
+from opsyslab import problems, sdp
 from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra
 from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
 from opsyslab.errors import InputError, NumericalFailureError
@@ -692,6 +692,27 @@ def test_size_limits_at_their_boundaries(tmp_path, capsys, command, make, limit,
     assert message in capsys.readouterr().err
 
 
+def list_algebra_purity_document(mats) -> dict:
+    mats = np.array(mats)
+    n = mats.shape[-1]
+    return {"kind": "purity", "payload": {"state": (np.eye(n) / n).tolist(),
+                                          "A": np.stack([mats.real, mats.imag], axis=-1).tolist()}}
+
+
+def test_list_form_algebra_is_held_to_the_ambient_limit(tmp_path, capsys):
+    # The 289 hermitian units of M17 used to answer in seconds, while "A": 17
+    # exits 2; the limit now binds before the closure check.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(list_algebra_purity_document(hermitian_units([MAX_AMBIENT + 1]))))
+    assert main(["purity", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: payload.A: algebra ambient dimension {MAX_AMBIENT + 1} exceeds {MAX_AMBIENT}\n")
+    # A list-form algebra at the limit (the diagonal one) still answers.
+    path.write_text(json.dumps(list_algebra_purity_document(hermitian_units([1] * MAX_AMBIENT))))
+    assert main(["purity", "--file", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {"pure": False}
+
+
 def test_boundary_beyond_choi_limit_exits_2(tmp_path, capsys):
     n = MAX_CHOI_AMBIENT + 1
     S = [np.eye(n).tolist(), np.diag(np.arange(n) * 1.0).tolist()]
@@ -904,3 +925,36 @@ def test_sdp_document_results_identical_across_blas_threads(tmp_path):
                               env=env, capture_output=True, text=True, timeout=120, check=True)
         outputs.append(proc.stdout)
     assert len(outputs[0].splitlines()) == 3 and outputs[0] == outputs[1]
+
+
+def built_by_the_constructor(blk) -> bool:
+    """Whether a block holds what `LmiBlock(constant, coefficients)` makes:
+    read-only views of one checked (m + 1, d, d) stack."""
+    stack = blk.constant.base
+    return (isinstance(blk, sdp.LmiBlock) and stack is not None and blk.coefficients.base is stack
+            and stack.shape == (blk.num_vars + 1, blk.dim, blk.dim)
+            and not (stack.flags.writeable or blk.constant.flags.writeable or blk.coefficients.flags.writeable))
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("check-unperforated", json.loads(doc_unperforated_instance())),
+    ("check-unperforated", unperforated_search_document(2)),
+    ("riesz", dict(riesz_document(auto_bounds=1), seed=0)),
+    ("extension-interval", {"kind": "extension-interval", "payload": {
+        "S": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 1], [0, 1, 0]]],
+        "phi": [[0.5, 0, 0], [0, 0.3, 0], [0, 0, 0.2]], "t": [[1, 0.5, 0], [0.5, 0, 0.2], [0, 0.2, -1]]}}),
+], ids=["instance", "search", "auto-bounds", "extension-interval"])
+def test_every_block_the_loop_sees_is_checked(tmp_path, monkeypatch, command, doc):
+    # An unchecked way to build a block cannot come back silently: every
+    # block that reaches the interior-point loop came from the constructor.
+    inner, seen = sdp._interior_point, []
+
+    def guarded(problems, *args, **kwargs):
+        seen.extend(blk for blocks in problems for blk in blocks)
+        return inner(problems, *args, **kwargs)
+
+    monkeypatch.setattr(sdp, "_interior_point", guarded)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--file", str(path)]) == 0
+    assert seen and all(built_by_the_constructor(blk) for blk in seen)

@@ -6,12 +6,13 @@ interval intersection for the interpolation block family.  The one
 interior-point loop is held to its iteration count (the log-det barrier it
 replaced took about five times as many steps in the feasibility phase and
 9 to 35 steps per solve on extension faces), to an interior returned
-point, and to the capped slack when the slack is unbounded; an unbounded
-solve reports the steps of all three of its phases.  The optimization
-phase's duals must meet the KKT conditions, and the constraints to
-rounding.  Facial reduction is pinned on seeded systems that used to fail:
-a set known to be nonempty must never be rejected, and the face's interior
-point must satisfy the original constraints.  A round whose least-norm
+point, and to the capped slack when the slack is unbounded.  Blocks have
+one checked constructor, and an unbounded program (the package poses none)
+ends NUMERICAL_FAILURE, reporting the steps of both of its phases.  The
+optimization phase's duals must meet the KKT conditions, and the
+constraints to rounding.  Facial reduction is pinned on seeded systems
+that used to fail: a set known to be nonempty must never be rejected, and
+the face's interior point must satisfy the original constraints.  A round whose least-norm
 point is interior runs no face search; one whose least-norm point is
 singular still does.  A program solved in a batch, of either phase, must
 equal its solo run bit for bit, whatever the batch and its chunks.  The
@@ -214,35 +215,25 @@ def test_one_variable_matches_bisection(seed):
 
 
 def test_unbounded_detected(monkeypatch):
-    # minimize -x with [[x]] >= 0 has value -inf along the ray d = 1.
+    # minimize -x with [[x]] >= 0 has value -inf along the ray d = 1.  No
+    # program the package poses is unbounded, so the runaway is a failure.
     steps = []
     interior_point = sdp._interior_point
 
     def counted_interior_point(*args, **kwargs):
         result = interior_point(*args, **kwargs)
-        steps.extend(iterations for _, _, iterations, _, _ in result)
+        steps.extend(iterations for _, _, iterations, _ in result)
         return result
 
     monkeypatch.setattr(sdp, "_interior_point", counted_interior_point)
     blk = sdp.LmiBlock(np.zeros((1, 1), dtype=complex), [np.eye(1, dtype=complex)])
     prob = sdp.SdpProblem(objective=np.array([-1.0]), blocks=[blk])
     sol = sdp.solve(prob)
-    assert sol.status == sdp.UNBOUNDED
-    assert sol.ray is not None
-    assert float(prob.objective @ sol.ray) < 0
-    # cold start, optimization phase, ray search: every step is reported
-    assert len(steps) == 3
+    assert sol.status == sdp.NUMERICAL_FAILURE
+    assert sol.message == f"objective fell below -{sdp.UNBOUNDED_VALUE:g}"
+    # cold start and optimization phase: every step is reported
+    assert len(steps) == 2
     assert sol.newton_steps == sum(steps) > 0
-
-
-def test_strict_margin_request():
-    # Feasible set {x : diag(x, 2-x) >= delta I} = [delta, 2-delta].
-    d1 = np.diag([1.0, 0.0]).astype(complex)
-    blk = sdp.LmiBlock(np.diag([0.0, 2.0]).astype(complex), [d1 - np.diag([0.0, 1.0])])
-    prob = sdp.SdpProblem(objective=np.array([1.0]), blocks=[blk], strict_margin=0.5)
-    sol = sdp.solve(prob)
-    assert sol.status == sdp.OPTIMAL
-    assert sol.value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_solve_with_warm_start_skips_phase1():
@@ -272,10 +263,40 @@ def test_determinism():
 
 
 def test_block_validation():
-    with pytest.raises(Exception):
-        sdp.LmiBlock(np.array([[0.0, 1.0], [0.0, 0.0]]), [])
-    with pytest.raises(Exception):
+    nan, inf = np.diag([np.nan, 1.0]), np.diag([1.0, np.inf])
+    for constant, coefficients, message in [
+        (np.array([[np.nan]]), [], "finite"),
+        (nan, [I2], "finite"),
+        (-inf, [I2], "finite"),
+        (I2, [nan], "finite"),
+        (I2, [E11, inf], "finite"),
+        (np.zeros((2, 3)), [], "square"),
+        (np.eye(65), [], "dimension 65 exceeds the supported maximum 64"),
+        (I2, [np.eye(3)], "match the constant's shape"),
+        (I2, [E11, np.ones(2)], "match the constant's shape"),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), [], "not hermitian"),
+        (I2, [E11, np.array([[0.0, 1.0], [0.0, 0.0]])], "not hermitian"),
+    ]:
+        with pytest.raises(InputError, match=message):
+            sdp.LmiBlock(constant, coefficients)
+    with pytest.raises(InputError, match="at least one LMI block"):
         sdp.SdpProblem(objective=np.array([1.0]), blocks=[])
+    # A block without variables is a constant inequality.
+    blk = sdp.LmiBlock(-I2, [])
+    assert (blk.dim, blk.num_vars, blk.coefficients.shape) == (2, 0, (0, 2, 2))
+    # A block keeps its own read-only copy of its input.
+    constant, coefficient = np.diag([1.0, 2.0]), E12_SYM.copy()
+    blk = sdp.LmiBlock(constant, [coefficient])
+    constant[0, 0] = coefficient[0, 1] = 7.0
+    assert np.array_equal(blk.constant, np.diag([1.0, 2.0])) and np.array_equal(blk.coefficients[0], E12_SYM)
+    assert not (blk.constant.flags.writeable or blk.coefficients.flags.writeable)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_objective_must_be_finite(entry):
+    # It used to end NUMERICAL_FAILURE, "interior-point step is not finite".
+    with pytest.raises(InputError, match="objective entries must be finite"):
+        sdp.SdpProblem(objective=np.array([entry]), blocks=[sdp.LmiBlock(-E11, [I2])])
 
 
 def unit_matrix(n, i, j):
