@@ -60,9 +60,10 @@ def _real_gram(stack: np.ndarray) -> np.ndarray:
     return (F.conj() @ F.T).real
 
 
-def _independent(residual, norm):
-    """The shared rank cut: a residual above sqrt(RANK_TOL) of the norm (or of 1)."""
-    return residual > np.sqrt(RANK_TOL) * np.maximum(norm, 1.0)
+def _independent(residual, norm, unit=1.0):
+    """The shared rank cut: a residual above sqrt(RANK_TOL) of the norm (or
+    of `unit`, the value 1 takes in rescaled data)."""
+    return residual > np.sqrt(RANK_TOL) * np.maximum(norm, unit)
 
 
 def _row_blocks(k: int, width: int) -> list:
@@ -81,7 +82,10 @@ def orthonormalize(mats) -> np.ndarray:
     over the reals.  Returns a read-only stack of the input's trailing shape.
     """
     mats = np.asarray(mats)
-    cands = _flat(mats)
+    # Norms square the entries, which overflows from about 2^511: a stack
+    # above 2^500 is rescaled by an exact power of two, the cut's floor with it.
+    unit = np.ldexp(1.0, min(0, 500 - np.frexp(np.max(np.abs(mats), initial=0.0))[1]))
+    cands = _flat(mats) * unit
     out = np.empty_like(cands)
     r = 0
     for v in cands:
@@ -91,7 +95,7 @@ def orthonormalize(mats) -> np.ndarray:
         w = v - (Q.conj() @ v) @ Q
         w -= (Q.conj() @ w) @ Q
         norm = np.linalg.norm(w)
-        if _independent(norm, np.linalg.norm(v)):
+        if _independent(norm, np.linalg.norm(v), unit):
             out[r] = w / norm
             r += 1
     return _readonly(out[:r].reshape((r,) + mats.shape[1:]))

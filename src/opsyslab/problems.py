@@ -24,7 +24,7 @@ from . import sdp
 from .algebra import MAX_AMBIENT, MatrixStarAlgebra, OperatorSubspace
 from .errors import InputError, NumericalFailureError
 from .hermitian import MAX_DIM, hermitian, hermitian_stack, op_norm
-from .korovkin import korovkin_demo
+from .korovkin import MAX_DEGREE, MAX_GRID_SIZE, TEST_FUNCTIONS, korovkin_demo
 from .rigidity import (
     ChoiMap,
     InterpolationRequest,
@@ -441,9 +441,12 @@ def _parse_korovkin(payload, path):
     fns = payload.get("functions", [])
     if not isinstance(fns, list) or not all(isinstance(f, str) for f in fns):
         _fail(path / "functions", "expected an array of function names")
+    for i, name in enumerate(fns):
+        if name not in TEST_FUNCTIONS:
+            _fail(path / "functions" / i, f"unknown test function {name!r}; known: {sorted(TEST_FUNCTIONS)}")
     return {
-        "n": _opt_int(payload, "n", path, default=100, minimum=1),
-        "grid_size": _opt_int(payload, "grid_size", path, default=1001, minimum=2),
+        "n": _opt_int(payload, "n", path, default=100, minimum=1, maximum=MAX_DEGREE),
+        "grid_size": _opt_int(payload, "grid_size", path, default=1001, minimum=2, maximum=MAX_GRID_SIZE),
         "functions": fns,
     }
 

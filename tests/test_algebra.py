@@ -127,6 +127,16 @@ def test_from_basis_rejects_a_span_that_is_not_star_closed(mats, message):
         MatrixStarAlgebra.from_basis(mats)
 
 
+@pytest.mark.parametrize("mats, dim", [
+    ([2.0**512 * np.eye(1)], 1),  # its squared norm overflowed: the span came out without I
+    ([np.eye(2), 1e155 * E(2, 0, 0)], 2),  # E22 must survive the rescale of the rank cut's floor
+])
+def test_huge_spanning_matrices_keep_their_span(recwarn, mats, dim):
+    alg = MatrixStarAlgebra.from_basis(mats)
+    assert alg.dim == dim and alg.contains_identity
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 def test_package_exports_resolve_once_and_drop_the_removed_algebra_names():
     import opsyslab
 

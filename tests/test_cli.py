@@ -16,7 +16,7 @@ from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra
 from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import MAX_DIM
-from opsyslab.korovkin import MAX_GRID_SIZE
+from opsyslab.korovkin import MAX_DEGREE, MAX_GRID_SIZE
 from opsyslab.rigidity import MAX_CHOI_AMBIENT, ChoiMap
 from opsyslab.sdp import SdpSettings
 
@@ -364,14 +364,23 @@ def test_cli_non_finite_result_exits_3(monkeypatch, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["E:perf", "E:ueprepstates", "ideal-uep", "E:notpurerestriction"])
-def test_repro_results_identical_across_blas_threads(case):
+REPRO_CASES = ["E:perf", "E:ueprepstates", "ideal-uep", "E:notpurerestriction", "korovkin"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["repro", "--id", case] for case in REPRO_CASES]
+    + [["korovkin", "--n", "2000", "--grid-size", "1001", "--fn", "sin_pi", "--fn", "abs_mid"]],
+    ids=REPRO_CASES + ["korovkin-n2000"],
+)
+def test_repro_results_identical_across_blas_threads(argv):
+    # korovkin's weighted sums run through a BLAS matmul
     outputs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "opsyslab.cli", "repro", "--id", case, "--json"],
+            [sys.executable, "-m", "opsyslab.cli", *argv, "--json"],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         outputs.append(problems.render_value(json.loads(proc.stdout)["results"]))
@@ -383,7 +392,18 @@ def test_cli_korovkin_grid_limit_exits_2(capsys, grid_size):
     # 10**13 points used to escape cli.main as a numpy allocation error.
     assert main(["korovkin", "--n", "10", "--grid-size", str(grid_size)]) == 2
     err = capsys.readouterr().err
-    assert f"grids above {MAX_GRID_SIZE} points" in err and "Traceback" not in err
+    assert f"payload.grid_size: expected at most {MAX_GRID_SIZE}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", str(MAX_DEGREE + 1)], f"payload.n: expected at most {MAX_DEGREE}"),
+    (["--fn", "x^3", "--fn", "nope"], "payload.functions[1]: unknown test function 'nope'"),
+])
+def test_cli_korovkin_fields_checked_at_parse_time(monkeypatch, capsys, argv, message):
+    # the document is refused before korovkin_demo runs
+    monkeypatch.setattr(problems, "korovkin_demo", None)
+    assert main(["korovkin"] + argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def m4_plus_c_basis() -> list:
