@@ -129,7 +129,7 @@ def test_from_basis_rejects_a_span_that_is_not_star_closed(mats, message):
 
 @pytest.mark.parametrize("mats, dim", [
     ([2.0**512 * np.eye(1)], 1),  # its squared norm overflowed: the span came out without I
-    ([np.eye(2), 1e155 * E(2, 0, 0)], 2),  # E22 must survive the rescale of the rank cut's floor
+    ([np.eye(2), 2.0**600 * E(2, 0, 0)], 2),  # I must survive the rescale: the cut's floor moves with it
 ])
 def test_huge_spanning_matrices_keep_their_span(recwarn, mats, dim):
     alg = MatrixStarAlgebra.from_basis(mats)
