@@ -18,6 +18,7 @@ residual threshold (CLOSURE_TOL).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,12 +217,13 @@ class MatrixStarAlgebra:
             proj = hermitian_part(proj)
         return proj
 
-    def membership_residual(self, X) -> float:
-        _, resid = span_coefficients(self.basis, _as_matrix(X, self.ambient_dim))
-        return float(resid)
-
     def contains(self, X) -> bool:
-        return self.membership_residual(X) <= CLOSURE_TOL * (1.0 + float(np.linalg.norm(X)))
+        """Whether X, or every matrix of a stack X (k, n, n), lies in the span."""
+        X = np.asarray(X, dtype=complex)
+        if X.ndim not in (2, 3) or X.shape[-2:] != (self.ambient_dim,) * 2:
+            raise InputError(f"expected dimension {self.ambient_dim}, got shape {X.shape}")
+        _, resid = span_coefficients(self.basis, X)
+        return bool(np.all(resid <= CLOSURE_TOL * (1.0 + np.linalg.norm(_flat(X), axis=-1))))
 
     def verify_closure(self) -> None:
         B = self.basis
@@ -307,6 +309,12 @@ def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
     )
 
 
+@functools.cache  # one per ambient dimension, at most MAX_AMBIENT
+def _generic_hermitian(n: int) -> np.ndarray:
+    """A fixed, seeded, generic hermitian n x n matrix (read-only)."""
+    return _readonly(hermitian_part(np.random.default_rng(2010).standard_normal((n, 2 * n)).view(complex)))
+
+
 def wedderburn(algebra: MatrixStarAlgebra) -> list:
     """The blocks of a unital algebra A in M_n, U*AU = (+) M_{d_i} (x) I_{m_i},
     as pairs (V_i, m_i): V_i is an n x d_i isometry onto one copy of block i
@@ -324,8 +332,7 @@ def wedderburn(algebra: MatrixStarAlgebra) -> list:
         raise InputError("block decomposition needs a unital algebra")
     if algebra.dim == n * n:
         return [(np.eye(n, dtype=complex), 1)]
-    X = hermitian_part(np.random.default_rng(2010).standard_normal((n, 2 * n)).view(complex))
-    h = np.sum(B @ X @ B.conj().swapaxes(1, 2), axis=0)  # commutes with A
+    h = np.sum(B @ _generic_hermitian(n) @ B.conj().swapaxes(1, 2), axis=0)  # commutes with A
     Q = eigh(h).eigenvectors
     C = Q.conj().T @ B @ Q  # the compressions of A to the eigenbasis of h
     linked = _independent(np.sqrt(np.sum(np.abs(C) ** 2, axis=0)), 1.0)

@@ -163,11 +163,6 @@ def main(argv=None) -> int:
 
     try:
         docs = [_apply_overrides(t, args, i) for i, t in enumerate(texts)]
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
-    try:
         reports = [problems.run(doc) for doc in docs]
         if args.table:
             text = "\n\n".join(_format_table(r) for r in reports)

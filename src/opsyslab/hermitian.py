@@ -1,13 +1,15 @@
 """Dense complex hermitian linear algebra.
 
-The eigensolver is LAPACK's `zheevd`: `np.linalg.eigh` (`eigh`) where
-eigenvectors are used, `np.linalg.eigvalsh` (`eigenvalues`, `op_norm`,
-`is_psd`, which also take a (k, n, n) stack in one call) where they are not.
-Neither output is trusted blindly.  A decomposition must meet reconstruction,
+The eigensolver is LAPACK's `zheevd`, called as the gufuncs `np.linalg`
+calls (`numpy.linalg._umath_linalg`), so outputs are bitwise those of
+`np.linalg.eigh` (`eigh`) and `np.linalg.eigvalsh` (`eigenvalues`,
+`op_norm`, `is_psd`, which also take a (k, n, n) stack in one call).  A
+failed kernel returns NaN, which fails every check: neither output is
+trusted blindly.  A decomposition must meet reconstruction,
 ||Q diag(lam) Q* - A|| <= 1e-10 (1 + ||A||), and unitarity, ||Q*Q - I|| <=
 1e-10; eigenvalues alone must meet |sum lam - tr A| <= 1e-10 ||A||_F and
 |sum lam^2 - ||A||_F^2| <= 1e-10 ||A||_F^2.  The residuals are formed on A
-over its largest entry modulus, so they cannot overflow, and a failure
+over its largest real or imaginary part, so they cannot overflow, and a failure
 raises NumericalFailureError instead of returning degraded output.  The
 bounds are absolute in ||A||: a graded matrix gets no more relative accuracy
 than LAPACK gives.  Eigenvalues come sorted ascending, and results are
@@ -16,9 +18,11 @@ deterministic for equal input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import InputError, NumericalFailureError
 
@@ -64,15 +68,15 @@ def hermitian_checked(entries, ndims) -> np.ndarray:
 
 def hermitian_stack(A: np.ndarray) -> np.ndarray:
     """`hermitian`'s checks and symmetrization on a stack (..., n, n)."""
-    peak = np.abs(A).max(axis=(-2, -1))
+    peak = np.maximum.reduce(np.abs(A), axis=(-2, -1))
     # NaN and infinite entries fail this comparison too.
-    if not (peak <= MAX_ENTRY).all():
+    if not np.logical_and.reduce(peak <= MAX_ENTRY, axis=None):
         if not np.isfinite(A).all():
             raise InputError("matrix entries must be finite (no NaN/Inf)")
         raise InputError(f"matrix entries must have modulus at most {MAX_ENTRY:.6g}")
     A_star = A.conj().swapaxes(-1, -2)
-    dev = np.abs(A - A_star).max(axis=(-2, -1))
-    if (dev > HERMITIAN_REJECT * (1.0 + peak)).any():
+    dev = np.maximum.reduce(np.abs(A - A_star), axis=(-2, -1))
+    if np.logical_or.reduce(dev > HERMITIAN_REJECT * (1.0 + peak), axis=None):
         raise InputError(f"matrix is not hermitian: max |A - A*| = {dev.max():.3e}")
     # Halved in the real view: complex division by 2 does not keep a zero's
     # sign, and this way a second pass gives the same bits.
@@ -125,21 +129,27 @@ def eigh_coefficient_space(A) -> EigenDecomposition:
     return _eigh_checked((A + A.conj().T) / 2.0)
 
 
-def _lapack(solver, H):
-    try:
-        return solver(H)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
+def _check_shape(got, H):
+    if got.shape != H.shape[:-1]:
+        raise NumericalFailureError(f"eigensolver returned shape {got.shape} for {H.shape}")
 
 
 def _eigh_checked(H: np.ndarray) -> EigenDecomposition:
     n = H.shape[0]
-    lam, Q = _lapack(np.linalg.eigh, H)
-    s = max(float(np.abs(H).max(initial=0.0)), _TINY)
-    bound = _RECONSTRUCT_TOL * (1.0 + (float(np.max(np.abs(lam))) if n > 0 else 0.0))
+    with np.errstate(all="ignore"):  # a kernel that fails returns NaN, which fails the checks
+        lam, Q = _umath_linalg.eigh_lo(H)
+    _check_shape(lam, H)
     # The residual of H / s, which cannot overflow, scaled back.
-    recon = s * float(np.linalg.norm((Q * (lam / s)) @ Q.conj().T - (H.view(float) / s).view(complex)))
-    unit = float(np.linalg.norm(Q.conj().T @ Q - np.eye(n)))
+    Hf = H.view(float)
+    s = float(np.maximum.reduce(np.abs(Hf), axis=None, initial=_TINY))
+    Qh = Q.conj().T
+    R = (Q * (lam / s)) @ Qh
+    R -= (Hf / s).view(complex)
+    U = Qh @ Q
+    U.flat[:: n + 1] -= 1.0
+    recon = s * math.sqrt(np.vdot(R, R).real)
+    unit = math.sqrt(np.vdot(U, U).real)
+    bound = _RECONSTRUCT_TOL * (1.0 + max(-lam[0], lam[-1]))  # lam ascending: max |lam|
     # Negated comparisons so that NaN output fails the check too.
     if not (recon <= bound and unit <= _RECONSTRUCT_TOL):
         raise NumericalFailureError(
@@ -155,16 +165,24 @@ def eigenvalues(A) -> np.ndarray:
     a nonempty (k, n, n) stack as a (k, n) array, from one LAPACK call; the
     input gets `hermitian`'s checks, the output the trace and square-sum
     checks of the module docstring."""
-    H = hermitian_checked(A, (2, 3))
-    lam = _lapack(np.linalg.eigvalsh, H)
-    s = np.maximum(np.abs(H).max(axis=(-2, -1)), _TINY)[..., None]
-    Hs = H.reshape(H.shape[:-2] + (-1,)).view(float) / s  # rows of re, im pairs
-    ls = lam / s
-    frob2 = np.einsum("...i,...i->...", Hs, Hs)
-    trace = np.abs(ls.sum(axis=-1) - Hs[..., :: 2 * H.shape[-1] + 2].sum(axis=-1))
-    squares = np.abs(np.einsum("...i,...i->...", ls, ls) - frob2)
+    return eigenvalues_checked(hermitian_checked(A, (2, 3)))
+
+
+def eigenvalues_checked(H: np.ndarray) -> np.ndarray:
+    """`eigenvalues` of H as `hermitian` or `hermitian_checked` returned it:
+    the output checks without repeating the input checks."""
+    with np.errstate(all="ignore"):  # a kernel that fails returns NaN, which fails the checks
+        lam = _umath_linalg.eigvalsh_lo(H)
+    _check_shape(lam, H)
+    Hf = H.reshape(H.shape[:-2] + (-1,)).view(float)  # rows of re, im pairs
+    s = np.maximum.reduce(np.abs(Hf), axis=-1, keepdims=True, initial=_TINY)
+    Hs, ls = Hf / s, lam / s
+    frob2 = np.add.reduce(Hs * Hs, axis=-1)
+    trace = np.abs(np.add.reduce(ls, axis=-1) - np.add.reduce(Hs[..., :: 2 * H.shape[-1] + 2], axis=-1))
+    squares = np.abs(np.add.reduce(ls * ls, axis=-1) - frob2)
     # Negated comparison so that NaN or infinite output fails the check too.
-    if not ((trace <= _RECONSTRUCT_TOL * np.sqrt(frob2)) & (squares <= _RECONSTRUCT_TOL * frob2)).all():
+    ok = (trace <= _RECONSTRUCT_TOL * np.sqrt(frob2)) & (squares <= _RECONSTRUCT_TOL * frob2)
+    if not np.logical_and.reduce(ok, axis=None):
         raise NumericalFailureError(
             f"eigenvalues failed their invariants (trace {trace.max():.2e}, squares {squares.max():.2e})"
         )

@@ -206,7 +206,9 @@ def _canonical_payload(payload: dict) -> dict:
 
 
 def parse_problem(text: str) -> ProblemDocument:
-    """Validate a JSON document; rejections name the offending field."""
+    """Validate a JSON document and build its subspaces, algebras and
+    states; rejections name the offending field.  Building runs checked
+    eigensolver calls, so it can also raise NumericalFailureError."""
     try:
         raw = json.loads(text)
     except RecursionError:
@@ -333,6 +335,23 @@ def _algebra_field(payload, key, path, default_dim=None) -> dict:
     return {key: mats, f"_{key}": algebra}
 
 
+def _built(path, make, **fields):
+    """make(**fields), the object the field at `path` describes; an
+    InputError from its checks names that field."""
+    try:
+        return make(**fields)
+    except InputError as exc:
+        _fail(path, str(exc))
+
+
+def _subspace(p, key, path):
+    """The operator subspace spanned by the matrix list p[key], unital as
+    p[key + "_unital"] says."""
+    mats = p[key]
+    return _built(path / key, OperatorSubspace,
+                  ambient_dim=mats[0].shape[0], basis=mats, unital=p[f"{key}_unital"])
+
+
 def _check_dim(path, got: int, n: int, of: str):
     if got != n:
         _fail(path, f"expected dimension {n} (that of {of}), got {got}")
@@ -356,6 +375,13 @@ def _parse_extension(payload, path):
     _check_dim(path / "t", out["t"].shape[0], n, "S")
     out.update(_algebra_field(payload, "ambient", path, n))
     _check_dim(path / "ambient", out["_ambient"].ambient_dim, n, "S")
+    out["_S"] = _subspace(out, "S", path)
+    out["_phi"] = _built(path / "phi", StateFunctional, density=out["phi"], domain=out["_S"])
+    ambient = out["_ambient"]
+    if not ambient.contains(out["t"]):
+        _fail(path / "t", "element does not belong to the ambient algebra")
+    if not ambient.contains(out["_S"].basis):
+        _fail(path / "S", "the state's domain is not contained in the ambient algebra")
     return out
 
 
@@ -370,6 +396,10 @@ def _parse_uep(payload, path):
         _fail(path / "state", "subspace dimension does not match the state")
     out.update(_algebra_field(payload, "A", path, S[0].shape[0]))
     _check_dim(path / "A", out["_A"].ambient_dim, S[0].shape[0], "S")
+    out["_S"] = _subspace(out, "S", path)
+    out["_state"] = _built(path / "state", StateFunctional, density=out["state"], domain=out["_A"])
+    if not out["_A"].contains(out["_S"].basis):
+        _fail(path / "S", "subspace is not contained in the state's algebra")
     return out
 
 
@@ -379,6 +409,7 @@ def _parse_state_algebra(payload, path):
     out.update(_algebra_field(payload, "A", path, state.shape[0]))
     _check_dim(path / "state", state.shape[0], out["_A"].ambient_dim, "A")
     _check_unital(out, "A", path)
+    out["_state"] = _built(path / "state", StateFunctional, density=state, domain=out["_A"])
     return out
 
 
@@ -412,6 +443,7 @@ def _parse_boundary(payload, path):
     out.update(_algebra_field(payload, "algebra", path))
     if "_algebra" in out:
         _check_dim(path / "algebra", out["_algebra"].ambient_dim, S[0].shape[0], "S")
+    out["_S"] = _subspace(out, "S", path)
     return out
 
 
@@ -461,10 +493,6 @@ def _parse_repro(payload, path):
 # ------------------------------------------------------------- running
 
 
-def _subspace(mats, unital):
-    return OperatorSubspace(ambient_dim=mats[0].shape[0], basis=mats, unital=unital)
-
-
 def _instance_results(inst):
     out = {
         "verdict": inst.verdict,
@@ -481,8 +509,8 @@ def _instance_results(inst):
 
 def _run_unperforated(doc: ProblemDocument):
     p = doc.payload
-    S = _subspace(p["S"], p["S_unital"])
-    T = _subspace(p["T"], p["T_unital"])
+    # Built here, not when parsing: any S and T of matching dimensions parse.
+    S, T = (_subspace(p, key, _Path("payload")) for key in ("S", "T"))
     if "a" in p:
         inst = solve_unperforated_instance(S, T, p["a"], p["b"], settings=doc.settings)
         return _instance_results(inst)
@@ -502,10 +530,7 @@ def _run_unperforated(doc: ProblemDocument):
 
 def _run_extension(doc: ProblemDocument):
     p = doc.payload
-    S = _subspace(p["S"], p["S_unital"])
-    ambient = p["_ambient"]
-    phi = StateFunctional(density=p["phi"], domain=S)
-    interval = extension_interval(phi, p["t"], ambient, settings=doc.settings)
+    interval = extension_interval(p["_phi"], p["t"], p["_ambient"], settings=doc.settings)
     return {
         "min": interval.min,
         "max": interval.max,
@@ -517,10 +542,7 @@ def _run_extension(doc: ProblemDocument):
 
 def _run_uep(doc: ProblemDocument):
     p = doc.payload
-    A = p["_A"]
-    S = _subspace(p["S"], p["S_unital"])
-    psi = StateFunctional(density=p["state"], domain=A)
-    result = has_uep(psi, S, settings=doc.settings)
+    result = has_uep(p["_state"], p["_S"], settings=doc.settings)
     out = {"holds": result.holds}
     if result.witness is not None:
         out["witness"] = matrix_to_json(result.witness)
@@ -530,16 +552,12 @@ def _run_uep(doc: ProblemDocument):
 
 def _run_purity(doc: ProblemDocument):
     p = doc.payload
-    A = p["_A"]
-    phi = StateFunctional(density=p["state"], domain=A)
-    return {"pure": is_pure(phi, A)}
+    return {"pure": is_pure(p["_state"], p["_A"])}
 
 
 def _run_decompose(doc: ProblemDocument):
     p = doc.payload
-    A = p["_A"]
-    phi = StateFunctional(density=p["state"], domain=A)
-    dec = pure_decomposition(phi, A)
+    dec = pure_decomposition(p["_state"], p["_A"])
     return {
         "atoms": [
             {"weight": w, "density": matrix_to_json(atom.density)} for w, atom in dec.atoms
@@ -566,8 +584,7 @@ def _run_riesz(doc: ProblemDocument):
 
 def _run_boundary(doc: ProblemDocument):
     p = doc.payload
-    S = _subspace(p["S"], p["S_unital"])
-    extent, witness = ucp_fixed_extent(S, algebra=p.get("_algebra"), settings=doc.settings)
+    extent, witness = ucp_fixed_extent(p["_S"], algebra=p.get("_algebra"), settings=doc.settings)
     out = {"max_deviation": extent, "boundary": bool(extent <= 1e-6)}
     if witness is not None:
         out["witness_choi"] = matrix_to_json(witness.choi)

@@ -28,7 +28,7 @@ import numpy as np
 from . import sdp, spectrahedron
 from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, wedderburn
 from .errors import InputError, NumericalFailureError
-from .hermitian import eigenvalues, eigh, hermitian, hermitian_part
+from .hermitian import eigenvalues_checked, eigh, hermitian, hermitian_part
 
 UEP_TOL = 1e-6
 WITNESS_AGREE_TOL = 1e-7
@@ -51,7 +51,7 @@ class StateFunctional:
 
     def __post_init__(self):
         self.density = hermitian(self.density)
-        ev = eigenvalues(self.density)
+        ev = eigenvalues_checked(self.density)
         if ev[0] < -DENSITY_EIG_TOL:
             raise InputError(f"density has a negative eigenvalue {ev[0]:.3e}")
         tr = float(np.trace(self.density).real)
@@ -217,7 +217,7 @@ def extension_interval(
         raise InputError("element dimension does not match the state")
     if not ambient.contains(t):
         raise InputError("element does not belong to the ambient algebra")
-    if not all(ambient.contains(s) for s in phi.domain.basis):
+    if not ambient.contains(phi.domain.basis):
         raise InputError("the state's domain is not contained in the ambient algebra")
     spec = _extension_set(phi, settings=settings)
     return _interval_from_set(spec, phi, t, ambient, settings=settings)
@@ -241,9 +241,8 @@ def has_uep(
     A = psi.domain
     if not isinstance(A, MatrixStarAlgebra):
         raise InputError("has_uep expects a state whose domain is an algebra")
-    for s in S.basis:
-        if not A.contains(s):
-            raise InputError("subspace is not contained in the state's algebra")
+    if not A.contains(S.basis):
+        raise InputError("subspace is not contained in the state's algebra")
     restricted = psi.restrict(S)
     spec = _extension_set(restricted, settings=settings)
     basis = A.hermitian_basis()

@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsyslab import problems, sdp
-from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra
+from opsyslab import algebra, problems, sdp
+from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra, OperatorSubspace
 from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import MAX_DIM
 from opsyslab.korovkin import MAX_DEGREE, MAX_GRID_SIZE
 from opsyslab.rigidity import MAX_CHOI_AMBIENT, ChoiMap
 from opsyslab.sdp import SdpSettings
+from opsyslab.states import StateFunctional
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DATA = Path(__file__).resolve().parent / "data"
@@ -564,6 +565,53 @@ def test_cli_algebra_field_rejections_name_the_field(tmp_path, capsys, kind, pay
     path.write_text(json.dumps({"kind": kind, "payload": payload}))
     assert main([kind, "--file", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+DEPENDENT = "subspace basis is not linearly independent"
+E11, E22, X = [[1, 0], [0, 0]], [[0, 0], [0, 1]], [[0, 1], [1, 0]]
+HALF_TRACE = [[0.3, 0], [0, 0.3]]
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("uep", {"S": [I2, I2], "state": E11}, f"payload.S: {DEPENDENT}"),
+    ("boundary", {"S": [I2, I2]}, f"payload.S: {DEPENDENT}"),
+    ("unperforated", {"S": [I2, I2], "T": [I2], "a": Z2, "b": I2}, f"payload.S: {DEPENDENT}"),
+    ("unperforated", {"S": [I2], "T": [E11], "T_unital": True, "a": Z2, "b": I2},
+     "payload.T: unital flag set but identity is not in the span"),
+    ("purity", {"state": HALF_TRACE}, "payload.state: density trace 0.6 is not 1"),
+    ("decompose", {"state": HALF_TRACE, "A": 2}, "payload.state: density trace 0.6 is not 1"),
+    ("uep", {"S": [I2], "state": HALF_TRACE}, "payload.state: density trace 0.6 is not 1"),
+    ("uep", {"S": [I2, X], "state": E11, "A": [E11, E22]},
+     "payload.S: subspace is not contained in the state's algebra"),
+    ("extension-interval", {"S": [I2], "phi": HALF_TRACE, "t": E11}, "payload.phi: density trace 0.6 is not 1"),
+    ("extension-interval", {"S": [I2], "phi": [[2, 0], [0, -1]], "t": E11},
+     "payload.phi: density has a negative eigenvalue -1.000e+00"),
+    ("extension-interval", {"S": [I2], "phi": E11, "t": X, "ambient": [E11, E22]},
+     "payload.t: element does not belong to the ambient algebra"),
+])
+def test_cli_subspace_and_state_rejections_name_the_field(tmp_path, capsys, kind, payload, message):
+    # these used to exit 2 with a message that named no field
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}))
+    command = "check-unperforated" if kind == "unperforated" else kind
+    assert main([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_state_and_subspace_are_built_when_parsing(monkeypatch, tmp_path, capsys):
+    doc = problems.parse_problem(json.dumps({"kind": "uep", "payload": {"S": [I2, X], "state": E11}}))
+    assert isinstance(doc.payload["_S"], OperatorSubspace) and isinstance(doc.payload["_state"], StateFunctional)
+    assert doc.payload["_state"].domain is doc.payload["_A"]
+    # a numerical failure while parsing exits 3, as one while running does
+
+    def fail(A):
+        raise NumericalFailureError("injected")
+
+    monkeypatch.setattr(algebra, "eigh_coefficient_space", fail)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "uep", "payload": {"S": [I2], "state": E11}}))
+    assert main(["uep", "--file", str(path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: injected\n"
 
 
 def test_cli_riesz_accepts_an_integer_b(tmp_path, capsys):

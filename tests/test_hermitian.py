@@ -1,12 +1,15 @@
 """Checks for the hermitian kernel: eigensolver, PSD test, spectral clamp.
 
-The package routes are np.linalg.eigh (LAPACK zheevd) behind reconstruction
-and unitarity checks, and np.linalg.eigvalsh behind trace and square-sum
-checks.  np.linalg.eigvalsh is the eigenvalue oracle; since it comes from
-the same LAPACK, the tests also pin the invariants themselves:
-reconstruction, ordering, determinism, and that output failing its checks
-raises instead of being returned.  The last tests count the spectral calls
-that whole documents make.
+The package calls the LAPACK (zheevd) gufuncs that np.linalg.eigh and
+np.linalg.eigvalsh call, numpy.linalg._umath_linalg's eigh_lo behind
+reconstruction and unitarity checks and eigvalsh_lo behind trace and
+square-sum checks, and must return exactly np.linalg's bits.  Since the
+oracle comes from the same LAPACK, the tests also pin the invariants
+themselves: reconstruction, ordering, determinism, and that kernel output
+failing its checks (NaN from a kernel that did not converge included)
+raises instead of being returned.  The last tests pin the results of one
+document of each kind and count the spectral calls that whole documents
+make.
 """
 
 from __future__ import annotations
@@ -14,12 +17,15 @@ from __future__ import annotations
 import importlib
 import json
 import sys
+import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from opsyslab import problems
+from opsyslab.cli import main
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import (
     MAX_DIM,
@@ -30,10 +36,14 @@ from opsyslab.hermitian import (
     eigh,
     eigh_coefficient_space,
     hermitian,
+    hermitian_checked,
+    hermitian_part,
     hs_inner,
     is_psd,
     op_norm,
 )
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def random_hermitian(rng, n: int) -> np.ndarray:
@@ -97,24 +107,6 @@ def test_eigh_rejects_bad_input():
         hermitian(np.zeros((0, 0)))
     with pytest.raises(InputError):
         hermitian(np.array([[np.nan]]))
-
-
-def test_eigh_raises_when_invariants_fail(monkeypatch):
-    A = np.diag([1.0, 2.0, 3.0])
-
-    def not_unitary(H):
-        return np.array([1.0, 2.0, 3.0]), 2.0 * np.eye(3)
-
-    def lost_eigenvalue(H):
-        return np.array([1.0, 2.0, 2.5]), np.eye(3)
-
-    def nan_output(H):
-        return np.full(3, np.nan), np.eye(3)
-
-    for fake in (not_unitary, lost_eigenvalue, nan_output):
-        monkeypatch.setattr(np.linalg, "eigh", fake)
-        with pytest.raises(NumericalFailureError):
-            eigh(A)
 
 
 def test_eigh_coefficient_space_rejects_non_finite():
@@ -253,31 +245,79 @@ def test_eigenvalues_reject_empty_and_misshapen_stacks(shape):
         eigenvalues(np.zeros(shape))
 
 
+def _failed_kernel_output(x):
+    """NaN everywhere, with the invalid flag raised, as a LAPACK gufunc
+    leaves a matrix it does not converge on (None stays None)."""
+    return None if x is None else np.zeros_like(x) / 0.0
+
+
+# How a kernel's output (eigenvalues, eigenvectors or None) is corrupted.
+# Each must raise NumericalFailureError and nothing else: no ValueError
+# from a wrong shape, no RuntimeWarning (an error under the suite's filter)
+# from a failed kernel.
+CORRUPTIONS = {
+    "vectors not unitary": lambda lam, Q: (lam, 2.0 * Q),  # eigh only
+    "eigenvalue lost": lambda lam, Q: (lam[..., 1:], Q),
+    "eigenvalue moved": lambda lam, Q: (lam * np.array([1.0, 1.0, 0.9]), Q),
+    "eigenvalues NaN": lambda lam, Q: (np.full_like(lam, np.nan), Q),
+    "no convergence": lambda lam, Q: (_failed_kernel_output(lam), _failed_kernel_output(Q)),
+}
+
+
+def _corrupt_kernels(monkeypatch, corrupt):
+    """Route the module's eigh_lo/eigvalsh_lo through `corrupt`."""
+    module = importlib.import_module("opsyslab.hermitian")
+    real = module._umath_linalg
+    monkeypatch.setattr(module, "_umath_linalg", types.SimpleNamespace(
+        eigh_lo=lambda H: corrupt(*real.eigh_lo(H)),
+        eigvalsh_lo=lambda H: corrupt(real.eigvalsh_lo(H), None)[0],
+    ))
+
+
+def test_eigh_raises_when_invariants_fail(monkeypatch):
+    A = np.diag([1.0, 2.0, 3.0])
+    for corrupt in CORRUPTIONS.values():
+        _corrupt_kernels(monkeypatch, corrupt)
+        for f in (eigh, eigh_coefficient_space):
+            with pytest.raises(NumericalFailureError):
+                f(A)
+        monkeypatch.undo()
+
+
 def test_eigenvalues_raise_when_invariants_fail(monkeypatch):
     A = np.diag([1.0, 2.0, 3.0])
-    lapack = np.linalg.eigvalsh
+    for mode, corrupt in CORRUPTIONS.items():
+        if mode == "vectors not unitary":
+            continue
+        _corrupt_kernels(monkeypatch, corrupt)
+        for f in (eigenvalues, op_norm, is_psd):
+            for arg in (A, np.stack([A, A, 2.0 * A])):
+                with pytest.raises(NumericalFailureError):
+                    f(arg)
+        monkeypatch.undo()
 
-    def lost_eigenvalue(H):
-        return lapack(H)[..., 1:]
 
-    def moved_eigenvalue(H):
-        return lapack(H) * np.array([1.0, 1.0, 0.9])
-
-    def nan_output(H):
-        return np.full(H.shape[:-1], np.nan)
-
-    def no_convergence(H):
-        raise np.linalg.LinAlgError("did not converge")
-
-    for fake in (lost_eigenvalue, moved_eigenvalue, nan_output, no_convergence):
-        monkeypatch.setattr(np.linalg, "eigvalsh", fake)
-        for arg in (A, np.stack([A, A])):
-            with pytest.raises(NumericalFailureError):
-                eigenvalues(arg)
-        with pytest.raises(NumericalFailureError):
-            op_norm(A)
-        with pytest.raises(NumericalFailureError):
-            is_psd(A)
+def test_checked_calls_keep_the_bits_of_np_linalg(tmp_path, capsys):
+    for n in range(1, 9):
+        rng = np.random.default_rng(300 + n)
+        H = hermitian(random_hermitian(rng, n))
+        stack = hermitian_checked(np.stack([random_hermitian(rng, n) for _ in range(5)]), (3,))
+        for dec, (lam, Q) in ((eigh(H), np.linalg.eigh(H)),
+                              (eigh_coefficient_space(H), np.linalg.eigh(hermitian_part(H)))):
+            assert dec.eigenvalues.tobytes() == lam.tobytes() and dec.eigenvectors.tobytes() == Q.tobytes()
+        assert eigenvalues(H).tobytes() == np.linalg.eigvalsh(H).tobytes()
+        assert eigenvalues(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
+    # One small document per kind through the CLI keeps its `results` bytes.
+    cases = json.loads((DATA / "results_by_kind.json").read_text())
+    assert sorted(case["document"]["kind"] for case in cases) == sorted(problems.KINDS)
+    for case in cases:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(case["document"]))
+        assert main([case["command"], "--file", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        start = out.index('"results":') + len('"results":')
+        _, end = json.JSONDecoder().raw_decode(out, start)
+        assert out[start:end] == case["results"], case["command"]
 
 
 def test_op_norm_and_is_psd_on_stacks_match_single_calls():
