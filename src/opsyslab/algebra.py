@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InputError, NumericalFailureError
 from .hermitian import BLOCK_ENTRIES, eigh, eigh_coefficient_space, hermitian, hermitian_part
+from .limits import MAX_AMBIENT
 
-MAX_AMBIENT = 16
 RANK_TOL = 1e-9
 CLOSURE_TOL = 1e-8
 
@@ -191,6 +191,8 @@ class MatrixStarAlgebra:
         n = mats[0].shape[0]
         if any(M.shape[0] != n for M in mats):
             raise InputError("spanning matrices disagree on dimension")
+        if n > MAX_AMBIENT:
+            raise InputError(f"algebra ambient dimension {n} exceeds {MAX_AMBIENT}")
         basis = orthonormalize(np.stack(mats))
         alg = MatrixStarAlgebra(n, basis, contains_identity=_identity_in_span(basis, n))
         alg.verify_closure()

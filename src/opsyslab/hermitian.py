@@ -25,8 +25,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InputError, NumericalFailureError
-
-MAX_DIM = 64
+from .limits import MAX_COEFFICIENT_DIM, MAX_DIM
 
 # Complex entries in one block of a batched array computation (16 MB).
 BLOCK_ENTRIES = 1 << 20
@@ -113,15 +112,11 @@ def eigh(A) -> EigenDecomposition:
 
 
 def eigh_coefficient_space(A) -> EigenDecomposition:
-    """Same solver without the ambient dimension cap.
-
-    The Gram matrices of subspace bases live in coefficient space, whose
-    dimension legitimately exceeds the 64-dimensional cap that applies to
-    ambient operators; it is still bounded by 256 = 16^2.
-    """
+    """Same solver for the Gram matrices of bases: they live in coefficient
+    space, bounded by MAX_COEFFICIENT_DIM instead of the ambient MAX_DIM."""
     A = np.asarray(A, dtype=complex)
-    if A.shape[0] > 256:
-        raise InputError(f"coefficient-space dimension {A.shape[0]} exceeds 256")
+    if A.shape[0] > MAX_COEFFICIENT_DIM:
+        raise InputError(f"coefficient-space dimension {A.shape[0]} exceeds {MAX_COEFFICIENT_DIM}")
     scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
     dev = float(np.max(np.abs(A - A.conj().T)))
     if dev > HERMITIAN_REJECT * scale:

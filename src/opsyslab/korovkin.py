@@ -6,11 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError
+from .limits import MAX_DEGREE, MAX_GRID_SIZE
 
-# Work limits of one demo: at the largest degree a grid point costs about
-# 19 us (one BLAS thread, 2-core x86-64 box): the largest grid takes 14 s.
-MAX_DEGREE = 2000
-MAX_GRID_SIZE = 750_000
 # Grid points are weighed in chunks of about this many weights (128 KB): big
 # enough to amortize numpy's per-call cost, small enough not to raise peak RSS.
 CHUNK_ENTRIES = 1 << 14

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp
-from .algebra import MAX_AMBIENT, MatrixStarAlgebra, OperatorSubspace
+from .algebra import MatrixStarAlgebra, OperatorSubspace
 from .errors import InputError, NumericalFailureError
-from .hermitian import MAX_DIM, hermitian, hermitian_stack, op_norm
-from .korovkin import MAX_DEGREE, MAX_GRID_SIZE, TEST_FUNCTIONS, korovkin_demo
+from .hermitian import hermitian, hermitian_stack, op_norm
+from .korovkin import TEST_FUNCTIONS, korovkin_demo
+from .limits import MAX_AMBIENT, MAX_AUTO_BOUNDS, MAX_DEGREE, MAX_DIM, MAX_GRID_SIZE, MAX_RIESZ_N, MAX_TRIALS
 from .rigidity import (
     ChoiMap,
     InterpolationRequest,
@@ -44,15 +45,6 @@ from .states import (
 )
 
 SCHEMA = "opsyslab/1"
-
-# Work limits of one document, each at most about a minute at the largest
-# size measured (full M8, one BLAS thread): N = 1000 riesz steps, one batch
-# of feasibility SDPs, took 28 s (peak RSS 162 MB), an automatic bound pair
-# two warm-started solves (about 40 ms), a search trial one instance SDP
-# (26 ms).
-MAX_RIESZ_N = 1000
-MAX_AUTO_BOUNDS = 100
-MAX_TRIALS = 2000
 
 # ----------------------------------------------------------- rendering
 

@@ -31,10 +31,9 @@ from .hermitian import (
     op_norm,
     spectrum_psd,
 )
+from .limits import MAX_CHOI_AMBIENT
 
 INSTANCE_TOL = 1e-7
-# Largest ambient dimension of a fixed-set extent (its Choi matrices are n^2 x n^2).
-MAX_CHOI_AMBIENT = 4
 
 
 # ----------------------------------------------------------- instances

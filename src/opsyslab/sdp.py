@@ -8,7 +8,8 @@ One primal-dual interior-point loop solves every program: Nesterov-Todd
 scaling and Mehrotra's predictor-corrector (Todd, Toh & Tutuncu 1998) for
 "maximize b.y subject to F0 + sum_i y_i F_i >= 0" from a strictly feasible
 y, with the primal iterate X as the dual.  It runs a batch of programs at
-once, each bitwise as if alone.
+once, each bitwise as if alone, as one stack: every block is padded to the
+largest block dimension, as diag(F(x), I) >= 0 iff F(x) >= 0.
 
 The feasibility phase gives y one more entry s and maximizes the minimum
 slack s over all blocks (capped, so the problem is bounded).  When s < 0
@@ -48,16 +49,14 @@ from numpy.linalg import _umath_linalg
 
 from .errors import InputError
 from .hermitian import BLOCK_ENTRIES, hermitian_checked, hermitian_part, is_psd
+from .limits import MAX_VARIABLES
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
 
-MAX_VARIABLES = 128
-
 # Counters exposed for hygiene reporting; incremented once per verified event.
 SOLVE_STATS = {"solves": 0, "duality_checks": 0, "certificate_checks": 0}
-
 
 MAX_NEWTON = 200  # interior-point iterations, per phase
 CERT_RESIDUAL_TOL = 1e-7
@@ -106,9 +105,9 @@ class LmiBlock:
             stack = np.array([constant, *coefficients], dtype=complex)
         except ValueError:  # a ragged stack
             raise InputError("all block coefficients must match the constant's shape") from None
-        H = hermitian_checked(stack, (3,))
-        self.constant, self.coefficients = H[0], H[1:]
-        self.dim, self.num_vars = H.shape[1], H.shape[0] - 1
+        self.stack = hermitian_checked(stack, (3,))
+        self.constant, self.coefficients = self.stack[0], self.stack[1:]
+        self.dim, self.num_vars = self.stack.shape[1], self.stack.shape[0] - 1
 
     def slack(self, x: np.ndarray) -> np.ndarray:
         if self.num_vars == 0:
@@ -185,9 +184,8 @@ def _rows_dot(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _lapack(kernel: str, *stacks):
-    """numpy.linalg's LAPACK kernel `kernel` (cholesky_lo, eigh_lo,
-    eigvalsh_lo or solve1) on stacks; a matrix it fails on comes back with
-    NaN entries.  Callers hold np.errstate(invalid="ignore")."""
+    """numpy.linalg's LAPACK gufunc `kernel` on stacks; a matrix it fails on
+    comes back as NaN.  Callers hold np.errstate(invalid="ignore")."""
     return getattr(_umath_linalg, kernel)(*stacks)
 
 
@@ -202,8 +200,13 @@ _NAN_STEP = "interior-point step is not finite"
 _WORKING_SET = 6
 
 
+def _stack_shape(blocks, cap: bool) -> tuple:
+    """(K, D): the loop's blocks (with `cap`, the cap too), padded to the largest dimension D."""
+    return len(blocks) + cap, max(blk.dim for blk in blocks)
+
+
 @np.errstate(all="ignore")  # failed kernels and their rows leave NaN, read as failures
-def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> list:
+def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> list:
     """Maximize b.y subject to S_k(y) = F0_k + sum_i y_i F_ki >= 0 on every
     block, for programs with the same block dimensions and variable count;
     y and b are rows (1, y) and (0, b), the first entry the weight of F0.
@@ -211,42 +214,47 @@ def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> lis
     Primal-dual interior-point method with Nesterov-Todd scaling and
     Mehrotra's predictor-corrector (Todd, Toh & Tutuncu 1998).  The primal
     asks for X_k >= 0 with sum_k <X_k, F_ki> = -b_i, minimizing
-    sum_k <X_k, F0_k>; X starts at xi I and is infeasible until a full step,
-    and y starts strictly feasible and stays so.  With `caps`, y gains a last
-    entry s, every block gets the column -I and one more block s_cap I - s I
-    of the smallest block dimension comes last: the feasibility phase.
-    Without, b.y above UNBOUNDED_VALUE stops a program (a runaway).
+    sum_k <X_k, F0_k>; X starts at a multiple of I of trace `trace` and is
+    infeasible until a full step, and y starts strictly feasible and stays
+    so.  With `caps`, y gains a last entry s, every block gets the column -I
+    on its own corner and one more block s_cap I - s I of dimension D comes
+    last: the feasibility phase.  Without, b.y above UNBOUNDED_VALUE stops a
+    program (a runaway).
+
+    Every block is padded to the largest dimension D, F0_k by I and each F_ki
+    by 0, as diag(S_k(y), I) >= 0 iff S_k(y) >= 0: one (P, q + 1, K, D, D)
+    stack, and per pass one Cholesky, one eigh and one eigvalsh per direction
+    whatever the block sizes.  The padding carries no coefficient, so each
+    X_k's own corner is a dual block of the unpadded program.
 
     A program is one row of every array, and each operation acts on each row
     alone (its own LAPACK and BLAS calls, step lengths and stopping test), so
     its result is bitwise the same in any batch.  It leaves the arrays on
     the pass it converges, fails or stops.  Returns per program (y, X in
-    block order, iterations, None or why it stopped).
+    block order, each its block's own shape, iterations, None or why it
+    stopped).
     """
     P, m = len(problems), problems[0][0].num_vars
     q = b.shape[1] - 1  # m, or m + 1 with the slack s
+    K, D = _stack_shape(problems[0], caps is not None)
     dims = [blk.dim for blk in problems[0]]
-    n = sum(dims) + (min(dims) if caps is not None else 0)
-    # Per group of equal dimension d: block indices, [F0, F_1..F_q] as a
-    # real (P, q + 1, 2 k d d) view (slacks, residuals), and F_1..F_q as
-    # (P, k, d q, d), rows (a, i) holding F_i[a, :] (scaling).
-    groups, eyes, X = [], [], []
-    for d in sorted(set(dims)):
-        idxs = [i for i, e in enumerate(dims) if e == d]
-        k, cap = len(idxs), caps is not None and d == min(dims)
-        members = [blocks[i] for blocks in problems for i in idxs]
-        F = np.zeros((P, q + 1, k + cap, d, d), dtype=complex)
-        F[:, 0, :k] = np.array([blk.constant for blk in members]).reshape(P, k, d, d)
-        F[:, 1:m + 1, :k] = np.array([blk.coefficients for blk in members]).reshape(P, k, m, d, d).swapaxes(1, 2)
-        if caps is not None:
-            F[:, -1] = -np.eye(d)
-        if cap:
-            F[:, 0, k] = np.asarray(caps)[:, None, None] * np.eye(d)
-            idxs.append(len(dims))
-        Fc = np.ascontiguousarray(F[:, 1:].transpose(0, 2, 3, 1, 4)).reshape(P, k + cap, -1, d)
-        groups.append([idxs, F.reshape(P, q + 1, -1).view(float), Fc])
-        eyes.append(np.eye(d, dtype=complex))
-        X.append((eyes[-1] * xi[:, None, None, None]).repeat(k + cap, axis=1))
+    # [F0, F_1..F_q] per block: a real (P, q + 1, 2 K D D) view (slacks,
+    # residuals), and F_1..F_q as (P, K, D q, D), rows (a, i) holding
+    # F_i[a, :] (scaling).
+    F = np.zeros((P, q + 1, K, D, D), dtype=complex)
+    diag = np.arange(D)
+    for j, d in enumerate(dims):
+        F[:, :m + 1, j, :d, :d] = [blocks[j].stack for blocks in problems]
+        F[:, 0, j, diag[d:], diag[d:]] = 1.0  # the padding's I
+        if caps is not None:  # s's column: -I on the block's own corner
+            F[:, -1, j, diag[:d], diag[:d]] = -1.0
+    if caps is not None:  # the cap s_cap I - s I
+        F[:, 0, -1, diag, diag] = np.asarray(caps)[:, None]
+        F[:, -1, -1, diag, diag] = -1.0
+    Ft = F.reshape(P, q + 1, -1).view(float)
+    Fc = np.ascontiguousarray(F[:, 1:].transpose(0, 2, 3, 1, 4)).reshape(P, K, -1, D)
+    eye = np.eye(D, dtype=complex)
+    X = (eye * (trace / (K * D))[:, None, None, None]).repeat(K, axis=1)
     y = y.copy()
     b_norm = 1.0 + np.sqrt(_rows_dot(b, b))
     limit = np.inf if caps is not None else UNBOUNDED_VALUE
@@ -254,114 +262,93 @@ def _interior_point(problems, b, y, xi, settings: SdpSettings, caps=None) -> lis
     active = np.arange(P)  # the program of each row
     outcomes = [None] * P
     for iteration in range(MAX_NEWTON + 1):
-        rows = len(active)
         # NT scaling G per block: G^-1 X G^-H = G^H S G = diag(lam), from
         # the Cholesky factor L of X and the eigenvectors Q of L^H S L.
         # <X, S> = sum lam^2.  The dual residual is zero by construction;
         # the primal one (b + <F0, X> at first) is relative to 1 + ||b||.
-        scaled, failed, M, r_p, gap = [], {}, 0.0, b, 0.0
-        for (_, Ft, Fc), Xg in zip(groups, X):
-            S = (y[:, None, :] @ Ft).view(complex).reshape(Xg.shape)
-            L = _lapack("cholesky_lo", Xg)
-            w, Q = _lapack("eigh_lo", L.conj().swapaxes(-1, -2) @ S @ L)
-            if not (w > 0.0).all():  # a row failed: its earliest cause wins
-                for reason, lost in ((_NAN_STEP, np.isnan(Xg).any(axis=(1, 2, 3)) | np.isnan(y).any(axis=1)),
-                                     ("primal iterate lost definiteness", np.isnan(L).any(axis=(1, 2, 3))),
-                                     ("dual slack lost definiteness", ~(w > 0.0).all(axis=(1, 2)))):
-                    for r in np.flatnonzero(lost):
-                        failed.setdefault(r, reason)
-                w = np.where(w > 0.0, w, 1.0)
-            lam = np.sqrt(w)
-            root = np.sqrt(lam)
-            G = (L @ Q) / root[..., None, :]
-            Gc = G.conj()  # kept C-ordered, so that every G^H is the same transposed view
-            # W_i = G^H F_i G for all i in two products per block, laid
-            # out (a, i, c), then variable-major for the Gram matrix M.
-            Wr = np.ascontiguousarray((Gc.swapaxes(-1, -2) @ (Fc @ G).reshape(G.shape[:3] + (-1,)))
-                                      .reshape(G.shape[:3] + (q, -1)).transpose(0, 3, 1, 2, 4))
-            Wr = Wr.reshape(rows, q, -1).view(float)
-            M = M + Wr @ Wr.swapaxes(-1, -2)
-            r_p = r_p + (Ft @ Xg.view(float).reshape(rows, -1, 1))[..., 0]
-            gap = gap + _rows_dot(lam, lam)
-            root = 1.0 / root
-            scaled.append([G, Gc, lam, Wr, root[..., :, None] * root[..., None, :]])
+        S = (y[:, None, :] @ Ft).view(complex).reshape(X.shape)
+        L = _lapack("cholesky_lo", X)
+        w, Q = _lapack("eigh_lo", L.conj().swapaxes(-1, -2) @ S @ L)
+        failed = {}
+        if not (w > 0.0).all():  # a row failed: its earliest cause wins
+            for reason, lost in ((_NAN_STEP, np.isnan(X).any(axis=(1, 2, 3)) | np.isnan(y).any(axis=1)),
+                                 ("primal iterate lost definiteness", np.isnan(L).any(axis=(1, 2, 3))),
+                                 ("dual slack lost definiteness", ~(w > 0.0).all(axis=(1, 2)))):
+                for r in np.flatnonzero(lost):
+                    failed.setdefault(r, reason)
+            w = np.where(w > 0.0, w, 1.0)
+        lam = np.sqrt(w)
+        root = np.sqrt(lam)
+        G = (L @ Q) / root[..., None, :]
+        Gc = G.conj()  # kept C-ordered, so that every G^H is the same transposed view
+        # W_i = G^H F_i G for all i in two products per block, laid out
+        # (a, i, c), then variable-major for the Gram matrix M.
+        Wr = np.ascontiguousarray((Gc.swapaxes(-1, -2) @ (Fc @ G).reshape(G.shape[:3] + (-1,)))
+                                  .reshape(G.shape[:3] + (q, -1)).transpose(0, 3, 1, 2, 4))
+        Wr = Wr.reshape(len(active), q, -1).view(float)
+        M = Wr @ Wr.swapaxes(-1, -2)
+        r_p = b + (Ft @ X.view(float).reshape(len(active), -1, 1))[..., 0]
+        gap = _rows_dot(lam, lam)
+        root = 1.0 / root
+        outer = root[..., :, None] * root[..., None, :]
         p_obj, r_p = r_p[:, 0], r_p[:, 1:]
         d_obj = y[:, -1] if caps is not None else _rows_dot(y, b)  # b.y; with caps, b picks s
         feasible = np.sqrt(_rows_dot(r_p, r_p)) / b_norm <= tol
         converged = (gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible
         runaway = d_obj > limit
         done = converged | runaway | (iteration == MAX_NEWTON)
-        if failed:
-            done[list(failed)] = True
+        done[list(failed)] = True
         if done.any():
             for r in np.flatnonzero(done):
-                by_block = dict(zip((i for idxs, _, _ in groups for i in idxs), (Z for Xg in X for Z in Xg[r])))
                 reason = failed.get(r, None if converged[r] else _RUNAWAY if runaway[r] else _BUDGET)
-                outcomes[active[r]] = (y[r].copy(), [by_block[i] for i in range(len(by_block))],
-                                       iteration, reason)
+                duals = [Z[:d, :d] for Z, d in zip(X[r], dims + [D])]  # the cap, if any, is D x D
+                outcomes[active[r]] = (y[r].copy(), duals, iteration, reason)
             keep = np.flatnonzero(~done)
             if not keep.size:
                 return outcomes
-            active, y, b, b_norm, M, r_p, gap = (a[keep] for a in (active, y, b, b_norm, M, r_p, gap))
-            X = [Xg[keep] for Xg in X]
-            scaled = [[a[keep] for a in arrays] for arrays in scaled]
-            groups = [[idxs] + [a[keep] for a in arrays] for idxs, *arrays in groups]
-            rows = len(active)
-        mu = gap / n
+            active, y, b, b_norm, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer = (
+                a[keep] for a in (active, y, b, b_norm, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer))
+        rows, mu = len(active), gap / (K * D)
 
         def direction(R_c):
-            """Newton direction for dX + dS = R_c (scaled), dS = sum_i dy_i
-            W_i and a zero primal residual, and its step lengths to
-            STEP_FRACTION of the way to the PSD boundary.  A singular M
-            (a variable with no coefficient) is solved again with a
-            ridge, in its row: an always-on ridge would bias y."""
-            rhs = r_p
-            for (_, _, _, Wr, _), R in zip(scaled, R_c):
-                rhs = rhs + (Wr @ R.view(float).reshape(rows, -1, 1))[..., 0]
+            """Newton direction for dX + dS = R_c (scaled), dS = sum_i dy_i W_i and a
+            zero primal residual, and its step lengths to STEP_FRACTION of the way to
+            the PSD boundary.  A singular M (a variable with no coefficient) is solved
+            again with a ridge, in its row: an always-on ridge would bias y."""
+            rhs = r_p + (Wr @ R_c.view(float).reshape(rows, -1, 1))[..., 0]
             dy = _lapack("solve1", M, rhs)
             if np.isnan(np.add.reduce(dy, axis=None)):
                 for r in np.flatnonzero(np.isnan(dy).any(axis=1)):
                     ridge = 1e-12 * (1.0 + float(np.trace(M[r])) / q) * np.eye(q)
                     dy[r] = _lapack("solve1", M[r] + ridge, rhs[r])
-            pairs, worst = [], np.inf
-            for (_, _, _, Wr, outer), R in zip(scaled, R_c):
-                D = np.empty((rows, 2) + R.shape[1:], dtype=complex)
-                D[:, 1] = (dy[:, None, :] @ Wr).view(complex).reshape(R.shape)
-                np.subtract(R, D[:, 1], out=D[:, 0])
-                worst = np.minimum(worst, _lapack("eigvalsh_lo", D * outer[:, None]).min(axis=(2, 3)))
-                pairs.append(D)
+            pair = np.empty((rows, 2) + R_c.shape[1:], dtype=complex)  # dX, dS
+            pair[:, 1] = (dy[:, None, :] @ Wr).view(complex).reshape(R_c.shape)
+            np.subtract(R_c, pair[:, 1], out=pair[:, 0])
+            worst = _lapack("eigvalsh_lo", pair * outer[:, None]).min(axis=(2, 3))
             step = np.minimum(1.0, STEP_FRACTION / np.maximum(-worst, STEP_FRACTION))
-            dX, dS = [D[:, 0] for D in pairs], [D[:, 1] for D in pairs]
-            return dy, dX, dS, step[:, :1, None, None], step[:, 1:, None, None]
+            return dy, pair[:, 0], pair[:, 1], step[:, :1, None, None], step[:, 1:, None, None]
 
         # Predictor: the affine-scaling direction, dX + dS = -diag(lam).
-        lam_mats = [lam[..., None] * eye for eye, (_, _, lam, _, _) in zip(eyes, scaled)]
-        _, dX, dS, a_p, a_d = direction([-Lm for Lm in lam_mats])
-        gap_aff = 0
-        for Lm, Dx, Ds in zip(lam_mats, dX, dS):
-            gap_aff = gap_aff + _rows_dot(Lm + a_p * Dx, Lm + a_d * Ds)
-        ratio = gap_aff / gap
+        Lm = lam[..., None] * eye
+        _, dX, dS, a_p, a_d = direction(-Lm)
+        ratio = _rows_dot(Lm + a_p * dX, Lm + a_d * dS) / gap
         target = (np.minimum(1.0, ratio * ratio * ratio) * mu)[:, None, None, None]
         # Corrector: centre at sigma * mu and cancel the predictor's
         # second-order term, in the Jordan product with diag(lam).
-        R_c = []
-        for eye, Lm, Dx, Ds, (_, _, lam, _, _) in zip(eyes, lam_mats, dX, dS, scaled):
-            DD = Dx @ Ds
-            H = target * eye - Lm * Lm - (DD + DD.conj().swapaxes(-1, -2)) / 2.0
-            R_c.append(2.0 * H / (lam[..., :, None] + lam[..., None, :]))
-        dy, dX, _, a_p, a_d = direction(R_c)
-        for g, ((G, Gc, *_), D) in enumerate(zip(scaled, dX)):
-            Xg = X[g] + a_p * (G @ D @ Gc.swapaxes(-1, -2))
-            X[g] = np.add(Xg, Xg.conj().swapaxes(-1, -2), out=np.empty_like(Xg)) / 2.0  # C order, for views
+        DD = dX @ dS
+        H = target * eye - Lm * Lm - (DD + DD.conj().swapaxes(-1, -2)) / 2.0
+        dy, dX, _, a_p, a_d = direction(2.0 * H / (lam[..., :, None] + lam[..., None, :]))
+        X = X + a_p * (G @ dX @ Gc.swapaxes(-1, -2))
+        X = np.add(X, X.conj().swapaxes(-1, -2), out=np.empty_like(X)) / 2.0  # C order, for views
         y[:, 1:] += a_d[:, :, 0, 0] * dy
 
 
-def _in_chunks(run, problems, columns, *rows):
+def _in_chunks(run, problems, cap: bool, *rows):
     """run(chunk, *rows of the chunk) over chunks of `problems` whose working
-    set (_WORKING_SET arrays of the scaled coefficients, `columns` of them
-    per block) holds at most BLOCK_ENTRIES complex entries."""
-    dims = [blk.dim for blk in problems[0]]
-    step = max(1, BLOCK_ENTRIES // (_WORKING_SET * (columns + 1) * (sum(d * d for d in dims) + min(dims) ** 2)))
+    set (_WORKING_SET arrays of the scaled coefficients, with `cap` the
+    feasibility phase's) holds at most BLOCK_ENTRIES complex entries."""
+    K, D = _stack_shape(problems[0], cap)
+    step = max(1, BLOCK_ENTRIES // (_WORKING_SET * (problems[0][0].num_vars + cap + 1) * K * D * D))
     return [out for start in range(0, len(problems), step)
             for out in run(problems[start:start + step], *(a[start:start + step] for a in rows))]
 
@@ -380,7 +367,7 @@ def _phase1(problems, margin: float, settings: SdpSettings) -> list:
 
     The dual asks for X_k >= 0 with sum_k <X_k, F_ki> = 0 and total trace 1,
     minimizing sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides
-    feasible and bounded.  X starts at I/n; y starts at x = 0, s = -1 -
+    feasible and bounded.  X starts at trace 1; y starts at x = 0, s = -1 -
     max_k ||F0_k||_F, so callers use the returned x as an interior point.  X
     over the non-cap blocks, renormalized, is the Farkas certificate when
     lam* < 0.  Returns an SdpSolution per program, feasible iff lam* > margin.
@@ -392,8 +379,7 @@ def _phase1(problems, margin: float, settings: SdpSettings) -> list:
     caps = [10.0 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)) for blocks in problems]
     b = np.zeros((P, m + 2))
     b[:, -1] = 1.0
-    n = sum(blk.dim for blk in problems[0]) + min(blk.dim for blk in problems[0])
-    outcomes = _interior_point(problems, b, y, np.full(P, 1.0 / n), settings, caps)
+    outcomes = _interior_point(problems, b, y, np.ones(P), settings, caps)
     return [
         _phase1_solution(blocks, y, X, iteration, margin, settings) if reason is None
         else SdpSolution(status=NUMERICAL_FAILURE, newton_steps=iteration, message=reason)
@@ -429,7 +415,7 @@ def check_feasibility_batch(problems, margin: float = 0.0,
     if not problems:
         return []
     _same_shapes(problems)
-    return _in_chunks(lambda chunk: _phase1(chunk, margin, settings), problems, problems[0][0].num_vars + 1)
+    return _in_chunks(lambda chunk: _phase1(chunk, margin, settings), problems, True)
 
 
 def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
@@ -448,9 +434,9 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
 
     The optimization phase maximizes -c.x over F(x) >= 0 with the loop of
     the feasibility phase, without its slack column and cap, from a strictly
-    feasible x; the primal iterate X, started at xi I, is the dual.  A
-    program whose objective runs past -UNBOUNDED_VALUE, or that uses up its
-    budget, ends NUMERICAL_FAILURE with that reason.
+    feasible x; the primal iterate X, started at a multiple of I, is the
+    dual.  A program whose objective runs past -UNBOUNDED_VALUE, or that uses
+    up its budget, ends NUMERICAL_FAILURE with that reason.
     """
     problems = list(problems)
     x0s = [None] * len(problems) if x0s is None else list(x0s)
@@ -472,7 +458,7 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
                 raise InputError("supplied x0 is not strictly feasible")
     cold = [k for k, x0 in enumerate(starts) if x0 is None]
     if cold:
-        phase1 = _in_chunks(lambda chunk: _phase1(chunk, 0.0, settings), [programs[k] for k in cold], m + 1)
+        phase1 = _in_chunks(lambda chunk: _phase1(chunk, 0.0, settings), [programs[k] for k in cold], True)
         for k, sol in zip(cold, phase1):
             starts[k], steps[k], solutions[k] = sol.x, sol.newton_steps, _cold_start_failure(programs[k], sol)
     warm = [k for k in range(len(problems)) if solutions[k] is None]
@@ -480,12 +466,11 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
         return solutions
     cs = np.stack([problems[k].objective for k in warm])
     y = np.concatenate([np.ones((len(warm), 1)), np.stack([starts[k] for k in warm])], axis=1)
-    # X starts at xi I of trace 1 + ||c||, the size of a dual with <X, F_i> = c_i
-    n = sum(b.dim for b in programs[0])
-    xi = np.array([(1.0 + float(np.linalg.norm(c))) / n for c in cs])
+    # X starts at trace 1 + ||c||, the size of a dual with <X, F_i> = c_i
+    trace = np.array([1.0 + float(np.linalg.norm(c)) for c in cs])
     b = np.concatenate([np.zeros((len(warm), 1)), -cs], axis=1)
-    outcomes = _in_chunks(lambda chunk, b, y, xi: _interior_point(chunk, b, y, xi, settings),
-                          [programs[k] for k in warm], m, b, y, xi)
+    outcomes = _in_chunks(lambda chunk, b, y, trace: _interior_point(chunk, b, y, trace, settings),
+                          [programs[k] for k in warm], False, b, y, trace)
     for k, c, outcome in zip(warm, cs, outcomes):
         solutions[k] = _optimization_solution(programs[k], c, outcome, steps[k], settings)
     return solutions

@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opsyslab import algebra
 from opsyslab.algebra import (
+    MAX_AMBIENT,
     MatrixStarAlgebra,
     OperatorSubspace,
     generate_algebra,
@@ -143,3 +145,21 @@ def test_package_exports_resolve_once_and_drop_the_removed_algebra_names():
     assert all(hasattr(opsyslab, name) for name in opsyslab.__all__)
     assert len(set(opsyslab.__all__)) == len(opsyslab.__all__)
     assert not {"gns", "commutant", "GnsData"} & set(opsyslab.__all__)
+
+
+def test_from_basis_rejects_an_ambient_above_the_limit_before_any_closure_work(monkeypatch):
+    # the 289 hermitian units of M17 are one past MAX_AMBIENT; neither
+    # Gram-Schmidt nor the k^3 n^2 closure check may start
+    n = MAX_AMBIENT + 1
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure work started")
+
+    monkeypatch.setattr(algebra, "orthonormalize", refuse)
+    monkeypatch.setattr(MatrixStarAlgebra, "verify_closure", refuse)
+    units = [E(n, i, i) for i in range(n)] + [
+        M for i in range(n) for j in range(i + 1, n)
+        for M in (E(n, i, j) + E(n, j, i), 1j * (E(n, i, j) - E(n, j, i)))]
+    assert len(units) == n * n
+    with pytest.raises(InputError, match=f"algebra ambient dimension {n} exceeds {MAX_AMBIENT}"):
+        MatrixStarAlgebra.from_basis(units)

@@ -15,7 +15,10 @@ that used to fail: a set known to be nonempty must never be rejected, and
 the face's interior point must satisfy the original constraints.  A round whose least-norm
 point is interior runs no face search; one whose least-norm point is
 singular still does.  A program solved in a batch, of either phase, must
-equal its solo run bit for bit, whatever the batch and its chunks.  The
+equal its solo run bit for bit, whatever the batch and its chunks.
+Programs that mix block dimensions (padded to one stack) match their direct
+sum as one block, and their duals and certificates keep the blocks' own
+shapes and pass the checks against the unpadded blocks.  The
 loop's LAPACK kernels must equal numpy.linalg bit for bit and flag (with
 NaN) exactly the matrices numpy.linalg rejects; a kernel failure in one row
 fails only that program, and the loop makes a fixed number of kernel calls
@@ -337,8 +340,8 @@ def random_blocks(rng, dims, m):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_optimization_phase_meets_kkt(seed):
-    # Two groups (blocks of size 2, 3, 2): the duals are PSD, meet
-    # sum_k <Z_k, F_ki> = c_i, and close the gap to the value.
+    # Blocks of size 2, 3 and 2, padded to one stack: the duals are PSD,
+    # meet sum_k <Z_k, F_ki> = c_i, and close the gap to the value.
     rng = np.random.default_rng(100 + seed)
     m = 3
     blocks = random_blocks(rng, (2, 3, 2), m)
@@ -638,6 +641,118 @@ def test_solve_batch_members_equal_their_solo_runs(monkeypatch):
     assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems, x0s), solo))
 
 
+def mixed_blocks(rng, shift, m=3):
+    """Blocks of dimension 1, 2 and 3 in m <= 3 variables, with constants
+    near shift I.  The 2x2 block's coefficients are Pauli matrices, traceless
+    and independent, so every direction leaves that block: the slack is
+    bounded, and shift < 0 makes the program infeasible."""
+    paulis = [E12_SYM, E12_ANTI, np.diag([1.0, -1.0]).astype(complex)]
+    return [
+        sdp.LmiBlock(shift + 0.3 * unit_norm_hermitian(rng, 1),
+                     [unit_norm_hermitian(rng, 1) for _ in range(m)]),
+        sdp.LmiBlock(shift * I2, paulis[:m]),
+        sdp.LmiBlock(shift * np.eye(3) + 0.3 * unit_norm_hermitian(rng, 3),
+                     [unit_norm_hermitian(rng, 3) for _ in range(m)]),
+    ]
+
+
+def direct_sum(blocks):
+    """The blocks as the one block diag(F_1, .., F_k): the same feasible set
+    and the same minimum slack, posed without mixing dimensions."""
+    def diag(mats):
+        out = np.zeros((sum(M.shape[0] for M in mats),) * 2, dtype=complex)
+        start = 0
+        for M in mats:
+            out[start:start + M.shape[0], start:start + M.shape[0]] = M
+            start += M.shape[0]
+        return out
+
+    return [sdp.LmiBlock(diag([b.constant for b in blocks]),
+                         [diag([b.coefficients[i] for b in blocks]) for i in range(blocks[0].num_vars)])]
+
+
+MIXED_SHAPES = [(1, 1), (2, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_dimension_feasibility_keeps_block_shapes(seed):
+    # Blocks padded to one stack: the maximal minimum slack is that of the
+    # direct sum, and the duals come back in the blocks' own shapes, PSD,
+    # of total trace 1 and orthogonal to every coefficient.
+    blocks = mixed_blocks(np.random.default_rng(200 + seed), 2.0)
+    sol = sdp.check_feasibility(blocks)
+    oracle = sdp.check_feasibility(direct_sum(blocks))
+    assert sol.status == oracle.status == sdp.OPTIMAL and sol.feasible
+    tol = 10.0 * sdp.DEFAULT_SETTINGS.gap_tol * (1.0 + abs(oracle.value))
+    assert abs(sol.value - oracle.value) <= tol
+    assert min(np.linalg.eigvalsh(b.slack(sol.x))[0] for b in blocks) >= sol.value - tol
+    assert [Z.shape for Z in sol.dual_blocks] == MIXED_SHAPES
+    assert all(is_psd(Z, sdp.DEFAULT_SETTINGS.psd_slack) for Z in sol.dual_blocks)
+    assert abs(sum(np.trace(Z).real for Z in sol.dual_blocks) - 1.0) <= 1e-12
+    pairing = [sum(np.vdot(Z, b.coefficients[i]).real for Z, b in zip(sol.dual_blocks, blocks))
+               for i in range(3)]
+    assert np.allclose(pairing, 0.0, rtol=0.0, atol=tol)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_dimension_certificate_keeps_block_shapes(seed):
+    # The padding is no part of a certificate: it comes back in the blocks'
+    # own shapes and passes the Farkas check against the unpadded blocks.
+    blocks = mixed_blocks(np.random.default_rng(300 + seed), -1.0)
+    for sol in (sdp.check_feasibility(blocks), sdp.solve(sdp.SdpProblem(objective=np.ones(3), blocks=blocks))):
+        assert sol.status == sdp.INFEASIBLE
+        assert [Z.shape for Z in sol.dual_certificate] == MIXED_SHAPES
+        assert sdp.verify_certificate(blocks, sol.dual_certificate)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mixed_dimension_optimization_meets_weak_duality(seed):
+    # The dual bound -sum_k <Z_k, F0_k> of padded blocks' duals lies below
+    # c.x at every feasible x, within the gap tolerance of the value, and the
+    # value is that of the direct sum.
+    rng = np.random.default_rng(400 + seed)
+    blocks = mixed_blocks(rng, 1.0)
+    c = rng.standard_normal(3)
+    sol = sdp.solve(sdp.SdpProblem(objective=c, blocks=blocks), x0=np.zeros(3))
+    oracle = sdp.solve(sdp.SdpProblem(objective=c, blocks=direct_sum(blocks)), x0=np.zeros(3))
+    assert sol.status == oracle.status == sdp.OPTIMAL
+    tol = 10.0 * sdp.DEFAULT_SETTINGS.gap_tol * (1.0 + abs(sol.value))
+    assert abs(sol.value - oracle.value) <= tol
+    assert [Z.shape for Z in sol.dual_blocks] == MIXED_SHAPES
+    bound = -sum(np.vdot(Z, b.constant).real for Z, b in zip(sol.dual_blocks, blocks))
+    assert sol.dual_bound <= sol.value and sol.value - bound <= tol
+    # feasible points on segments from the interior point 0 towards random directions
+    for direction in rng.standard_normal((20, 3)):
+        t = 1.0
+        while min(np.linalg.eigvalsh(b.slack(t * direction))[0] for b in blocks) < 0.0:
+            t /= 2.0
+        assert c @ (t * direction) >= bound - 1e-12
+
+
+def test_mixed_dimension_batch_members_equal_their_solo_runs(monkeypatch):
+    # Feasible and infeasible programs with blocks of dimension 1, 2 and 3,
+    # in either phase: each equals its solo run bit for bit, in any order
+    # and any chunking.
+    rng = np.random.default_rng(500)
+    programs = [mixed_blocks(rng, shift) for shift in (1.0, -1.0, 0.5, 2.0, -0.2)]
+    problems = [sdp.SdpProblem(objective=rng.standard_normal(3), blocks=p) for p in programs]
+    x0s = [None] * len(programs) + [np.zeros(3), np.zeros(3)]
+    problems += [sdp.SdpProblem(objective=rng.standard_normal(3), blocks=programs[k]) for k in (0, 3)]
+    solo_feasibility = [sdp.check_feasibility(p) for p in programs]
+    solo = [sdp.solve(p, x0) for p, x0 in zip(problems, x0s)]
+    assert [s.status for s in solo_feasibility] == [sdp.OPTIMAL, sdp.INFEASIBLE, sdp.OPTIMAL, sdp.OPTIMAL,
+                                                    sdp.INFEASIBLE]
+    assert [s.status for s in solo] == [sdp.OPTIMAL, sdp.INFEASIBLE, sdp.OPTIMAL, sdp.OPTIMAL, sdp.INFEASIBLE,
+                                        sdp.OPTIMAL, sdp.OPTIMAL]
+    for _ in range(2):
+        assert all(same_bits(b, s) for b, s in zip(sdp.check_feasibility_batch(programs), solo_feasibility))
+        assert all(same_bits(b, s) for b, s in zip(sdp.check_feasibility_batch(programs[::-1])[::-1],
+                                                   solo_feasibility))
+        assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems, x0s), solo))
+        assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems[::-1], x0s[::-1])[::-1], solo))
+        monkeypatch.setattr(sdp, "BLOCK_ENTRIES", 1)  # one program per chunk
+
+
 @pytest.mark.parametrize("seed", [5, 15, 57, 84])
 def test_optimization_iterations_on_extension_faces(seed):
     # The faces of extension sets, as `extension-interval` and `uep` solve
@@ -762,23 +877,27 @@ def test_a_failed_solve_row_is_solved_again_with_the_ridge(monkeypatch):
     assert all(same_bits(b, s) for k, (b, s) in enumerate(zip(batch, solo)) if k != 1)
 
 
-def test_one_kernel_call_per_step_and_group(monkeypatch):
-    # Per pass and block group: one Cholesky and one eigh (scaling), and
-    # one eigvalsh per direction; two solves per pass.  The last pass only
-    # scales.  Noise-free: these counts do not depend on the machine.
-    programs = riesz_batch()
-    counts, inner = {}, sdp._lapack
+def test_one_kernel_call_per_step_whatever_the_block_sizes(monkeypatch):
+    # Blocks of dimension 1, 2 and 3 padded to one stack: per pass, one
+    # Cholesky and one eigh (scaling) and one eigvalsh per direction, and
+    # two solves.  The last pass only scales.  Noise-free: these counts do
+    # not depend on the machine.
+    rng = np.random.default_rng(600)
+    programs = [mixed_blocks(rng, shift) for shift in (1.0, -1.0, 0.5)]
+    warm = [sdp.SdpProblem(objective=rng.standard_normal(3), blocks=p) for p in (programs[0], programs[2])]
+    inner = sdp._lapack
 
     def counted(name, *stacks):
         counts[name] = counts.get(name, 0) + 1
         return inner(name, *stacks)
 
     monkeypatch.setattr(sdp, "_lapack", counted)
-    batch = sdp.check_feasibility_batch(programs)
-    passes = max(sol.newton_steps for sol in batch) + 1
-    groups = len({blk.dim for blk in programs[0]})
-    assert counts == {"cholesky_lo": groups * passes, "eigh_lo": groups * passes,
-                      "eigvalsh_lo": 2 * groups * (passes - 1), "solve1": 2 * (passes - 1)}
+    for run in (lambda: sdp.check_feasibility_batch(programs),
+                lambda: sdp.solve_batch(warm, [np.zeros(3)] * 2)):
+        counts = {}
+        passes = max(sol.newton_steps for sol in run()) + 1
+        assert counts == {"cholesky_lo": passes, "eigh_lo": passes,
+                          "eigvalsh_lo": 2 * (passes - 1), "solve1": 2 * (passes - 1)}
 
 
 def test_the_loop_calls_no_numpy_linalg_wrapper(monkeypatch):
