@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalFailureError
-from .hermitian import BLOCK_ENTRIES, eigh, eigh_coefficient_space, hermitian, hermitian_part
+from .hermitian import (
+    BLOCK_ENTRIES,
+    eigh,
+    eigh_coefficient_space,
+    hermitian,
+    hermitian_checked,
+    hermitian_part,
+)
 from .limits import MAX_AMBIENT
 
 RANK_TOL = 1e-9
@@ -32,11 +39,28 @@ CLOSURE_TOL = 1e-8
 
 
 def _as_matrix(M, n=None):
-    A = np.asarray(M, dtype=complex)
+    try:
+        A = np.asarray(M, dtype=complex)
+    except ValueError:  # ragged rows
+        raise InputError("expected a square matrix") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("expected a square matrix")
     if n is not None and A.shape[0] != n:
         raise InputError(f"expected dimension {n}, got {A.shape[0]}")
+    return A
+
+
+def _as_stack(mats, n: int) -> np.ndarray:
+    """A sequence of n x n matrices as one complex (k, n, n) array; when it
+    is not one, the error is `_as_matrix`'s on the first matrix at fault."""
+    try:
+        A = np.asarray(mats, dtype=complex)
+    except ValueError:  # ragged
+        A = None
+    if A is None or A.ndim != 3 or A.shape[1:] != (n, n):
+        for M in mats:
+            _as_matrix(M, n)
+        raise InputError("expected a square matrix")
     return A
 
 
@@ -129,7 +153,7 @@ class OperatorSubspace:
         n = self.ambient_dim
         if len(self.basis) == 0:
             raise InputError("subspace needs at least one basis element")
-        self.basis = _readonly(np.stack([hermitian(_as_matrix(b, n)) for b in self.basis]))
+        self.basis = hermitian_checked(_as_stack(self.basis, n), (3,))
         self._gram = _real_gram(self.basis)
         norms = np.sqrt(self._gram.diagonal())  # the cut is on the unit-normalized basis: scale invariant
         ev = eigh_coefficient_space(self._gram / np.outer(norms, norms)).eigenvalues if norms.all() else [0.0]

@@ -507,17 +507,19 @@ class ChoiMap:
 
 
 def _choi_constraints(S: OperatorSubspace, n: int):
-    """Equalities pinning a unital CP map to the identity on S."""
-    out = []
+    """Equalities pinning a unital CP map to the identity on S: tr(J (I (x) U))
+    = tr U and tr(J h(s^T (x) U)) = tr(s U), h the hermitian part, for s in
+    S and U in the hermitian basis of M_n.  The Kronecker products are
+    np.kron's own, x_ij U_kl at (i n + k, j n + l), broadcast over the pairs
+    (an einsum would add each product to a zero and lose the sign of -0)."""
     full_herm = MatrixStarAlgebra.full(n).hermitian_basis()
-    eye = np.eye(n, dtype=complex)
-    for U in full_herm:
-        out.append((np.kron(eye, U), float(np.trace(U).real)))
-    for s in S.basis:
-        for U in full_herm:
-            A = np.kron(s.T, U)
-            out.append((hermitian_part(A), float(np.trace(s @ U).real)))
-    return out
+    lefts = np.concatenate([np.eye(n, dtype=complex)[None], S.basis.swapaxes(1, 2)])
+    krons = (lefts[:, None, :, None, :, None] * full_herm[None, :, None, :, None, :]).reshape(
+        len(lefts), len(full_herm), n * n, n * n)
+    mats = np.concatenate([krons[0], hermitian_part(krons[1:]).reshape(-1, n * n, n * n)])
+    values = np.concatenate([np.trace(full_herm, axis1=1, axis2=2).real,
+                             np.trace(S.basis[:, None] @ full_herm, axis1=2, axis2=3).real.reshape(-1)])
+    return list(zip(mats, values.tolist()))
 
 
 def ucp_fixed_extent(

@@ -19,10 +19,16 @@ settles the round with no phase-one program, at the threshold the
 program's value would be held to.  The dual's kernel is only as accurate
 as the phase-one solve, so each new support takes one Gauss-Newton step
 toward a support on which the constraints hold before the next round.
+
+A family of constraints or objectives is one stacked product whose
+per-matrix products and summation order are those of the per-element form,
+so reports keep their bits; the real coordinate maps take their triangle
+indices from a per-dimension cache.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +45,20 @@ TRACELESS_TOL = 1e-12
 KERNEL_TOL = 1e-4
 
 
+@functools.cache  # one per face dimension, at most MAX_DIM
+def _upper(d: int) -> tuple:
+    """The read-only indices of the strict upper triangle of a d x d matrix."""
+    iu = np.triu_indices(d, k=1)
+    for index in iu:
+        index.setflags(write=False)
+    return iu
+
+
 def _real_coords(A: np.ndarray) -> np.ndarray:
     """Isometric real coordinates of a stack (m, d, d) of hermitian
     matrices, one row each: diagonal, then sqrt(2)-scaled real and
     imaginary upper-triangular parts."""
-    iu = np.triu_indices(A.shape[-1], k=1)
+    iu = _upper(A.shape[-1])
     upper = A[:, iu[0], iu[1]]
     return np.concatenate(
         [np.diagonal(A, axis1=1, axis2=2).real, np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag],
@@ -54,7 +69,7 @@ def _real_coords(A: np.ndarray) -> np.ndarray:
 def _from_real_coords(x: np.ndarray, d: int) -> np.ndarray:
     """The stack (m, d, d) of hermitian matrices whose coordinates are the
     rows of x."""
-    iu = np.triu_indices(d, k=1)
+    iu = _upper(d)
     k = iu[0].size
     A = np.zeros((len(x), d, d), dtype=complex)
     A[:, np.arange(d), np.arange(d)] = x[:, :d]

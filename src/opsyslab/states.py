@@ -16,6 +16,11 @@ whose dual is inf { phi(s) : s in S, s >= t }.  The witness of each endpoint
 is the optimal primal point `spec.point(x)`, an extension density, checked
 against phi and the endpoint before it is returned; the min and max of an
 interval are solved as one batch.
+
+A family of evaluations is one stacked product: a state's values on a
+basis (`values_on`) and the witness's agreement with them are one
+(k, n, n) matmul and trace, whose per-matrix products and summation order
+are those of the per-element form, so reports keep their bits.
 """
 
 from __future__ import annotations
@@ -78,7 +83,8 @@ class StateFunctional:
         return StateFunctional(density=self.density, domain=domain)
 
     def values_on(self, basis) -> np.ndarray:
-        return np.array([self.expect(b) for b in basis])
+        """`expect` on every matrix of a stack (k, n, n), as one product."""
+        return np.trace(np.asarray(basis, dtype=complex) @ self.density, axis1=1, axis2=2).real
 
 
 def vector_state(xi, domain) -> StateFunctional:
@@ -191,13 +197,18 @@ def _interval_from_set(
     witnesses = []
     for endpoint, density in ((lo, Y_lo), (hi, Y_hi)):
         w = StateFunctional(density=_snap_density(density), domain=ambient)
-        for b, v in zip(basis, values):
-            if abs(w.expect(b) - v) > WITNESS_AGREE_TOL * (1.0 + abs(v)):
-                raise NumericalFailureError("witness does not agree with the base state")
+        if not _witness_agrees(w, basis, values):
+            raise NumericalFailureError("witness does not agree with the base state")
         if abs(w.expect(t) - endpoint) > WITNESS_ATTAIN_TOL * (1.0 + abs(endpoint)):
             raise NumericalFailureError("witness does not attain its endpoint")
         witnesses.append(w)
     return ExtensionInterval(element=t, min=min(lo, hi), max=hi, witnesses=tuple(witnesses))
+
+
+def _witness_agrees(w: StateFunctional, basis: np.ndarray, values: np.ndarray) -> bool:
+    """Whether w's value on each matrix b of the stack is within
+    WITNESS_AGREE_TOL (1 + |v|) of the base state's value v on it."""
+    return not np.any(np.abs(w.values_on(basis) - values) > WITNESS_AGREE_TOL * (1.0 + np.abs(values)))
 
 
 def extension_interval(

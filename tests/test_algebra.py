@@ -163,3 +163,21 @@ def test_from_basis_rejects_an_ambient_above_the_limit_before_any_closure_work(m
     assert len(units) == n * n
     with pytest.raises(InputError, match=f"algebra ambient dimension {n} exceeds {MAX_AMBIENT}"):
         MatrixStarAlgebra.from_basis(units)
+
+
+@pytest.mark.parametrize("basis, message", [
+    ([np.eye(3)], "expected dimension 2, got 3"),
+    ([np.eye(2), np.eye(3)], "expected dimension 2, got 3"),  # a ragged stack: the first matrix at fault
+    ([np.ones((2, 3))], "expected a square matrix"),
+    (np.eye(2), "expected a square matrix"),  # one matrix, not a list of them
+    ([np.eye(2), [[1.0, 0.0], [0.0]]], "expected a square matrix"),  # ragged rows
+    ([E(2, 0, 1)], "matrix is not hermitian: max |A - A*| = 1.000e+00"),
+    ([np.diag([np.nan, 1.0])], "matrix entries must be finite (no NaN/Inf)"),
+    ([np.diag([np.inf, 1.0])], "matrix entries must be finite (no NaN/Inf)"),
+])
+def test_subspace_rejects_a_bad_basis_with_its_message(basis, message):
+    # a library caller's errors, with no parser in front to name a field;
+    # a ragged basis is an InputError, never numpy's ValueError
+    with pytest.raises(InputError) as exc:
+        OperatorSubspace(ambient_dim=2, basis=basis, unital=False)
+    assert str(exc.value) == message
