@@ -19,6 +19,7 @@ residual threshold (CLOSURE_TOL).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ from .limits import MAX_AMBIENT
 
 RANK_TOL = 1e-9
 CLOSURE_TOL = 1e-8
+MEMBER_TOL = 1e-7  # relative residual of a matrix in an operator subspace
 
 
 def _as_matrix(M, n=None):
@@ -79,6 +81,12 @@ def _matrix_units(n: int) -> np.ndarray:
     return _readonly(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
+def _pow2_scale(stack) -> float:
+    """The power of two (at most 1) that brings a stack's largest |entry| to at
+    most 2^500: squared norms of the scaled data stay finite, exactly scaled."""
+    return math.ldexp(1.0, min(0, 500 - math.frexp(float(np.abs(stack).max(initial=0.0)))[1]))
+
+
 def _real_gram(stack: np.ndarray) -> np.ndarray:
     """Re <s_i, s_j> for a stack of matrices."""
     F = _flat(stack)
@@ -107,9 +115,7 @@ def orthonormalize(mats) -> np.ndarray:
     over the reals.  Returns a read-only stack of the input's trailing shape.
     """
     mats = np.asarray(mats)
-    # Norms square the entries, which overflows from about 2^511: a stack
-    # above 2^500 is rescaled by an exact power of two, the cut's floor with it.
-    unit = np.ldexp(1.0, min(0, 500 - np.frexp(np.max(np.abs(mats), initial=0.0))[1]))
+    unit = _pow2_scale(mats)  # the cut's floor is rescaled with the stack
     cands = _flat(mats) * unit
     out = np.empty_like(cands)
     r = 0
@@ -142,7 +148,8 @@ class OperatorSubspace:
     as a read-only (k, n, n) array.
 
     The basis must be linearly independent over the reals; when `unital` the
-    identity must be reconstructible from it.
+    identity must be reconstructible from it.  Gram matrices, norms and
+    residuals are formed on data scaled by `_pow2_scale`.
     """
 
     ambient_dim: int
@@ -154,7 +161,9 @@ class OperatorSubspace:
         if len(self.basis) == 0:
             raise InputError("subspace needs at least one basis element")
         self.basis = hermitian_checked(_as_stack(self.basis, n), (3,))
-        self._gram = _real_gram(self.basis)
+        self._unit = _pow2_scale(self.basis)
+        self._scaled = self.basis * self._unit
+        self._gram = _real_gram(self._scaled)
         norms = np.sqrt(self._gram.diagonal())  # the cut is on the unit-normalized basis: scale invariant
         ev = eigh_coefficient_space(self._gram / np.outer(norms, norms)).eigenvalues if norms.all() else [0.0]
         if ev[0] <= RANK_TOL * ev[-1]:
@@ -167,14 +176,20 @@ class OperatorSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def coefficients_of(self, X, tol: float | None = 1e-7):
-        """Real coefficients of a hermitian X over the basis; residual checked."""
-        X = hermitian(_as_matrix(X, self.ambient_dim))
-        F = _flat(self.basis)
-        x = X.reshape(-1)
-        coeffs = np.linalg.solve(self._gram, (F.conj() @ x).real)
+    def _coefficients(self, X: np.ndarray) -> tuple:
+        """Real coefficients of a hermitian X over the basis, and the HS norms
+        of the residual and of X."""
+        unit = _pow2_scale(X)
+        F, x = _flat(self._scaled), X.reshape(-1) * unit
+        coeffs = np.linalg.solve(self._gram, (F.conj() @ x).real)  # of unit X over the scaled basis
         resid = float(np.linalg.norm(x - coeffs @ F))
-        if tol is not None and resid > tol * (1.0 + np.linalg.norm(X)):
+        return coeffs * (self._unit / unit), resid / unit, float(np.linalg.norm(x)) / unit
+
+    def coefficients_of(self, X):
+        """Real coefficients of a hermitian X over the basis and the residual;
+        InputError when the residual exceeds MEMBER_TOL (1 + ||X||)."""
+        coeffs, resid, norm = self._coefficients(hermitian(_as_matrix(X, self.ambient_dim)))
+        if resid > MEMBER_TOL * (1.0 + norm):
             raise InputError(f"matrix is not in the subspace (residual {resid:.3e})")
         return coeffs, resid
 
@@ -187,7 +202,7 @@ class OperatorSubspace:
     def identity_in_span(self) -> np.ndarray | None:
         """Coefficients of I over the basis, or None when the residual says
         I is not in the span, whatever the `unital` flag."""
-        coeffs, resid = self.coefficients_of(np.eye(self.ambient_dim), tol=None)
+        coeffs, resid, _ = self._coefficients(np.eye(self.ambient_dim, dtype=complex))
         return coeffs if resid <= 1e-9 * (1.0 + np.sqrt(self.ambient_dim)) else None
 
     def identity_coefficients(self) -> np.ndarray:
@@ -208,8 +223,8 @@ class MatrixStarAlgebra:
     _herm_basis: np.ndarray | None = field(default=None, repr=False)
 
     @staticmethod
-    def from_basis(mats, ambient_dim=None) -> "MatrixStarAlgebra":
-        mats = [_as_matrix(M, ambient_dim) for M in mats]
+    def from_basis(mats) -> "MatrixStarAlgebra":
+        mats = [_as_matrix(M) for M in mats]
         if not mats:
             raise InputError("algebra needs at least one spanning matrix")
         n = mats[0].shape[0]
@@ -224,7 +239,8 @@ class MatrixStarAlgebra:
 
     @staticmethod
     def full(n: int) -> "MatrixStarAlgebra":
-        return MatrixStarAlgebra(n, _matrix_units(n), contains_identity=True, _full=True)
+        """M_n, one shared object per n up to MAX_AMBIENT (its arrays are read-only)."""
+        return _full_algebra(n) if n <= MAX_AMBIENT else _full_algebra.__wrapped__(n)
 
     @property
     def dim(self) -> int:
@@ -248,8 +264,10 @@ class MatrixStarAlgebra:
         X = np.asarray(X, dtype=complex)
         if X.ndim not in (2, 3) or X.shape[-2:] != (self.ambient_dim,) * 2:
             raise InputError(f"expected dimension {self.ambient_dim}, got shape {X.shape}")
+        unit = _pow2_scale(X)  # the test is homogeneous: decided on unit X
+        X = X * unit
         _, resid = span_coefficients(self.basis, X)
-        return bool(np.all(resid <= CLOSURE_TOL * (1.0 + np.linalg.norm(_flat(X), axis=-1))))
+        return bool(np.all(resid <= CLOSURE_TOL * (unit + np.linalg.norm(_flat(X), axis=-1))))
 
     def verify_closure(self) -> None:
         B = self.basis
@@ -296,6 +314,11 @@ class MatrixStarAlgebra:
             basis=self.hermitian_basis(),
             unital=self.contains_identity,
         )
+
+
+@functools.cache  # one per n, at most MAX_AMBIENT
+def _full_algebra(n: int) -> MatrixStarAlgebra:
+    return MatrixStarAlgebra(n, _matrix_units(n), contains_identity=True, _full=True)
 
 
 def _identity_in_span(basis, n) -> bool:

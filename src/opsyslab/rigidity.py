@@ -34,6 +34,9 @@ from .hermitian import (
 from .limits import MAX_CHOI_AMBIENT
 
 INSTANCE_TOL = 1e-7
+COMMUTE_TOL = 1e-8  # [a, b] below this, relative to (1 + ||a||)(1 + ||b||), commutes
+LINE_TOL = 1e-9  # norms and eigenvalues of t below this count as zero, line pairs
+SCALAR_TOL = 1e-12  # eigenvalues of t below this count as zero, scalar windows
 
 
 # ----------------------------------------------------------- instances
@@ -89,7 +92,7 @@ def solve_unperforated_instance(
         raise InputError("instance requires a <= b")
     norm_a = float(np.abs(ev[1]).max())
     blocks = _instance_blocks(T, a, b, norm_a)
-    sol = sdp.check_feasibility(blocks, margin=0.0, settings=settings)
+    sol = sdp.check_feasibility(blocks, settings=settings)
     if sol.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"instance SDP failed: {sol.message}")
     candidate = T.element(sol.x)
@@ -110,14 +113,14 @@ def solve_unperforated_instance(
     )
 
 
-def verify_instance_certificate(instance: UnperforatedInstance, tol: float = 1e-7) -> bool:
+def verify_instance_certificate(instance: UnperforatedInstance) -> bool:
     """Farkas re-verification of an INFEASIBLE instance against blocks rebuilt
-    from scratch; `tol` bounds the relative residual."""
+    from scratch (`sdp.verify_certificate`)."""
     if instance.certificate is None:
         return False
     a, b = hermitian(instance.a), hermitian(instance.b)
     blocks = _instance_blocks(instance.T, a, b, op_norm(a))
-    return sdp.verify_certificate(blocks, instance.certificate, residual_tol=tol)
+    return sdp.verify_certificate(blocks, instance.certificate)
 
 
 def search_counterexample(
@@ -170,19 +173,25 @@ def search_counterexample(
 # --------------------------------------------------- commuting truncation
 
 
+def _commuting(a, b, message: str):
+    """(a, b, ||a||, ||b||) for hermitian a, b; InputError(message) unless
+    [a, b] = 0 within COMMUTE_TOL."""
+    a, b = hermitian(a), hermitian(b)
+    na, nb = op_norm(a), op_norm(b)
+    if commutator_norm(a, b) > COMMUTE_TOL * (1.0 + na) * (1.0 + nb):
+        raise InputError(message)
+    return a, b, na, nb
+
+
 def truncate_commuting(a, b) -> np.ndarray:
     """The clamped element b' = f(b) with threshold ||a|| for commuting a <= b.
 
-    Requires [a, b] = 0 within tolerance; the clamp is the continuous
+    Requires [a, b] = 0 within COMMUTE_TOL; the clamp is the continuous
     function fixing [-||a||, ||a||] and saturating outside, applied through
     functional calculus, and its output satisfies a <= b' <= b with
     ||b'|| <= ||a||.
     """
-    a = hermitian(a)
-    b = hermitian(b)
-    na, nb = op_norm(a), op_norm(b)
-    if commutator_norm(a, b) > 1e-8 * (1.0 + na) * (1.0 + nb):
-        raise InputError("inputs do not commute")
+    a, b, na, nb = _commuting(a, b, "inputs do not commute")
     if not is_psd(b - a, 1e-8):
         raise InputError("truncation requires a <= b")
     bp = clip_spectrum(b, na)
@@ -191,33 +200,21 @@ def truncate_commuting(a, b) -> np.ndarray:
     return bp
 
 
-def joint_eigenbasis(a, b, tol: float = 1e-8):
+def joint_eigenbasis(a, b):
     """Common orthonormal eigenbasis of a commuting hermitian pair.
 
     Diagonalizes b, then re-diagonalizes a inside each eigenvalue cluster
     of b; returns (Q, diag_a, diag_b).
     """
-    a = hermitian(a)
-    b = hermitian(b)
-    na, nb = op_norm(a), op_norm(b)
-    if commutator_norm(a, b) > tol * (1.0 + na) * (1.0 + nb):
-        raise InputError("matrices do not commute")
+    a, b, na, nb = _commuting(a, b, "matrices do not commute")
     dec_b = eigh(b)
     Q = np.array(dec_b.eigenvectors, copy=True)
     lam_b = dec_b.eigenvalues
-    n = b.shape[0]
-    start = 0
-    gap = 1e-8 * (1.0 + nb)
-    while start < n:
-        end = start + 1
-        while end < n and lam_b[end] - lam_b[end - 1] <= gap:
-            end += 1
+    edges = [0, *(np.flatnonzero(np.diff(lam_b) > 1e-8 * (1.0 + nb)) + 1), len(lam_b)]  # clusters of b
+    for start, end in zip(edges[:-1], edges[1:]):
         if end - start > 1:
             block = Q[:, start:end]
-            compressed = hermitian_part(block.conj().T @ a @ block)
-            sub = eigh(compressed)
-            Q[:, start:end] = block @ sub.eigenvectors
-        start = end
+            Q[:, start:end] = block @ eigh(hermitian_part(block.conj().T @ a @ block)).eigenvectors
     diag_a = np.real(np.diag(Q.conj().T @ a @ Q))
     diag_b = np.real(np.diag(Q.conj().T @ b @ Q))
     off = np.linalg.norm(Q.conj().T @ a @ Q - np.diag(diag_a))
@@ -242,22 +239,21 @@ class LinePairDecision:
     cases: list = field(default_factory=list)
 
 
-def _scalar_interval(s_diag, t_diag, tol=1e-12):
-    """{ x : x * t_i >= s_i for every i } as (lo, hi), possibly infinite/None."""
-    lo, hi = -np.inf, np.inf
-    for si, ti in zip(s_diag, t_diag):
-        if ti > tol:
-            lo = max(lo, si / ti)
-        elif ti < -tol:
-            hi = min(hi, si / ti)
-        elif si > tol:
-            return None
-    if lo > hi + tol:
+def _scalar_interval(s_diag, t_diag):
+    """{ x : x * t_i >= s_i for every i } as (lo, hi), possibly infinite, or
+    None when it is empty.  A bound is the first extreme ratio s_i / t_i in
+    index order, as a running max or min keeps it."""
+    s, t = np.asarray(s_diag, dtype=float), np.asarray(t_diag, dtype=float)
+    pos, neg = t > SCALAR_TOL, t < -SCALAR_TOL
+    if np.any((s > SCALAR_TOL) & ~pos & ~neg):
         return None
-    return lo, hi
+    above, below = s[pos] / t[pos], s[neg] / t[neg]
+    lo = above[np.argmax(above)] if above.size else -np.inf
+    hi = below[np.argmin(below)] if below.size else np.inf
+    return None if lo > hi + SCALAR_TOL else (lo, hi)
 
 
-def decide_unperforated_lines(s, t, tol: float = 1e-9) -> LinePairDecision:
+def decide_unperforated_lines(s, t) -> LinePairDecision:
     """Exact decision for (span s, span t) with commuting s, t.
 
     With a = alpha s and b = beta t, scaling reduces to alpha = +-1; for
@@ -266,18 +262,17 @@ def decide_unperforated_lines(s, t, tol: float = 1e-9) -> LinePairDecision:
     endpoints pass the ||.|| <= ||s|| / ||t|| bound dictated by the sign
     structure of t.
     """
-    s = hermitian(s)
-    t = hermitian(t)
+    s, t = hermitian(s), hermitian(t)
     ns, nt = op_norm(s), op_norm(t)
-    if nt < tol:
+    if nt < LINE_TOL:
         return LinePairDecision(unperforated=True, cases=[("t=0", None, None, True)])
-    if ns < tol:
+    if ns < LINE_TOL:
         # a = 0 forces b >= 0 and b' = 0 always works
         return LinePairDecision(unperforated=True, cases=[("s=0", None, None, True)])
     Q, s_diag, t_diag = joint_eigenbasis(s, t)
     r = ns / nt
-    pos = bool(np.any(t_diag > tol))
-    neg = bool(np.any(t_diag < -tol))
+    pos = bool(np.any(t_diag > LINE_TOL))
+    neg = bool(np.any(t_diag < -LINE_TOL))
     cases = []
     verdict = True
     for alpha in (1.0, -1.0):
@@ -286,14 +281,8 @@ def decide_unperforated_lines(s, t, tol: float = 1e-9) -> LinePairDecision:
             cases.append((alpha, None, r, True))
             continue
         lo, hi = interval
-        if pos and neg:
-            ok = max(abs(lo), abs(hi)) <= r + tol
-        elif pos:
-            ok = abs(lo) <= r + tol
-        elif neg:
-            ok = abs(hi) <= r + tol
-        else:
-            ok = True
+        # the finite endpoints t's signs bring into play, against ||s|| / ||t||
+        ok = max([abs(lo)] * pos + [abs(hi)] * neg, default=0.0) <= r + LINE_TOL
         cases.append((alpha, (lo, hi), r, ok))
         verdict = verdict and ok
     return LinePairDecision(unperforated=verdict, cases=cases)
@@ -304,30 +293,17 @@ def scalar_instance_reduction(s, t, a, b):
 
     Returns the defining ratio inequalities as (sense, coefficient) pairs
     meaning beta >= coeff * alpha or beta <= coeff * alpha, and the exact
-    window of admissible scalings lambda for b' = lambda t.
+    window of admissible scalings lambda for b' = lambda t (or None): the
+    scalar interval of a <= lambda t and -b <= -lambda t, interleaved.
     """
     Q, s_diag, t_diag = joint_eigenbasis(s, t)
     a_diag = np.real(np.diag(Q.conj().T @ hermitian(a) @ Q))
     b_diag = np.real(np.diag(Q.conj().T @ hermitian(b) @ Q))
-    inequalities = []
-    for si, ti in zip(s_diag, t_diag):
-        if ti > 1e-12:
-            inequalities.append(("ge", si / ti))
-        elif ti < -1e-12:
-            inequalities.append(("le", si / ti))
-    lo, hi = -np.inf, np.inf
-    for ai, bi, ti in zip(a_diag, b_diag, t_diag):
-        if ti > 1e-12:
-            lo = max(lo, ai / ti)
-            hi = min(hi, bi / ti)
-        elif ti < -1e-12:
-            hi = min(hi, ai / ti)
-            lo = max(lo, bi / ti)
-        elif ai > 1e-12 or bi < -1e-12:
-            return inequalities, None
-    if lo > hi:
-        return inequalities, None
-    return inequalities, (lo, hi)
+    inequalities = [("ge" if ti > 0 else "le", si / ti)
+                    for si, ti in zip(s_diag, t_diag) if abs(ti) > SCALAR_TOL]
+    window = _scalar_interval(np.stack([a_diag, -b_diag], axis=1).ravel(),
+                              np.stack([t_diag, -t_diag], axis=1).ravel())
+    return inequalities, (None if window is None or window[0] > window[1] else window)
 
 
 # ------------------------------------------------------ Riesz sequences
@@ -443,7 +419,7 @@ def riesz_sequence(req: InterpolationRequest,
             + [sdp.LmiBlock(F0 + eye / n, F) for F0, F in bounds]
         )
     out = []
-    solutions = sdp.check_feasibility_batch(problems, margin=0.0, settings=settings)
+    solutions = sdp.check_feasibility_batch(problems, settings=settings)
     for n, (blocks, sol) in enumerate(zip(problems, solutions), start=1):
         if sol.status == sdp.INFEASIBLE:
             raise InfeasibleInterpolation(
@@ -506,10 +482,11 @@ class ChoiMap:
         return ChoiMap.from_map(lambda X: sum(p @ X @ p for p in projs), n, n, unital=True)
 
 
-def _choi_constraints(S: OperatorSubspace, n: int):
-    """Equalities pinning a unital CP map to the identity on S: tr(J (I (x) U))
-    = tr U and tr(J h(s^T (x) U)) = tr(s U), h the hermitian part, for s in
-    S and U in the hermitian basis of M_n.  The Kronecker products are
+def _choi_constraints(S: OperatorSubspace, n: int) -> tuple:
+    """Equalities pinning a unital CP map to the identity on S, as the stacks
+    (mats, values) of tr(J A_j) = b_j: tr(J (I (x) U)) = tr U and
+    tr(J h(s^T (x) U)) = tr(s U), h the hermitian part, for s in S and U in
+    the hermitian basis of M_n.  The Kronecker products are
     np.kron's own, x_ij U_kl at (i n + k, j n + l), broadcast over the pairs
     (an einsum would add each product to a zero and lose the sign of -0)."""
     full_herm = MatrixStarAlgebra.full(n).hermitian_basis()
@@ -519,7 +496,7 @@ def _choi_constraints(S: OperatorSubspace, n: int):
     mats = np.concatenate([krons[0], hermitian_part(krons[1:]).reshape(-1, n * n, n * n)])
     values = np.concatenate([np.trace(full_herm, axis1=1, axis2=2).real,
                              np.trace(S.basis[:, None] @ full_herm, axis1=2, axis2=3).real.reshape(-1)])
-    return list(zip(mats, values.tolist()))
+    return mats, values
 
 
 def ucp_fixed_extent(
@@ -544,7 +521,7 @@ def ucp_fixed_extent(
     if n > MAX_CHOI_AMBIENT:
         raise InputError(f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}")
     A = algebra if algebra is not None else generate_algebra(S)
-    spec = spectrahedron.reduce_spectrahedron(n * n, _choi_constraints(S, n), settings=settings)
+    spec = spectrahedron.reduce_spectrahedron(n * n, *_choi_constraints(S, n), settings=settings)
     herm = A.hermitian_basis()
     coord_funcs = MatrixStarAlgebra.full(n).hermitian_basis()
     # C[a, u] = kron(herm[a].T, coord_funcs[u])

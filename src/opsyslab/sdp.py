@@ -145,7 +145,6 @@ class SdpSolution:
     dual_blocks: list | None = None
     dual_bound: float | None = None
     newton_steps: int = 0
-    feasible: bool | None = None
     message: str = ""
 
 
@@ -157,13 +156,11 @@ def _cholesky(slacks) -> list | None:
         return None
 
 
-def verify_certificate(
-    blocks, certificate, settings: SdpSettings = DEFAULT_SETTINGS,
-    residual_tol: float = CERT_RESIDUAL_TOL,
-) -> bool:
+def verify_certificate(blocks, certificate, settings: SdpSettings = DEFAULT_SETTINGS) -> bool:
     """Farkas re-verification: every Z_k PSD, sum_k <Z_k, F_{k,i}> = 0 for
-    every i within residual_tol, and sum_k <Z_k, F0_k> < 0.  Certificates are
-    normalized to unit total trace."""
+    every i within CERT_RESIDUAL_TOL (relative to the constants' size), and
+    sum_k <Z_k, F0_k> < CERT_NEGATIVITY.  Certificates are normalized to unit
+    total trace."""
     SOLVE_STATS["certificate_checks"] += 1
     scale = 1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)
     for d in {Z.shape[0] for Z in certificate}:
@@ -171,7 +168,7 @@ def verify_certificate(
             return False
     resid = sum((b.coefficients.reshape(b.num_vars, b.dim**2).conj() @ Z.ravel()).real
                 for Z, b in zip(certificate, blocks))
-    if np.any(np.abs(resid) > residual_tol * scale):
+    if np.any(np.abs(resid) > CERT_RESIDUAL_TOL * scale):
         return False
     neg = sum(float(np.vdot(Z, b.constant).real) for Z, b in zip(certificate, blocks))
     return neg < CERT_NEGATIVITY
@@ -361,7 +358,7 @@ def _same_shapes(problems) -> None:
         raise InputError("blocks disagree on the variable count, or programs on block dimensions")
 
 
-def _phase1(problems, margin: float, settings: SdpSettings) -> list:
+def _phase1(problems, settings: SdpSettings) -> list:
     """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap, for
     programs with the same block dimensions and variable count at once.
 
@@ -370,7 +367,7 @@ def _phase1(problems, margin: float, settings: SdpSettings) -> list:
     feasible and bounded.  X starts at trace 1; y starts at x = 0, s = -1 -
     max_k ||F0_k||_F, so callers use the returned x as an interior point.  X
     over the non-cap blocks, renormalized, is the Farkas certificate when
-    lam* < 0.  Returns an SdpSolution per program, feasible iff lam* > margin.
+    lam* < 0.  Returns an SdpSolution per program (see check_feasibility).
     """
     P, m = len(problems), problems[0][0].num_vars
     y = np.zeros((P, m + 2))  # (1, x, s)
@@ -381,33 +378,32 @@ def _phase1(problems, margin: float, settings: SdpSettings) -> list:
     b[:, -1] = 1.0
     outcomes = _interior_point(problems, b, y, np.ones(P), settings, caps)
     return [
-        _phase1_solution(blocks, y, X, iteration, margin, settings) if reason is None
+        _phase1_solution(blocks, y, X, iteration, settings) if reason is None
         else SdpSolution(status=NUMERICAL_FAILURE, newton_steps=iteration, message=reason)
         for blocks, (y, X, iteration, reason) in zip(problems, outcomes)
     ]
 
 
-def _phase1_solution(blocks, y, X, iteration, margin, settings: SdpSettings) -> SdpSolution:
+def _phase1_solution(blocks, y, X, iteration, settings: SdpSettings) -> SdpSolution:
     """The solution of a converged program from its row of the iterate."""
     duals = X[:-1]  # the cap's dropped
     total = sum(float(np.trace(Z).real) for Z in duals)
     duals = [Z / total for Z in duals] if total > 0 else None
     lam_star = float(y[-1])
     certified = duals is not None and lam_star < 0 and verify_certificate(blocks, duals, settings)
-    certificate = duals if certified else None
-    feasible = lam_star > margin
-    status = INFEASIBLE if certificate is not None and not feasible else OPTIMAL
-    return SdpSolution(status=status, value=lam_star, x=y[1:-1].copy(), dual_certificate=certificate,
-                       dual_blocks=duals, newton_steps=iteration, feasible=feasible)
+    return SdpSolution(status=INFEASIBLE if certified else OPTIMAL, value=lam_star, x=y[1:-1].copy(),
+                       dual_certificate=duals if certified else None, dual_blocks=duals, newton_steps=iteration)
 
 
-def check_feasibility(blocks, margin: float = 0.0, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
-    """Maximize the minimum slack over all blocks; feasible iff lam* > margin."""
-    return check_feasibility_batch([blocks], margin, settings)[0]
+def check_feasibility(blocks, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
+    """Maximize the minimum slack lam* over all blocks.  INFEASIBLE when
+    lam* < 0 and the dual verifies as a Farkas certificate; otherwise
+    OPTIMAL with the maximizer x, where lam* > 0 says x is strictly
+    feasible.  NUMERICAL_FAILURE when the loop stops without converging."""
+    return check_feasibility_batch([blocks], settings)[0]
 
 
-def check_feasibility_batch(problems, margin: float = 0.0,
-                            settings: SdpSettings = DEFAULT_SETTINGS) -> list:
+def check_feasibility_batch(problems, settings: SdpSettings = DEFAULT_SETTINGS) -> list:
     """check_feasibility of every program in `problems` (block lists with
     the same block dimensions and variable count), solved together in
     chunks; each solution is bitwise the one its program gives alone."""
@@ -415,7 +411,7 @@ def check_feasibility_batch(problems, margin: float = 0.0,
     if not problems:
         return []
     _same_shapes(problems)
-    return _in_chunks(lambda chunk: _phase1(chunk, margin, settings), problems, True)
+    return _in_chunks(lambda chunk: _phase1(chunk, settings), problems, True)
 
 
 def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
@@ -458,7 +454,7 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
                 raise InputError("supplied x0 is not strictly feasible")
     cold = [k for k, x0 in enumerate(starts) if x0 is None]
     if cold:
-        phase1 = _in_chunks(lambda chunk: _phase1(chunk, 0.0, settings), [programs[k] for k in cold], True)
+        phase1 = _in_chunks(lambda chunk: _phase1(chunk, settings), [programs[k] for k in cold], True)
         for k, sol in zip(cold, phase1):
             starts[k], steps[k], solutions[k] = sol.x, sol.newton_steps, _cold_start_failure(programs[k], sol)
     warm = [k for k in range(len(problems)) if solutions[k] is None]
@@ -486,7 +482,7 @@ def _cold_start_failure(blocks, phase1: SdpSolution) -> SdpSolution | None:
         return None
     if phase1.dual_certificate is not None:
         return SdpSolution(status=INFEASIBLE, value=phase1.value, dual_certificate=phase1.dual_certificate,
-                           newton_steps=phase1.newton_steps, feasible=False)
+                           newton_steps=phase1.newton_steps)
     return SdpSolution(status=NUMERICAL_FAILURE, value=phase1.value, newton_steps=phase1.newton_steps,
                        message="marginally feasible problem: no interior point and no certificate")
 
@@ -515,7 +511,7 @@ def _optimization_solution(blocks, c, outcome, steps: int, settings: SdpSettings
     if failure is not None:
         return SdpSolution(status=NUMERICAL_FAILURE, value=value, x=x, newton_steps=steps, message=failure)
     return SdpSolution(status=OPTIMAL, value=value, x=x, dual_blocks=duals, dual_bound=min(raw_bound, value),
-                       newton_steps=steps, feasible=True)
+                       newton_steps=steps)
 
 
 def _onto_constraints(blocks, c, duals) -> list:

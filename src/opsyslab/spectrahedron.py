@@ -20,7 +20,8 @@ program's value would be held to.  The dual's kernel is only as accurate
 as the phase-one solve, so each new support takes one Gauss-Newton step
 toward a support on which the constraints hold before the next round.
 
-A family of constraints or objectives is one stacked product whose
+Constraints come in as stacks, the (m, d, d) matrices and the m values.  A
+family of constraints or objectives is one stacked product whose
 per-matrix products and summation order are those of the per-element form,
 so reports keep their bits; the real coordinate maps take their triangle
 indices from a per-dimension cache.
@@ -34,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
+from .algebra import RANK_TOL, _pow2_scale
 from .errors import InputError, NumericalFailureError
 from .hermitian import eigenvalues, eigh, hermitian_part
 
@@ -79,18 +81,19 @@ def _from_real_coords(x: np.ndarray, d: int) -> np.ndarray:
     return A
 
 
-def _solve_affine(mats: np.ndarray, rhs: np.ndarray, rank_tol: float = 1e-9):
+def _solve_affine(mats: np.ndarray, rhs: np.ndarray):
     """Particular hermitian solution and the stack of null directions of
     tr(A_j X) = b_j for a stack A of shape (m, d, d); (None, None) when the
     system is inconsistent."""
     rows = _real_coords(hermitian_part(mats))
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
     scale = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * max(scale, 1.0)))
-    # consistency of the linear system
+    rank = int(np.sum(s > RANK_TOL * max(scale, 1.0)))
+    # consistency of the linear system, a homogeneous test: decided on scaled data
     pinv_rhs = vt[:rank].T @ ((u.T @ rhs)[:rank] / s[:rank])
-    resid = float(np.linalg.norm(rows @ pinv_rhs - rhs))
-    if resid > 1e-7 * (1.0 + float(np.linalg.norm(rhs))):
+    gap = rows @ pinv_rhs - rhs
+    unit = _pow2_scale(np.append(gap, rhs))
+    if float(np.linalg.norm(gap * unit)) > 1e-7 * (unit + float(np.linalg.norm(rhs * unit))):
         return None, None
     points = hermitian_part(_from_real_coords(np.vstack([pinv_rhs, vt[rank:]]), mats.shape[-1]))
     return points[0], points[1:]
@@ -160,9 +163,11 @@ class SpectrahedronInfeasible(InputError):
 
 
 def reduce_spectrahedron(
-    dim: int, constraints, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS
+    dim: int, mats, rhs, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS
 ) -> ReducedSpectrahedron:
-    """Locate the feasible face of the constrained PSD set.
+    """Locate the feasible face of { X >= 0 : tr(A_j X) = b_j }, the
+    constraints given as the stack `mats` of the A_j (m, dim, dim) and the
+    vector `rhs` of the b_j.
 
     Each round tries the least-norm point x0 of the compressed system first:
     if x0 - FACE_TOL scale I has a Cholesky factor (scale = 1 + max |x0|),
@@ -176,8 +181,8 @@ def reduce_spectrahedron(
     Farkas certificate.  The same findings on a reduced face rest on the
     numerical kernel of a phase-one dual and raise NumericalFailureError.
     """
-    mats = hermitian_part(np.array([A for A, _ in constraints], dtype=complex))
-    rhs = np.array([float(b) for _, b in constraints])
+    mats = hermitian_part(np.asarray(mats, dtype=complex))
+    rhs = np.asarray(rhs, dtype=float)
     support = np.eye(dim, dtype=complex)
     for _ in range(dim + 1):
         r = support.shape[1]
@@ -204,7 +209,7 @@ def reduce_spectrahedron(
         if sdp._cholesky([x0 - FACE_TOL * scale * np.eye(r)]) is not None:
             return spec
         (block,) = spec.compressed_blocks()
-        sol = sdp.check_feasibility([block], margin=0.0, settings=settings)
+        sol = sdp.check_feasibility([block], settings=settings)
         if sol.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"face search failed: {sol.message}")
         if sol.value > FACE_TOL * scale:
@@ -223,14 +228,9 @@ def reduce_spectrahedron(
         Z = hermitian_part(sol.dual_blocks[0])
         dec = eigh(Z)
         lam_max = max(float(dec.eigenvalues[-1]), 1e-300)
-        kernel_cols = [
-            dec.eigenvectors[:, i]
-            for i in range(Z.shape[0])
-            if dec.eigenvalues[i] <= KERNEL_TOL * lam_max
-        ]
-        if not kernel_cols or len(kernel_cols) == Z.shape[0]:
+        kernel = np.ascontiguousarray(dec.eigenvectors[:, dec.eigenvalues <= KERNEL_TOL * lam_max])
+        if kernel.shape[1] in (0, Z.shape[0]):
             raise NumericalFailureError("face certificate has no usable kernel")
-        kernel = np.stack(kernel_cols, axis=1)
         Y = hermitian_part(kernel.conj().T @ block.slack(sol.x) @ kernel)
         support = _refine_support(support @ kernel, Y, mats, rhs)
     raise NumericalFailureError("facial reduction did not terminate")

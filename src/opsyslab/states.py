@@ -161,10 +161,9 @@ def verify_state_on_subspace(
     return minimum >= -1e-8
 
 
-def _extension_set(
-    phi: StateFunctional, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS
-) -> spectrahedron.ReducedSpectrahedron:
-    """The compact set of extending densities { Y >= 0 : tr(s_j Y) = phi(s_j) }.
+def _extension_set(phi: StateFunctional, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> tuple:
+    """The compact set of extending densities { Y >= 0 : tr(s_j Y) = phi(s_j) },
+    reduced, with the hermitian basis s of phi's domain and phi's values on it.
 
     Solved with facial reduction: forcing part of a density to vanish (block
     supported states) leaves a set with empty interior, and the interior-point
@@ -173,23 +172,22 @@ def _extension_set(
     basis = _domain_hermitian_basis(phi.domain)
     values = phi.values_on(basis)
     n = phi.ambient_dim
-    constraints = [(b, v) for b, v in zip(basis, values)]
-    constraints.append((np.eye(n, dtype=complex), 1.0))
+    mats = np.concatenate([basis, np.eye(n, dtype=complex)[None]])
     try:
-        return spectrahedron.reduce_spectrahedron(n, constraints, settings=settings)
+        spec = spectrahedron.reduce_spectrahedron(n, mats, np.append(values, 1.0), settings=settings)
     except spectrahedron.SpectrahedronInfeasible as exc:
         raise InputError(f"functional admits no state extension: {exc}") from exc
+    return spec, basis, values
 
 
 def _interval_from_set(
-    spec,
-    phi: StateFunctional,
+    extension: tuple,
     t: np.ndarray,
     ambient: MatrixStarAlgebra,
     settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS,
 ) -> ExtensionInterval:
-    basis = _domain_hermitian_basis(phi.domain)
-    values = phi.values_on(basis)
+    """The extension interval of t over an `_extension_set`."""
+    spec, basis, values = extension
     (hi, Y_hi), (neg_lo, Y_lo) = spectrahedron.optimize_linear(spec, np.stack([t, -t]), settings=settings)
     lo = -neg_lo
     if lo > hi + 1e-8 * (1 + abs(hi)):
@@ -230,8 +228,7 @@ def extension_interval(
         raise InputError("element does not belong to the ambient algebra")
     if not ambient.contains(phi.domain.basis):
         raise InputError("the state's domain is not contained in the ambient algebra")
-    spec = _extension_set(phi, settings=settings)
-    return _interval_from_set(spec, phi, t, ambient, settings=settings)
+    return _interval_from_set(_extension_set(phi, settings=settings), t, ambient, settings=settings)
 
 
 def has_uep(
@@ -254,12 +251,11 @@ def has_uep(
         raise InputError("has_uep expects a state whose domain is an algebra")
     if not A.contains(S.basis):
         raise InputError("subspace is not contained in the state's algebra")
-    restricted = psi.restrict(S)
-    spec = _extension_set(restricted, settings=settings)
+    extension = _extension_set(psi.restrict(S), settings=settings)
     basis = A.hermitian_basis()
-    _, bounds = spec.linear_range(basis)
+    _, bounds = extension[0].linear_range(basis)
     for t in basis[bounds > UEP_TOL]:
-        interval = _interval_from_set(spec, restricted, t, A, settings=settings)
+        interval = _interval_from_set(extension, t, A, settings=settings)
         if interval.length > UEP_TOL:
             return UepResult(holds=False, witness=t, interval=interval)
     return UepResult(holds=True, witness=None, interval=None)

@@ -80,7 +80,7 @@ def test_criterion_02_perforated_pair_reproduction():
     )
     inst = solve_unperforated_instance(S, T, a, b)
     assert inst.verdict == "INFEASIBLE"
-    assert verify_instance_certificate(inst, tol=1e-7)
+    assert verify_instance_certificate(inst)
     forced = np.diag([2.0, 2.0])
     assert is_psd(forced - a, 1e-10)
     assert not is_psd(b - forced, 1e-10)

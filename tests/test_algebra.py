@@ -181,3 +181,42 @@ def test_subspace_rejects_a_bad_basis_with_its_message(basis, message):
     with pytest.raises(InputError) as exc:
         OperatorSubspace(ambient_dim=2, basis=basis, unital=False)
     assert str(exc.value) == message
+
+
+def test_full_algebra_is_one_read_only_object_per_dimension():
+    for n in (1, 2, 3, MAX_AMBIENT):
+        full = MatrixStarAlgebra.full(n)
+        assert full is MatrixStarAlgebra.full(n)
+        assert full.hermitian_basis() is MatrixStarAlgebra.full(n).hermitian_basis()
+        assert not full.basis.flags.writeable and not full.hermitian_basis().flags.writeable
+    # above the algebra limit nothing is kept: each call builds its own
+    big = MatrixStarAlgebra.full(MAX_AMBIENT + 1)
+    assert big is not MatrixStarAlgebra.full(MAX_AMBIENT + 1) and big.dim == (MAX_AMBIENT + 1) ** 2
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 2.0**900])
+def test_subspace_layer_answers_on_scaled_data_without_overflow(scale):
+    # Gram matrix, norms and residuals are formed on data scaled by a power
+    # of two; a RuntimeWarning (overflow, invalid value) would fail here
+    S = OperatorSubspace(ambient_dim=2, basis=[scale * np.eye(2), scale * np.diag([1.0, -1.0])], unital=True)
+    assert S.identity_coefficients() == pytest.approx([1.0 / scale, 0.0], rel=1e-12, abs=1e-12 / scale)
+    coeffs, resid = S.coefficients_of(scale * np.diag([3.0, 1.0]))
+    assert coeffs == pytest.approx([2.0, 1.0], rel=1e-12) and resid <= 1e-12 * scale
+    with pytest.raises(InputError, match="not in the subspace"):
+        S.coefficients_of(scale * E(2, 0, 1) + scale * E(2, 1, 0))
+    full = MatrixStarAlgebra.full(2)
+    assert full.contains(scale * np.eye(2)) and full.contains(S.basis)
+    assert not MatrixStarAlgebra.from_basis([np.eye(2)]).contains(scale * np.diag([1.0, -1.0]))
+
+
+def test_scaling_keeps_the_bits_of_unscaled_data():
+    # below 2^500 the scale is exactly 1, so the Gram matrix keeps its bits
+    top = np.nextafter(2.0**500, 0.0)
+    assert algebra._pow2_scale(np.full((1, 2, 2), top)) == 1.0
+    assert algebra._pow2_scale(np.full((1, 2, 2), 2.0**500)) == 0.5
+    assert algebra._pow2_scale(np.zeros((1, 2, 2))) == 1.0
+    rng = np.random.default_rng(8)
+    for k in range(1, 4):
+        raw = rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))
+        S = OperatorSubspace(ambient_dim=3, basis=raw + raw.conj().swapaxes(1, 2), unital=False)
+        assert S._gram.tobytes() == algebra._real_gram(S.basis).tobytes()

@@ -1026,3 +1026,39 @@ def test_every_block_the_loop_sees_is_checked(tmp_path, monkeypatch, command, do
     path.write_text(json.dumps(doc))
     assert main([command, "--file", str(path)]) == 0
     assert seen and all(built_by_the_constructor(blk) for blk in seen)
+
+
+def results_bytes(out: str) -> str:
+    """The report's `results` value exactly as printed."""
+    start = out.index('"results":') + len('"results":')
+    _, end = json.JSONDecoder().raw_decode(out, start)
+    return out[start:end]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("uep", {"state": [[0.7, 0.1], [0.1, 0.3]]}),
+    ("extension-interval", {"phi": [[0.7, 0.1], [0.1, 0.3]], "t": [[1.0, 0.5], [0.5, -1.0]]}),
+])
+def test_huge_subspace_answers_as_its_unit_multiple(tmp_path, capsys, command, payload):
+    # S = span{1e200 I} is span{I}: the subspace layer forms its Gram matrix,
+    # norms and residuals on data scaled by a power of two, so nothing
+    # overflows and the report keeps span{I}'s bytes
+    outs = []
+    for scale in (1.0, 1e200):
+        path = tmp_path / f"{scale:g}.json"
+        path.write_text(json.dumps({"kind": command, "payload": {"S": [(scale * np.eye(2)).tolist()], **payload}}))
+        assert main([command, "--file", str(path), "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        outs.append(results_bytes(out))
+    assert outs[1] == outs[0]
+
+
+def test_huge_subspace_boundary_keeps_its_verdict(tmp_path, capsys):
+    # the Choi constraints carry 1e200 too; the verdict is span{I}'s, the
+    # deviation (rounding on both) is not byte for byte
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"kind": "boundary", "payload": {"S": [(1e200 * np.eye(2)).tolist()]}}))
+    assert main(["boundary", "--file", str(path), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["results"]["boundary"] is True

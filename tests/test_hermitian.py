@@ -310,7 +310,8 @@ def test_checked_calls_keep_the_bits_of_np_linalg(tmp_path, capsys):
     # One small document per kind, and three more on the extension path
     # (uep on M2 + C with a block-supported state, whose flat face needs a
     # refined support; an M4 extension-interval that runs a face search; the
-    # M3 boundary document), keep their `results` bytes through the CLI.
+    # M3 boundary document), and every repro case (E:perf re-verifies a
+    # certificate), keep their `results` bytes through the CLI.
     cases = json.loads((DATA / "results_by_kind.json").read_text())
     assert {case["document"]["kind"] for case in cases} == set(problems.KINDS)
     for case in cases:

@@ -263,6 +263,96 @@ def test_joint_eigenbasis_degenerate_clusters():
     assert np.allclose(Q @ np.diag(db) @ Q.conj().T, b, atol=1e-8)
 
 
+# The running max/min forms that `_scalar_interval` and the window of
+# `scalar_instance_reduction` replaced, kept as the references.
+
+
+def scalar_interval_by_loop(s_diag, t_diag, tol=1e-12):
+    lo, hi = -np.inf, np.inf
+    for si, ti in zip(s_diag, t_diag):
+        if ti > tol:
+            lo = max(lo, si / ti)
+        elif ti < -tol:
+            hi = min(hi, si / ti)
+        elif si > tol:
+            return None
+    if lo > hi + tol:
+        return None
+    return lo, hi
+
+
+def scalar_reduction_by_loop(s_diag, t_diag, a_diag, b_diag):
+    inequalities = []
+    for si, ti in zip(s_diag, t_diag):
+        if ti > 1e-12:
+            inequalities.append(("ge", si / ti))
+        elif ti < -1e-12:
+            inequalities.append(("le", si / ti))
+    lo, hi = -np.inf, np.inf
+    for ai, bi, ti in zip(a_diag, b_diag, t_diag):
+        if ti > 1e-12:
+            lo = max(lo, ai / ti)
+            hi = min(hi, bi / ti)
+        elif ti < -1e-12:
+            hi = min(hi, ai / ti)
+            lo = max(lo, bi / ti)
+        elif ai > 1e-12 or bi < -1e-12:
+            return inequalities, None
+    if lo > hi:
+        return inequalities, None
+    return inequalities, (lo, hi)
+
+
+def bits(window):
+    """A window's bounds as bytes, so that the sign of a zero counts too."""
+    return None if window is None else [np.float64(x).tobytes() for x in window]
+
+
+def scalar_t_diagonals(rng):
+    """Diagonals of t with zero, +-1e-12 (at the cut) and +-2e-12 entries, and
+    dyadic ones whose ratios are exact, so that windows can be one point."""
+    tiny = [0.0, -0.0, 1e-12, -1e-12, 2e-12, -2e-12]
+    for n in range(1, 6):
+        for _ in range(12):
+            t = rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=n)
+            t[rng.random(n) < 0.3] = rng.choice(tiny)
+            yield t
+            yield rng.standard_normal(n) * (rng.random(n) < 0.8)
+
+
+def test_scalar_interval_is_the_running_max_min():
+    rng = np.random.default_rng(2023)
+    for t in scalar_t_diagonals(rng):
+        for s in (rng.standard_normal(len(t)), rng.choice([-1.0, -0.0, 0.0, 1e-12, 2e-12, 1.0], size=len(t)),
+                  rng.integers(-2, 3, size=len(t)) * t):
+            assert bits(rigidity._scalar_interval(s, t)) == bits(scalar_interval_by_loop(s, t))
+
+
+def test_scalar_window_is_the_intersection_of_two_intervals():
+    rng = np.random.default_rng(2024)
+    seen = {"empty": 0, "point": 0, "interval": 0}
+    for t_diag in scalar_t_diagonals(rng):
+        n = len(t_diag)
+        s_diag = rng.standard_normal(n)
+        lam = rng.choice([-1.0, 0.5, 2.0])
+        below, above = (rng.random(n) * (rng.random(n) < 0.5) for _ in range(2))  # zeros make one-point windows
+        for a_diag, b_diag in (
+            (lam * t_diag - below, lam * t_diag + above),
+            (rng.standard_normal(n), rng.standard_normal(n)),
+            (np.zeros(n), rng.choice([-1e-12, 0.0, 1e-12, 1.0], size=n)),
+        ):
+            s, t, a, b = (np.diag(d) for d in (s_diag, t_diag, a_diag, b_diag))
+            Q, s_q, t_q = joint_eigenbasis(s, t)
+            a_q, b_q = (np.real(np.diag(Q.conj().T @ m @ Q)) for m in (a, b))
+            inequalities, window = scalar_instance_reduction(s, t, a, b)
+            ref_inequalities, ref_window = scalar_reduction_by_loop(s_q, t_q, a_q, b_q)
+            assert [(sense, np.float64(c).tobytes()) for sense, c in inequalities] == [
+                (sense, np.float64(c).tobytes()) for sense, c in ref_inequalities]
+            assert bits(window) == bits(ref_window)
+            seen["empty" if window is None else "point" if window[0] == window[1] else "interval"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 # ------------------------------------------------------ Riesz sequences
 
 
@@ -493,7 +583,7 @@ def test_nosp_random_ucp_fixing_offdiag_is_forced():
     from opsyslab.rigidity import _choi_constraints
 
     S = offdiag_system()
-    spec = spectrahedron.reduce_spectrahedron(4, _choi_constraints(S, 2))
+    spec = spectrahedron.reduce_spectrahedron(4, *_choi_constraints(S, 2))
     assert len(spec.dirs) == 0  # the Choi set is a single point: the identity
     Pi = ChoiMap(dim_in=2, dim_out=2, choi=spec.point(np.zeros(0)), unital=True)
     full = MatrixStarAlgebra.full(2)
@@ -511,7 +601,7 @@ def test_zero_extent_forces_degenerate_choi_set():
     S = offdiag_system()
     extent, _ = ucp_fixed_extent(S)
     assert extent <= 1e-6
-    spec = spectrahedron.reduce_spectrahedron(4, _choi_constraints(S, 2))
+    spec = spectrahedron.reduce_spectrahedron(4, *_choi_constraints(S, 2))
     rng = np.random.default_rng(41)
     for _ in range(5):
         xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)

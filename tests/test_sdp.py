@@ -93,7 +93,7 @@ def test_infeasible_diagonal_cage():
     blocks = diagonal_cage_blocks()
     sol = sdp.check_feasibility(blocks)
     assert sol.status == sdp.INFEASIBLE
-    assert not sol.feasible
+    assert sol.value <= 0
     Z = sol.dual_certificate
     assert Z is not None
     for Zk in Z:
@@ -108,7 +108,7 @@ def test_infeasible_diagonal_cage():
 def test_check_feasibility_trivial():
     blk = sdp.LmiBlock(I2, [np.zeros((2, 2), dtype=complex)])
     sol = sdp.check_feasibility([blk])
-    assert sol.feasible
+    assert sol.value > 0
     assert sol.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -147,7 +147,7 @@ def test_feasibility_phase_iteration_count(make):
     sol = sdp.check_feasibility(blocks)
     assert sol.status in (sdp.OPTIMAL, sdp.INFEASIBLE)
     assert 0 < sol.newton_steps <= 25
-    if sol.feasible:
+    if sol.value > 0:
         slack = min(eigh(b.slack(sol.x)).eigenvalues[0] for b in blocks)
         assert slack >= sol.value
 
@@ -157,7 +157,7 @@ def test_capped_slack_is_feasible_without_certificate():
     # binds; the dual is then forced to zero on the block.
     blk = sdp.LmiBlock(np.diag([1.0, -2.0]), [I2])
     sol = sdp.check_feasibility([blk])
-    assert sol.status == sdp.OPTIMAL and sol.feasible
+    assert sol.status == sdp.OPTIMAL and sol.value > 0
     assert sol.value == pytest.approx(30.0, abs=1e-6 * 30.0)
     assert sol.dual_certificate is None
 
@@ -185,8 +185,8 @@ def scalar_interval_oracle(n: int) -> float:
 
 @pytest.mark.parametrize("n", [1, 3, 5])
 def test_interpolation_blocks_feasible_with_margin(n):
-    sol = sdp.check_feasibility(scalar_interpolation_blocks(n), margin=1.0 / n)
-    assert sol.feasible
+    sol = sdp.check_feasibility(scalar_interpolation_blocks(n))
+    assert sol.value > 1.0 / n
     assert sol.value == pytest.approx(scalar_interval_oracle(n), abs=1e-5)
 
 
@@ -432,7 +432,7 @@ def test_flat_face_is_reduced_not_rejected(seed):
     J = np.outer(omega, omega.conj())
     for A, b in constraints:
         assert abs(np.vdot(A, J).real - b) <= 1e-12
-    spec = spectrahedron.reduce_spectrahedron(n * n, constraints)
+    spec = spectrahedron.reduce_spectrahedron(n * n, *zip(*constraints))
     V = spec.support
     assert V.shape[1] < n * n
     assert np.linalg.norm(V @ (V.conj().T @ J @ V) @ V.conj().T - J) <= 1e-6
@@ -463,7 +463,7 @@ def test_extension_set_face_point_is_feasible(monkeypatch):
     S = [np.eye(3), np.diag([1.0, 1.0, 0.0]), unit_norm_hermitian(rng, 3)]
     constraints = [(s, float(np.trace(s @ rho).real)) for s in S]
     calls = count_face_searches(monkeypatch)
-    spec = spectrahedron.reduce_spectrahedron(3, constraints)
+    spec = spectrahedron.reduce_spectrahedron(3, *zip(*constraints))
     assert len(calls) >= 1
     assert spec.support.shape[1] == 2 and len(spec.dirs) > 0
     assert_interior_point_is_feasible(spec, constraints)
@@ -478,7 +478,7 @@ def test_full_rank_extension_set_skips_the_face_search(monkeypatch):
     S = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(3)]
     constraints = [(s, float(np.trace(s @ rho).real)) for s in S]
     calls = count_face_searches(monkeypatch)
-    spec = spectrahedron.reduce_spectrahedron(n, constraints)
+    spec = spectrahedron.reduce_spectrahedron(n, *zip(*constraints))
     assert calls == []
     assert spec.support.shape[1] == n and np.array_equal(spec.z_interior, np.zeros(len(spec.dirs)))
     scale = 1.0 + float(np.max(np.abs(spec.x0)))
@@ -492,7 +492,7 @@ def test_singular_least_norm_point_of_a_full_dimensional_set(monkeypatch):
     # so one face search must supply the interior point.
     constraints = [(np.eye(3), 1.0), (np.diag([1.0, -1.0, 0.0]), 2.0 / 3.0)]
     calls = count_face_searches(monkeypatch)
-    spec = spectrahedron.reduce_spectrahedron(3, constraints)
+    spec = spectrahedron.reduce_spectrahedron(3, *zip(*constraints))
     assert len(calls) == 1
     assert np.allclose(spec.x0, np.diag([2.0 / 3.0, 0.0, 1.0 / 3.0]), atol=1e-12)
     assert spec.support.shape[1] == 3
@@ -506,7 +506,7 @@ def test_linear_range_bounds_the_extremes_on_the_face():
     rho = np.zeros((3, 3), dtype=complex)
     rho[:2, :2] = density_of_rank(rng, 2, 2)
     S = [np.eye(3), np.diag([1.0, 1.0, 0.0])]
-    spec = spectrahedron.reduce_spectrahedron(3, [(s, float(np.trace(s @ rho).real)) for s in S])
+    spec = spectrahedron.reduce_spectrahedron(3, S, [float(np.trace(s @ rho).real) for s in S])
     Cs = np.stack([unit_norm_hermitian(rng, 3) for _ in range(4)] + [np.diag([0.0, 0.0, 1.0])])
     values, bounds = spec.linear_range(Cs)
     for C, value, bound in zip(Cs, values, bounds):
@@ -529,7 +529,7 @@ def test_inconsistent_unreduced_system_is_infeasible():
     # tr X = 1 and tr X = 2: a certified "no", an input error (CLI exit 2).
     constraints = [(np.eye(2), 1.0), (np.eye(2), 2.0)]
     with pytest.raises(spectrahedron.SpectrahedronInfeasible) as info:
-        spectrahedron.reduce_spectrahedron(2, constraints)
+        spectrahedron.reduce_spectrahedron(2, *zip(*constraints))
     assert isinstance(info.value, InputError)
 
 
@@ -576,8 +576,8 @@ def same_bits(a: sdp.SdpSolution, b: sdp.SdpSolution) -> bool:
         return [None if v is None else np.asarray(v).tobytes() for v in mats]
 
     return (
-        (a.status, a.feasible, a.newton_steps, a.message, a.dual_certificate is None)
-        == (b.status, b.feasible, b.newton_steps, b.message, b.dual_certificate is None)
+        (a.status, a.newton_steps, a.message, a.dual_certificate is None)
+        == (b.status, b.newton_steps, b.message, b.dual_certificate is None)
         and arrays(a) == arrays(b)
     )
 
@@ -682,7 +682,7 @@ def test_mixed_dimension_feasibility_keeps_block_shapes(seed):
     blocks = mixed_blocks(np.random.default_rng(200 + seed), 2.0)
     sol = sdp.check_feasibility(blocks)
     oracle = sdp.check_feasibility(direct_sum(blocks))
-    assert sol.status == oracle.status == sdp.OPTIMAL and sol.feasible
+    assert sol.status == oracle.status == sdp.OPTIMAL and sol.value > 0
     tol = 10.0 * sdp.DEFAULT_SETTINGS.gap_tol * (1.0 + abs(oracle.value))
     assert abs(sol.value - oracle.value) <= tol
     assert min(np.linalg.eigvalsh(b.slack(sol.x))[0] for b in blocks) >= sol.value - tol
@@ -763,7 +763,7 @@ def test_optimization_iterations_on_extension_faces(seed):
     basis = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(1 + (seed // 2) % (n * n - 2))]
     S = OperatorSubspace(ambient_dim=n, basis=basis, unital=True)
     phi = StateFunctional(density=density_of_rank(rng, n, 1 + (seed // 2) % n), domain=S)
-    spec = states._extension_set(phi)
+    spec, _, _ = states._extension_set(phi)
     (block,) = spec.compressed_blocks()
     objectives = [spec.compress(unit_norm_hermitian(rng, n)) for _ in range(3)]
     problems = [
@@ -873,7 +873,7 @@ def test_a_failed_solve_row_is_solved_again_with_the_ridge(monkeypatch):
     solo = [sdp.check_feasibility(p) for p in programs]
     nan_row_once(monkeypatch, "solve1", 1)
     batch = sdp.check_feasibility_batch(programs)
-    assert batch[1].status == sdp.OPTIMAL and batch[1].feasible
+    assert batch[1].status == sdp.OPTIMAL and batch[1].value > 0
     assert all(same_bits(b, s) for k, (b, s) in enumerate(zip(batch, solo)) if k != 1)
 
 

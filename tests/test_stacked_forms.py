@@ -122,11 +122,12 @@ def test_choi_constraints_are_the_kron_double_loop(n):
         mats = [np.eye(n)] + [random_hermitian(rng, n) for _ in range(extra)]
         subspaces.append(OperatorSubspace(ambient_dim=n, basis=mats, unital=True))
     for S in subspaces:
-        stacked, reference = _choi_constraints(S, n), choi_constraints_by_loop(S, n)
-        assert isinstance(stacked, list) and len(stacked) == len(reference) == n * n * (1 + S.dim)
-        for (A, b), (A_ref, b_ref) in zip(stacked, reference):
+        (mats, values), reference = _choi_constraints(S, n), choi_constraints_by_loop(S, n)
+        assert mats.dtype == complex and values.dtype == float
+        assert len(mats) == len(values) == len(reference) == n * n * (1 + S.dim)
+        for A, b, (A_ref, b_ref) in zip(mats, values, reference):
             assert A.shape == A_ref.shape and A.tobytes() == A_ref.tobytes()
-            assert type(b) is float and np.float64(b).tobytes() == np.float64(b_ref).tobytes()
+            assert np.float64(b).tobytes() == np.float64(b_ref).tobytes()
 
 
 def real_coords_fresh(A: np.ndarray) -> np.ndarray:

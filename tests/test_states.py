@@ -213,10 +213,9 @@ def has_uep_by_intervals(psi, S):
     """UEP from the extension interval of every hermitian basis element."""
     from opsyslab.states import UEP_TOL, UepResult, _extension_set, _interval_from_set
 
-    restricted = psi.restrict(S)
-    spec = _extension_set(restricted)
+    extension = _extension_set(psi.restrict(S))
     for t in psi.domain.hermitian_basis():
-        interval = _interval_from_set(spec, restricted, t, psi.domain)
+        interval = _interval_from_set(extension, t, psi.domain)
         if interval.length > UEP_TOL:
             return UepResult(holds=False, witness=t, interval=interval)
     return UepResult(holds=True, witness=None, interval=None)
