@@ -27,13 +27,13 @@ import numpy as np
 from .errors import InputError, NumericalFailureError
 from .hermitian import (
     BLOCK_ENTRIES,
+    eigenvalues_checked,
     eigh,
-    eigh_coefficient_space,
     hermitian,
     hermitian_checked,
     hermitian_part,
 )
-from .limits import MAX_AMBIENT
+from .limits import MAX_AMBIENT, MAX_COEFFICIENT_DIM
 
 RANK_TOL = 1e-9
 CLOSURE_TOL = 1e-8
@@ -81,7 +81,7 @@ def _matrix_units(n: int) -> np.ndarray:
     return _readonly(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
-def _pow2_scale(stack) -> float:
+def pow2_scale(stack) -> float:
     """The power of two (at most 1) that brings a stack's largest |entry| to at
     most 2^500: squared norms of the scaled data stay finite, exactly scaled."""
     return math.ldexp(1.0, min(0, 500 - math.frexp(float(np.abs(stack).max(initial=0.0)))[1]))
@@ -115,7 +115,7 @@ def orthonormalize(mats) -> np.ndarray:
     over the reals.  Returns a read-only stack of the input's trailing shape.
     """
     mats = np.asarray(mats)
-    unit = _pow2_scale(mats)  # the cut's floor is rescaled with the stack
+    unit = pow2_scale(mats)  # the cut's floor is rescaled with the stack
     cands = _flat(mats) * unit
     out = np.empty_like(cands)
     r = 0
@@ -149,7 +149,7 @@ class OperatorSubspace:
 
     The basis must be linearly independent over the reals; when `unital` the
     identity must be reconstructible from it.  Gram matrices, norms and
-    residuals are formed on data scaled by `_pow2_scale`.
+    residuals are formed on data scaled by `pow2_scale`.
     """
 
     ambient_dim: int
@@ -161,11 +161,13 @@ class OperatorSubspace:
         if len(self.basis) == 0:
             raise InputError("subspace needs at least one basis element")
         self.basis = hermitian_checked(_as_stack(self.basis, n), (3,))
-        self._unit = _pow2_scale(self.basis)
+        if len(self.basis) > MAX_COEFFICIENT_DIM:
+            raise InputError(f"coefficient-space dimension {len(self.basis)} exceeds {MAX_COEFFICIENT_DIM}")
+        self._unit = pow2_scale(self.basis)
         self._scaled = self.basis * self._unit
         self._gram = _real_gram(self._scaled)
         norms = np.sqrt(self._gram.diagonal())  # the cut is on the unit-normalized basis: scale invariant
-        ev = eigh_coefficient_space(self._gram / np.outer(norms, norms)).eigenvalues if norms.all() else [0.0]
+        ev = eigenvalues_checked(hermitian_part(self._gram / np.outer(norms, norms))) if norms.all() else [0.0]
         if ev[0] <= RANK_TOL * ev[-1]:
             raise InputError("subspace basis is not linearly independent")
         self._identity_coefficients = self.identity_in_span() if self.unital else None
@@ -179,7 +181,7 @@ class OperatorSubspace:
     def _coefficients(self, X: np.ndarray) -> tuple:
         """Real coefficients of a hermitian X over the basis, and the HS norms
         of the residual and of X."""
-        unit = _pow2_scale(X)
+        unit = pow2_scale(X)
         F, x = _flat(self._scaled), X.reshape(-1) * unit
         coeffs = np.linalg.solve(self._gram, (F.conj() @ x).real)  # of unit X over the scaled basis
         resid = float(np.linalg.norm(x - coeffs @ F))
@@ -264,7 +266,7 @@ class MatrixStarAlgebra:
         X = np.asarray(X, dtype=complex)
         if X.ndim not in (2, 3) or X.shape[-2:] != (self.ambient_dim,) * 2:
             raise InputError(f"expected dimension {self.ambient_dim}, got shape {X.shape}")
-        unit = _pow2_scale(X)  # the test is homogeneous: decided on unit X
+        unit = pow2_scale(X)  # the test is homogeneous: decided on unit X
         X = X * unit
         _, resid = span_coefficients(self.basis, X)
         return bool(np.all(resid <= CLOSURE_TOL * (unit + np.linalg.norm(_flat(X), axis=-1))))

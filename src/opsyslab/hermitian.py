@@ -1,19 +1,19 @@
-"""Dense complex hermitian linear algebra.
+"""Dense complex hermitian linear algebra, one checked path per question.
 
 The eigensolver is LAPACK's `zheevd`, called as the gufuncs `np.linalg`
 calls (`numpy.linalg._umath_linalg`), so outputs are bitwise those of
-`np.linalg.eigh` (`eigh`) and `np.linalg.eigvalsh` (`eigenvalues`,
-`op_norm`, `is_psd`, which also take a (k, n, n) stack in one call).  A
-failed kernel returns NaN, which fails every check: neither output is
-trusted blindly.  A decomposition must meet reconstruction,
-||Q diag(lam) Q* - A|| <= 1e-10 (1 + ||A||), and unitarity, ||Q*Q - I|| <=
-1e-10; eigenvalues alone must meet |sum lam - tr A| <= 1e-10 ||A||_F and
-|sum lam^2 - ||A||_F^2| <= 1e-10 ||A||_F^2.  The residuals are formed on A
-over its largest real or imaginary part, so they cannot overflow, and a failure
-raises NumericalFailureError instead of returning degraded output.  The
-bounds are absolute in ||A||: a graded matrix gets no more relative accuracy
-than LAPACK gives.  Eigenvalues come sorted ascending, and results are
-deterministic for equal input.
+`np.linalg.eigh` (`eigh`) and `np.linalg.eigvalsh` (`eigenvalues`, `op_norm`,
+`is_psd`, which also take a (k, n, n) stack in one call); a question about
+eigenvalues only, such as the independence of a basis, asks for no vectors.
+A failed kernel returns NaN, which fails every check.  A decomposition must
+meet reconstruction, ||Q diag(lam) Q* - A|| <= 1e-10 (1 + ||A||), and
+unitarity, ||Q*Q - I|| <= 1e-10; eigenvalues alone must meet |sum lam - tr A|
+<= 1e-10 ||A||_F and |sum lam^2 - ||A||_F^2| <= 1e-10 ||A||_F^2, residuals
+formed on A over its largest real or imaginary part, so they cannot overflow;
+a failure raises NumericalFailureError instead of returning degraded output.
+The bounds are absolute in ||A||: a graded matrix gets no more relative
+accuracy than LAPACK gives.  Eigenvalues come sorted ascending, results are
+deterministic, and positive definiteness is one test: a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InputError, NumericalFailureError
-from .limits import MAX_COEFFICIENT_DIM, MAX_DIM
+from .limits import MAX_DIM
 
 # Complex entries in one block of a batched array computation (16 MB).
 BLOCK_ENTRIES = 1 << 20
@@ -111,19 +111,6 @@ def eigh(A) -> EigenDecomposition:
     return _eigh_checked(hermitian(A))
 
 
-def eigh_coefficient_space(A) -> EigenDecomposition:
-    """Same solver for the Gram matrices of bases: they live in coefficient
-    space, bounded by MAX_COEFFICIENT_DIM instead of the ambient MAX_DIM."""
-    A = np.asarray(A, dtype=complex)
-    if A.shape[0] > MAX_COEFFICIENT_DIM:
-        raise InputError(f"coefficient-space dimension {A.shape[0]} exceeds {MAX_COEFFICIENT_DIM}")
-    scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-    dev = float(np.max(np.abs(A - A.conj().T)))
-    if dev > HERMITIAN_REJECT * scale:
-        raise InputError(f"matrix is not hermitian: max |A - A*| = {dev:.3e}")
-    return _eigh_checked((A + A.conj().T) / 2.0)
-
-
 def _check_shape(got, H):
     if got.shape != H.shape[:-1]:
         raise NumericalFailureError(f"eigensolver returned shape {got.shape} for {H.shape}")
@@ -190,6 +177,15 @@ def op_norm(A):
     them for a (k, n, n) stack."""
     norm = np.abs(eigenvalues(A)).max(axis=-1)
     return float(norm) if norm.ndim == 0 else norm
+
+
+def is_positive_definite(A):
+    """Whether a hermitian matrix, or each matrix of a (k, n, n) stack, has
+    a Cholesky factor (read from the lower triangle); a failed factorization
+    comes back as NaN, and a non-finite factor (NaN or infinite input) fails."""
+    with np.errstate(all="ignore"):
+        ok = np.isfinite(_umath_linalg.cholesky_lo(np.asarray(A))).all(axis=(-2, -1))
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def hs_inner(A, B) -> complex:

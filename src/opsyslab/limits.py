@@ -7,7 +7,8 @@ MAX_DIM = 64
 # Algebra ambient dimension: the closure check forms all k^2 products of a
 # basis (k^3 n^2 work); full M16 given as 256 spanning matrices takes 2.6 s.
 MAX_AMBIENT = 16
-# Coefficient space of a basis in M_n, n <= MAX_AMBIENT (Gram matrices).
+# Elements of a subspace basis (dim M_n, n <= MAX_AMBIENT): independence is
+# read from Gram eigenvalues, 25 ms for the 256 hermitian units of M16.
 MAX_COEFFICIENT_DIM = MAX_AMBIENT**2
 # UCP fixed-set extent: its Choi matrices are n^2 x n^2; `boundary` on M4
 # takes 0.4 to 0.7 s.

@@ -25,7 +25,8 @@ from .algebra import MatrixStarAlgebra, OperatorSubspace
 from .errors import InputError, NumericalFailureError
 from .hermitian import hermitian, hermitian_stack, op_norm
 from .korovkin import TEST_FUNCTIONS, korovkin_demo
-from .limits import MAX_AMBIENT, MAX_AUTO_BOUNDS, MAX_DEGREE, MAX_DIM, MAX_GRID_SIZE, MAX_RIESZ_N, MAX_TRIALS
+from .limits import (MAX_AMBIENT, MAX_AUTO_BOUNDS, MAX_CHOI_AMBIENT, MAX_DEGREE, MAX_DIM, MAX_GRID_SIZE,
+                     MAX_RIESZ_N, MAX_TRIALS)
 from .rigidity import (
     ChoiMap,
     InterpolationRequest,
@@ -436,6 +437,8 @@ def _parse_boundary(payload, path):
     if "_algebra" in out:
         _check_dim(path / "algebra", out["_algebra"].ambient_dim, S[0].shape[0], "S")
     out["_S"] = _subspace(out, "S", path)
+    if S[0].shape[0] > MAX_CHOI_AMBIENT:
+        _fail(path / "S", f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}")
     return out
 
 
@@ -458,6 +461,10 @@ def _parse_nosp(payload, path):
     }
     out.update(_algebra_field(payload, "A", path, dim_in))
     _check_dim(path / "A", out["_A"].ambient_dim, dim_in, "Pi_choi.dim_in")
+    if len(pi_images) != len(out["_A"].hermitian_basis()):
+        _fail(path / "pi_images", "need one representation image per hermitian basis element")
+    if dim_out != pi_images[0].shape[0]:
+        _fail(path / "Pi_choi" / "dim_out", "CP map output dimension does not match the images")
     return out
 
 

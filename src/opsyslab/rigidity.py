@@ -528,31 +528,24 @@ def ucp_fixed_extent(
     Cs = np.einsum("arp,uqs->aupqrs", herm, coord_funcs).reshape(-1, n * n, n * n)
     Cs = hermitian_part(Cs)
     values, bounds = spec.linear_range(Cs)
-    pairs = ((ai, U) for ai in herm for U in coord_funcs)
     settled = bounds <= spectrahedron.FACE_TOL
     # every other objective at both extremes, in one batch: max C, then max -C
-    open_Cs = Cs[~settled]
-    extremes = (spectrahedron.optimize_linear(spec, np.concatenate([open_Cs, -open_Cs]), settings=settings)
-                if len(open_Cs) else [])
-    open_pairs = iter(zip(extremes[:len(open_Cs)], extremes[len(open_Cs):]))
-    best = 0.0
-    best_J = None
-    for (ai, U), at_base, bound, done in zip(pairs, values, bounds, settled):
-        base = float(np.trace(ai @ U).real)
-        if done:
-            candidates = [(abs(at_base - base) + bound, None)]
-        else:
-            (hi, J_hi), (neg_lo, J_lo) = next(open_pairs)
-            candidates = [(abs(hi - base), J_hi), (abs(-neg_lo - base), J_lo)]
-        for deviation, J in candidates:
-            if deviation > best:
-                best = deviation
-                best_J = J
-    witness = None
-    if best > 1e-6:
-        choi = best_J if best_J is not None else spec.point(spec.z_interior)
-        witness = ChoiMap(dim_in=n, dim_out=n, choi=choi, unital=True)
-    return best, witness
+    open_rows = np.flatnonzero(~settled)
+    extremes = (spectrahedron.optimize_linear(spec, np.concatenate([Cs[open_rows], -Cs[open_rows]]),
+                                              settings=settings) if len(open_rows) else [])
+    # the identity's values tr(a U), and per objective its deviations at the extremes
+    base = np.trace(herm[:, None] @ coord_funcs, axis1=2, axis2=3).real.reshape(-1)
+    deviation = np.full((len(Cs), 2), -np.inf)
+    deviation[settled, 0] = np.abs(values - base)[settled] + bounds[settled]
+    hi, neg_lo = np.array([value for value, _ in extremes]).reshape(2, -1)
+    deviation[open_rows] = np.abs(np.stack([hi, -neg_lo], axis=1) - base[open_rows, None])
+    row, col = divmod(int(np.argmax(deviation)), 2)  # the first maximum, in pair order
+    best = float(deviation[row, col])
+    if best <= 1e-6:
+        return best, None
+    choi = (spec.point(spec.z_interior) if settled[row]
+            else extremes[col * len(open_rows) + int(open_rows.searchsorted(row))][1])
+    return best, ChoiMap(dim_in=n, dim_out=n, choi=choi, unital=True)
 
 
 def nosp_check(

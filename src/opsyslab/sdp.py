@@ -18,12 +18,13 @@ its X is a Farkas-type certificate
     Z_k >= 0,   sum_k <Z_k, F_{k,i}> = 0  for all i,   sum_k <Z_k, F0_k> < 0.
 
 The optimization phase maximizes -c.x from a strictly feasible point (the
-feasibility phase's or the caller's); its X, moved onto sum_k <Z_k, F_ki> =
-c_i, gives the bound c.x >= -sum_k <Z_k, F0_k>.  Certificates and weak
-duality are re-verified before any solution is returned; failures raise,
-never pass silently.  Everything is deterministic: same problem, same
-output.  `SdpSettings` holds the two tolerances a document may set; the
-rest are module constants.
+feasibility phase's, or the caller's if `is_positive_definite` holds on its
+slacks); its X, moved onto sum_k <Z_k, F_ki> = c_i, gives the bound c.x >=
+-sum_k <Z_k, F0_k>.  Certificates and weak duality are re-verified before
+any solution is returned: `dual_bound` is set only once the duality check
+passes.  The module keeps no state: same problem, same output.
+`SdpSettings` holds the two tolerances a document may set; the rest are
+module constants.
 
 `LmiBlock(constant, coefficients)` is the one way to build a block, and it
 checks every block as `hermitian` checks a matrix.  Every program the
@@ -48,15 +49,12 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InputError
-from .hermitian import BLOCK_ENTRIES, hermitian_checked, hermitian_part, is_psd
+from .hermitian import BLOCK_ENTRIES, hermitian_checked, hermitian_part, is_positive_definite, is_psd
 from .limits import MAX_VARIABLES
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 NUMERICAL_FAILURE = "NUMERICAL_FAILURE"
-
-# Counters exposed for hygiene reporting; incremented once per verified event.
-SOLVE_STATS = {"solves": 0, "duality_checks": 0, "certificate_checks": 0}
 
 MAX_NEWTON = 200  # interior-point iterations, per phase
 CERT_RESIDUAL_TOL = 1e-7
@@ -148,20 +146,11 @@ class SdpSolution:
     message: str = ""
 
 
-def _cholesky(slacks) -> list | None:
-    """Cholesky factors of every slack; None when one is not positive definite."""
-    try:
-        return [np.linalg.cholesky(S) for S in slacks]
-    except np.linalg.LinAlgError:
-        return None
-
-
 def verify_certificate(blocks, certificate, settings: SdpSettings = DEFAULT_SETTINGS) -> bool:
     """Farkas re-verification: every Z_k PSD, sum_k <Z_k, F_{k,i}> = 0 for
     every i within CERT_RESIDUAL_TOL (relative to the constants' size), and
     sum_k <Z_k, F0_k> < CERT_NEGATIVITY.  Certificates are normalized to unit
     total trace."""
-    SOLVE_STATS["certificate_checks"] += 1
     scale = 1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)
     for d in {Z.shape[0] for Z in certificate}:
         if not is_psd(np.stack([Z for Z in certificate if Z.shape[0] == d]), settings.psd_slack).all():
@@ -440,23 +429,21 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
         raise InputError("need one start (or None) per problem")
     if not problems:
         return []
-    SOLVE_STATS["solves"] += len(problems)
     programs = [p.blocks for p in problems]
     _same_shapes(programs)
     m = problems[0].objective.shape[0]
     starts, steps, solutions = [None] * len(problems), [0] * len(problems), [None] * len(problems)
     for k, (blocks, x0) in enumerate(zip(programs, x0s)):
         if x0 is not None:
-            starts[k] = np.asarray(x0, dtype=float)
-            if starts[k].shape != (m,):
+            x = starts[k] = np.asarray(x0, dtype=float)
+            if x.shape != (m,):
                 raise InputError("x0 has the wrong length")
-            if not np.isfinite(starts[k]).all() or _cholesky([b.slack(starts[k]) for b in blocks]) is None:
+            # finite first: an infinite start would overflow the slacks
+            if not (np.isfinite(x).all() and all(is_positive_definite(b.slack(x)) for b in blocks)):
                 raise InputError("supplied x0 is not strictly feasible")
     cold = [k for k, x0 in enumerate(starts) if x0 is None]
-    if cold:
-        phase1 = _in_chunks(lambda chunk: _phase1(chunk, settings), [programs[k] for k in cold], True)
-        for k, sol in zip(cold, phase1):
-            starts[k], steps[k], solutions[k] = sol.x, sol.newton_steps, _cold_start_failure(programs[k], sol)
+    for k, sol in zip(cold, check_feasibility_batch([programs[k] for k in cold], settings)):
+        starts[k], steps[k], solutions[k] = sol.x, sol.newton_steps, _cold_start_failure(programs[k], sol)
     warm = [k for k in range(len(problems)) if solutions[k] is None]
     if not warm:
         return solutions
@@ -502,7 +489,6 @@ def _optimization_solution(blocks, c, outcome, steps: int, settings: SdpSettings
     # value by a gap-tolerance amount; more than that is a genuine failure.
     # The reported bound is clamped so the weak-duality direction always
     # holds for consumers.
-    SOLVE_STATS["duality_checks"] += 1
     failure = None
     if raw_bound > value + settings.gap_tol * (1.0 + abs(value)):
         failure = f"weak duality violated: bound {raw_bound!r} above value {value!r}"

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .algebra import RANK_TOL, _pow2_scale
+from .algebra import RANK_TOL, pow2_scale
 from .errors import InputError, NumericalFailureError
-from .hermitian import eigenvalues, eigh, hermitian_part
+from .hermitian import eigenvalues, eigh, hermitian_part, is_positive_definite
 
 FACE_TOL = 1e-7
 # |tr N| below this counts as traceless for a unit direction N
@@ -92,7 +92,7 @@ def _solve_affine(mats: np.ndarray, rhs: np.ndarray):
     # consistency of the linear system, a homogeneous test: decided on scaled data
     pinv_rhs = vt[:rank].T @ ((u.T @ rhs)[:rank] / s[:rank])
     gap = rows @ pinv_rhs - rhs
-    unit = _pow2_scale(np.append(gap, rhs))
+    unit = pow2_scale(np.append(gap, rhs))
     if float(np.linalg.norm(gap * unit)) > 1e-7 * (unit + float(np.linalg.norm(rhs * unit))):
         return None, None
     points = hermitian_part(_from_real_coords(np.vstack([pinv_rhs, vt[rank:]]), mats.shape[-1]))
@@ -118,8 +118,10 @@ class ReducedSpectrahedron:
         r = self.x0.shape[0]
         self.dirs = np.asarray(self.dirs, dtype=complex).reshape(-1, r, r)
 
-    def compressed_blocks(self) -> list:
-        return [sdp.LmiBlock(self.x0, self.dirs)]
+    @functools.cached_property
+    def block(self) -> sdp.LmiBlock:
+        """The face's one LMI, Y(z) >= 0, built and checked once."""
+        return sdp.LmiBlock(self.x0, self.dirs)
 
     def compress(self, C) -> np.ndarray:
         """V* C V in face coordinates (hermitian part); a stack is taken
@@ -206,10 +208,9 @@ def reduce_spectrahedron(
                 raise NumericalFailureError("the located face's only point is not PSD")
             raise SpectrahedronInfeasible("unique candidate point is not PSD")
         # x0 is interior at the search's own threshold: the search would agree
-        if sdp._cholesky([x0 - FACE_TOL * scale * np.eye(r)]) is not None:
+        if is_positive_definite(x0 - FACE_TOL * scale * np.eye(r)):
             return spec
-        (block,) = spec.compressed_blocks()
-        sol = sdp.check_feasibility([block], settings=settings)
+        sol = sdp.check_feasibility([spec.block], settings=settings)
         if sol.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"face search failed: {sol.message}")
         if sol.value > FACE_TOL * scale:
@@ -231,7 +232,7 @@ def reduce_spectrahedron(
         kernel = np.ascontiguousarray(dec.eigenvectors[:, dec.eigenvalues <= KERNEL_TOL * lam_max])
         if kernel.shape[1] in (0, Z.shape[0]):
             raise NumericalFailureError("face certificate has no usable kernel")
-        Y = hermitian_part(kernel.conj().T @ block.slack(sol.x) @ kernel)
+        Y = hermitian_part(kernel.conj().T @ spec.block.slack(sol.x) @ kernel)
         support = _refine_support(support @ kernel, Y, mats, rhs)
     raise NumericalFailureError("facial reduction did not terminate")
 
@@ -276,8 +277,7 @@ def optimize_linear(spec: ReducedSpectrahedron, Cs, settings: sdp.SdpSettings = 
     N = spec.dirs
     # minimize -tr(C_k X) over the face's coordinates z
     objectives = -(Cs.reshape(len(Cs), -1).conj() @ N.reshape(len(N), -1).T).real
-    blocks = spec.compressed_blocks()
-    problems = [sdp.SdpProblem(objective=c, blocks=blocks) for c in objectives]
+    problems = [sdp.SdpProblem(objective=c, blocks=[spec.block]) for c in objectives]
     solutions = sdp.solve_batch(problems, [spec.z_interior] * len(problems), settings=settings)
     for sol in solutions:
         if sol.status != sdp.OPTIMAL:

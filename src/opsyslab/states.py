@@ -33,7 +33,7 @@ import numpy as np
 from . import sdp, spectrahedron
 from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, wedderburn
 from .errors import InputError, NumericalFailureError
-from .hermitian import eigenvalues_checked, eigh, hermitian, hermitian_part
+from .hermitian import BLOCK_ENTRIES, eigenvalues_checked, eigh, hermitian, hermitian_part
 
 UEP_TOL = 1e-6
 WITNESS_AGREE_TOL = 1e-7
@@ -244,7 +244,9 @@ def has_uep(
     basis element whose certified range bound on that face
     (`ReducedSpectrahedron.linear_range`) is at most UEP_TOL cannot carry a
     fat interval and costs no program; each other one costs a batch of two
-    (its min and max), in basis order until the first fat interval.
+    (its min and max), in basis order until the first fat interval.  The
+    basis is ranged in chunks of BLOCK_ENTRIES / (face size) elements, so a
+    fat interval also ends the ranging.
     """
     A = psi.domain
     if not isinstance(A, MatrixStarAlgebra):
@@ -252,12 +254,13 @@ def has_uep(
     if not A.contains(S.basis):
         raise InputError("subspace is not contained in the state's algebra")
     extension = _extension_set(psi.restrict(S), settings=settings)
-    basis = A.hermitian_basis()
-    _, bounds = extension[0].linear_range(basis)
-    for t in basis[bounds > UEP_TOL]:
-        interval = _interval_from_set(extension, t, A, settings=settings)
-        if interval.length > UEP_TOL:
-            return UepResult(holds=False, witness=t, interval=interval)
+    spec, basis = extension[0], A.hermitian_basis()
+    step = max(1, BLOCK_ENTRIES // max(1, spec.dirs.size))  # objectives ranged at once
+    for chunk in (basis[i:i + step] for i in range(0, len(basis), step)):
+        for t in chunk[spec.linear_range(chunk)[1] > UEP_TOL]:
+            interval = _interval_from_set(extension, t, A, settings=settings)
+            if interval.length > UEP_TOL:
+                return UepResult(holds=False, witness=t, interval=interval)
     return UepResult(holds=True, witness=None, interval=None)
 
 

@@ -14,7 +14,7 @@ from opsyslab.algebra import (
     span_coefficients,
     wedderburn,
 )
-from opsyslab.errors import InputError
+from opsyslab.errors import InputError, NumericalFailureError
 
 
 def E(n, i, j):
@@ -212,11 +212,43 @@ def test_subspace_layer_answers_on_scaled_data_without_overflow(scale):
 def test_scaling_keeps_the_bits_of_unscaled_data():
     # below 2^500 the scale is exactly 1, so the Gram matrix keeps its bits
     top = np.nextafter(2.0**500, 0.0)
-    assert algebra._pow2_scale(np.full((1, 2, 2), top)) == 1.0
-    assert algebra._pow2_scale(np.full((1, 2, 2), 2.0**500)) == 0.5
-    assert algebra._pow2_scale(np.zeros((1, 2, 2))) == 1.0
+    assert algebra.pow2_scale(np.full((1, 2, 2), top)) == 1.0
+    assert algebra.pow2_scale(np.full((1, 2, 2), 2.0**500)) == 0.5
+    assert algebra.pow2_scale(np.zeros((1, 2, 2))) == 1.0
     rng = np.random.default_rng(8)
     for k in range(1, 4):
         raw = rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))
         S = OperatorSubspace(ambient_dim=3, basis=raw + raw.conj().swapaxes(1, 2), unital=False)
         assert S._gram.tobytes() == algebra._real_gram(S.basis).tobytes()
+
+
+@pytest.mark.parametrize("entry", [None, (0, 1)])
+def test_non_finite_gram_matrix_is_a_numerical_failure(monkeypatch, entry):
+    # Independence is read from the eigenvalues of the normalized Gram
+    # matrix; a NaN there fails their checks instead of passing as a verdict.
+    gram = algebra._real_gram
+
+    def corrupted(stack):
+        G = gram(stack)
+        G[entry if entry is not None else ...] = np.nan
+        return G
+
+    monkeypatch.setattr(algebra, "_real_gram", corrupted)
+    with pytest.raises(NumericalFailureError):
+        OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -1.0])], unital=False)
+
+
+def test_subspace_beyond_the_coefficient_limit_is_rejected():
+    # The hermitian units of M17 span 289 real dimensions; 256 of them form
+    # a subspace, 257 exceed the coefficient-space limit.
+    n = 17
+    units = []
+    for p in range(n):
+        for q in range(p, n):
+            units.append(E(n, p, q) + E(n, q, p) if p != q else E(n, p, p))
+            if p != q:
+                units.append(1j * E(n, p, q) - 1j * E(n, q, p))
+    assert OperatorSubspace(ambient_dim=n, basis=units[:256], unital=False).dim == 256
+    with pytest.raises(InputError) as err:
+        OperatorSubspace(ambient_dim=n, basis=units[:257], unital=False)
+    assert str(err.value) == "coefficient-space dimension 257 exceeds 256"

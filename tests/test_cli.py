@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsyslab import algebra, problems, sdp
+from opsyslab import algebra, problems, sdp, spectrahedron
 from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra, OperatorSubspace
 from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
 from opsyslab.errors import InputError, NumericalFailureError
@@ -538,6 +538,12 @@ Z2, Z3 = [[0, 0], [0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
     ("nosp", "nosp", {"pi_images": [I2], "A": 3, "Pi_choi": {
         "dim_in": 2, "dim_out": 2, "choi": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}},
      "payload.A: expected dimension 2 (that of Pi_choi.dim_in), got 3"),
+    ("nosp", "nosp", {"pi_images": [I2], "A": 2, "Pi_choi": {
+        "dim_in": 2, "dim_out": 2, "choi": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}},
+     "payload.pi_images: need one representation image per hermitian basis element"),
+    ("nosp", "nosp", {"pi_images": [I3, I3, I3, I3], "A": 2, "Pi_choi": {
+        "dim_in": 2, "dim_out": 2, "choi": [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]]}},
+     "payload.Pi_choi.dim_out: CP map output dimension does not match the images"),
 ])
 def test_cli_dimension_mismatch_names_the_field(tmp_path, capsys, command, kind, payload, message):
     # these used to exit 2 with no field path, some with a misleading message
@@ -607,7 +613,7 @@ def test_state_and_subspace_are_built_when_parsing(monkeypatch, tmp_path, capsys
     def fail(A):
         raise NumericalFailureError("injected")
 
-    monkeypatch.setattr(algebra, "eigh_coefficient_space", fail)
+    monkeypatch.setattr(algebra, "eigenvalues_checked", fail)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps({"kind": "uep", "payload": {"S": [I2], "state": E11}}))
     assert main(["uep", "--file", str(path)]) == 3
@@ -668,6 +674,39 @@ def test_cli_face_beyond_the_variable_limit_names_s(tmp_path, capsys, kind, fiel
     assert capsys.readouterr().err == (
         "error: payload.S: the located face has 140 coordinates; one SDP takes at most 128,"
         " and S pins too few of them at this matrix size\n")
+
+
+def test_uep_on_a_face_too_large_stops_after_one_chunk(monkeypatch, tmp_path, capsys):
+    # On M20, S = span{I} pins one of the 400 face coordinates.  The basis is
+    # ranged in chunks of BLOCK_ENTRIES // (399 * 20 * 20) = 6 elements, and the
+    # first chunk holds an open one, so 6 objectives are ranged before the
+    # face-size error, not all 400.
+    ranged = []
+    linear_range = spectrahedron.ReducedSpectrahedron.linear_range
+
+    def counting(self, Cs):
+        ranged.append(len(Cs))
+        return linear_range(self, Cs)
+
+    monkeypatch.setattr(spectrahedron.ReducedSpectrahedron, "linear_range", counting)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "uep", "payload": {"S": [np.eye(20).tolist()],
+                                                          "state": (np.eye(20) / 20).tolist()}}))
+    assert main(["uep", "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: payload.S: the located face has 399 coordinates; one SDP takes at most 128,"
+        " and S pins too few of them at this matrix size\n")
+    assert ranged == [6]
+
+
+def test_uep_on_a_large_face_with_nothing_open_still_answers(tmp_path, capsys):
+    # On M12 with A = span{I} the one basis element is constant on the face of
+    # 143 coordinates, so no program runs and no face-size limit applies.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "uep", "payload": {
+        "S": [np.eye(12).tolist()], "A": [np.eye(12).tolist()], "state": (np.eye(12) / 12).tolist()}}))
+    assert main(["uep", "--file", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == {"holds": True}
 
 
 def riesz_document(**fields) -> dict:
@@ -787,7 +826,8 @@ def test_boundary_beyond_choi_limit_exits_2(tmp_path, capsys):
     path = tmp_path / "boundary.json"
     path.write_text(json.dumps({"kind": "boundary", "payload": {"S": S}}))
     assert main(["boundary", "--file", str(path)]) == 2
-    assert f"limited to ambient dimension {MAX_CHOI_AMBIENT}" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: payload.S: fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}\n")
 
 
 def matrix_list_document(S) -> dict:

@@ -34,11 +34,10 @@ from opsyslab.hermitian import (
     commutator_norm,
     eigenvalues,
     eigh,
-    eigh_coefficient_space,
     hermitian,
     hermitian_checked,
-    hermitian_part,
     hs_inner,
+    is_positive_definite,
     is_psd,
     op_norm,
 )
@@ -109,9 +108,37 @@ def test_eigh_rejects_bad_input():
         hermitian(np.array([[np.nan]]))
 
 
-def test_eigh_coefficient_space_rejects_non_finite():
-    with pytest.raises(NumericalFailureError):
-        eigh_coefficient_space(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def _numpy_cholesky_succeeds(A) -> bool:
+    try:
+        np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_is_positive_definite_agrees_with_numpy_cholesky(n):
+    rng = np.random.default_rng(700 + n)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    definite = G @ G.conj().T + 1e-3 * np.eye(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    cases = [definite, np.outer(v, v.conj()), np.diag(np.arange(n, dtype=float)), random_hermitian(rng, n),
+             -definite, degenerate_hermitian(rng, n)]
+    verdicts = [_numpy_cholesky_succeeds(A) for A in cases]
+    assert [is_positive_definite(A) for A in cases] == verdicts
+    assert is_positive_definite(np.stack(cases)).tolist() == verdicts
+    assert verdicts[0] and not verdicts[2] and not verdicts[4]  # a zero eigenvalue is not definite
+    # a stack with one bad member fails that member only
+    assert is_positive_definite(np.stack([definite, definite, -definite])).tolist() == [True, True, False]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_is_positive_definite_rejects_non_finite_input(value):
+    for i, j in [(0, 0), (2, 2), (2, 0)]:
+        A = np.eye(3, dtype=complex)
+        A[i, j] = A[j, i] = value
+        assert is_positive_definite(A) is False
+        assert is_positive_definite(np.stack([np.eye(3), A])).tolist() == [True, False]
 
 
 def test_is_psd_examples():
@@ -278,9 +305,8 @@ def test_eigh_raises_when_invariants_fail(monkeypatch):
     A = np.diag([1.0, 2.0, 3.0])
     for corrupt in CORRUPTIONS.values():
         _corrupt_kernels(monkeypatch, corrupt)
-        for f in (eigh, eigh_coefficient_space):
-            with pytest.raises(NumericalFailureError):
-                f(A)
+        with pytest.raises(NumericalFailureError):
+            eigh(A)
         monkeypatch.undo()
 
 
@@ -302,9 +328,8 @@ def test_checked_calls_keep_the_bits_of_np_linalg(tmp_path, capsys):
         rng = np.random.default_rng(300 + n)
         H = hermitian(random_hermitian(rng, n))
         stack = hermitian_checked(np.stack([random_hermitian(rng, n) for _ in range(5)]), (3,))
-        for dec, (lam, Q) in ((eigh(H), np.linalg.eigh(H)),
-                              (eigh_coefficient_space(H), np.linalg.eigh(hermitian_part(H)))):
-            assert dec.eigenvalues.tobytes() == lam.tobytes() and dec.eigenvectors.tobytes() == Q.tobytes()
+        dec, (lam, Q) = eigh(H), np.linalg.eigh(H)
+        assert dec.eigenvalues.tobytes() == lam.tobytes() and dec.eigenvectors.tobytes() == Q.tobytes()
         assert eigenvalues(H).tobytes() == np.linalg.eigvalsh(H).tobytes()
         assert eigenvalues(stack).tobytes() == np.linalg.eigvalsh(stack).tobytes()
     # One small document per kind, and three more on the extension path
@@ -369,6 +394,8 @@ def _pairs(M):
 
 def test_unperforated_instance_makes_no_checked_eigh_call(monkeypatch):
     # The benchmark's instance recipe: a in S, b = t + shift I above a, t in T.
+    # No eigendecomposition runs, from parsing on: independence of S and T
+    # takes the eigenvalue path.
     verdicts = set()
     for seed in range(8):
         rng = np.random.default_rng(seed)
@@ -379,9 +406,13 @@ def test_unperforated_instance_makes_no_checked_eigh_call(monkeypatch):
         t = sum(rng.standard_normal() * x for x in T[1:])
         b = t + (np.linalg.eigvalsh(a - t)[-1] + rng.uniform(0.0, 0.5)) * np.eye(n)
         payload = {"S": [_pairs(x) for x in S], "T": [_pairs(x) for x in T], "a": _pairs(a), "b": _pairs(b)}
-        results, checked, only = _run_document(monkeypatch, "unperforated", payload)
+        decompositions = _record_calls(monkeypatch, "_eigh_checked")
+        checked, only = _record_calls(monkeypatch, "eigh"), _record_calls(monkeypatch, "eigenvalues")
+        doc = problems.parse_problem(json.dumps({"kind": "unperforated", "payload": payload}))
+        results = problems.run(doc)["results"]
+        monkeypatch.undo()
         verdicts.add(results["verdict"])
-        assert checked == []
+        assert checked == [] and decompositions == []
         assert len(only) <= 3
     assert verdicts == {"FEASIBLE", "INFEASIBLE"}
 

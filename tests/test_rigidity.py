@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from opsyslab import problems, rigidity, sdp
-from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace
+from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra
 from opsyslab.errors import InputError
-from opsyslab.hermitian import is_psd, op_norm
+from opsyslab.hermitian import hermitian, hermitian_part, is_psd, op_norm
 from opsyslab.rigidity import (
     ChoiMap,
     InterpolationRequest,
@@ -559,6 +559,58 @@ def test_ucp_extent_diagonal_subspace():
     assert np.allclose(witness.apply(np.diag([1.0, 0.0])), np.diag([1.0, 0.0]), atol=1e-6)
     moved = witness.apply(E(2, 0, 1) + E(2, 1, 0)) - (E(2, 0, 1) + E(2, 1, 0))
     assert np.linalg.norm(moved) >= 1.0 - 1e-5
+
+
+def _extent_by_pair_loop(S):
+    """ucp_fixed_extent as a loop over the (basis element, coordinate
+    function) pairs that keeps the first strict maximum, each base value
+    from its own trace; and the number of open objectives."""
+    from opsyslab import spectrahedron
+    from opsyslab.rigidity import _choi_constraints
+
+    n = S.ambient_dim
+    spec = spectrahedron.reduce_spectrahedron(n * n, *_choi_constraints(S, n))
+    herm = generate_algebra(S).hermitian_basis()
+    coord_funcs = MatrixStarAlgebra.full(n).hermitian_basis()
+    Cs = hermitian_part(np.einsum("arp,uqs->aupqrs", herm, coord_funcs).reshape(-1, n * n, n * n))
+    values, bounds = spec.linear_range(Cs)
+    settled = bounds <= spectrahedron.FACE_TOL
+    open_Cs = Cs[~settled]
+    extremes = spectrahedron.optimize_linear(spec, np.concatenate([open_Cs, -open_Cs])) if len(open_Cs) else []
+    open_pairs = iter(zip(extremes[:len(open_Cs)], extremes[len(open_Cs):]))
+    best, best_J = 0.0, None
+    pairs = ((ai, U) for ai in herm for U in coord_funcs)
+    for (ai, U), at_base, bound, done in zip(pairs, values, bounds, settled):
+        base = float(np.trace(ai @ U).real)
+        if done:
+            candidates = [(abs(at_base - base) + bound, None)]
+        else:
+            (hi, J_hi), (neg_lo, J_lo) = next(open_pairs)
+            candidates = [(abs(hi - base), J_hi), (abs(-neg_lo - base), J_lo)]
+        for deviation, J in candidates:
+            if deviation > best:
+                best, best_J = deviation, J
+    if best > 1e-6 and best_J is None:
+        best_J = spec.point(spec.z_interior)
+    return best, best_J, len(open_Cs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ucp_extent_keeps_the_bits_of_the_pair_loop(seed):
+    # S = span{I, h} on M3 leaves open objectives (pushed to both extremes);
+    # S = span{I, h1, h2} settles every one from the range bound.
+    rng = np.random.default_rng(900 + seed)
+    hs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(1 + seed % 2)]
+    S = OperatorSubspace(ambient_dim=3, basis=[np.eye(3)] + [h + h.conj().T for h in hs], unital=True)
+    ref, ref_J, n_open = _extent_by_pair_loop(S)
+    extent, witness = ucp_fixed_extent(S)
+    assert (n_open > 0) == (seed % 2 == 0)
+    assert np.float64(extent).tobytes() == np.float64(ref).tobytes()
+    if ref_J is None:
+        assert witness is None
+    else:
+        assert witness.choi.tobytes() == hermitian(ref_J).tobytes()
+    assert (witness is not None) == (seed % 2 == 0)
 
 
 def test_nosp_pinching_difference():

@@ -764,7 +764,7 @@ def test_optimization_iterations_on_extension_faces(seed):
     S = OperatorSubspace(ambient_dim=n, basis=basis, unital=True)
     phi = StateFunctional(density=density_of_rank(rng, n, 1 + (seed // 2) % n), domain=S)
     spec, _, _ = states._extension_set(phi)
-    (block,) = spec.compressed_blocks()
+    block = spec.block
     objectives = [spec.compress(unit_norm_hermitian(rng, n)) for _ in range(3)]
     problems = [
         sdp.SdpProblem(objective=sign * np.array([np.vdot(C, N).real for N in spec.dirs]), blocks=[block])
