@@ -27,10 +27,10 @@ import numpy as np
 from .errors import InputError, NumericalFailureError
 from .hermitian import (
     BLOCK_ENTRIES,
+    CoefficientStack,
     eigenvalues_checked,
     eigh,
     hermitian,
-    hermitian_checked,
     hermitian_part,
 )
 from .limits import MAX_AMBIENT, MAX_COEFFICIENT_DIM
@@ -74,11 +74,6 @@ def _flat(stack: np.ndarray) -> np.ndarray:
 def _readonly(stack: np.ndarray) -> np.ndarray:
     stack.setflags(write=False)
     return stack
-
-
-def _matrix_units(n: int) -> np.ndarray:
-    """The matrix units of M_n, E_pq at index p * n + q."""
-    return _readonly(np.eye(n * n, dtype=complex).reshape(n * n, n, n))
 
 
 def pow2_scale(stack) -> float:
@@ -145,7 +140,7 @@ def span_coefficients(basis: np.ndarray, X):
 @dataclass
 class OperatorSubspace:
     """Self-adjoint subspace given by a hermitian basis inside M_n, stored
-    as a read-only (k, n, n) array.
+    as a read-only (k, n, n) array, the `mats` of its checked `stack`.
 
     The basis must be linearly independent over the reals; when `unital` the
     identity must be reconstructible from it.  Gram matrices, norms and
@@ -160,7 +155,8 @@ class OperatorSubspace:
         n = self.ambient_dim
         if len(self.basis) == 0:
             raise InputError("subspace needs at least one basis element")
-        self.basis = hermitian_checked(_as_stack(self.basis, n), (3,))
+        self.stack = CoefficientStack(_as_stack(self.basis, n))  # what LMIs over the subspace share
+        self.basis = self.stack.mats
         if len(self.basis) > MAX_COEFFICIENT_DIM:
             raise InputError(f"coefficient-space dimension {len(self.basis)} exceeds {MAX_COEFFICIENT_DIM}")
         self._unit = pow2_scale(self.basis)
@@ -291,12 +287,12 @@ class MatrixStarAlgebra:
         if self._herm_basis is not None:
             return self._herm_basis
         n = self.ambient_dim
-        if self._full:
-            units = _matrix_units(n)
+        if self._full:  # written by index: E_ii, then E_ij + E_ji and i(E_ij - E_ji) for i < j
             i, j = np.triu_indices(n, 1)
-            upper, lower = units[i * n + j], units[j * n + i]
-            pairs = np.stack([upper + lower, 1.0j * (upper - lower)], axis=1)
-            out = np.concatenate([units[:: n + 1], pairs.reshape(-1, n, n)])
+            d, k = np.arange(n), n + 2 * np.arange(len(i))
+            out = np.zeros((n * n, n, n), dtype=complex)
+            out[d, d, d] = out[k, i, j] = out[k, j, i] = 1.0
+            out[k + 1, i, j], out[k + 1, j, i] = 1j, -1j  # -1j is (-0.0, -1.0), as 1j * (0 - 1) is
         else:
             parts = [hermitian_part(self.basis), hermitian_part(-1.0j * self.basis)]
             cands = np.stack(parts, axis=1).reshape(-1, n, n)
@@ -320,7 +316,8 @@ class MatrixStarAlgebra:
 
 @functools.cache  # one per n, at most MAX_AMBIENT
 def _full_algebra(n: int) -> MatrixStarAlgebra:
-    return MatrixStarAlgebra(n, _matrix_units(n), contains_identity=True, _full=True)
+    units = _readonly(np.eye(n * n, dtype=complex).reshape(n * n, n, n))  # E_pq at index p * n + q
+    return MatrixStarAlgebra(n, units, contains_identity=True, _full=True)
 
 
 def _identity_in_span(basis, n) -> bool:

@@ -86,6 +86,26 @@ def hermitian_stack(A: np.ndarray) -> np.ndarray:
     return H
 
 
+class CoefficientStack:
+    """F_1..F_m of any number of LMI blocks: one read-only (m, d, d) stack
+    `mats`, checked once as `hermitian` checks a matrix.  Its negation -F* is
+    exact and has the bits a check of -F gives, so it is not checked again."""
+
+    MISMATCH = "all block coefficients must match the constant's shape"
+
+    def __init__(self, mats):
+        try:
+            self.mats = hermitian_checked(mats, (3,))
+        except ValueError:  # a ragged list
+            raise InputError(self.MISMATCH) from None
+
+    def __neg__(self) -> CoefficientStack:
+        neg = object.__new__(CoefficientStack)
+        neg.mats = np.negative(self.mats.conj().swapaxes(-1, -2), order="C")
+        neg.mats.setflags(write=False)
+        return neg
+
+
 def hermitian_part(A) -> np.ndarray:
     """(A + A*)/2 without any rejection check; a stack (..., n, n) is taken
     matrix by matrix."""

@@ -18,7 +18,7 @@ MAX_CHOI_AMBIENT = 4
 MAX_VARIABLES = 128
 # Work of one document, each at most about a minute at the largest size
 # measured (full M8): N = 1000 riesz steps with one lower and one upper
-# bound, one batch of feasibility SDPs, took 12 s (peak RSS 310 MB), an
+# bound, one batch of feasibility SDPs, took 7-9 s (peak RSS 80 MB), an
 # automatic bound pair two warm-started solves (about 40 ms), a search
 # trial one instance SDP (26 ms).
 MAX_RIESZ_N = 1000

@@ -21,11 +21,14 @@ from . import sdp, spectrahedron
 from .algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra
 from .errors import InputError, NumericalFailureError
 from .hermitian import (
+    BLOCK_ENTRIES,
+    CoefficientStack,
     clip_spectrum,
     commutator_norm,
     eigenvalues,
     eigh,
     hermitian,
+    hermitian_checked,
     hermitian_part,
     is_psd,
     op_norm,
@@ -64,9 +67,8 @@ class UnperforatedInstance:
 
 def _instance_blocks(T: OperatorSubspace, a, b, norm_a):
     """The four blocks a <= b' <= b, -||a|| <= b' <= ||a|| over b' in T."""
-    cap = norm_a * np.eye(T.ambient_dim, dtype=complex)
-    return [sdp.LmiBlock(-a, T.basis), sdp.LmiBlock(b, -T.basis),
-            sdp.LmiBlock(cap, -T.basis), sdp.LmiBlock(cap, T.basis)]
+    cap, plus, minus = norm_a * np.eye(T.ambient_dim, dtype=complex), T.stack, -T.stack
+    return [sdp.LmiBlock(-a, plus), sdp.LmiBlock(b, minus), sdp.LmiBlock(cap, minus), sdp.LmiBlock(cap, plus)]
 
 
 def solve_unperforated_instance(
@@ -147,7 +149,7 @@ def search_counterexample(
     identity = T.identity_in_span()
     x0 = None if identity is None else 2.0 * identity
     box = 16.0 * eye  # 8 (1 + ||a||) for the normalized a
-    walls = [sdp.LmiBlock(box, -T.basis), sdp.LmiBlock(box, T.basis)]
+    walls = [sdp.LmiBlock(box, -T.stack), sdp.LmiBlock(box, T.stack)]
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         a = S.element(rng.standard_normal(S.dim))
@@ -158,7 +160,7 @@ def search_counterexample(
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         G = hermitian_part(raw)
         G = G / max(np.linalg.norm(G), 1e-12)
-        blocks = [sdp.LmiBlock(-a, T.basis)] + walls
+        blocks = [sdp.LmiBlock(-a, T.stack)] + walls
         objective = np.array([float(np.vdot(G, t).real) for t in T.basis])
         gen = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
         if gen.status != sdp.OPTIMAL:
@@ -333,14 +335,16 @@ class InterpolationRequest:
             raise InputError("epsilon must be positive")
         if self.N < 1:
             raise InputError("sequence length must be at least 1")
-        self.lowers = [hermitian(l) for l in self.lowers]
-        self.uppers = [hermitian(u) for u in self.uppers]
-        if not all(self.B.contains(l) for l in self.lowers):
-            raise InputError("a lower bound is not in the algebra")
-        if not all(self.B.contains(u) for u in self.uppers):
-            raise InputError("an upper bound is not in the algebra")
-        gaps = [self.a - l for l in self.lowers] + [u - self.a for u in self.uppers]
-        ordered = is_psd(np.stack(gaps), 1e-8) if gaps else []
+        try:  # each bound list as one checked stack, tested in B with one call
+            self.lowers, self.uppers = (hermitian_checked(m, (3,)) if len(m) else np.empty((0,) + self.a.shape)
+                                        for m in (self.lowers, self.uppers))
+        except ValueError:  # a ragged list
+            raise InputError("bounds disagree on dimension") from None
+        for side, mats in (("a lower", self.lowers), ("an upper", self.uppers)):
+            if not self.B.contains(mats):
+                raise InputError(f"{side} bound is not in the algebra")
+        gaps = np.concatenate([self.a - self.lowers, self.uppers - self.a])
+        ordered = is_psd(gaps, 1e-8) if len(gaps) else []
         if not all(ordered[:len(self.lowers)]):
             raise InputError("a lower bound does not sit below the element")
         if not all(ordered):
@@ -374,11 +378,9 @@ def extreme_bound(B: MatrixStarAlgebra, a, rng, upper: bool,
     x0 = sign * reach * np.linalg.solve((F.conj() @ F.T).real, np.trace(hb, axis1=1, axis2=2).real)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = hermitian_part(raw)
-    blocks = [
-        sdp.LmiBlock(-sign * a, [sign * h for h in hb]),
-        sdp.LmiBlock(box * eye, [-h for h in hb]),
-        sdp.LmiBlock(box * eye, hb),
-    ]
+    plus, minus = CoefficientStack(hb), CoefficientStack(-hb)  # see riesz_sequence
+    blocks = [sdp.LmiBlock(-sign * a, plus if upper else minus), sdp.LmiBlock(box * eye, minus),
+              sdp.LmiBlock(box * eye, plus)]
     objective = np.array([float(np.vdot(G, h).real) for h in hb])
     sol = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
     if sol.status != sdp.OPTIMAL:
@@ -410,28 +412,33 @@ def riesz_sequence(req: InterpolationRequest,
     n_amb = req.B.ambient_dim
     eye = np.eye(n_amb, dtype=complex)
     na = op_norm(req.a)
-    bounds = [(-l, hb) for l in lowers] + [(u, -hb) for u in uppers]
-    problems = []
-    for n in range(1, req.N + 1):
-        cap = (1.0 + req.epsilon / n) * na
-        problems.append(
-            [sdp.LmiBlock(cap * eye, -hb), sdp.LmiBlock(cap * eye, hb)]
-            + [sdp.LmiBlock(F0 + eye / n, F) for F0, F in bounds]
-        )
-    out = []
+    # checked once for all N programs; hb is not a checked stack, so -plus could differ from -hb in zeros' signs
+    plus, minus = CoefficientStack(hb), CoefficientStack(-hb)
+    bounds = [(-l, plus) for l in lowers] + [(u, minus) for u in uppers]
+    caps = [(1.0 + req.epsilon / n) * na for n in range(1, req.N + 1)]
+    problems = [[sdp.LmiBlock(cap * eye, minus), sdp.LmiBlock(cap * eye, plus)]
+                + [sdp.LmiBlock(F0 + eye / n, F) for F0, F in bounds] for n, cap in enumerate(caps, start=1)]
     solutions = sdp.check_feasibility_batch(problems, settings=settings)
-    for n, (blocks, sol) in enumerate(zip(problems, solutions), start=1):
-        if sol.status == sdp.INFEASIBLE:
-            raise InfeasibleInterpolation(
-                f"no interpolant exists at n={n}: bound lists are inconsistent",
-                sol.dual_certificate,
-            )
-        if sol.status == sdp.NUMERICAL_FAILURE:
-            raise NumericalFailureError(f"interpolation SDP failed: {sol.message}")
-        slacks = np.stack([blk.slack(sol.x) for blk in blocks])
-        if not eigenvalues(slacks)[:, 0].min() >= -INSTANCE_TOL * (1.0 + na):
-            raise NumericalFailureError(f"interpolant at n={n} violates its blocks")
-        out.append(hermitian_part(sum(x * h for x, h in zip(sol.x, hb))))
+    first = next((k for k, sol in enumerate(solutions) if sol.status != sdp.OPTIMAL), req.N)
+    # Y_n = sum_i x_i h_i, added in index order from 0 as Python's sum adds, and all slacks F0 -+ Y_n
+    # in one call, for every n before the first failed program, in chunks of BLOCK_ENTRIES entries
+    signs = np.array([1.0 if blk.coefficients is plus.mats else -1.0 for blk in problems[0]])[:, None, None]
+    step = max(1, BLOCK_ENTRIES // (max(len(hb), len(signs)) * n_amb * n_amb))
+    out = []
+    for start in range(0, first, step):
+        x = np.stack([sol.x for sol in solutions[start:min(first, start + step)]])
+        Y = np.add.reduce(x[:, :, None, None] * hb, axis=1, initial=0)
+        F0 = np.array([[blk.constant for blk in blocks] for blocks in problems[start:start + len(x)]])
+        slacks = (F0 + signs * Y[:, None]).reshape(-1, n_amb, n_amb)
+        ok = eigenvalues(slacks)[:, 0].reshape(len(x), -1).min(axis=1) >= -INSTANCE_TOL * (1.0 + na)
+        if not ok.all():
+            raise NumericalFailureError(f"interpolant at n={start + ok.argmin() + 1} violates its blocks")
+        out.extend(hermitian_part(Y))
+    if first < req.N and solutions[first].status == sdp.INFEASIBLE:
+        raise InfeasibleInterpolation(f"no interpolant exists at n={first + 1}: bound lists are inconsistent",
+                                      solutions[first].dual_certificate)
+    if first < req.N:
+        raise NumericalFailureError(f"interpolation SDP failed: {solutions[first].message}")
     return out
 
 

@@ -26,8 +26,9 @@ passes.  The module keeps no state: same problem, same output.
 `SdpSettings` holds the two tolerances a document may set; the rest are
 module constants.
 
-`LmiBlock(constant, coefficients)` is the one way to build a block, and it
-checks every block as `hermitian` checks a matrix.  Every program the
+`LmiBlock(constant, coefficients)` is the one way to build a block: on a
+shared checked `CoefficientStack` it checks only its constant, and a list of
+coefficients it checks with the constant as one stack.  Every program the
 package poses is bounded (a norm box, trace-one densities or unital Choi
 matrices), so there is no unbounded verdict: an objective that runs past
 -UNBOUNDED_VALUE stops its program as NUMERICAL_FAILURE, as any other
@@ -49,7 +50,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InputError
-from .hermitian import BLOCK_ENTRIES, hermitian_checked, hermitian_part, is_positive_definite, is_psd
+from .hermitian import BLOCK_ENTRIES, CoefficientStack, hermitian, hermitian_part, is_positive_definite, is_psd
 from .limits import MAX_VARIABLES
 
 OPTIMAL = "OPTIMAL"
@@ -92,24 +93,21 @@ DEFAULT_SETTINGS = SdpSettings()
 
 
 class LmiBlock:
-    """One linear matrix inequality F0 + sum_i x_i F_i >= 0.
-
-    The only way to build a block: the stack [F0, F_1..F_m] gets
-    `hermitian`'s checks and symmetrization, and `constant` and
-    `coefficients` are read-only views of it."""
+    """One linear matrix inequality F0 + sum_i x_i F_i >= 0, built only here: on a
+    shared `CoefficientStack` only the constant is checked, a list is checked
+    with it as one stack [F0, *F], of which the block holds read-only views."""
 
     def __init__(self, constant, coefficients):
-        try:
-            stack = np.array([constant, *coefficients], dtype=complex)
-        except ValueError:  # a ragged stack
-            raise InputError("all block coefficients must match the constant's shape") from None
-        self.stack = hermitian_checked(stack, (3,))
-        self.constant, self.coefficients = self.stack[0], self.stack[1:]
-        self.dim, self.num_vars = self.stack.shape[1], self.stack.shape[0] - 1
+        if isinstance(coefficients, CoefficientStack):
+            if np.shape(constant) != coefficients.mats.shape[1:]:
+                raise InputError(CoefficientStack.MISMATCH)
+            self.constant, self.coefficients = hermitian(constant), coefficients.mats
+        else:
+            stack = CoefficientStack([constant, *coefficients]).mats
+            self.constant, self.coefficients = stack[0], stack[1:]
+        self.dim, self.num_vars = len(self.constant), len(self.coefficients)
 
     def slack(self, x: np.ndarray) -> np.ndarray:
-        if self.num_vars == 0:
-            return self.constant.copy()
         return self.constant + np.tensordot(x, self.coefficients, axes=(0, 0))
 
 
@@ -230,7 +228,9 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
     F = np.zeros((P, q + 1, K, D, D), dtype=complex)
     diag = np.arange(D)
     for j, d in enumerate(dims):
-        F[:, :m + 1, j, :d, :d] = [blocks[j].stack for blocks in problems]
+        for rows, part in ((0, [blocks[j].constant for blocks in problems]),
+                           (slice(1, m + 1), [blocks[j].coefficients for blocks in problems])):
+            F[:, rows, j, :d, :d] = part[0] if all(a is part[0] for a in part) else part  # shared: written once
         F[:, 0, j, diag[d:], diag[d:]] = 1.0  # the padding's I
         if caps is not None:  # s's column: -I on the block's own corner
             F[:, -1, j, diag[:d], diag[:d]] = -1.0

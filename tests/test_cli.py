@@ -15,7 +15,7 @@ from opsyslab import algebra, problems, sdp, spectrahedron
 from opsyslab.algebra import MAX_AMBIENT, MatrixStarAlgebra, OperatorSubspace
 from opsyslab.cli import COMMAND_KINDS, COMMAND_ONLY, main
 from opsyslab.errors import InputError, NumericalFailureError
-from opsyslab.hermitian import MAX_DIM
+from opsyslab.hermitian import MAX_DIM, CoefficientStack
 from opsyslab.korovkin import MAX_DEGREE, MAX_GRID_SIZE
 from opsyslab.rigidity import MAX_CHOI_AMBIENT, ChoiMap
 from opsyslab.sdp import SdpSettings
@@ -1035,13 +1035,17 @@ def test_sdp_document_results_identical_across_blas_threads(tmp_path):
     assert len(outputs[0].splitlines()) == 3 and outputs[0] == outputs[1]
 
 
-def built_by_the_constructor(blk) -> bool:
-    """Whether a block holds what `LmiBlock(constant, coefficients)` makes:
-    read-only views of one checked (m + 1, d, d) stack."""
-    stack = blk.constant.base
-    return (isinstance(blk, sdp.LmiBlock) and stack is not None and blk.coefficients.base is stack
-            and stack.shape == (blk.num_vars + 1, blk.dim, blk.dim)
-            and not (stack.flags.writeable or blk.constant.flags.writeable or blk.coefficients.flags.writeable))
+def built_by_the_constructor(blk, constants, stacks) -> bool:
+    """Whether a block holds what `LmiBlock(constant, coefficients)` makes: a
+    constant `hermitian` checked on a shared checked stack, or read-only views
+    of one checked [F0, *F] stack.  `constants` and `stacks` hold every array
+    `hermitian` returned to `sdp` and every `CoefficientStack`'s `mats` (a
+    negation's only if the stack it negates is there)."""
+    C, F = blk.constant, blk.coefficients
+    shared = any(C is c for c in constants) and any(F is f for f in stacks)
+    own = (C.base is not None and C.base is F.base and any(C.base is f for f in stacks)
+           and C.base.shape == (blk.num_vars + 1, blk.dim, blk.dim))
+    return isinstance(blk, sdp.LmiBlock) and (shared or own) and not (C.flags.writeable or F.flags.writeable)
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -1054,18 +1058,51 @@ def built_by_the_constructor(blk) -> bool:
 ], ids=["instance", "search", "auto-bounds", "extension-interval"])
 def test_every_block_the_loop_sees_is_checked(tmp_path, monkeypatch, command, doc):
     # An unchecked way to build a block cannot come back silently: every
-    # block that reaches the interior-point loop came from the constructor.
+    # block that reaches the interior-point loop came from the constructor,
+    # and its arrays are ones the checks returned.
     inner, seen = sdp._interior_point, []
+    constants, stacks = [], []
+    check, init, negate = sdp.hermitian, CoefficientStack.__init__, CoefficientStack.__neg__
 
     def guarded(problems, *args, **kwargs):
         seen.extend(blk for blocks in problems for blk in blocks)
         return inner(problems, *args, **kwargs)
 
+    def checked_constant(entries):
+        constants.append(check(entries))
+        return constants[-1]
+
+    def checked_stack(self, mats):
+        init(self, mats)
+        stacks.append(self.mats)
+
+    def negated_stack(self):
+        neg = negate(self)
+        if any(self.mats is f for f in stacks):
+            stacks.append(neg.mats)
+        return neg
+
     monkeypatch.setattr(sdp, "_interior_point", guarded)
+    monkeypatch.setattr(sdp, "hermitian", checked_constant)
+    monkeypatch.setattr(CoefficientStack, "__init__", checked_stack)
+    monkeypatch.setattr(CoefficientStack, "__neg__", negated_stack)
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main([command, "--file", str(path)]) == 0
-    assert seen and all(built_by_the_constructor(blk) for blk in seen)
+    assert seen and all(built_by_the_constructor(blk, constants, stacks) for blk in seen)
+
+
+def test_the_block_guard_needs_arrays_the_checks_returned():
+    basis = CoefficientStack([np.eye(2)])
+    good, own = sdp.LmiBlock(np.eye(2), basis), sdp.LmiBlock(np.eye(2), [np.eye(2)])
+    assert built_by_the_constructor(good, [good.constant], [basis.mats])
+    assert built_by_the_constructor(own, [], [own.constant.base])
+    rogue = sdp.LmiBlock.__new__(sdp.LmiBlock)  # an unchecked read-only constant on a checked stack
+    rogue.constant, rogue.coefficients, rogue.dim, rogue.num_vars = np.eye(2), basis.mats, 2, 1
+    rogue.constant.setflags(write=False)
+    assert not built_by_the_constructor(rogue, [good.constant], [basis.mats])
+    assert not built_by_the_constructor(good, [], [basis.mats])
+    assert not built_by_the_constructor(own, [], [])
 
 
 def results_bytes(out: str) -> str:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from opsyslab import problems
+from opsyslab import problems, sdp
 from opsyslab.cli import main
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import (
@@ -429,6 +429,30 @@ def test_riesz_norms_come_from_one_call(monkeypatch, N):
     results, checked, only = _run_document(monkeypatch, "riesz", payload)
     assert len(results["norms"]) == N
     assert checked == []
-    # the bound check, ||a||, the four block slacks of each beta_n, and the
+    # the bound check, ||a||, the four block slacks of every beta_n, and the
     # N norms with ||a||
-    assert only == [(2, n, n), (n, n)] + [(4, n, n)] * N + [(N + 1, n, n)]
+    assert only == [(2, n, n), (n, n), (4 * N, n, n), (N + 1, n, n)]
+
+
+@pytest.mark.parametrize("N", [2, 8])
+def test_riesz_checks_each_coefficient_stack_once(monkeypatch, N):
+    # A riesz document checks +hb and -hb once whatever N, and verifies the
+    # slacks of all its 4N blocks in one checked eigenvalue call, so a
+    # per-block re-check cannot come back unnoticed.
+    rng = np.random.default_rng(6)
+    n = 3
+    a = random_hermitian(rng, n)
+    low, top = np.linalg.eigvalsh(a)[[0, -1]]
+    payload = {"B": n, "a": _pairs(a), "lowers": [_pairs((low - 0.5) * np.eye(n))],
+               "uppers": [_pairs((top + 0.5) * np.eye(n))], "epsilon": 0.5, "N": N}
+    stacks, init = [], sdp.CoefficientStack.__init__
+
+    def counted(self, mats, *args):
+        stacks.append(np.shape(mats))
+        init(self, mats, *args)
+
+    monkeypatch.setattr(sdp.CoefficientStack, "__init__", counted)
+    results, _, only = _run_document(monkeypatch, "riesz", payload)
+    assert len(results["betas"]) == N
+    assert stacks == [(n * n, n, n)] * 2
+    assert only == [(2, n, n), (n, n), (4 * N, n, n), (N + 1, n, n)]
