@@ -9,7 +9,12 @@ class OpsyslabError(Exception):
 
 
 class InputError(OpsyslabError):
-    """Malformed or out-of-contract input (bad matrix, schema violation, ...)."""
+    """Malformed or out-of-contract input (bad matrix, schema violation, ...);
+    `field` names the argument at fault (`t`, `epsilon`, ...) when one is."""
+
+    def __init__(self, message, field=None):
+        super().__init__(message)
+        self.field = field
 
 
 class NumericalFailureError(OpsyslabError):

@@ -25,9 +25,10 @@ from .algebra import MatrixStarAlgebra, OperatorSubspace
 from .errors import InputError, NumericalFailureError
 from .hermitian import hermitian, hermitian_stack, op_norm
 from .korovkin import TEST_FUNCTIONS, korovkin_demo
-from .limits import (MAX_AMBIENT, MAX_AUTO_BOUNDS, MAX_CHOI_AMBIENT, MAX_DEGREE, MAX_DIM, MAX_GRID_SIZE,
-                     MAX_RIESZ_N, MAX_TRIALS)
+from .limits import MAX_AMBIENT, MAX_AUTO_BOUNDS, MAX_DEGREE, MAX_DIM, MAX_GRID_SIZE, MAX_RIESZ_N, MAX_TRIALS
 from .rigidity import (
+    EXTENT_TOL,
+    NOSP_TOL,
     ChoiMap,
     InterpolationRequest,
     nosp_check,
@@ -201,7 +202,8 @@ def _canonical_payload(payload: dict) -> dict:
 def parse_problem(text: str) -> ProblemDocument:
     """Validate a JSON document and build its subspaces, algebras and
     states; rejections name the offending field.  Building runs checked
-    eigensolver calls, so it can also raise NumericalFailureError."""
+    eigensolver calls, so it can also raise NumericalFailureError.  Checks the
+    library makes when the document runs are left to it (see `run`)."""
     try:
         raw = json.loads(text)
     except RecursionError:
@@ -328,21 +330,23 @@ def _algebra_field(payload, key, path, default_dim=None) -> dict:
     return {key: mats, f"_{key}": algebra}
 
 
-def _built(path, make, **fields):
-    """make(**fields), the object the field at `path` describes; an
-    InputError from its checks names that field."""
+def _named(fields: dict, make, /, *args, **kwargs):
+    """make(*args, **kwargs); an InputError whose `field` (None when it names
+    none) maps to a path in `fields` is raised as `payload.<path>: <message>`."""
     try:
-        return make(**fields)
+        return make(*args, **kwargs)
     except InputError as exc:
-        _fail(path, str(exc))
+        if (path := fields.get(exc.field)) is None:
+            raise
+        _fail(_Path("payload") / path, str(exc))
 
 
-def _subspace(p, key, path):
+def _subspace(p, key):
     """The operator subspace spanned by the matrix list p[key], unital as
-    p[key + "_unital"] says."""
+    p[key + "_unital"] says; any rejection names p[key]."""
     mats = p[key]
-    return _built(path / key, OperatorSubspace,
-                  ambient_dim=mats[0].shape[0], basis=mats, unital=p[f"{key}_unital"])
+    return _named({None: key}, OperatorSubspace, ambient_dim=mats[0].shape[0], basis=mats,
+                  unital=p[f"{key}_unital"])
 
 
 def _check_dim(path, got: int, n: int, of: str):
@@ -368,13 +372,8 @@ def _parse_extension(payload, path):
     _check_dim(path / "t", out["t"].shape[0], n, "S")
     out.update(_algebra_field(payload, "ambient", path, n))
     _check_dim(path / "ambient", out["_ambient"].ambient_dim, n, "S")
-    out["_S"] = _subspace(out, "S", path)
-    out["_phi"] = _built(path / "phi", StateFunctional, density=out["phi"], domain=out["_S"])
-    ambient = out["_ambient"]
-    if not ambient.contains(out["t"]):
-        _fail(path / "t", "element does not belong to the ambient algebra")
-    if not ambient.contains(out["_S"].basis):
-        _fail(path / "S", "the state's domain is not contained in the ambient algebra")
+    out["_S"] = _subspace(out, "S")
+    out["_phi"] = _named({"density": "phi"}, StateFunctional, density=out["phi"], domain=out["_S"])
     return out
 
 
@@ -389,10 +388,8 @@ def _parse_uep(payload, path):
         _fail(path / "state", "subspace dimension does not match the state")
     out.update(_algebra_field(payload, "A", path, S[0].shape[0]))
     _check_dim(path / "A", out["_A"].ambient_dim, S[0].shape[0], "S")
-    out["_S"] = _subspace(out, "S", path)
-    out["_state"] = _built(path / "state", StateFunctional, density=out["state"], domain=out["_A"])
-    if not out["_A"].contains(out["_S"].basis):
-        _fail(path / "S", "subspace is not contained in the state's algebra")
+    out["_S"] = _subspace(out, "S")
+    out["_state"] = _named({"density": "state"}, StateFunctional, density=out["state"], domain=out["_A"])
     return out
 
 
@@ -402,7 +399,7 @@ def _parse_state_algebra(payload, path):
     out.update(_algebra_field(payload, "A", path, state.shape[0]))
     _check_dim(path / "state", state.shape[0], out["_A"].ambient_dim, "A")
     _check_unital(out, "A", path)
-    out["_state"] = _built(path / "state", StateFunctional, density=state, domain=out["_A"])
+    out["_state"] = _named({"density": "state"}, StateFunctional, density=state, domain=out["_A"])
     return out
 
 
@@ -411,7 +408,7 @@ def _parse_riesz(payload, path):
     if not out:
         _fail(path / "B", "expected a matrix list or an integer dimension")
     _check_unital(out, "B", path)
-    out.update({
+    return out | {
         "a": parse_matrix(payload.get("a"), path / "a"),
         "lowers": _opt_matrix_list(payload, "lowers", path),
         "uppers": _opt_matrix_list(payload, "uppers", path),
@@ -420,11 +417,7 @@ def _parse_riesz(payload, path):
         "auto_bounds": _opt_int(
             payload, "auto_bounds", path, default=0, minimum=0, maximum=MAX_AUTO_BOUNDS
         ),
-    })
-    for key, mats in (("a", [out["a"]]), ("lowers", out["lowers"]), ("uppers", out["uppers"])):
-        for M in mats[:1]:
-            _check_dim(path / key, M.shape[0], out["_B"].ambient_dim, "B")
-    return out
+    }
 
 
 def _parse_boundary(payload, path):
@@ -436,9 +429,7 @@ def _parse_boundary(payload, path):
     out.update(_algebra_field(payload, "algebra", path))
     if "_algebra" in out:
         _check_dim(path / "algebra", out["_algebra"].ambient_dim, S[0].shape[0], "S")
-    out["_S"] = _subspace(out, "S", path)
-    if S[0].shape[0] > MAX_CHOI_AMBIENT:
-        _fail(path / "S", f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}")
+    out["_S"] = _subspace(out, "S")
     return out
 
 
@@ -461,10 +452,6 @@ def _parse_nosp(payload, path):
     }
     out.update(_algebra_field(payload, "A", path, dim_in))
     _check_dim(path / "A", out["_A"].ambient_dim, dim_in, "Pi_choi.dim_in")
-    if len(pi_images) != len(out["_A"].hermitian_basis()):
-        _fail(path / "pi_images", "need one representation image per hermitian basis element")
-    if dim_out != pi_images[0].shape[0]:
-        _fail(path / "Pi_choi" / "dim_out", "CP map output dimension does not match the images")
     return out
 
 
@@ -509,7 +496,7 @@ def _instance_results(inst):
 def _run_unperforated(doc: ProblemDocument):
     p = doc.payload
     # Built here, not when parsing: any S and T of matching dimensions parse.
-    S, T = (_subspace(p, key, _Path("payload")) for key in ("S", "T"))
+    S, T = (_subspace(p, key) for key in ("S", "T"))
     if "a" in p:
         inst = solve_unperforated_instance(S, T, p["a"], p["b"], settings=doc.settings)
         return _instance_results(inst)
@@ -566,16 +553,8 @@ def _run_decompose(doc: ProblemDocument):
 
 def _run_riesz(doc: ProblemDocument):
     p = doc.payload
-    req = InterpolationRequest(
-        B=p["_B"],
-        a=p["a"],
-        lowers=p["lowers"],
-        uppers=p["uppers"],
-        epsilon=p["epsilon"],
-        N=p["N"],
-        auto_bounds=p["auto_bounds"],
-        seed=doc.seed if p["auto_bounds"] else None,
-    )
+    args = {key: p[key] for key in ("a", "lowers", "uppers", "epsilon", "N", "auto_bounds")}
+    req = InterpolationRequest(B=p["_B"], **args, seed=doc.seed if p["auto_bounds"] else None)
     betas = riesz_sequence(req, settings=doc.settings)
     *norms, norm_a = op_norm(np.stack([*betas, req.a])).tolist()
     return {"betas": matrices_to_json(betas), "norms": norms, "norm_a": norm_a}
@@ -584,7 +563,7 @@ def _run_riesz(doc: ProblemDocument):
 def _run_boundary(doc: ProblemDocument):
     p = doc.payload
     extent, witness = ucp_fixed_extent(p["_S"], algebra=p.get("_algebra"), settings=doc.settings)
-    out = {"max_deviation": extent, "boundary": bool(extent <= 1e-6)}
+    out = {"max_deviation": extent, "boundary": bool(extent <= EXTENT_TOL)}
     if witness is not None:
         out["witness_choi"] = matrix_to_json(witness.choi)
     return out
@@ -592,15 +571,9 @@ def _run_boundary(doc: ProblemDocument):
 
 def _run_nosp(doc: ProblemDocument):
     p = doc.payload
-    A = p["_A"]
-    choi = ChoiMap(
-        dim_in=p["Pi_choi"]["dim_in"],
-        dim_out=p["Pi_choi"]["dim_out"],
-        choi=p["Pi_choi"]["choi"],
-        unital=True,
-    )
-    lam = nosp_check(p["pi_images"], choi, A, settings=doc.settings)
-    return {"lambda_star": lam, "no_strictly_positive": bool(lam <= 1e-6)}
+    choi = ChoiMap(**p["Pi_choi"], unital=True)  # dim_in, dim_out, choi
+    lam = nosp_check(p["pi_images"], choi, p["_A"], settings=doc.settings)
+    return {"lambda_star": lam, "no_strictly_positive": bool(lam <= NOSP_TOL)}
 
 
 def _run_korovkin(doc: ProblemDocument):
@@ -629,13 +602,21 @@ _KINDS = {
     "repro": (_parse_repro, _run_repro),
 }
 KINDS = tuple(_KINDS)
+# kind -> {library argument: payload path}, where the names differ.  phi is named for its
+# domain S, and a program's `objective` for the field whose basis sets its length.
+_RENAMED = {"extension-interval": {"phi": "S"}, "unperforated": {"objective": "T"}, "riesz": {"objective": "B"},
+            "nosp": {"choi": "Pi_choi.choi", "dim_out": "Pi_choi.dim_out", "objective": "A"},
+            "repro": {"ident": "id"}}
 
 
 def run(doc: ProblemDocument) -> dict:
-    """Dispatch a parsed document and wrap the outcome in a report."""
+    """Dispatch a parsed document and wrap the outcome in a report.  An
+    InputError about a library argument names its payload field; an omitted
+    algebra, held as `_A` alone, is named `A`."""
     start = time.perf_counter()
+    fields = {key.lstrip("_"): key.lstrip("_") for key in doc.payload} | _RENAMED.get(doc.kind, {})
     try:
-        results = _KINDS[doc.kind][1](doc)
+        results = _named(fields, _KINDS[doc.kind][1], doc)
     except FaceTooLarge as exc:
         # uep, extension-interval and boundary: the face of an r x r set
         # pinned by S has up to r^2 - dim S coordinates

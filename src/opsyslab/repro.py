@@ -147,5 +147,5 @@ CASES = {
 
 def run_case(ident: str, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> dict:
     if ident not in CASES:
-        raise InputError(f"unknown repro case {ident!r}; known: {', '.join(sorted(CASES))}")
+        raise InputError(f"unknown repro case {ident!r}; known: {', '.join(sorted(CASES))}", field="ident")
     return CASES[ident](settings)

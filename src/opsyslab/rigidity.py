@@ -37,6 +37,9 @@ from .hermitian import (
 from .limits import MAX_CHOI_AMBIENT
 
 INSTANCE_TOL = 1e-7
+ORDER_TOL = 1e-8  # x <= y when lambda_min(y - x) >= -ORDER_TOL (1 + max |lambda|); Choi PSD alike
+EXTENT_TOL = 1e-6  # a fixed-set extent at most this is zero: the `boundary` verdict
+NOSP_TOL = 1e-6  # lambda* at most this: no strictly positive difference, the `nosp` verdict
 COMMUTE_TOL = 1e-8  # [a, b] below this, relative to (1 + ||a||)(1 + ||b||), commutes
 LINE_TOL = 1e-9  # norms and eigenvalues of t below this count as zero, line pairs
 SCALAR_TOL = 1e-12  # eigenvalues of t below this count as zero, scalar windows
@@ -85,13 +88,15 @@ def solve_unperforated_instance(
     instance may be feasible only on the boundary (forced interpolants), in
     which case the re-verification tolerance 1e-7 decides.
     """
-    a = hermitian(a)
-    b = hermitian(b)
-    S.coefficients_of(a)
-    T.coefficients_of(b)
+    a, b = hermitian(a), hermitian(b)
+    for name, X, V in (("a", a, S), ("b", b, T)):
+        try:
+            V.coefficients_of(X)
+        except InputError as exc:
+            raise InputError(str(exc), field=name) from None
     ev = eigenvalues(np.stack([b - a, a]))
-    if not spectrum_psd(ev[0], 1e-8):
-        raise InputError("instance requires a <= b")
+    if not spectrum_psd(ev[0], ORDER_TOL):
+        raise InputError("instance requires a <= b", field="b")
     norm_a = float(np.abs(ev[1]).max())
     blocks = _instance_blocks(T, a, b, norm_a)
     sol = sdp.check_feasibility(blocks, settings=settings)
@@ -194,7 +199,7 @@ def truncate_commuting(a, b) -> np.ndarray:
     ||b'|| <= ||a||.
     """
     a, b, na, nb = _commuting(a, b, "inputs do not commute")
-    if not is_psd(b - a, 1e-8):
+    if not is_psd(b - a, ORDER_TOL):
         raise InputError("truncation requires a <= b")
     bp = clip_spectrum(b, na)
     if not (is_psd(bp - a, 1e-7) and is_psd(b - bp, 1e-7)):
@@ -327,30 +332,33 @@ class InterpolationRequest:
 
     def __post_init__(self):
         if not self.B.contains_identity:
-            raise InputError("interpolation needs a unital algebra")
+            raise InputError("interpolation needs a unital algebra", field="B")
+        n = self.B.ambient_dim
         self.a = hermitian(self.a)
-        if self.a.shape[0] != self.B.ambient_dim:
-            raise InputError("element dimension does not match the algebra")
+        if self.a.shape[0] != n:
+            raise InputError(f"expected dimension {n} (that of B), got {self.a.shape[0]}", field="a")
         if self.epsilon <= 0:
-            raise InputError("epsilon must be positive")
+            raise InputError("epsilon must be positive", field="epsilon")
         if self.N < 1:
-            raise InputError("sequence length must be at least 1")
+            raise InputError("sequence length must be at least 1", field="N")
         try:  # each bound list as one checked stack, tested in B with one call
-            self.lowers, self.uppers = (hermitian_checked(m, (3,)) if len(m) else np.empty((0,) + self.a.shape)
+            self.lowers, self.uppers = (hermitian_checked(m, (3,)) if len(m) else np.empty((0, n, n))
                                         for m in (self.lowers, self.uppers))
         except ValueError:  # a ragged list
             raise InputError("bounds disagree on dimension") from None
-        for side, mats in (("a lower", self.lowers), ("an upper", self.uppers)):
+        for name, side, mats in (("lowers", "a lower", self.lowers), ("uppers", "an upper", self.uppers)):
+            if mats.shape[1] != n:
+                raise InputError(f"expected dimension {n} (that of B), got {mats.shape[1]}", field=name)
             if not self.B.contains(mats):
-                raise InputError(f"{side} bound is not in the algebra")
+                raise InputError(f"{side} bound is not in the algebra", field=name)
         gaps = np.concatenate([self.a - self.lowers, self.uppers - self.a])
-        ordered = is_psd(gaps, 1e-8) if len(gaps) else []
+        ordered = is_psd(gaps, ORDER_TOL) if len(gaps) else []
         if not all(ordered[:len(self.lowers)]):
-            raise InputError("a lower bound does not sit below the element")
+            raise InputError("a lower bound does not sit below the element", field="lowers")
         if not all(ordered):
-            raise InputError("an upper bound does not sit above the element")
+            raise InputError("an upper bound does not sit above the element", field="uppers")
         if self.auto_bounds and self.seed is None:
-            raise InputError("auto-generated bounds need a seed")
+            raise InputError("auto-generated bounds need a seed", field="auto_bounds")
 
 
 class InfeasibleInterpolation(InputError):
@@ -459,13 +467,13 @@ class ChoiMap:
         d = self.dim_in * self.dim_out
         self.choi = hermitian(self.choi)
         if self.choi.shape[0] != d:
-            raise InputError("Choi matrix dimension mismatch")
-        if not is_psd(self.choi, 1e-8):
-            raise InputError("Choi matrix is not PSD: map is not completely positive")
+            raise InputError("Choi matrix dimension mismatch", field="choi")
+        if not is_psd(self.choi, ORDER_TOL):
+            raise InputError("Choi matrix is not PSD: map is not completely positive", field="choi")
         if self.unital:
             out = self.apply(np.eye(self.dim_in))
             if np.linalg.norm(out - np.eye(self.dim_out)) > 1e-8 * self.dim_out:
-                raise InputError("map is not unital")
+                raise InputError("map is not unital", field="choi")
 
     def apply(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=complex)
@@ -521,12 +529,12 @@ def ucp_fixed_extent(
     its distance from the identity's value at the base point plus that
     bound, and its witness is the face's interior point.  Every other
     objective is pushed to both extremes (two programs), all in one batch.
-    A zero extent (<= 1e-6) says the identity representation is the unique
-    UCP map fixing S, i.e. it has the unique extension property.
+    A zero extent (<= EXTENT_TOL) says the identity representation is the
+    unique UCP map fixing S, i.e. it has the unique extension property.
     """
     n = S.ambient_dim
     if n > MAX_CHOI_AMBIENT:
-        raise InputError(f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}")
+        raise InputError(f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}", field="S")
     A = algebra if algebra is not None else generate_algebra(S)
     spec = spectrahedron.reduce_spectrahedron(n * n, *_choi_constraints(S, n), settings=settings)
     herm = A.hermitian_basis()
@@ -548,7 +556,7 @@ def ucp_fixed_extent(
     deviation[open_rows] = np.abs(np.stack([hi, -neg_lo], axis=1) - base[open_rows, None])
     row, col = divmod(int(np.argmax(deviation)), 2)  # the first maximum, in pair order
     best = float(deviation[row, col])
-    if best <= 1e-6:
+    if best <= EXTENT_TOL:
         return best, None
     choi = (spec.point(spec.z_interior) if settled[row]
             else extremes[col * len(open_rows) + int(open_rows.searchsorted(row))][1])
@@ -564,19 +572,19 @@ def nosp_check(
     """lambda* = max over ||a|| <= 1 in A of lambda_min(pi(a) - Pi(a)).
 
     pi is given by its images on A's hermitian basis; Pi by a unital CP Choi
-    matrix on the ambient.  A result <= 0 (within tolerance) means the
-    difference range contains no strictly positive element; the maximum is
-    always >= 0 since a = 0 is admissible.
+    matrix on the ambient.  A result <= NOSP_TOL means the difference range
+    contains no strictly positive element; the maximum is always >= 0 since
+    a = 0 is admissible.
     """
     hb = A.hermitian_basis()
     if len(pi_images) != len(hb):
-        raise InputError("need one representation image per hermitian basis element")
+        raise InputError("need one representation image per hermitian basis element", field="pi_images")
     images = [hermitian(p) for p in pi_images]
     if Pi_choi.dim_in != A.ambient_dim:
-        raise InputError("CP map input dimension does not match the algebra")
+        raise InputError("CP map input dimension does not match the algebra", field="A")
     d = images[0].shape[0]
     if Pi_choi.dim_out != d:
-        raise InputError("CP map output dimension does not match the images")
+        raise InputError("CP map output dimension does not match the images", field="dim_out")
     if not Pi_choi.unital:
         ChoiMap(dim_in=Pi_choi.dim_in, dim_out=Pi_choi.dim_out, choi=Pi_choi.choi, unital=True)
     diffs = [hermitian_part(img - Pi_choi.apply(h)) for img, h in zip(images, hb)]

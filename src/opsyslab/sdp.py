@@ -124,7 +124,7 @@ class SdpProblem:
             raise InputError("objective entries must be finite (no NaN/Inf)")
         m = self.objective.shape[0]
         if m > MAX_VARIABLES:
-            raise InputError(f"{m} variables exceeds {MAX_VARIABLES}")
+            raise InputError(f"{m} variables exceeds {MAX_VARIABLES}", field="objective")
         if not self.blocks:
             raise InputError("at least one LMI block is required")
         for blk in self.blocks:

@@ -58,12 +58,12 @@ class StateFunctional:
         self.density = hermitian(self.density)
         ev = eigenvalues_checked(self.density)
         if ev[0] < -DENSITY_EIG_TOL:
-            raise InputError(f"density has a negative eigenvalue {ev[0]:.3e}")
+            raise InputError(f"density has a negative eigenvalue {ev[0]:.3e}", field="density")
         tr = float(np.trace(self.density).real)
         if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-            raise InputError(f"density trace {tr!r} is not 1")
+            raise InputError(f"density trace {tr!r} is not 1", field="density")
         if not isinstance(self.domain, (MatrixStarAlgebra, OperatorSubspace)):
-            raise InputError("domain must be an OperatorSubspace or a MatrixStarAlgebra")
+            raise InputError("domain must be an OperatorSubspace or a MatrixStarAlgebra", field="domain")
 
     @property
     def ambient_dim(self) -> int:
@@ -223,11 +223,11 @@ def extension_interval(
     """
     t = hermitian(t)
     if t.shape[0] != phi.ambient_dim:
-        raise InputError("element dimension does not match the state")
+        raise InputError("element dimension does not match the state", field="t")
     if not ambient.contains(t):
-        raise InputError("element does not belong to the ambient algebra")
+        raise InputError("element does not belong to the ambient algebra", field="t")
     if not ambient.contains(phi.domain.basis):
-        raise InputError("the state's domain is not contained in the ambient algebra")
+        raise InputError("the state's domain is not contained in the ambient algebra", field="phi")
     return _interval_from_set(_extension_set(phi, settings=settings), t, ambient, settings=settings)
 
 
@@ -250,9 +250,9 @@ def has_uep(
     """
     A = psi.domain
     if not isinstance(A, MatrixStarAlgebra):
-        raise InputError("has_uep expects a state whose domain is an algebra")
+        raise InputError("has_uep expects a state whose domain is an algebra", field="psi")
     if not A.contains(S.basis):
-        raise InputError("subspace is not contained in the state's algebra")
+        raise InputError("subspace is not contained in the state's algebra", field="S")
     extension = _extension_set(psi.restrict(S), settings=settings)
     spec, basis = extension[0], A.hermitian_basis()
     step = max(1, BLOCK_ENTRIES // max(1, spec.dirs.size))  # objectives ranged at once

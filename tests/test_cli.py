@@ -604,6 +604,83 @@ def test_cli_subspace_and_state_rejections_name_the_field(tmp_path, capsys, kind
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+DIAG_B = [I2, E11]
+
+
+def nosp_payload(choi) -> dict:
+    return {"pi_images": [I2] * 4, "A": 2, "Pi_choi": {"dim_in": 2, "dim_out": 2, "choi": choi}}
+
+
+@pytest.mark.parametrize("kind, payload, message", [
+    ("riesz", {"B": DIAG_B, "a": E11, "epsilon": 0}, "payload.epsilon: epsilon must be positive"),
+    ("riesz", {"B": DIAG_B, "a": E11, "lowers": [I2], "epsilon": 0.5},
+     "payload.lowers: a lower bound does not sit below the element"),
+    ("riesz", {"B": DIAG_B, "a": E11, "uppers": [Z2], "epsilon": 0.5},
+     "payload.uppers: an upper bound does not sit above the element"),
+    ("riesz", {"B": DIAG_B, "a": E11, "lowers": [[[0, -1], [-1, 0]]], "epsilon": 0.5},
+     "payload.lowers: a lower bound is not in the algebra"),
+    ("riesz", {"B": DIAG_B, "a": E11, "uppers": [[[2, 1], [1, 2]]], "epsilon": 0.5},
+     "payload.uppers: an upper bound is not in the algebra"),
+    ("riesz", {"B": DIAG_B, "a": E11, "epsilon": 0.5, "auto_bounds": 1},
+     "payload.auto_bounds: auto-generated bounds need a seed"),
+    ("unperforated", {"S": [I2], "T": [I2], "a": E11, "b": I2},
+     "payload.a: matrix is not in the subspace (residual 7.071e-01)"),
+    ("unperforated", {"S": [I2], "T": [I2], "a": Z2, "b": E11},
+     "payload.b: matrix is not in the subspace (residual 7.071e-01)"),
+    ("unperforated", {"S": [I2], "T": [I2], "a": I2, "b": Z2}, "payload.b: instance requires a <= b"),
+    ("nosp", nosp_payload([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, -1]]),
+     "payload.Pi_choi.choi: Choi matrix is not PSD: map is not completely positive"),
+    ("nosp", nosp_payload([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]),
+     "payload.Pi_choi.choi: map is not unital"),
+    ("nosp", nosp_payload(I2), "payload.Pi_choi.choi: Choi matrix dimension mismatch"),
+    ("extension-interval", {"S": [I2], "phi": E11, "t": E11, "ambient": [E11]},
+     "payload.S: the state's domain is not contained in the ambient algebra"),
+    ("repro", {"id": "nope"}, "payload.id: unknown repro case 'nope'; known: E:notpurerestriction, E:perf,"
+     " E:ueprepstates, E:unpmatrices, ideal-uep, korovkin"),
+])
+def test_cli_run_time_rejections_name_the_field(tmp_path, capsys, kind, payload, message):
+    # The library makes these checks when the document runs.  They used to
+    # exit 2 naming no field, except S of extension-interval, which a copy
+    # of the check in the parser named.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}))
+    command = "check-unperforated" if kind == "unperforated" else kind
+    assert main([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("riesz", {"kind": "riesz", "seed": 1, "payload": {
+        "B": 12, "a": np.eye(12).tolist(), "epsilon": 0.5, "auto_bounds": 1}},
+     "payload.B: 144 variables exceeds 128"),
+    ("nosp", {"kind": "nosp", "payload": {
+        "pi_images": [[[1]]] * 144, "Pi_choi": {"dim_in": 12, "dim_out": 1, "choi": (np.eye(12) / 12).tolist()}}},
+     "payload.A: 145 variables exceeds 128"),
+    ("check-unperforated", {"kind": "unperforated", "payload": {
+        "S": [np.eye(12).tolist()], "T": [problems.matrix_to_json(M) for M in hermitian_units([12])], "trials": 1}},
+     "payload.T: 144 variables exceeds 128"),
+])
+def test_cli_program_size_limit_names_the_field(tmp_path, capsys, command, doc, message):
+    # One program variable per basis element of B, A or T (nosp adds one):
+    # bound generation, the nosp program and the search's generation program.
+    # The nosp document omits A, which is then M12 from dim_in.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_batch_reports_a_later_parse_error_before_a_run_time_rejection(tmp_path, capsys):
+    # Every document is parsed before any runs, and the library checks that
+    # t lies in the ambient algebra when the first document runs.
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"kind": "extension-interval", "payload": {
+        "S": [I2], "phi": E11, "t": X, "ambient": [E11, E22]}}))
+    second.write_text(json.dumps({"kind": "extension-interval", "payload": {"S": [I2], "t": E11}}))
+    assert main(["extension-interval", "--file", str(first), "--file", str(second)]) == 2
+    assert capsys.readouterr().err == "error: payload.phi: expected a nonempty matrix (array of rows)\n"
+
+
 def test_state_and_subspace_are_built_when_parsing(monkeypatch, tmp_path, capsys):
     doc = problems.parse_problem(json.dumps({"kind": "uep", "payload": {"S": [I2, X], "state": E11}}))
     assert isinstance(doc.payload["_S"], OperatorSubspace) and isinstance(doc.payload["_state"], StateFunctional)

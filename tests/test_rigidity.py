@@ -680,3 +680,48 @@ def test_separation_witness_on_commuting_example():
     best = max(abs(atom.expect(s)) for _, atom in dec.atoms)
     assert best >= op_norm(s) - 1e-6
     assert all(is_pure(atom, full) for _, atom in dec.atoms)
+
+
+def _line():
+    return OperatorSubspace(ambient_dim=2, basis=[np.eye(2)])
+
+
+def _diagonal_request(**fields):
+    args = dict(B=MatrixStarAlgebra.from_basis([np.eye(2), np.diag([1.0, 0.0])]), a=np.diag([1.0, 0.0]),
+                lowers=[], uppers=[], epsilon=0.5, N=1)
+    return InterpolationRequest(**(args | fields))
+
+
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, field, message", [
+    (lambda: solve_unperforated_instance(_line(), _line(), np.diag([1.0, 0.0]), np.eye(2)),
+     "a", "matrix is not in the subspace (residual 7.071e-01)"),
+    (lambda: solve_unperforated_instance(_line(), _line(), np.zeros((2, 2)), np.diag([1.0, 0.0])),
+     "b", "matrix is not in the subspace (residual 7.071e-01)"),
+    (lambda: solve_unperforated_instance(_line(), _line(), np.eye(2), np.zeros((2, 2))),
+     "b", "instance requires a <= b"),
+    (lambda: _diagonal_request(epsilon=0.0), "epsilon", "epsilon must be positive"),
+    (lambda: _diagonal_request(a=np.eye(3)), "a", "expected dimension 2 (that of B), got 3"),
+    (lambda: _diagonal_request(uppers=[np.eye(3)]), "uppers", "expected dimension 2 (that of B), got 3"),
+    (lambda: _diagonal_request(lowers=[np.eye(2)]), "lowers", "a lower bound does not sit below the element"),
+    (lambda: _diagonal_request(uppers=[np.zeros((2, 2))]), "uppers", "an upper bound does not sit above the element"),
+    (lambda: _diagonal_request(uppers=[SWAP]), "uppers", "an upper bound is not in the algebra"),
+    (lambda: _diagonal_request(auto_bounds=1), "auto_bounds", "auto-generated bounds need a seed"),
+    (lambda: ChoiMap(dim_in=1, dim_out=1, choi=np.array([[-1.0]])),
+     "choi", "Choi matrix is not PSD: map is not completely positive"),
+    (lambda: ChoiMap(dim_in=2, dim_out=2, choi=np.eye(4), unital=True), "choi", "map is not unital"),
+    (lambda: ChoiMap(dim_in=2, dim_out=2, choi=np.eye(2)), "choi", "Choi matrix dimension mismatch"),
+    (lambda: ucp_fixed_extent(OperatorSubspace(ambient_dim=5, basis=[np.eye(5)])),
+     "S", "fixed-set extent is limited to ambient dimension 4"),
+    (lambda: nosp_check([np.eye(2)], ChoiMap.identity(2), MatrixStarAlgebra.full(2)),
+     "pi_images", "need one representation image per hermitian basis element"),
+    (lambda: nosp_check([np.eye(3)] * 4, ChoiMap.identity(2), MatrixStarAlgebra.full(2)),
+     "dim_out", "CP map output dimension does not match the images"),
+])
+def test_rejections_name_the_argument_at_fault(call, field, message):
+    # `field` is the argument's name; the message is the one library callers always saw
+    with pytest.raises(InputError) as info:
+        call()
+    assert (info.value.field, str(info.value)) == (field, message)

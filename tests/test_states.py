@@ -451,3 +451,31 @@ def test_state_validation():
         StateFunctional(density=np.diag([1.5, -0.5]), domain=full)
     with pytest.raises(InputError):
         StateFunctional(density=np.diag([0.7, 0.7]), domain=full)
+
+
+def _line_state():
+    return StateFunctional(density=E(2, 0, 0), domain=OperatorSubspace(ambient_dim=2, basis=[np.eye(2)]))
+
+
+DIAGONAL = [E(2, 0, 0), E(2, 1, 1)]
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, field, message", [
+    (lambda: extension_interval(_line_state(), SWAP, MatrixStarAlgebra.from_basis(DIAGONAL)),
+     "t", "element does not belong to the ambient algebra"),
+    (lambda: extension_interval(_line_state(), E(2, 0, 0), MatrixStarAlgebra.from_basis([E(2, 0, 0)])),
+     "phi", "the state's domain is not contained in the ambient algebra"),
+    (lambda: has_uep(StateFunctional(density=E(2, 0, 0), domain=MatrixStarAlgebra.from_basis(DIAGONAL)),
+                     OperatorSubspace(ambient_dim=2, basis=[np.eye(2), SWAP])),
+     "S", "subspace is not contained in the state's algebra"),
+    (lambda: StateFunctional(density=np.eye(2) * 0.3, domain=MatrixStarAlgebra.full(2)),
+     "density", "density trace 0.6 is not 1"),
+    (lambda: StateFunctional(density=np.diag([2.0, -1.0]), domain=MatrixStarAlgebra.full(2)),
+     "density", "density has a negative eigenvalue -1.000e+00"),
+])
+def test_rejections_name_the_argument_at_fault(call, field, message):
+    # `field` is the argument's name; the message is the one library callers always saw
+    with pytest.raises(InputError) as info:
+        call()
+    assert (info.value.field, str(info.value)) == (field, message)
