@@ -39,7 +39,7 @@ def _copies(path: Path, messages: set) -> list:
 
 def test_the_document_layer_copies_no_library_message():
     messages = set().union(*(_messages(PACKAGE / f"{name}.py") for name in LIBRARY))
-    assert len(messages) > 50  # the guard reads the raises it is meant to
+    assert "element does not belong to the ambient algebra" in messages  # it reads the library's raises
     assert _copies(PACKAGE / "problems.py", messages) == []
 
 
