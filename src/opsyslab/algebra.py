@@ -38,6 +38,7 @@ from .limits import MAX_AMBIENT, MAX_COEFFICIENT_DIM
 RANK_TOL = 1e-9
 CLOSURE_TOL = 1e-8
 MEMBER_TOL = 1e-7  # relative residual of a matrix in an operator subspace
+NOT_UNITAL = "expected a unital algebra (the identity is not in the span)"
 
 
 def _as_matrix(M, n=None):
@@ -272,10 +273,10 @@ class MatrixStarAlgebra:
         _, resid = span_coefficients(B, B.conj().swapaxes(1, 2))
         if np.any(resid > CLOSURE_TOL):
             i = int(np.argmax(resid > CLOSURE_TOL))
-            raise InputError(f"span is not adjoint-closed at basis element {i}")
+            raise InputError(f"not a *-closed span: span is not adjoint-closed at basis element {i}")
         for rows in _row_blocks(len(B), self.ambient_dim ** 2):
             if np.any(span_coefficients(B, B[rows, None] @ B[None])[1] > CLOSURE_TOL):
-                raise InputError("span is not closed under multiplication")
+                raise InputError("not a *-closed span: span is not closed under multiplication")
 
     def hermitian_basis(self) -> np.ndarray:
         """Hermitian basis of the self-adjoint part (real dimension = dim).
@@ -377,7 +378,7 @@ def wedderburn(algebra: MatrixStarAlgebra) -> list:
     """
     n, B = algebra.ambient_dim, algebra.basis
     if not algebra.contains_identity:
-        raise InputError("block decomposition needs a unital algebra")
+        raise InputError(NOT_UNITAL, field="algebra")
     if algebra.dim == n * n:
         return [(np.eye(n, dtype=complex), 1)]
     h = np.sum(B @ _generic_hermitian(n) @ B.conj().swapaxes(1, 2), axis=0)  # commutes with A

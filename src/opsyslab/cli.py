@@ -22,6 +22,7 @@ import sys
 
 from . import problems
 from .errors import InputError, NumericalFailureError, OpsyslabError
+from .sdp import SdpSettings
 
 # Every command runs the document kind of the same name, except one alias.
 COMMAND_KINDS = {
@@ -98,13 +99,12 @@ def _apply_overrides(text: str, args, index: int) -> problems.ProblemDocument:
             raise InputError("--seed: expected a non-negative integer")
         doc.seed = args.seed + index
         doc.canonical["seed"] = doc.seed
-    if args.tol_gap is not None or args.tol_psd is not None:
-        from .sdp import SdpSettings
-
-        doc.settings = SdpSettings(
-            gap_tol=args.tol_gap if args.tol_gap is not None else doc.settings.gap_tol,
-            psd_slack=args.tol_psd if args.tol_psd is not None else doc.settings.psd_slack,
-        )
+    given = {key: v for key, v in (("gap", args.tol_gap), ("psd", args.tol_psd)) if v is not None}
+    if given:
+        doc.settings = SdpSettings(gap_tol=given.get("gap", doc.settings.gap_tol),
+                                   psd_slack=given.get("psd", doc.settings.psd_slack))
+        # echoed as a document sets them, so re-running the echo reproduces the run
+        doc.canonical["tolerances"] = dict(sorted((doc.canonical.get("tolerances", {}) | given).items()))
     return doc
 
 

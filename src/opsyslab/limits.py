@@ -13,8 +13,11 @@ MAX_COEFFICIENT_DIM = MAX_AMBIENT**2
 # UCP fixed-set extent: its Choi matrices are n^2 x n^2; `boundary` on M4
 # takes 0.4 to 0.7 s.
 MAX_CHOI_AMBIENT = 4
-# Variables of one SDP: a feasibility program in 128 of them on a 16 x 16
-# block takes 33 ms.
+# Variables of one optimization program (`sdp.SdpProblem`, and the face that
+# `spectrahedron.optimize_linear` ranges over); a feasibility program in 128
+# of them on a 16 x 16 block takes 33 ms.  Feasibility programs are exempt:
+# facial reduction's face search poses them over all n^2 - dim S coordinates
+# of an extension set.
 MAX_VARIABLES = 128
 # Work of one document, each at most about a minute at the largest size
 # measured (full M8): N = 1000 riesz steps with one lower and one upper

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import sdp
 from .algebra import MatrixStarAlgebra, OperatorSubspace
-from .errors import InputError, NumericalFailureError
+from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import hermitian, hermitian_stack, op_norm
 from .korovkin import TEST_FUNCTIONS, korovkin_demo
 from .limits import MAX_AMBIENT, MAX_AUTO_BOUNDS, MAX_DEGREE, MAX_DIM, MAX_GRID_SIZE, MAX_RIESZ_N, MAX_TRIALS
@@ -292,12 +292,9 @@ def _parse_unperforated(payload, path):
     }
     if ("a" in payload) != ("b" in payload):
         _fail(path, "instance mode needs both a and b; search mode needs neither")
-    n = out["S"][0].shape[0]
-    _check_dim(path / "T", out["T"][0].shape[0], n, "S")
     if "a" in payload:
         for key in ("a", "b"):
             out[key] = parse_matrix(payload[key], path / key)
-            _check_dim(path / key, out[key].shape[0], n, "S")
     else:
         out["trials"] = _opt_int(
             payload, "trials", path, default=50, minimum=1, maximum=MAX_TRIALS
@@ -321,13 +318,7 @@ def _algebra_field(payload, key, path, default_dim=None) -> dict:
             _fail(path / key, f"full algebra dimension must be between 1 and {MAX_AMBIENT}")
         return {key: value, f"_{key}": MatrixStarAlgebra.full(value)}
     mats = parse_matrix_list(value, path / key)
-    if mats[0].shape[0] > MAX_AMBIENT:
-        _fail(path / key, f"algebra ambient dimension {mats[0].shape[0]} exceeds {MAX_AMBIENT}")
-    try:
-        algebra = MatrixStarAlgebra.from_basis(mats)
-    except InputError as exc:
-        _fail(path / key, f"not a *-closed span: {exc}")
-    return {key: mats, f"_{key}": algebra}
+    return {key: mats, f"_{key}": _named({None: key}, MatrixStarAlgebra.from_basis, mats)}
 
 
 def _named(fields: dict, make, /, *args, **kwargs):
@@ -349,16 +340,6 @@ def _subspace(p, key):
                   unital=p[f"{key}_unital"])
 
 
-def _check_dim(path, got: int, n: int, of: str):
-    if got != n:
-        _fail(path, f"expected dimension {n} (that of {of}), got {got}")
-
-
-def _check_unital(out, key, path):
-    if not out[f"_{key}"].contains_identity:
-        _fail(path / key, "expected a unital algebra (the identity is not in the span)")
-
-
 def _parse_extension(payload, path):
     S = parse_matrix_list(payload.get("S"), path / "S")
     n = S[0].shape[0]
@@ -368,10 +349,10 @@ def _parse_extension(payload, path):
         "phi": parse_matrix(payload.get("phi"), path / "phi"),
         "t": parse_matrix(payload.get("t"), path / "t"),
     }
-    _check_dim(path / "phi", out["phi"].shape[0], n, "S")
-    _check_dim(path / "t", out["t"].shape[0], n, "S")
+    for key in ("phi", "t"):  # the words name S, which reaches the library only as phi's domain
+        _named({None: key}, check_dimension, out[key].shape[0], n, "S")
     out.update(_algebra_field(payload, "ambient", path, n))
-    _check_dim(path / "ambient", out["_ambient"].ambient_dim, n, "S")
+    _named({None: "ambient"}, check_dimension, out["_ambient"].ambient_dim, n, "S")
     out["_S"] = _subspace(out, "S")
     out["_phi"] = _named({"density": "phi"}, StateFunctional, density=out["phi"], domain=out["_S"])
     return out
@@ -384,10 +365,9 @@ def _parse_uep(payload, path):
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
         "state": parse_matrix(payload.get("state"), path / "state"),
     }
-    if out["state"].shape != S[0].shape:
-        _fail(path / "state", "subspace dimension does not match the state")
     out.update(_algebra_field(payload, "A", path, S[0].shape[0]))
-    _check_dim(path / "A", out["_A"].ambient_dim, S[0].shape[0], "S")
+    # the words name A, which reaches has_uep only as the state's domain
+    _named({None: "A"}, check_dimension, out["_A"].ambient_dim, S[0].shape[0], "S")
     out["_S"] = _subspace(out, "S")
     out["_state"] = _named({"density": "state"}, StateFunctional, density=out["state"], domain=out["_A"])
     return out
@@ -397,8 +377,6 @@ def _parse_state_algebra(payload, path):
     state = parse_matrix(payload.get("state"), path / "state")
     out = {"state": state}
     out.update(_algebra_field(payload, "A", path, state.shape[0]))
-    _check_dim(path / "state", state.shape[0], out["_A"].ambient_dim, "A")
-    _check_unital(out, "A", path)
     out["_state"] = _named({"density": "state"}, StateFunctional, density=state, domain=out["_A"])
     return out
 
@@ -407,7 +385,6 @@ def _parse_riesz(payload, path):
     out = _algebra_field(payload, "B", path)
     if not out:
         _fail(path / "B", "expected a matrix list or an integer dimension")
-    _check_unital(out, "B", path)
     return out | {
         "a": parse_matrix(payload.get("a"), path / "a"),
         "lowers": _opt_matrix_list(payload, "lowers", path),
@@ -427,8 +404,6 @@ def _parse_boundary(payload, path):
         "S_unital": _opt_bool(payload, "S_unital", path, default=True),
     }
     out.update(_algebra_field(payload, "algebra", path))
-    if "_algebra" in out:
-        _check_dim(path / "algebra", out["_algebra"].ambient_dim, S[0].shape[0], "S")
     out["_S"] = _subspace(out, "S")
     return out
 
@@ -451,7 +426,6 @@ def _parse_nosp(payload, path):
         },
     }
     out.update(_algebra_field(payload, "A", path, dim_in))
-    _check_dim(path / "A", out["_A"].ambient_dim, dim_in, "Pi_choi.dim_in")
     return out
 
 
@@ -495,7 +469,7 @@ def _instance_results(inst):
 
 def _run_unperforated(doc: ProblemDocument):
     p = doc.payload
-    # Built here, not when parsing: any S and T of matching dimensions parse.
+    # Built here, not when parsing; the library checks T, a and b against S.
     S, T = (_subspace(p, key) for key in ("S", "T"))
     if "a" in p:
         inst = solve_unperforated_instance(S, T, p["a"], p["b"], settings=doc.settings)
@@ -602,11 +576,12 @@ _KINDS = {
     "repro": (_parse_repro, _run_repro),
 }
 KINDS = tuple(_KINDS)
-# kind -> {library argument: payload path}, where the names differ.  phi is named for its
-# domain S, and a program's `objective` for the field whose basis sets its length.
-_RENAMED = {"extension-interval": {"phi": "S"}, "unperforated": {"objective": "T"}, "riesz": {"objective": "B"},
-            "nosp": {"choi": "Pi_choi.choi", "dim_out": "Pi_choi.dim_out", "objective": "A"},
-            "repro": {"ident": "id"}}
+# kind -> {library argument: payload path}, where the names differ.  extension-interval's phi is
+# named for its domain S, and a program's `objective` for the field whose basis sets its length.
+_RENAMED = {"extension-interval": {"phi": "S"}, "uep": {"psi": "state"}, "unperforated": {"objective": "T"},
+            "purity": {"phi": "state", "algebra": "A"}, "decompose": {"phi": "state", "algebra": "A"},
+            "riesz": {"objective": "B"}, "repro": {"ident": "id"},
+            "nosp": {"choi": "Pi_choi.choi", "dim_out": "Pi_choi.dim_out", "objective": "A"}}
 
 
 def run(doc: ProblemDocument) -> dict:

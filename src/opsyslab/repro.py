@@ -16,6 +16,7 @@ from .hermitian import is_psd
 from .korovkin import korovkin_demo
 from .problems import matrices_to_json, matrix_to_json
 from .rigidity import (
+    EXTENT_TOL,
     scalar_instance_reduction,
     solve_unperforated_instance,
     ucp_fixed_extent,
@@ -88,7 +89,7 @@ def _case_uep_rep_states(settings):
         "witness": matrix_to_json(result.witness),
         "witness_interval": {"min": result.interval.min, "max": result.interval.max},
         "ucp_fixed_extent": extent,
-        "identity_is_boundary_representation": bool(extent <= 1e-6),
+        "identity_is_boundary_representation": bool(extent <= EXTENT_TOL),
     }
 
 

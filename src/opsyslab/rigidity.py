@@ -18,14 +18,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp, spectrahedron
-from .algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra
-from .errors import InputError, NumericalFailureError
+from .algebra import NOT_UNITAL, MatrixStarAlgebra, OperatorSubspace, generate_algebra
+from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import (
     BLOCK_ENTRIES,
     CoefficientStack,
     clip_spectrum,
     commutator_norm,
     eigenvalues,
+    eigenvalues_checked,
     eigh,
     hermitian,
     hermitian_checked,
@@ -89,12 +90,14 @@ def solve_unperforated_instance(
     which case the re-verification tolerance 1e-7 decides.
     """
     a, b = hermitian(a), hermitian(b)
+    for name, got in (("T", T.ambient_dim), ("a", a.shape[0]), ("b", b.shape[0])):
+        check_dimension(got, S.ambient_dim, "S", field=name)
     for name, X, V in (("a", a, S), ("b", b, T)):
         try:
             V.coefficients_of(X)
         except InputError as exc:
             raise InputError(str(exc), field=name) from None
-    ev = eigenvalues(np.stack([b - a, a]))
+    ev = eigenvalues_checked(np.stack([b - a, a]))  # a and b are checked, and so is b - a
     if not spectrum_psd(ev[0], ORDER_TOL):
         raise InputError("instance requires a <= b", field="b")
     norm_a = float(np.abs(ev[1]).max())
@@ -103,7 +106,7 @@ def solve_unperforated_instance(
     if sol.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"instance SDP failed: {sol.message}")
     candidate = T.element(sol.x)
-    ev = eigenvalues(np.stack([candidate - a, b - candidate, candidate]))
+    ev = eigenvalues_checked(np.stack([candidate - a, b - candidate, candidate]))  # built hermitian
     norm_b_prime = float(np.abs(ev[2]).max())
     if spectrum_psd(ev[:2], INSTANCE_TOL).all() and norm_b_prime <= norm_a + INSTANCE_TOL * (1.0 + norm_a):
         return UnperforatedInstance(
@@ -146,6 +149,7 @@ def search_counterexample(
     its feasibility phase otherwise.  Returns the first INFEASIBLE
     instance, or None; absence of a counterexample is not a proof.
     """
+    check_dimension(T.ambient_dim, S.ambient_dim, "S", field="T")
     if trials < 1:
         raise InputError("need at least one trial")
     n = T.ambient_dim
@@ -332,11 +336,10 @@ class InterpolationRequest:
 
     def __post_init__(self):
         if not self.B.contains_identity:
-            raise InputError("interpolation needs a unital algebra", field="B")
+            raise InputError(NOT_UNITAL, field="B")
         n = self.B.ambient_dim
         self.a = hermitian(self.a)
-        if self.a.shape[0] != n:
-            raise InputError(f"expected dimension {n} (that of B), got {self.a.shape[0]}", field="a")
+        check_dimension(self.a.shape[0], n, "B", field="a")
         if self.epsilon <= 0:
             raise InputError("epsilon must be positive", field="epsilon")
         if self.N < 1:
@@ -347,8 +350,7 @@ class InterpolationRequest:
         except ValueError:  # a ragged list
             raise InputError("bounds disagree on dimension") from None
         for name, side, mats in (("lowers", "a lower", self.lowers), ("uppers", "an upper", self.uppers)):
-            if mats.shape[1] != n:
-                raise InputError(f"expected dimension {n} (that of B), got {mats.shape[1]}", field=name)
+            check_dimension(mats.shape[1], n, "B", field=name)
             if not self.B.contains(mats):
                 raise InputError(f"{side} bound is not in the algebra", field=name)
         gaps = np.concatenate([self.a - self.lowers, self.uppers - self.a])
@@ -386,7 +388,8 @@ def extreme_bound(B: MatrixStarAlgebra, a, rng, upper: bool,
     x0 = sign * reach * np.linalg.solve((F.conj() @ F.T).real, np.trace(hb, axis1=1, axis2=2).real)
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = hermitian_part(raw)
-    plus, minus = CoefficientStack(hb), CoefficientStack(-hb)  # see riesz_sequence
+    plus = CoefficientStack(hb)
+    minus = -plus
     blocks = [sdp.LmiBlock(-sign * a, plus if upper else minus), sdp.LmiBlock(box * eye, minus),
               sdp.LmiBlock(box * eye, plus)]
     objective = np.array([float(np.vdot(G, h).real) for h in hb])
@@ -420,8 +423,8 @@ def riesz_sequence(req: InterpolationRequest,
     n_amb = req.B.ambient_dim
     eye = np.eye(n_amb, dtype=complex)
     na = op_norm(req.a)
-    # checked once for all N programs; hb is not a checked stack, so -plus could differ from -hb in zeros' signs
-    plus, minus = CoefficientStack(hb), CoefficientStack(-hb)
+    plus = CoefficientStack(hb)  # checked once for all N programs
+    minus = -plus
     bounds = [(-l, plus) for l in lowers] + [(u, minus) for u in uppers]
     caps = [(1.0 + req.epsilon / n) * na for n in range(1, req.N + 1)]
     problems = [[sdp.LmiBlock(cap * eye, minus), sdp.LmiBlock(cap * eye, plus)]
@@ -533,6 +536,8 @@ def ucp_fixed_extent(
     unique UCP map fixing S, i.e. it has the unique extension property.
     """
     n = S.ambient_dim
+    if algebra is not None:
+        check_dimension(algebra.ambient_dim, n, "S", field="algebra")
     if n > MAX_CHOI_AMBIENT:
         raise InputError(f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}", field="S")
     A = algebra if algebra is not None else generate_algebra(S)
@@ -576,12 +581,11 @@ def nosp_check(
     contains no strictly positive element; the maximum is always >= 0 since
     a = 0 is admissible.
     """
+    check_dimension(A.ambient_dim, Pi_choi.dim_in, "Pi_choi.dim_in", field="A")
     hb = A.hermitian_basis()
     if len(pi_images) != len(hb):
         raise InputError("need one representation image per hermitian basis element", field="pi_images")
     images = [hermitian(p) for p in pi_images]
-    if Pi_choi.dim_in != A.ambient_dim:
-        raise InputError("CP map input dimension does not match the algebra", field="A")
     d = images[0].shape[0]
     if Pi_choi.dim_out != d:
         raise InputError("CP map output dimension does not match the images", field="dim_out")

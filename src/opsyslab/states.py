@@ -32,7 +32,7 @@ import numpy as np
 
 from . import sdp, spectrahedron
 from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, wedderburn
-from .errors import InputError, NumericalFailureError
+from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import BLOCK_ENTRIES, eigenvalues_checked, eigh, hermitian, hermitian_part
 
 UEP_TOL = 1e-6
@@ -248,6 +248,8 @@ def has_uep(
     basis is ranged in chunks of BLOCK_ENTRIES / (face size) elements, so a
     fat interval also ends the ranging.
     """
+    if S.ambient_dim != psi.ambient_dim:
+        raise InputError("subspace dimension does not match the state", field="psi")
     A = psi.domain
     if not isinstance(A, MatrixStarAlgebra):
         raise InputError("has_uep expects a state whose domain is an algebra", field="psi")
@@ -270,6 +272,7 @@ def _block_spectra(phi: StateFunctional, A: MatrixStarAlgebra):
     (V, m, eigh(V* D V)) on one copy V of the block.  Each eigenpair
     (lam, w) above the cut is a pure atom E_A(v v*), v = V w, of weight m lam.
     """
+    check_dimension(phi.ambient_dim, A.ambient_dim, "A", field="phi")
     blocks = wedderburn(A)
     canonical = _snap_density(hermitian_part(A.project(phi.density)))
     decs = [(V, m, eigh(V.conj().T @ canonical @ V)) for V, m in blocks]

@@ -340,6 +340,22 @@ def test_cli_bad_tolerance_exits_2(tmp_path, capsys):
     assert main(["repro", "--id", "E:perf", "--tol-gap", "-1"]) == 2
 
 
+def test_cli_tolerance_overrides_reach_the_echo(tmp_path, capsys):
+    # the echo carried --seed but not the tolerance overrides, so re-running it did not reproduce the run
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "uep", "tolerances": {"psd": 1e-9},
+                                "payload": {"S": [[[1, 0], [0, 1]], [[1, 0], [0, 0]]], "state": [[1, 0], [0, 0]]}}))
+    assert main(["uep", "--file", str(path), "--tol-gap", "1e-5", "--seed", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["problem"]["tolerances"] == {"gap": 1e-5, "psd": 1e-9}
+    echo = tmp_path / "echo.json"
+    echo.write_text(json.dumps(report["problem"]))
+    assert problems.parse_problem(echo.read_text()).settings == SdpSettings(gap_tol=1e-5, psd_slack=1e-9)
+    assert main(["uep", "--file", str(echo)]) == 0
+    again = json.loads(capsys.readouterr().out)
+    assert (again["results"], again["problem"]) == (report["results"], report["problem"])
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--id", "E:perf"), ("--list", None), ("--n", "0"), ("--grid-size", "11"), ("--fn", "exp"),
 ])

@@ -436,9 +436,9 @@ def test_riesz_norms_come_from_one_call(monkeypatch, N):
 
 @pytest.mark.parametrize("N", [2, 8])
 def test_riesz_checks_each_coefficient_stack_once(monkeypatch, N):
-    # A riesz document checks +hb and -hb once whatever N, and verifies the
-    # slacks of all its 4N blocks in one checked eigenvalue call, so a
-    # per-block re-check cannot come back unnoticed.
+    # A riesz document checks +hb once whatever N (-hb is its exact
+    # negation), and verifies the slacks of all its 4N blocks in one checked
+    # eigenvalue call, so a per-block re-check cannot come back unnoticed.
     rng = np.random.default_rng(6)
     n = 3
     a = random_hermitian(rng, n)
@@ -454,5 +454,5 @@ def test_riesz_checks_each_coefficient_stack_once(monkeypatch, N):
     monkeypatch.setattr(sdp.CoefficientStack, "__init__", counted)
     results, _, only = _run_document(monkeypatch, "riesz", payload)
     assert len(results["betas"]) == N
-    assert stacks == [(n * n, n, n)] * 2
+    assert stacks == [(n * n, n, n)]
     assert only == [(2, n, n), (n, n), (4 * N, n, n), (N + 1, n, n)]

@@ -43,6 +43,19 @@ def test_the_document_layer_copies_no_library_message():
     assert _copies(PACKAGE / "problems.py", messages) == []
 
 
+def _formatted(phrase: str) -> list:
+    """The module of every line of the package with a string literal that contains `phrase`."""
+    return [name for name, _ in sorted({(path.name, line) for path in PACKAGE.glob("*.py")
+                                        for line, _ in _copies(path, {phrase})})]
+
+
+def test_each_relation_wording_is_formatted_once():
+    # a dimension relation is worded by errors.check_dimension, which the parser's remaining checks call too,
+    # and a unitality requirement by algebra.NOT_UNITAL, which problems.py no longer copies
+    assert _formatted("(that of ") == ["errors.py"]
+    assert _formatted("expected a unital algebra") == ["algebra.py"]
+
+
 def test_the_guard_sees_plain_and_formatted_copies(tmp_path):
     library, copy = tmp_path / "library.py", tmp_path / "copy.py"
     library.write_text('raise InputError("not in span", field="t")\nraise InputError(f"over {LIMIT}")\n')

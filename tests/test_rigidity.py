@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from opsyslab import problems, rigidity, sdp
-from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra
+from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra, wedderburn
 from opsyslab.errors import InputError
 from opsyslab.hermitian import hermitian, hermitian_part, is_psd, op_norm
 from opsyslab.rigidity import (
@@ -26,7 +26,7 @@ from opsyslab.rigidity import (
     ucp_fixed_extent,
     verify_instance_certificate,
 )
-from opsyslab.states import StateFunctional, is_pure, pure_decomposition, vector_state
+from opsyslab.states import StateFunctional, has_uep, is_pure, pure_decomposition, vector_state
 
 
 def E(n, i, j):
@@ -722,6 +722,48 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 ])
 def test_rejections_name_the_argument_at_fault(call, field, message):
     # `field` is the argument's name; the message is the one library callers always saw
+    with pytest.raises(InputError) as info:
+        call()
+    assert (info.value.field, str(info.value)) == (field, message)
+
+
+CORNER = MatrixStarAlgebra.from_basis([np.diag([1.0, 0.0])])  # a *-algebra without the identity
+NOT_UNITAL = "expected a unital algebra (the identity is not in the span)"
+
+
+def _identity_span(n):
+    return OperatorSubspace(ambient_dim=n, basis=[np.eye(n)])
+
+
+def _mixed(n, domain):
+    return StateFunctional(density=np.eye(n) / n, domain=domain)
+
+
+def _mismatch(n, of, got):
+    return f"expected dimension {n} (that of {of}), got {got}"
+
+
+@pytest.mark.parametrize("call, field, message", [
+    (lambda: solve_unperforated_instance(_line(), _identity_span(3), np.zeros((2, 2)), np.eye(3)),
+     "T", _mismatch(2, "S", 3)),
+    (lambda: solve_unperforated_instance(_line(), _line(), np.zeros((3, 3)), np.eye(2)), "a", _mismatch(2, "S", 3)),
+    (lambda: solve_unperforated_instance(_line(), _line(), np.zeros((2, 2)), np.eye(3)), "b", _mismatch(2, "S", 3)),
+    (lambda: search_counterexample(_line(), _identity_span(3), trials=1, seed=0), "T", _mismatch(2, "S", 3)),
+    (lambda: _diagonal_request(B=CORNER), "B", NOT_UNITAL),
+    (lambda: wedderburn(CORNER), "algebra", NOT_UNITAL),
+    (lambda: is_pure(_mixed(2, MatrixStarAlgebra.full(2)), CORNER), "algebra", NOT_UNITAL),
+    (lambda: is_pure(_mixed(2, MatrixStarAlgebra.full(3)), MatrixStarAlgebra.full(3)), "phi", _mismatch(3, "A", 2)),
+    (lambda: pure_decomposition(_mixed(2, MatrixStarAlgebra.full(3)), MatrixStarAlgebra.full(3)),
+     "phi", _mismatch(3, "A", 2)),
+    (lambda: has_uep(_mixed(2, MatrixStarAlgebra.full(3)), _identity_span(3)),
+     "psi", "subspace dimension does not match the state"),
+    (lambda: ucp_fixed_extent(_line(), algebra=MatrixStarAlgebra.full(3)), "algebra", _mismatch(2, "S", 3)),
+    (lambda: nosp_check([np.eye(2)] * 9, ChoiMap.identity(2), MatrixStarAlgebra.full(3)),
+     "A", _mismatch(2, "Pi_choi.dim_in", 3)),
+])
+def test_each_input_relation_is_checked_in_the_words_the_cli_prints(call, field, message):
+    # the entry point that receives both inputs checks their relation, as test_cli.py pins it under
+    # the payload path; three of these calls used to raise numpy's ValueError
     with pytest.raises(InputError) as info:
         call()
     assert (info.value.field, str(info.value)) == (field, message)
