@@ -4,11 +4,12 @@ difference check.
 
 An instance (a, b) of the unperforated question for a pair of subspaces
 (S, T) asks for b' in T with a <= b' <= b and ||b'|| <= ||a||.  That is a
-feasibility question over four linear matrix inequalities and is certified
-in both directions: a feasible b' is re-verified against the three order
-conditions, an infeasibility comes with a Farkas certificate.  The
-universal quantifier over instances is handled by seeded randomized search
-plus an exact scalar reduction when both subspaces are lines that commute.
+feasibility question over four linear matrix inequalities, of which three
+are posed (a <= b' gives -||a|| <= b'), certified in both directions: a
+feasible b' is re-verified against the three order conditions, an
+infeasibility comes with a Farkas certificate (zero on the fourth block).
+The universal quantifier over instances is handled by seeded randomized
+search plus an exact scalar reduction when both subspaces are commuting lines.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class UnperforatedInstance:
 
 
 def _instance_blocks(T: OperatorSubspace, a, b, norm_a):
-    """The four blocks a <= b' <= b, -||a|| <= b' <= ||a|| over b' in T."""
+    """The four blocks a <= b' <= b, b' <= ||a||, -||a|| <= b' over b' in T;
+    the solve poses three, as a + ||a|| I >= 0 makes the last follow from the first."""
     cap, plus, minus = norm_a * np.eye(T.ambient_dim, dtype=complex), T.stack, -T.stack
     return [sdp.LmiBlock(-a, plus), sdp.LmiBlock(b, minus), sdp.LmiBlock(cap, minus), sdp.LmiBlock(cap, plus)]
 
@@ -101,8 +103,7 @@ def solve_unperforated_instance(
     if not spectrum_psd(ev[0], ORDER_TOL):
         raise InputError("instance requires a <= b", field="b")
     norm_a = float(np.abs(ev[1]).max())
-    blocks = _instance_blocks(T, a, b, norm_a)
-    sol = sdp.check_feasibility(blocks, settings=settings)
+    sol = sdp.check_feasibility(_instance_blocks(T, a, b, norm_a)[:3], settings=settings)
     if sol.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"instance SDP failed: {sol.message}")
     candidate = T.element(sol.x)
@@ -115,8 +116,8 @@ def solve_unperforated_instance(
         )
     if sol.dual_certificate is not None:
         return UnperforatedInstance(
-            S=S, T=T, a=a, b=b, feasible=False, b_prime=None, certificate=sol.dual_certificate,
-            max_slack=float(sol.value), norm_a=norm_a,
+            S=S, T=T, a=a, b=b, feasible=False, b_prime=None, max_slack=float(sol.value), norm_a=norm_a,
+            certificate=sol.dual_certificate + [np.zeros_like(a)],
         )
     raise NumericalFailureError(
         f"instance neither verifiable nor certified (max slack {sol.value:.3e})"
@@ -153,12 +154,11 @@ def search_counterexample(
     if trials < 1:
         raise InputError("need at least one trial")
     n = T.ambient_dim
-    eye = np.eye(n, dtype=complex)
-    # b = 2I is strictly inside every generation program (a <= I, box >= 16)
+    # b = 2I is strictly inside every generation program (a <= I, b <= 16);
+    # 16 + b >= 0 follows from b >= a, so it is not posed
     identity = T.identity_in_span()
     x0 = None if identity is None else 2.0 * identity
-    box = 16.0 * eye  # 8 (1 + ||a||) for the normalized a
-    walls = [sdp.LmiBlock(box, -T.stack), sdp.LmiBlock(box, T.stack)]
+    wall = sdp.LmiBlock(16.0 * np.eye(n, dtype=complex), -T.stack)  # 8 (1 + ||a||) for the normalized a
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         a = S.element(rng.standard_normal(S.dim))
@@ -169,7 +169,7 @@ def search_counterexample(
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         G = hermitian_part(raw)
         G = G / max(np.linalg.norm(G), 1e-12)
-        blocks = [sdp.LmiBlock(-a, T.stack)] + walls
+        blocks = [sdp.LmiBlock(-a, T.stack), wall]
         objective = np.array([float(np.vdot(G, t).real) for t in T.basis])
         gen = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
         if gen.status != sdp.OPTIMAL:
@@ -374,8 +374,9 @@ class InfeasibleInterpolation(InputError):
 def extreme_bound(B: MatrixStarAlgebra, a, rng, upper: bool,
                   settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS):
     """An extremal-ish element of { u in B : u >= a } (or <= a) found by
-    minimizing a random linear functional inside a generous norm box,
-    started at u = +-(1 + ||a||) I."""
+    minimizing a random linear functional below a generous norm wall (or
+    above it; the wall on a's side follows from the order), started at
+    u = +-(1 + ||a||) I."""
     hb = B.hermitian_basis()
     n = B.ambient_dim
     eye = np.eye(n, dtype=complex)
@@ -389,9 +390,8 @@ def extreme_bound(B: MatrixStarAlgebra, a, rng, upper: bool,
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     G = hermitian_part(raw)
     plus = CoefficientStack(hb)
-    minus = -plus
-    blocks = [sdp.LmiBlock(-sign * a, plus if upper else minus), sdp.LmiBlock(box * eye, minus),
-              sdp.LmiBlock(box * eye, plus)]
+    side, wall = (plus, -plus) if upper else (-plus, plus)
+    blocks = [sdp.LmiBlock(-sign * a, side), sdp.LmiBlock(box * eye, wall)]
     objective = np.array([float(np.vdot(G, h).real) for h in hb])
     sol = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
     if sol.status != sdp.OPTIMAL:

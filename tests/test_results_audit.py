@@ -1,4 +1,5 @@
-"""Smoke test of tools/results_audit.py on a few documents."""
+"""Smoke test of tools/results_audit.py on a few documents, and of the classes
+its --compare puts each differing document in."""
 
 from __future__ import annotations
 
@@ -42,3 +43,46 @@ def test_audit_lists_every_document_and_records_outcomes(tmp_path, capsys):
     assert audit.main(["--compare", str(a), str(a)]) == 0
     assert audit.main(["--compare", str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == f"2 of {len(record)} documents differ"
+
+
+def test_compare_classifies_each_difference(tmp_path, capsys):
+    audit = load_tool()
+    results = '{"verdict":"FEASIBLE","max_slack":0.25,"b_prime":[[1,0],[0,2]]}'
+    before = {
+        "order/1/000-riesz": [0, results],
+        "order/1/001-unperforated": [0, results],
+        "order/1/002-unperforated": [0, results],
+        "order/1/003-unperforated": [0, results],
+        "extension/1/000-extension-interval": [3, "numerical failure: budget"],
+        "repro/E:perf": [0, results],
+        "repro/korovkin": [0, "{}"],
+    }
+    after = dict(before, **{
+        "order/1/000-riesz": [0, results.replace("0.25", "0.5")],  # numbers only
+        "order/1/001-unperforated": [0, results.replace("FEASIBLE", "INFEASIBLE")],  # a verdict
+        "order/1/002-unperforated": [0, results.replace("[[1,0],[0,2]]", "[[1,0]]")],  # a list's length
+        "order/1/003-unperforated": [3, "numerical failure: x"],  # the exit code
+        "extension/1/000-extension-interval": [3, "numerical failure: stalled"],  # the message
+        "repro/E:perf": [0, results.replace("2]]", "2.125]]")],  # numbers only
+    })
+    del after["repro/korovkin"]  # only one audit has it
+    assert audit.classify(before["order/1/000-riesz"], after["order/1/000-riesz"]) == (audit.NUMBERS, 0.25)
+    assert audit.classify(before["order/1/001-unperforated"], after["order/1/001-unperforated"]) == (
+        audit.VALUES, None)
+    assert audit.classify(before["order/1/002-unperforated"], after["order/1/002-unperforated"]) == (
+        audit.VALUES, None)
+    assert audit.classify(before["order/1/003-unperforated"], after["order/1/003-unperforated"]) == (
+        audit.EXIT_CODE, None)
+    assert audit.classify(before["extension/1/000-extension-interval"],
+                          after["extension/1/000-extension-interval"]) == (audit.VALUES, None)
+    assert audit.classify(before["repro/korovkin"], None) == (audit.EXIT_CODE, None)
+    assert audit.classify(before["repro/E:perf"], before["repro/E:perf"]) == (audit.NUMBERS, 0.0)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(before))
+    b.write_text(json.dumps(after))
+    assert audit.main(["--compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "largest numeric move, order riesz: 0.25" in lines
+    assert "largest numeric move, repro E:perf: 0.125" in lines
+    assert not any(line.startswith("largest numeric move, order unperforated") for line in lines)
+    assert lines[-2:] == ["2 exit code, 3 values, 2 numbers only", "7 of 7 documents differ"]

@@ -89,6 +89,8 @@ def test_swap_instance_infeasible_with_certificate():
     b = np.diag([1.0, 5.0])
     inst = solve_unperforated_instance(S, T, a, b)
     assert inst.verdict == "INFEASIBLE"
+    # -||a|| <= b' follows from a <= b' and is not posed: its block is exactly zero
+    assert len(inst.certificate) == 4 and np.array_equal(inst.certificate[3], np.zeros((2, 2)))
     assert verify_instance_certificate(inst)
 
 
@@ -153,6 +155,23 @@ def test_instance_with_forced_interpolant_is_feasible(seed):
     assert inst.verdict == "FEASIBLE"
     assert abs(inst.max_slack) <= 1e-7
     assert np.linalg.norm(inst.b_prime - a) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_instance_tight_on_the_side_that_is_not_posed(seed):
+    # lam_min(a) = -||a||, and b forces b' = a on that eigenvector, so
+    # ||a|| + b' >= 0, the block not posed, is tight at every interpolant.
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    diagonal = [U @ np.diag(e) @ U.conj().T for e in np.eye(3)]
+    a, b = (U @ np.diag(d) @ U.conj().T for d in ([-1.0, 0.3, 0.5], [-1.0, 0.9, 1.0]))
+    S = OperatorSubspace(ambient_dim=3, basis=[a], unital=False)
+    T = OperatorSubspace(ambient_dim=3, basis=diagonal, unital=False)
+    inst = solve_unperforated_instance(S, T, a, b)
+    assert inst.verdict == "FEASIBLE"
+    assert inst.norm_b_prime <= inst.norm_a + rigidity.INSTANCE_TOL * (1.0 + inst.norm_a)
+    assert abs(inst.max_slack) <= 1e-7
+    assert np.linalg.eigvalsh(inst.b_prime)[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_instance_rejects_unordered_pair():

@@ -6,7 +6,10 @@ interval intersection for the interpolation block family.  The one
 interior-point loop is held to its iteration count (the log-det barrier it
 replaced took about five times as many steps in the feasibility phase and
 9 to 35 steps per solve on extension faces), to an interior returned
-point, and to the capped slack when the slack is unbounded.  Blocks have
+point, and to the capped slack when the slack is unbounded.  Two blocks
+with exactly negated coefficients bound the slack without the cap: on
+F0_1 + x I and F0_2 - x I it is the closed form (lam_min(F0_1) +
+lam_min(F0_2)) / 2, feasible or certified infeasible.  Blocks have
 one checked constructor, and an unbounded program (the package poses none)
 ends NUMERICAL_FAILURE, reporting the steps of both of its phases.  The
 optimization phase's duals must meet the KKT conditions, and the
@@ -160,6 +163,64 @@ def test_capped_slack_is_feasible_without_certificate():
     assert sol.status == sdp.OPTIMAL and sol.value > 0
     assert sol.value == pytest.approx(30.0, abs=1e-6 * 30.0)
     assert sol.dual_certificate is None
+
+
+def opposite_pair(rng, shift, d=3):
+    """F0_1 + x I and F0_2 - x I with F0_k near shift I: the minimum slack
+    min(lam_min(F0_1) + x, lam_min(F0_2) - x) is largest at the closed form
+    (lam_min(F0_1) + lam_min(F0_2)) / 2, and the pair bounds it."""
+    eye = np.eye(d, dtype=complex)
+    return [sdp.LmiBlock(shift * eye + unit_norm_hermitian(rng, d), [sign * eye]) for sign in (1.0, -1.0)]
+
+
+def pair_oracle(blocks) -> float:
+    return sum(np.linalg.eigvalsh(b.constant)[0] for b in blocks) / 2.0
+
+
+def spy_caps(monkeypatch) -> list:
+    """The `caps` argument of every interior-point call (None: no cap block)."""
+    calls, interior_point = [], sdp._interior_point
+
+    def spied(problems, b, y, trace, settings, caps=None):
+        calls.append(caps)
+        return interior_point(problems, b, y, trace, settings, caps)
+
+    monkeypatch.setattr(sdp, "_interior_point", spied)
+    return calls
+
+
+@pytest.mark.parametrize("shift, status", [(1.5, sdp.OPTIMAL), (-1.5, sdp.INFEASIBLE)])
+def test_opposite_pair_bounds_the_slack_without_a_cap(monkeypatch, shift, status):
+    calls = spy_caps(monkeypatch)
+    blocks = opposite_pair(np.random.default_rng(41), shift)
+    sol = sdp.check_feasibility(blocks)
+    assert calls == [None]
+    assert sol.status == status
+    assert sol.value == pytest.approx(pair_oracle(blocks), abs=sdp.DEFAULT_SETTINGS.gap_tol)
+    if status == sdp.INFEASIBLE:
+        assert len(sol.dual_certificate) == 2
+        assert sdp.verify_certificate(blocks, sol.dual_certificate)
+    else:
+        assert min(np.linalg.eigvalsh(b.slack(sol.x))[0] for b in blocks) >= sol.value
+
+
+def test_batch_of_paired_and_capped_programs_equals_solo_runs(monkeypatch):
+    # The same constants with +I in both blocks have unbounded slack: the cap binds.
+    rng = np.random.default_rng(42)
+    paired = [opposite_pair(rng, shift) for shift in (1.5, -1.5, 0.5)]
+    capped = [[sdp.LmiBlock(b.constant, [np.eye(3)]) for b in p] for p in paired]
+    programs = [paired[0], capped[0], capped[1], paired[1], capped[2], paired[2]]
+    solo = [sdp.check_feasibility(p) for p in programs]
+    for p, sol in zip(programs, solo):
+        if p in capped:
+            cap = 10.0 * (1.0 + max(np.abs(b.constant).max() for b in p))
+            assert sol.status == sdp.OPTIMAL and sol.value == pytest.approx(cap, rel=1e-6)
+        else:
+            assert sol.value == pytest.approx(pair_oracle(p), abs=sdp.DEFAULT_SETTINGS.gap_tol)
+    calls = spy_caps(monkeypatch)
+    assert all(same_bits(b, s) for b, s in zip(sdp.check_feasibility_batch(programs), solo))
+    assert [c is None for c in calls] == [True, False, True, False, True]  # one call per run of either kind
+    assert all(same_bits(b, s) for b, s in zip(sdp.check_feasibility_batch(programs[::-1])[::-1], solo))
 
 
 def scalar_interpolation_blocks(n: int):

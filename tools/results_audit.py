@@ -13,7 +13,10 @@ last line of stderr.  The package is imported from this checkout's `src/`,
 so a copy of this file in another checkout audits that checkout.
 
 `--compare` lists the documents whose outcomes differ between two audits
-(or that only one audit has) and exits 1 when there is any.
+(or that only one audit has), each in one class: its exit code changed (or
+only one audit has it), a verdict or other non-numeric value changed or a
+list changed length, or numbers only.  It prints the largest absolute
+numeric move per workload and kind, and exits 1 when any document differs.
 """
 
 from __future__ import annotations
@@ -91,6 +94,45 @@ def compare(a: dict, b: dict) -> list:
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
+EXIT_CODE, VALUES, NUMBERS = "exit code", "values", "numbers only"
+
+
+def _moves(x, y) -> list:
+    """The absolute moves of the numbers of two JSON values of one shape;
+    None in the list for a non-numeric difference (a changed string, bool,
+    key set or list length)."""
+    def number(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if number(x) and number(y):
+        return [abs(x - y)]
+    if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        return [m for k in x for m in _moves(x[k], y[k])]
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        return [m for u, v in zip(x, y) for m in _moves(u, v)]
+    return [] if x == y else [None]
+
+
+def classify(a, b) -> tuple:
+    """(class, largest numeric move) of two outcomes of one document, either
+    None when only one audit has it; the move is None unless the class is
+    NUMBERS."""
+    if a is None or b is None or a[0] != b[0]:
+        return EXIT_CODE, None
+    if a[0] == 0:
+        moves = _moves(json.loads(a[1]), json.loads(b[1]))
+    else:
+        moves = [None] if a[1] != b[1] else []
+    return (VALUES, None) if None in moves else (NUMBERS, max(moves, default=0.0))
+
+
+def _group(name: str) -> str:
+    """'workload kind' of an audited name: 'order/1/003-riesz' gives
+    'order riesz', a repro case its own id."""
+    workload, *_, last = name.split("/")
+    return f"{workload} {last if workload == 'repro' else last.split('-', 1)[1]}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="where to write this checkout's audit (JSON)")
@@ -99,8 +141,18 @@ def main(argv=None) -> int:
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
         differ = compare(a, b)
+        counts, largest = {}, {}
         for name in differ:
-            print(f"{name}: {a.get(name)!r} != {b.get(name)!r}")
+            kind, move = classify(a.get(name), b.get(name))
+            counts[kind] = counts.get(kind, 0) + 1
+            if move is None:
+                print(f"{name} [{kind}]: {a.get(name)!r} != {b.get(name)!r}")
+            else:
+                print(f"{name} [{kind}]: largest move {move:.3g}")
+                largest[_group(name)] = max(move, largest.get(_group(name), 0.0))
+        for group, move in sorted(largest.items()):
+            print(f"largest numeric move, {group}: {move:.3g}")
+        print(", ".join(f"{counts.get(kind, 0)} {kind}" for kind in (EXIT_CODE, VALUES, NUMBERS)))
         print(f"{len(differ)} of {len(a.keys() | b.keys())} documents differ")
         return 1 if differ else 0
     if not args.out:
