@@ -12,8 +12,8 @@ once, each bitwise as if alone, as one stack: every block is padded to the
 largest block dimension, as diag(F(x), I) >= 0 iff F(x) >= 0.
 
 The feasibility phase gives y one more entry s and maximizes the minimum
-slack s over all blocks (capped unless two blocks with exactly negated
-coefficients bound it).  When s < 0 its X is a Farkas-type certificate
+slack s over all blocks (capped, so the problem is bounded).  When s < 0
+its X is a Farkas-type certificate
 
     Z_k >= 0,   sum_k <Z_k, F_{k,i}> = 0  for all i,   sum_k <Z_k, F0_k> < 0.
 
@@ -43,7 +43,6 @@ program ends NUMERICAL_FAILURE, or solves its singular system with a ridge.
 
 from __future__ import annotations
 
-import itertools
 import sys
 from dataclasses import dataclass
 
@@ -201,10 +200,10 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
     asks for X_k >= 0 with sum_k <X_k, F_ki> = -b_i, minimizing
     sum_k <X_k, F0_k>; X starts at a multiple of I of trace `trace` and is
     infeasible until a full step, and y starts strictly feasible and stays
-    so.  In the feasibility phase (q = m + 1) y's last entry is s, every
-    block gets the column -I on its own corner, and with `caps` one more
-    block s_cap I - s I of dimension D comes last.  Otherwise b.y above
-    UNBOUNDED_VALUE stops a program (a runaway).
+    so.  With `caps`, y gains a last entry s, every block gets the column -I
+    on its own corner and one more block s_cap I - s I of dimension D comes
+    last: the feasibility phase.  Without, b.y above UNBOUNDED_VALUE stops a
+    program (a runaway).
 
     Every block is padded to the largest dimension D, F0_k by I and each F_ki
     by 0, as diag(S_k(y), I) >= 0 iff S_k(y) >= 0: one (P, q + 1, K, D, D)
@@ -221,7 +220,6 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
     """
     P, m = len(problems), problems[0][0].num_vars
     q = b.shape[1] - 1  # m, or m + 1 with the slack s
-    slack = q > m
     K, D = _stack_shape(problems[0], caps is not None)
     dims = [blk.dim for blk in problems[0]]
     # [F0, F_1..F_q] per block: a real (P, q + 1, 2 K D D) view (slacks,
@@ -234,7 +232,7 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
                            (slice(1, m + 1), [blocks[j].coefficients for blocks in problems])):
             F[:, rows, j, :d, :d] = part[0] if all(a is part[0] for a in part) else part  # shared: written once
         F[:, 0, j, diag[d:], diag[d:]] = 1.0  # the padding's I
-        if slack:  # s's column: -I on the block's own corner
+        if caps is not None:  # s's column: -I on the block's own corner
             F[:, -1, j, diag[:d], diag[:d]] = -1.0
     if caps is not None:  # the cap s_cap I - s I
         F[:, 0, -1, diag, diag] = np.asarray(caps)[:, None]
@@ -245,7 +243,7 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
     X = (eye * (trace / (K * D))[:, None, None, None]).repeat(K, axis=1)
     y = y.copy()
     b_norm = 1.0 + np.sqrt(_rows_dot(b, b))
-    limit = np.inf if slack else UNBOUNDED_VALUE
+    limit = np.inf if caps is not None else UNBOUNDED_VALUE
     tol = settings.gap_tol / 10.0
     active = np.arange(P)  # the program of each row
     outcomes = [None] * P
@@ -280,7 +278,7 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
         root = 1.0 / root
         outer = root[..., :, None] * root[..., None, :]
         p_obj, r_p = r_p[:, 0], r_p[:, 1:]
-        d_obj = y[:, -1] if slack else _rows_dot(y, b)  # b.y; with the slack, b picks s
+        d_obj = y[:, -1] if caps is not None else _rows_dot(y, b)  # b.y; with caps, b picks s
         feasible = np.sqrt(_rows_dot(r_p, r_p)) / b_norm <= tol
         converged = (gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible
         runaway = d_obj > limit
@@ -331,12 +329,12 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
         y[:, 1:] += a_d[:, :, 0, 0] * dy
 
 
-def _in_chunks(run, problems, columns: int, cap: bool, *rows):
+def _in_chunks(run, problems, cap: bool, *rows):
     """run(chunk, *rows of the chunk) over chunks of `problems` whose working
-    set (_WORKING_SET arrays of `columns` scaled coefficients per block, with
-    `cap` the cap block too) holds at most BLOCK_ENTRIES complex entries."""
+    set (_WORKING_SET arrays of the scaled coefficients, with `cap` the
+    feasibility phase's) holds at most BLOCK_ENTRIES complex entries."""
     K, D = _stack_shape(problems[0], cap)
-    step = max(1, BLOCK_ENTRIES // (_WORKING_SET * columns * K * D * D))
+    step = max(1, BLOCK_ENTRIES // (_WORKING_SET * (problems[0][0].num_vars + cap + 1) * K * D * D))
     return [out for start in range(0, len(problems), step)
             for out in run(problems[start:start + step], *(a[start:start + step] for a in rows))]
 
@@ -349,28 +347,22 @@ def _same_shapes(problems) -> None:
         raise InputError("blocks disagree on the variable count, or programs on block dimensions")
 
 
-def _needs_cap(blocks) -> bool:
-    """Unless F_j = -F_k for two blocks: then S_j + S_k = F0_j + F0_k - 2 s I bounds s."""
-    return not any(np.array_equal(-b.coefficients, c.coefficients) for b, c in itertools.combinations(blocks, 2))
-
-
-def _phase1(problems, settings: SdpSettings, cap: bool) -> list:
-    """Maximize the minimum slack s with F(x) - s I >= 0 (with `cap` also
-    s <= s_cap) for programs of the same block dimensions and variable count.
+def _phase1(problems, settings: SdpSettings) -> list:
+    """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap, for
+    programs with the same block dimensions and variable count at once.
 
     The dual asks for X_k >= 0 with sum_k <X_k, F_ki> = 0 and total trace 1,
-    minimizing sum_k <X_k, F0_k> (+ s_cap tr X_cap); a pair F_j = -F_k or the
-    cap keeps both sides feasible and bounded.  X starts at trace 1; y starts
-    at x = 0, s = -1 - max_k ||F0_k||_F, so callers use the returned x as an
-    interior point.  X over the program's blocks, renormalized, is the Farkas
-    certificate when lam* < 0.  Returns an SdpSolution per program.
+    minimizing sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides
+    feasible and bounded.  X starts at trace 1; y starts at x = 0, s = -1 -
+    max_k ||F0_k||_F, so callers use the returned x as an interior point.  X
+    over the non-cap blocks, renormalized, is the Farkas certificate when
+    lam* < 0.  Returns an SdpSolution per program (see check_feasibility).
     """
     P, m = len(problems), problems[0][0].num_vars
     y = np.zeros((P, m + 2))  # (1, x, s)
     y[:, 0] = 1.0
     y[:, -1] = [-1.0 - max(float(np.linalg.norm(b.constant)) for b in blocks) for blocks in problems]
-    caps = [10.0 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks))
-            for blocks in problems] if cap else None
+    caps = [10.0 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)) for blocks in problems]
     b = np.zeros((P, m + 2))
     b[:, -1] = 1.0
     outcomes = _interior_point(problems, b, y, np.ones(P), settings, caps)
@@ -383,7 +375,7 @@ def _phase1(problems, settings: SdpSettings, cap: bool) -> list:
 
 def _phase1_solution(blocks, y, X, iteration, settings: SdpSettings) -> SdpSolution:
     """The solution of a converged program from its row of the iterate."""
-    duals = X[:len(blocks)]  # the cap's, if any, dropped
+    duals = X[:-1]  # the cap's dropped
     total = sum(float(np.trace(Z).real) for Z in duals)
     duals = [Z / total for Z in duals] if total > 0 else None
     lam_star = float(y[-1])
@@ -402,15 +394,13 @@ def check_feasibility(blocks, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSo
 
 def check_feasibility_batch(problems, settings: SdpSettings = DEFAULT_SETTINGS) -> list:
     """check_feasibility of every program in `problems` (block lists with
-    the same block dimensions and variable count), solved together in chunks
-    and runs that need the cap or not; each solution is bitwise the one its
-    program gives alone."""
+    the same block dimensions and variable count), solved together in
+    chunks; each solution is bitwise the one its program gives alone."""
     problems = [list(blocks) for blocks in problems]
     if not problems:
         return []
     _same_shapes(problems)
-    return [sol for cap, run in itertools.groupby(problems, key=_needs_cap) for sol in _in_chunks(
-        lambda chunk: _phase1(chunk, settings, cap), list(run), problems[0][0].num_vars + 2, cap)]
+    return _in_chunks(lambda chunk: _phase1(chunk, settings), problems, True)
 
 
 def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
@@ -463,7 +453,7 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
     trace = np.array([1.0 + float(np.linalg.norm(c)) for c in cs])
     b = np.concatenate([np.zeros((len(warm), 1)), -cs], axis=1)
     outcomes = _in_chunks(lambda chunk, b, y, trace: _interior_point(chunk, b, y, trace, settings),
-                          [programs[k] for k in warm], m + 1, False, b, y, trace)
+                          [programs[k] for k in warm], False, b, y, trace)
     for k, c, outcome in zip(warm, cs, outcomes):
         solutions[k] = _optimization_solution(programs[k], c, outcome, steps[k], settings)
     return solutions
