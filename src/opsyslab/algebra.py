@@ -6,9 +6,12 @@ operator subspace.  One orthonormalizer (`orthonormalize`, two-pass
 classical Gram-Schmidt in input order, over the reals on the float view of
 hermitian matrices) and one coefficient map (`span_coefficients`, a whole
 stack of matrices in one matmul) serve generation and the closure check.
-Both multiply basis elements pairwise over blocks of basis rows, which
-bounds memory up to dimension 256.  Every algebra built from spanning
-matrices is certified *-closed (`MatrixStarAlgebra.from_basis`).
+Both multiply basis elements pairwise over blocks of basis rows
+(`limits.chunks`), which bounds memory up to dimension 256.  An algebra has
+one constructor, `MatrixStarAlgebra(basis)`, which reads the ambient
+dimension, fullness and unitality off its orthonormal basis; one built from
+spanning matrices (`from_basis`) is certified *-closed, unless they span
+M_n, which is closed by definition and gets M_n's standard hermitian basis.
 `wedderburn` splits a unital algebra into its blocks,
 U*AU = (+) M_{n_i} (x) I_{m_i}, from one generic element that commutes with
 it; purity and pure decomposition are read off those blocks.  Rank decisions
@@ -20,20 +23,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericalFailureError
-from .hermitian import (
-    BLOCK_ENTRIES,
-    CoefficientStack,
-    eigenvalues_checked,
-    eigh,
-    hermitian,
-    hermitian_part,
-)
-from .limits import MAX_AMBIENT, MAX_COEFFICIENT_DIM
+from .hermitian import CoefficientStack, eigenvalues_checked, eigh, hermitian, hermitian_part
+from .limits import MAX_AMBIENT, MAX_COEFFICIENT_DIM, chunks
 
 RANK_TOL = 1e-9
 CLOSURE_TOL = 1e-8
@@ -93,13 +89,6 @@ def _independent(residual, norm, unit=1.0):
     """The shared rank cut: a residual above sqrt(RANK_TOL) of the norm (or
     of `unit`, the value 1 takes in rescaled data)."""
     return residual > np.sqrt(RANK_TOL) * np.maximum(norm, unit)
-
-
-def _row_blocks(k: int, width: int) -> list:
-    """Slices of range(k) such that a block of rows, each a slab of
-    k * width entries, holds at most BLOCK_ENTRIES entries."""
-    step = max(1, BLOCK_ENTRIES // max(1, k * width))
-    return [slice(i, i + step) for i in range(0, k, step)]
 
 
 def orthonormalize(mats) -> np.ndarray:
@@ -167,8 +156,7 @@ class OperatorSubspace:
         ev = eigenvalues_checked(hermitian_part(self._gram / np.outer(norms, norms))) if norms.all() else [0.0]
         if ev[0] <= RANK_TOL * ev[-1]:
             raise InputError("subspace basis is not linearly independent")
-        self._identity_coefficients = self.identity_in_span() if self.unital else None
-        if self.unital and self._identity_coefficients is None:
+        if self.unital and self.identity_in_span() is None:
             raise InputError("unital flag set but identity is not in the span")
 
     @property
@@ -204,25 +192,26 @@ class OperatorSubspace:
         coeffs, resid, _ = self._coefficients(np.eye(self.ambient_dim, dtype=complex))
         return coeffs if resid <= 1e-9 * (1.0 + np.sqrt(self.ambient_dim)) else None
 
-    def identity_coefficients(self) -> np.ndarray:
-        if self._identity_coefficients is None:
-            raise InputError("subspace is not unital")
-        return self._identity_coefficients
-
 
 @dataclass
 class MatrixStarAlgebra:
     """A *-closed span with an orthonormal basis, stored as a read-only
-    (k, n, n) array; products stay inside."""
+    (k, n, n) array; products stay inside.  The ambient dimension n, fullness
+    (k = n^2) and whether the span holds I are read off the basis."""
 
-    ambient_dim: int
     basis: np.ndarray
-    contains_identity: bool
-    _full: bool = field(default=False, repr=False)
-    _herm_basis: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        n = self.ambient_dim = self.basis.shape[-1]
+        self._full = len(self.basis) == n * n
+        self.contains_identity = self._full or bool(
+            span_coefficients(self.basis, np.eye(n, dtype=complex))[1] <= 1e-9 * (1.0 + np.sqrt(n)))
+        self._herm_basis = None
 
     @staticmethod
     def from_basis(mats) -> "MatrixStarAlgebra":
+        """The algebra spanned by `mats`, certified *-closed unless the span
+        is all of M_n, which is closed by definition."""
         mats = [_as_matrix(M) for M in mats]
         if not mats:
             raise InputError("algebra needs at least one spanning matrix")
@@ -231,9 +220,9 @@ class MatrixStarAlgebra:
             raise InputError("spanning matrices disagree on dimension")
         if n > MAX_AMBIENT:
             raise InputError(f"algebra ambient dimension {n} exceeds {MAX_AMBIENT}")
-        basis = orthonormalize(np.stack(mats))
-        alg = MatrixStarAlgebra(n, basis, contains_identity=_identity_in_span(basis, n))
-        alg.verify_closure()
+        alg = MatrixStarAlgebra(orthonormalize(np.stack(mats)))
+        if not alg._full:
+            alg.verify_closure()
         return alg
 
     @staticmethod
@@ -274,16 +263,16 @@ class MatrixStarAlgebra:
         if np.any(resid > CLOSURE_TOL):
             i = int(np.argmax(resid > CLOSURE_TOL))
             raise InputError(f"not a *-closed span: span is not adjoint-closed at basis element {i}")
-        for rows in _row_blocks(len(B), self.ambient_dim ** 2):
+        for rows in chunks(len(B), len(B) * self.ambient_dim ** 2):
             if np.any(span_coefficients(B, B[rows, None] @ B[None])[1] > CLOSURE_TOL):
                 raise InputError("not a *-closed span: span is not closed under multiplication")
 
     def hermitian_basis(self) -> np.ndarray:
         """Hermitian basis of the self-adjoint part (real dimension = dim).
 
-        Full algebras use the standard elements E_ii, E_ij + E_ji,
-        i(E_ij - E_ji) in a fixed readable order; general algebras get a
-        Gram-Schmidt basis derived from the stored one.
+        Full algebras, however their basis was given, use the standard
+        elements E_ii, E_ij + E_ji, i(E_ij - E_ji) in a fixed readable order;
+        general algebras get a Gram-Schmidt basis derived from the stored one.
         """
         if self._herm_basis is not None:
             return self._herm_basis
@@ -318,12 +307,7 @@ class MatrixStarAlgebra:
 @functools.cache  # one per n, at most MAX_AMBIENT
 def _full_algebra(n: int) -> MatrixStarAlgebra:
     units = _readonly(np.eye(n * n, dtype=complex).reshape(n * n, n, n))  # E_pq at index p * n + q
-    return MatrixStarAlgebra(n, units, contains_identity=True, _full=True)
-
-
-def _identity_in_span(basis, n) -> bool:
-    _, resid = span_coefficients(basis, np.eye(n, dtype=complex))
-    return bool(resid <= 1e-9 * (1.0 + np.sqrt(n)))
+    return MatrixStarAlgebra(units)
 
 
 def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
@@ -345,7 +329,7 @@ def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
         if len(basis) >= max_dim:
             break
         cands = [basis]
-        for rows in _row_blocks(len(basis), n * n):
+        for rows in chunks(len(basis), len(basis) * n * n):
             P = (basis[rows, None] @ basis[None]).reshape(-1, n, n)
             _, resid = span_coefficients(basis, P)
             cands.append(P[_independent(resid, np.linalg.norm(P, axis=(1, 2)))])
@@ -353,9 +337,7 @@ def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
         if len(extended) == len(basis):
             break
         basis = extended
-    return MatrixStarAlgebra(
-        n, basis, contains_identity=_identity_in_span(basis, n), _full=(len(basis) == max_dim)
-    )
+    return MatrixStarAlgebra(basis)
 
 
 @functools.cache  # one per ambient dimension, at most MAX_AMBIENT
@@ -379,7 +361,7 @@ def wedderburn(algebra: MatrixStarAlgebra) -> list:
     n, B = algebra.ambient_dim, algebra.basis
     if not algebra.contains_identity:
         raise InputError(NOT_UNITAL, field="algebra")
-    if algebra.dim == n * n:
+    if algebra._full:
         return [(np.eye(n, dtype=complex), 1)]
     h = np.sum(B @ _generic_hermitian(n) @ B.conj().swapaxes(1, 2), axis=0)  # commutes with A
     Q = eigh(h).eigenvectors

@@ -27,9 +27,6 @@ from numpy.linalg import _umath_linalg
 from .errors import InputError, NumericalFailureError
 from .limits import MAX_DIM
 
-# Complex entries in one block of a batched array computation (16 MB).
-BLOCK_ENTRIES = 1 << 20
-
 # Hermitian deviation accepted at construction; larger deviations are user
 # errors, smaller ones are absorbed by symmetrization.
 HERMITIAN_REJECT = 1e-8

@@ -79,19 +79,15 @@ def _weight_chunks(n: int, grid: np.ndarray):
 
 
 def korovkin_demo(n: int, grid_size: int, test_functions=()) -> dict:
-    """Sup-grid deviations ||B_n f - f|| for the generating triple and extras.
-
-    Extra functions are given by registry name (see TEST_FUNCTIONS) or as
-    (name, callable) pairs.
-    """
+    """Sup-grid deviations ||B_n f - f|| for the generating triple and extras,
+    given by registry name (see TEST_FUNCTIONS)."""
     if not (1 <= n <= MAX_DEGREE and 2 <= grid_size <= MAX_GRID_SIZE):
         raise InputError(f"need a degree in 1..{MAX_DEGREE} and 2..{MAX_GRID_SIZE} grid points")
     fns = {name: TEST_FUNCTIONS[name] for name in ("1", "x", "x^2")}
-    for item in test_functions:
-        if isinstance(item, str) and item not in TEST_FUNCTIONS:
-            raise InputError(f"unknown test function {item!r}; known: {sorted(TEST_FUNCTIONS)}")
-        name, func = (item, TEST_FUNCTIONS[item]) if isinstance(item, str) else item
-        fns[str(name)] = func
+    for name in test_functions:
+        if not isinstance(name, str) or name not in TEST_FUNCTIONS:
+            raise InputError(f"unknown test function {name!r}; known: {sorted(TEST_FUNCTIONS)}")
+        fns[name] = TEST_FUNCTIONS[name]
     grid = np.linspace(0.0, 1.0, grid_size)
     approx = _bernstein_table(list(fns.values()), n, grid).T
     return {name: float(np.max(np.abs(col - np.asarray(f(grid), dtype=float))))

@@ -22,7 +22,6 @@ from . import sdp, spectrahedron
 from .algebra import NOT_UNITAL, MatrixStarAlgebra, OperatorSubspace, generate_algebra
 from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import (
-    BLOCK_ENTRIES,
     CoefficientStack,
     clip_spectrum,
     commutator_norm,
@@ -36,7 +35,7 @@ from .hermitian import (
     op_norm,
     spectrum_psd,
 )
-from .limits import MAX_CHOI_AMBIENT
+from .limits import MAX_CHOI_AMBIENT, chunks
 
 INSTANCE_TOL = 1e-7
 ORDER_TOL = 1e-8  # x <= y when lambda_min(y - x) >= -ORDER_TOL (1 + max |lambda|); Choi PSD alike
@@ -432,18 +431,17 @@ def riesz_sequence(req: InterpolationRequest,
     solutions = sdp.check_feasibility_batch(problems, settings=settings)
     first = next((k for k, sol in enumerate(solutions) if sol.status != sdp.OPTIMAL), req.N)
     # Y_n = sum_i x_i h_i, added in index order from 0 as Python's sum adds, and all slacks F0 -+ Y_n
-    # in one call, for every n before the first failed program, in chunks of BLOCK_ENTRIES entries
+    # in one call, for every n before the first failed program, in `limits.chunks` blocks
     signs = np.array([1.0 if blk.coefficients is plus.mats else -1.0 for blk in problems[0]])[:, None, None]
-    step = max(1, BLOCK_ENTRIES // (max(len(hb), len(signs)) * n_amb * n_amb))
     out = []
-    for start in range(0, first, step):
-        x = np.stack([sol.x for sol in solutions[start:min(first, start + step)]])
+    for part in chunks(first, max(len(hb), len(signs)) * n_amb * n_amb):
+        x = np.stack([sol.x for sol in solutions[part]])
         Y = np.add.reduce(x[:, :, None, None] * hb, axis=1, initial=0)
-        F0 = np.array([[blk.constant for blk in blocks] for blocks in problems[start:start + len(x)]])
+        F0 = np.array([[blk.constant for blk in blocks] for blocks in problems[part]])
         slacks = (F0 + signs * Y[:, None]).reshape(-1, n_amb, n_amb)
         ok = eigenvalues(slacks)[:, 0].reshape(len(x), -1).min(axis=1) >= -INSTANCE_TOL * (1.0 + na)
         if not ok.all():
-            raise NumericalFailureError(f"interpolant at n={start + ok.argmin() + 1} violates its blocks")
+            raise NumericalFailureError(f"interpolant at n={part.start + ok.argmin() + 1} violates its blocks")
         out.extend(hermitian_part(Y))
     if first < req.N and solutions[first].status == sdp.INFEASIBLE:
         raise InfeasibleInterpolation(f"no interpolant exists at n={first + 1}: bound lists are inconsistent",

@@ -50,8 +50,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import InputError
-from .hermitian import BLOCK_ENTRIES, CoefficientStack, hermitian, hermitian_part, is_positive_definite, is_psd
-from .limits import MAX_VARIABLES
+from .hermitian import CoefficientStack, hermitian, hermitian_part, is_positive_definite, is_psd
+from .limits import MAX_VARIABLES, chunks
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -332,11 +332,10 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None) -> 
 def _in_chunks(run, problems, cap: bool, *rows):
     """run(chunk, *rows of the chunk) over chunks of `problems` whose working
     set (_WORKING_SET arrays of the scaled coefficients, with `cap` the
-    feasibility phase's) holds at most BLOCK_ENTRIES complex entries."""
+    feasibility phase's) fits one block of `limits.chunks`."""
     K, D = _stack_shape(problems[0], cap)
-    step = max(1, BLOCK_ENTRIES // (_WORKING_SET * (problems[0][0].num_vars + cap + 1) * K * D * D))
-    return [out for start in range(0, len(problems), step)
-            for out in run(problems[start:start + step], *(a[start:start + step] for a in rows))]
+    return [out for part in chunks(len(problems), _WORKING_SET * (problems[0][0].num_vars + cap + 1) * K * D * D)
+            for out in run(problems[part], *(a[part] for a in rows))]
 
 
 def _same_shapes(problems) -> None:

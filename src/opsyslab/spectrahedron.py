@@ -38,6 +38,7 @@ from . import sdp
 from .algebra import RANK_TOL, pow2_scale
 from .errors import InputError, NumericalFailureError
 from .hermitian import eigenvalues, eigh, hermitian_part, is_positive_definite
+from .limits import MAX_FACE_SEARCH
 
 FACE_TOL = 1e-7
 # |tr N| below this counts as traceless for a unit direction N
@@ -182,6 +183,8 @@ def reduce_spectrahedron(
     zero-dimensional system is not PSD, or the PSD part carries a verified
     Farkas certificate.  The same findings on a reduced face rest on the
     numerical kernel of a phase-one dual and raise NumericalFailureError.
+    A phase-one program over more than MAX_FACE_SEARCH coordinates is not
+    posed: FaceTooLarge.
     """
     mats = hermitian_part(np.asarray(mats, dtype=complex))
     rhs = np.asarray(rhs, dtype=float)
@@ -210,6 +213,8 @@ def reduce_spectrahedron(
         # x0 is interior at the search's own threshold: the search would agree
         if is_positive_definite(x0 - FACE_TOL * scale * np.eye(r)):
             return spec
+        if len(dirs) > MAX_FACE_SEARCH:
+            raise FaceTooLarge(len(dirs), "the face search", MAX_FACE_SEARCH)
         sol = sdp.check_feasibility([spec.block], settings=settings)
         if sol.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"face search failed: {sol.message}")
@@ -258,10 +263,10 @@ def _refine_support(V: np.ndarray, Y: np.ndarray, mats: np.ndarray, rhs: np.ndar
 
 
 class FaceTooLarge(InputError):
-    """The located face has more coordinates than an SDP takes."""
+    """A face has more coordinates than the program posed over it takes."""
 
-    def __init__(self, count: int):
-        super().__init__(f"the located face has {count} coordinates; one SDP takes at most {sdp.MAX_VARIABLES}")
+    def __init__(self, count: int, program: str, limit: int):
+        super().__init__(f"the located face has {count} coordinates; {program} takes at most {limit}")
 
 
 def optimize_linear(spec: ReducedSpectrahedron, Cs, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> list:
@@ -273,7 +278,7 @@ def optimize_linear(spec: ReducedSpectrahedron, Cs, settings: sdp.SdpSettings = 
     if len(spec.dirs) == 0:
         return [(float(value), spec.point(np.zeros(0))) for value in base]
     if len(spec.dirs) > sdp.MAX_VARIABLES:
-        raise FaceTooLarge(len(spec.dirs))
+        raise FaceTooLarge(len(spec.dirs), "one SDP", sdp.MAX_VARIABLES)
     N = spec.dirs
     # minimize -tr(C_k X) over the face's coordinates z
     objectives = -(Cs.reshape(len(Cs), -1).conj() @ N.reshape(len(N), -1).T).real

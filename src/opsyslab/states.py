@@ -7,8 +7,11 @@ algebra are obtained through the trace-preserving conditional expectation
 (the HS projection onto the span), which is what decomposition results are
 reconstructed against.
 
-Extension endpoints are semidefinite programs over the extension set
-{ Y >= 0 : tr(s_j Y) = phi(s_j) }, reduced to its face:
+Statehood is a question about the extension set { Y >= 0 : tr(s_j Y) =
+phi(s_j), tr Y = 1 }: a unital functional on S is a state iff it extends to
+a state of M_n (Arveson's extension theorem), so values are a state iff
+facial reduction does not certify that set empty.  Extension endpoints are
+semidefinite programs over the same set, reduced to its face:
 
     max over extensions of psi(t)  =  max { tr(t Y) : Y in the set },
 
@@ -33,7 +36,8 @@ import numpy as np
 from . import sdp, spectrahedron
 from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, wedderburn
 from .errors import InputError, NumericalFailureError, check_dimension
-from .hermitian import BLOCK_ENTRIES, eigenvalues_checked, eigh, hermitian, hermitian_part
+from .hermitian import eigenvalues_checked, eigh, hermitian, hermitian_part
+from .limits import chunks
 
 UEP_TOL = 1e-6
 WITNESS_AGREE_TOL = 1e-7
@@ -69,15 +73,9 @@ class StateFunctional:
     def ambient_dim(self) -> int:
         return self.density.shape[0]
 
-    def evaluate(self, a) -> complex:
-        return complex(np.trace(np.asarray(a, dtype=complex) @ self.density))
-
     def expect(self, a) -> float:
         """Value on a hermitian element (real part of the trace pairing)."""
-        return float(self.evaluate(a).real)
-
-    def __call__(self, a) -> complex:
-        return self.evaluate(a)
+        return float(np.trace(np.asarray(a, dtype=complex) @ self.density).real)
 
     def restrict(self, domain) -> "StateFunctional":
         return StateFunctional(density=self.density, domain=domain)
@@ -130,35 +128,26 @@ class UepResult(NamedTuple):
 def verify_state_on_subspace(
     values, S: OperatorSubspace, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS
 ) -> bool:
-    """Statehood of prescribed values on a unital subspace.
-
-    True iff the functional is 1 on the identity and nonnegative (within
-    1e-8) on the normalized positive elements of the span; truth guarantees a
-    state extension to the full matrix algebra exists.
-    """
+    """Statehood of prescribed values on a unital subspace: False when
+    facial reduction certifies their extension set empty."""
     if not S.unital:
         raise InputError("statehood check requires a unital subspace")
     values = np.asarray(values, dtype=float)
     if values.shape != (S.dim,):
         raise InputError("value vector does not match the subspace basis")
-    id_coeffs = S.identity_coefficients()
-    if abs(float(id_coeffs @ values) - 1.0) > 1e-8:
+    try:
+        _reduce_extensions(S.basis, values, settings)
+    except spectrahedron.SpectrahedronInfeasible:
         return False
-    traces = np.trace(S.basis, axis1=1, axis2=2).real
-    # affine slice {x : traces.x = 1} through x_p, directions spanning its null space
-    x_p = id_coeffs / float(traces @ id_coeffs)
-    _, _, vt = np.linalg.svd(traces.reshape(1, -1))
-    null_dirs = vt[1:]
-    block = sdp.LmiBlock(
-        np.tensordot(x_p, S.basis, axes=1), np.tensordot(null_dirs, S.basis, axes=1)
-    )
-    objective = null_dirs @ values
-    prob = sdp.SdpProblem(objective=objective, blocks=[block])
-    sol = sdp.solve(prob, x0=np.zeros(len(null_dirs)), settings=settings)
-    if sol.status != sdp.OPTIMAL:
-        raise NumericalFailureError(f"statehood SDP failed: {sol.status} {sol.message}")
-    minimum = float(values @ x_p) + sol.value
-    return minimum >= -1e-8
+    return True
+
+
+def _reduce_extensions(basis: np.ndarray, values: np.ndarray, settings: sdp.SdpSettings):
+    """The reduced set of densities { Y >= 0 : tr(s_j Y) = values_j, tr Y = 1 }
+    for the hermitian basis s, the stack [s, I] against [values, 1]."""
+    n = basis.shape[-1]
+    mats = np.concatenate([basis, np.eye(n, dtype=complex)[None]])
+    return spectrahedron.reduce_spectrahedron(n, mats, np.append(values, 1.0), settings=settings)
 
 
 def _extension_set(phi: StateFunctional, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> tuple:
@@ -171,10 +160,8 @@ def _extension_set(phi: StateFunctional, settings: sdp.SdpSettings = sdp.DEFAULT
     """
     basis = _domain_hermitian_basis(phi.domain)
     values = phi.values_on(basis)
-    n = phi.ambient_dim
-    mats = np.concatenate([basis, np.eye(n, dtype=complex)[None]])
     try:
-        spec = spectrahedron.reduce_spectrahedron(n, mats, np.append(values, 1.0), settings=settings)
+        spec = _reduce_extensions(basis, values, settings)
     except spectrahedron.SpectrahedronInfeasible as exc:
         raise InputError(f"functional admits no state extension: {exc}") from exc
     return spec, basis, values
@@ -245,8 +232,8 @@ def has_uep(
     (`ReducedSpectrahedron.linear_range`) is at most UEP_TOL cannot carry a
     fat interval and costs no program; each other one costs a batch of two
     (its min and max), in basis order until the first fat interval.  The
-    basis is ranged in chunks of BLOCK_ENTRIES / (face size) elements, so a
-    fat interval also ends the ranging.
+    basis is ranged in `limits.chunks` blocks of elements of the face's size,
+    so a fat interval also ends the ranging.
     """
     if S.ambient_dim != psi.ambient_dim:
         raise InputError("subspace dimension does not match the state", field="psi")
@@ -257,8 +244,7 @@ def has_uep(
         raise InputError("subspace is not contained in the state's algebra", field="S")
     extension = _extension_set(psi.restrict(S), settings=settings)
     spec, basis = extension[0], A.hermitian_basis()
-    step = max(1, BLOCK_ENTRIES // max(1, spec.dirs.size))  # objectives ranged at once
-    for chunk in (basis[i:i + step] for i in range(0, len(basis), step)):
+    for chunk in (basis[part] for part in chunks(len(basis), spec.dirs.size)):  # objectives ranged at once
         for t in chunk[spec.linear_range(chunk)[1] > UEP_TOL]:
             interval = _interval_from_set(extension, t, A, settings=settings)
             if interval.length > UEP_TOL:

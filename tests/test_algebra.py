@@ -139,6 +139,38 @@ def test_huge_spanning_matrices_keep_their_span(recwarn, mats, dim):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_spanning_list_of_mn_is_mn_without_the_closure_products(monkeypatch, n):
+    # a span of M_n is closed by definition: no closure check, and the
+    # hermitian basis is M_n's standard one, bit for bit
+    calls = []
+    verify = MatrixStarAlgebra.verify_closure
+    monkeypatch.setattr(MatrixStarAlgebra, "verify_closure", lambda self: calls.append(self.dim) or verify(self))
+    rng = np.random.default_rng(n)
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    rotated = [U @ E(n, i, j) @ U.conj().T for i in range(n) for j in range(n)]
+    alg = MatrixStarAlgebra.from_basis(rotated + [np.eye(n)])  # a redundant member changes nothing
+    assert calls == []
+    assert alg.dim == n * n and alg.contains_identity
+    assert alg.hermitian_basis().tobytes() == MatrixStarAlgebra.full(n).hermitian_basis().tobytes()
+    (V, copies), = wedderburn(alg)
+    assert copies == 1 and np.array_equal(V, np.eye(n))
+    # a proper algebra still pays the check
+    MatrixStarAlgebra.from_basis(rotated[:1] + [np.eye(n) - rotated[0]])
+    assert calls == [2]
+
+
+def test_the_one_constructor_reads_its_flags_off_the_basis():
+    for basis, unital, full in [
+        (np.eye(4, dtype=complex).reshape(4, 2, 2), True, True),
+        (algebra.orthonormalize(np.stack([np.eye(3), E(3, 0, 0)])), True, False),
+        (algebra.orthonormalize(np.stack([E(3, 0, 0), E(3, 1, 1)])), False, False),
+    ]:
+        alg = MatrixStarAlgebra(basis)
+        assert (alg.ambient_dim, alg.contains_identity, alg.dim == alg.ambient_dim ** 2) == (
+            basis.shape[-1], unital, full)
+
+
 def test_package_exports_resolve_once_and_drop_the_removed_algebra_names():
     import opsyslab
 
@@ -199,7 +231,7 @@ def test_subspace_layer_answers_on_scaled_data_without_overflow(scale):
     # Gram matrix, norms and residuals are formed on data scaled by a power
     # of two; a RuntimeWarning (overflow, invalid value) would fail here
     S = OperatorSubspace(ambient_dim=2, basis=[scale * np.eye(2), scale * np.diag([1.0, -1.0])], unital=True)
-    assert S.identity_coefficients() == pytest.approx([1.0 / scale, 0.0], rel=1e-12, abs=1e-12 / scale)
+    assert S.identity_in_span() == pytest.approx([1.0 / scale, 0.0], rel=1e-12, abs=1e-12 / scale)
     coeffs, resid = S.coefficients_of(scale * np.diag([3.0, 1.0]))
     assert coeffs == pytest.approx([2.0, 1.0], rel=1e-12) and resid <= 1e-12 * scale
     with pytest.raises(InputError, match="not in the subspace"):

@@ -802,6 +802,35 @@ def test_uep_on_a_large_face_with_nothing_open_still_answers(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["results"] == {"holds": True}
 
 
+@pytest.mark.parametrize("kind", ["uep", "extension-interval"])
+def test_cli_face_search_beyond_its_limit_names_s_and_poses_nothing(monkeypatch, tmp_path, capsys, kind):
+    # With the algebra omitted, S = span{I, E11} and the state E11 leave the
+    # search 16 - 2 = 14 coordinates on M4; the limit patched to 13 refuses
+    # it before its program is posed, and at 14 the document answers.
+    E11 = np.diag([1.0, 0.0, 0.0, 0.0])
+    payload = {"S": [np.eye(4).tolist(), E11.tolist()]}
+    payload |= {"state": E11.tolist()} if kind == "uep" else {"phi": E11.tolist(), "t": np.eye(4)[::-1].tolist()}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": kind, "payload": payload}))
+    posed = []
+    check_feasibility = sdp.check_feasibility
+    monkeypatch.setattr(sdp, "check_feasibility", lambda blocks, **kw: posed.append(blocks[0].num_vars)
+                        or check_feasibility(blocks, **kw))
+    monkeypatch.setattr(spectrahedron, "MAX_FACE_SEARCH", 13)
+    assert main([kind, "--file", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: payload.S: the located face has 14 coordinates; the face search takes at most 13,"
+        " and S pins too few of them at this matrix size\n")
+    assert posed == []
+    monkeypatch.setattr(spectrahedron, "MAX_FACE_SEARCH", 14)
+    assert main([kind, "--file", str(path), "--json"]) == 0
+    assert posed[0] == 14
+    at_the_limit = json.loads(capsys.readouterr().out)["results"]
+    monkeypatch.undo()
+    assert main([kind, "--file", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"] == at_the_limit
+
+
 def riesz_document(**fields) -> dict:
     payload = {"B": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], "a": [[0, 0], [0, 1]], "epsilon": 0.5}
     payload.update(fields)

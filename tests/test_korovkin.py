@@ -8,6 +8,7 @@ from math import comb, ldexp
 import numpy as np
 import pytest
 
+from opsyslab.errors import InputError
 from opsyslab.korovkin import CHUNK_ENTRIES, _bernstein_table, bernstein_values, bernstein_weights, korovkin_demo
 
 
@@ -115,3 +116,9 @@ def test_bernstein_values_pointwise():
 def test_unknown_function_rejected():
     with pytest.raises(Exception):
         korovkin_demo(10, 11, ["nope"])
+
+
+def test_extra_functions_are_registry_names_only():
+    # a (name, callable) pair is not a registry name
+    with pytest.raises(InputError, match="unknown test function"):
+        korovkin_demo(10, 11, [("x^3", lambda x: x**3)])

@@ -38,6 +38,7 @@ from opsyslab import (
     OperatorSubspace,
     StateFunctional,
     extension_interval,
+    limits,
     sdp,
     spectrahedron,
     states,
@@ -645,7 +646,7 @@ def test_batch_members_equal_their_solo_runs():
 def test_batch_chunks_do_not_change_results(monkeypatch):
     programs = riesz_batch()
     whole = sdp.check_feasibility_batch(programs)
-    monkeypatch.setattr(sdp, "BLOCK_ENTRIES", 1)  # one program per chunk
+    monkeypatch.setattr(limits, "BLOCK_ENTRIES", 1)  # one program per chunk
     assert all(same_bits(a, b) for a, b in zip(sdp.check_feasibility_batch(programs), whole))
 
 
@@ -682,7 +683,7 @@ def test_solve_batch_members_equal_their_solo_runs(monkeypatch):
     assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems, x0s), solo))
     reordered = sdp.solve_batch(problems[::-1], x0s[::-1])[::-1]
     assert all(same_bits(b, s) for b, s in zip(reordered, solo))
-    monkeypatch.setattr(sdp, "BLOCK_ENTRIES", 1)  # one program per chunk
+    monkeypatch.setattr(limits, "BLOCK_ENTRIES", 1)  # one program per chunk
     assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems, x0s), solo))
 
 
@@ -795,7 +796,7 @@ def test_mixed_dimension_batch_members_equal_their_solo_runs(monkeypatch):
                                                    solo_feasibility))
         assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems, x0s), solo))
         assert all(same_bits(b, s) for b, s in zip(sdp.solve_batch(problems[::-1], x0s[::-1])[::-1], solo))
-        monkeypatch.setattr(sdp, "BLOCK_ENTRIES", 1)  # one program per chunk
+        monkeypatch.setattr(limits, "BLOCK_ENTRIES", 1)  # one program per chunk
 
 
 @pytest.mark.parametrize("seed", [5, 15, 57, 84])

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from opsyslab import rigidity, sdp, spectrahedron
+from opsyslab import limits, rigidity, sdp, spectrahedron
 from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import CoefficientStack, eigenvalues, hermitian, hermitian_checked, hermitian_part
@@ -312,7 +312,7 @@ def run_both(monkeypatch, req, edit=None):
 def test_riesz_betas_keep_the_bits_of_the_loop(monkeypatch, entries):
     # `entries` shrinks the chunks, down to one program per chunk
     if entries:
-        monkeypatch.setattr(rigidity, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(limits, "BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(29)
     negative = 0
     for req in riesz_requests(rng):
@@ -347,7 +347,7 @@ def with_status(changes):
 @pytest.mark.parametrize("entries", [None, 48])
 def test_riesz_failures_are_the_loops_failures(monkeypatch, entries):
     if entries:
-        monkeypatch.setattr(rigidity, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(limits, "BLOCK_ENTRIES", entries)
     rng = np.random.default_rng(30)
     B, a = MatrixStarAlgebra.full(3), random_hermitian(rng, 3)
     lam, na = np.linalg.eigvalsh(a), float(np.abs(np.linalg.eigvalsh(a)).max())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from opsyslab import sdp, spectrahedron
 from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace
 from opsyslab.errors import InputError
 from opsyslab.states import (
@@ -68,6 +69,41 @@ def test_verify_state_negative_functional():
     # values forcing negativity on a positive element of the span
     S = OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -1.0])], unital=True)
     assert not verify_state_on_subspace([1.0, 2.0], S)  # value 3 at diag(1,0)? -1 at diag(0,1)
+
+
+def refuse_programs_of_its_own(monkeypatch):
+    """Statehood is the extension set's nonemptiness: facial reduction's
+    feasibility programs may run, an optimization program of its own not."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("statehood posed a program of its own")
+
+    monkeypatch.setattr(sdp, "solve", refuse)
+    monkeypatch.setattr(sdp, "solve_batch", refuse)
+
+
+def test_a_boundary_functional_with_one_extension_is_a_state(monkeypatch):
+    # values [1, 1] on span{I, diag(1, -1)} force Y11 = 1, Y22 = 0: the
+    # extension set is the single density E11, with empty interior
+    refuse_programs_of_its_own(monkeypatch)
+    S = OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -1.0])], unital=True)
+    assert verify_state_on_subspace([1.0, 1.0], S)
+    assert verify_state_on_subspace([1.0, -1.0], S)
+    spec = spectrahedron.reduce_spectrahedron(2, np.stack([*S.basis, np.eye(2)]), [1.0, 1.0, 1.0])
+    assert spec.support.shape == (2, 1) and len(spec.dirs) == 0
+    np.testing.assert_allclose(spec.point(np.zeros(0)), np.diag([1.0, 0.0]), atol=1e-9)
+
+
+def test_a_functional_whose_extension_set_is_certified_empty_is_not_a_state(monkeypatch):
+    # Y11 = Y22, tr Y = 1 and 2 Re Y12 = 1.5 ask for |Y12| > sqrt(Y11 Y22):
+    # the linear system is consistent, its PSD part is empty (certified)
+    refuse_programs_of_its_own(monkeypatch)
+    S = OperatorSubspace(ambient_dim=3, basis=[np.eye(3), E(3, 0, 0) - E(3, 1, 1), E(3, 0, 1) + E(3, 1, 0)],
+                         unital=True)
+    values = [1.0, 0.0, 1.5]
+    with pytest.raises(spectrahedron.SpectrahedronInfeasible, match="certified"):
+        spectrahedron.reduce_spectrahedron(3, np.stack([*S.basis, np.eye(3)]), values + [1.0])
+    assert not verify_state_on_subspace(values, S)
+    assert verify_state_on_subspace([1.0, 0.0, 0.5], S)  # |Y12| = 1/4 <= Y11 = Y22 = 1/2 is reachable
 
 
 # ------------------------------------------------------- extension intervals
