@@ -26,9 +26,10 @@ MAX_VARIABLES = 128
 MAX_FACE_SEARCH = 40 * 40
 # Work of one document, each at most about a minute at the largest size
 # measured (full M8): N = 1000 riesz steps with one lower and one upper
-# bound, one batch of feasibility SDPs, took 8-12 s (peak RSS 76 MB), an
-# automatic bound pair two warm-started solves (13-20 ms), a search trial a
-# generation solve and one instance SDP (18-25 ms).
+# bound, one batch of feasibility SDPs, took 8-12 s (peak RSS 76 MB), the
+# 100 automatic bound pairs one batch of 200 warm-started solves (the whole
+# document with N = 1, 1.2 s and 116 MB), a search trial a generation solve
+# and one instance SDP (18-25 ms).
 MAX_RIESZ_N = 1000
 MAX_AUTO_BOUNDS = 100
 MAX_TRIALS = 2000

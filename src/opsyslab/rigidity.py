@@ -370,32 +370,41 @@ class InfeasibleInterpolation(InputError):
         self.certificate = certificate
 
 
-def extreme_bound(B: MatrixStarAlgebra, a, rng, upper: bool,
-                  settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS):
-    """An extremal-ish element of { u in B : u >= a } (or <= a) found by
-    minimizing a random linear functional below a generous norm wall (or
-    above it; the wall on a's side follows from the order), started at
-    u = +-(1 + ||a||) I."""
+def extreme_bounds(B: MatrixStarAlgebra, a, rng, count: int,
+                   settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> tuple:
+    """`count` upper and `count` lower extremal-ish elements of { u in B : u
+    >= a } (or <= a), each found by minimizing a random linear functional
+    below a generous norm wall (or above it; the wall on a's side follows
+    from the order), started at u = +-(1 + ||a||) I.  The functionals are
+    drawn upper, lower, upper, ... and the 2 count programs solved as one
+    batch; the first failing bound in that order raises."""
     hb = B.hermitian_basis()
     n = B.ambient_dim
     eye = np.eye(n, dtype=complex)
     reach = 1.0 + op_norm(a)
     box = 4.0 * reach
-    sign = 1.0 if upper else -1.0
     # coefficients of I over hb (I is in B); the start has margin >= 1 in
     # every block
     F = hb.reshape(len(hb), -1)
-    x0 = sign * reach * np.linalg.solve((F.conj() @ F.T).real, np.trace(hb, axis1=1, axis2=2).real)
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    G = hermitian_part(raw)
+    identity = np.linalg.solve((F.conj() @ F.T).real, np.trace(hb, axis1=1, axis2=2).real)
     plus = CoefficientStack(hb)
-    side, wall = (plus, -plus) if upper else (-plus, plus)
-    blocks = [sdp.LmiBlock(-sign * a, side), sdp.LmiBlock(box * eye, wall)]
-    objective = np.array([float(np.vdot(G, h).real) for h in hb])
-    sol = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
-    if sol.status != sdp.OPTIMAL:
-        raise NumericalFailureError(f"extreme bound generation failed: {sol.status}")
-    return hermitian_part(sum(x * h for x, h in zip(sol.x, hb)))
+    minus = -plus
+    problems, x0s = [], []
+    for _ in range(count):
+        for upper in (True, False):
+            sign = 1.0 if upper else -1.0
+            G = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+            side, wall = (plus, minus) if upper else (minus, plus)
+            blocks = [sdp.LmiBlock(-sign * a, side), sdp.LmiBlock(box * eye, wall)]
+            problems.append(sdp.SdpProblem(objective=np.array([float(np.vdot(G, h).real) for h in hb]),
+                                           blocks=blocks))
+            x0s.append(sign * reach * identity)
+    solutions = sdp.solve_batch(problems, x0s, settings=settings)
+    for sol in solutions:
+        if sol.status != sdp.OPTIMAL:
+            raise NumericalFailureError(f"extreme bound generation failed: {sol.status}")
+    bounds = [hermitian_part(sum(x * h for x, h in zip(sol.x, hb))) for sol in solutions]
+    return bounds[0::2], bounds[1::2]
 
 
 def riesz_sequence(req: InterpolationRequest,
@@ -415,9 +424,9 @@ def riesz_sequence(req: InterpolationRequest,
     uppers = list(req.uppers)
     if req.auto_bounds:
         rng = np.random.default_rng(np.random.SeedSequence(req.seed))
-        for _ in range(req.auto_bounds):
-            uppers.append(extreme_bound(req.B, req.a, rng, upper=True, settings=settings))
-            lowers.append(extreme_bound(req.B, req.a, rng, upper=False, settings=settings))
+        more_uppers, more_lowers = extreme_bounds(req.B, req.a, rng, req.auto_bounds, settings=settings)
+        uppers += more_uppers
+        lowers += more_lowers
     hb = req.B.hermitian_basis()
     n_amb = req.B.ambient_dim
     eye = np.eye(n_amb, dtype=complex)

@@ -16,9 +16,12 @@ x0 of the compressed system: when I is in the span of the constraints, x0
 is the projection of a multiple of I onto the affine set, and it is often
 interior already.  A Cholesky factorization of x0 - FACE_TOL scale I then
 settles the round with no phase-one program, at the threshold the
-program's value would be held to.  The dual's kernel is only as accurate
-as the phase-one solve, so each new support takes one Gauss-Newton step
-toward a support on which the constraints hold before the next round.
+program's value would be held to.  The program itself stops at its first
+iterate with slack above that threshold, since any such point settles the
+round; only a flat or empty face runs it to the gap tolerance, for its
+dual.  The dual's kernel is only as accurate as the phase-one solve, so
+each new support takes one Gauss-Newton step toward a support on which the
+constraints hold before the next round.
 
 Constraints come in as stacks, the (m, d, d) matrices and the m values.  A
 family of constraints or objectives is one stacked product whose
@@ -71,7 +74,7 @@ def _real_coords(A: np.ndarray) -> np.ndarray:
 
 def _from_real_coords(x: np.ndarray, d: int) -> np.ndarray:
     """The stack (m, d, d) of hermitian matrices whose coordinates are the
-    rows of x."""
+    rows of x, exactly hermitian, row by row."""
     iu = _upper(d)
     k = iu[0].size
     A = np.zeros((len(x), d, d), dtype=complex)
@@ -83,8 +86,9 @@ def _from_real_coords(x: np.ndarray, d: int) -> np.ndarray:
 
 
 def _solve_affine(mats: np.ndarray, rhs: np.ndarray):
-    """Particular hermitian solution and the stack of null directions of
-    tr(A_j X) = b_j for a stack A of shape (m, d, d); (None, None) when the
+    """Particular hermitian solution of tr(A_j X) = b_j for a stack A of
+    shape (m, d, d), and the real coordinates of its null directions, one row
+    each (`_from_real_coords` makes them matrices); (None, None) when the
     system is inconsistent."""
     rows = _real_coords(hermitian_part(mats))
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
@@ -96,8 +100,7 @@ def _solve_affine(mats: np.ndarray, rhs: np.ndarray):
     unit = pow2_scale(np.append(gap, rhs))
     if float(np.linalg.norm(gap * unit)) > 1e-7 * (unit + float(np.linalg.norm(rhs * unit))):
         return None, None
-    points = hermitian_part(_from_real_coords(np.vstack([pinv_rhs, vt[rank:]]), mats.shape[-1]))
-    return points[0], points[1:]
+    return _from_real_coords(pinv_rhs[None], mats.shape[-1])[0], vt[rank:]
 
 
 @dataclass
@@ -175,8 +178,9 @@ def reduce_spectrahedron(
     Each round tries the least-norm point x0 of the compressed system first:
     if x0 - FACE_TOL scale I has a Cholesky factor (scale = 1 + max |x0|),
     the face is found with z_interior = 0 and no phase-one program runs;
-    otherwise the phase-one program decides between an interior point, a
-    flat face and an empty set.
+    otherwise the phase-one program decides between an interior point (its
+    first iterate with slack above FACE_TOL scale), a flat face and an empty
+    set.
 
     Raises SpectrahedronInfeasible when the set is empty: the unreduced
     linear system is inconsistent, the unreduced candidate point of a
@@ -184,7 +188,7 @@ def reduce_spectrahedron(
     Farkas certificate.  The same findings on a reduced face rest on the
     numerical kernel of a phase-one dual and raise NumericalFailureError.
     A phase-one program over more than MAX_FACE_SEARCH coordinates is not
-    posed: FaceTooLarge.
+    posed, nor are its directions built: FaceTooLarge.
     """
     mats = hermitian_part(np.asarray(mats, dtype=complex))
     rhs = np.asarray(rhs, dtype=float)
@@ -192,36 +196,38 @@ def reduce_spectrahedron(
     for _ in range(dim + 1):
         r = support.shape[1]
         reduced = r < dim
-        x0, dirs = _solve_affine(support.conj().T @ mats @ support, rhs)
+        x0, null = _solve_affine(support.conj().T @ mats @ support, rhs)
         if x0 is None:
             if reduced:
                 raise NumericalFailureError(
                     "affine constraints are inconsistent with the located face"
                 )
             raise SpectrahedronInfeasible("affine constraints are inconsistent")
-        spec = ReducedSpectrahedron(
-            x0=x0, dirs=dirs, support=support, z_interior=np.zeros(len(dirs))
-        )
         scale = 1.0 + float(np.max(np.abs(x0)))
-        if len(dirs) == 0:
+        threshold = FACE_TOL * scale  # the slack that makes a point interior
+        if len(null) == 0 and eigenvalues(x0)[0] < -1e-8 * scale:
             # a single candidate point; PSD decides feasibility outright
-            if eigenvalues(x0)[0] >= -1e-8 * scale:
-                return spec
             if reduced:
                 raise NumericalFailureError("the located face's only point is not PSD")
             raise SpectrahedronInfeasible("unique candidate point is not PSD")
         # x0 is interior at the search's own threshold: the search would agree
-        if is_positive_definite(x0 - FACE_TOL * scale * np.eye(r)):
+        searched = len(null) > 0 and not is_positive_definite(x0 - threshold * np.eye(r))
+        if searched and len(null) > MAX_FACE_SEARCH:  # refused before its directions exist
+            raise FaceTooLarge(len(null), "the face search", MAX_FACE_SEARCH)
+        dirs = _from_real_coords(null, r)
+        spec = ReducedSpectrahedron(
+            x0=x0, dirs=dirs, support=support, z_interior=np.zeros(len(dirs))
+        )
+        if not searched:
             return spec
-        if len(dirs) > MAX_FACE_SEARCH:
-            raise FaceTooLarge(len(dirs), "the face search", MAX_FACE_SEARCH)
-        sol = sdp.check_feasibility([spec.block], settings=settings)
+        # any point above the threshold settles the round: the search stops there
+        sol = sdp.check_feasibility([spec.block], settings=settings, interior=threshold)
         if sol.status == sdp.NUMERICAL_FAILURE:
             raise NumericalFailureError(f"face search failed: {sol.message}")
-        if sol.value > FACE_TOL * scale:
+        if sol.value > threshold:
             spec.z_interior = sol.x
             return spec
-        if sol.value < -FACE_TOL * scale:
+        if sol.value < -threshold:
             if reduced:
                 raise NumericalFailureError("the located face came out empty")
             if sol.dual_certificate is not None:

@@ -831,6 +831,26 @@ def test_cli_face_search_beyond_its_limit_names_s_and_poses_nothing(monkeypatch,
     assert json.loads(capsys.readouterr().out)["results"] == at_the_limit
 
 
+def test_an_over_limit_face_search_is_refused_before_its_directions_exist(monkeypatch, tmp_path, capsys):
+    # The coordinate count comes from the rank: the refused search turns only
+    # its least-norm point into a matrix, never its 14 null directions.
+    E11 = np.diag([1.0, 0.0, 0.0, 0.0])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"kind": "uep", "payload": {"S": [np.eye(4).tolist(), E11.tolist()],
+                                                          "state": E11.tolist()}}))
+    rows = []
+    from_real_coords = spectrahedron._from_real_coords
+    monkeypatch.setattr(spectrahedron, "_from_real_coords", lambda x, d: rows.append(len(x)) or from_real_coords(x, d))
+    monkeypatch.setattr(spectrahedron, "MAX_FACE_SEARCH", 13)
+    assert main(["uep", "--file", str(path)]) == 2
+    assert "the located face has 14 coordinates" in capsys.readouterr().err
+    assert rows == [1]
+    monkeypatch.setattr(spectrahedron, "MAX_FACE_SEARCH", 14)
+    rows.clear()
+    assert main(["uep", "--file", str(path), "--json"]) == 0
+    assert rows[:2] == [1, 14]
+
+
 def riesz_document(**fields) -> dict:
     payload = {"B": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], "a": [[0, 0], [0, 1]], "epsilon": 0.5}
     payload.update(fields)
@@ -1251,6 +1271,31 @@ def test_huge_subspace_answers_as_its_unit_multiple(tmp_path, capsys, command, p
         assert err == ""
         outs.append(results_bytes(out))
     assert outs[1] == outs[0]
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("uep", {"state": [[0.7, 0.1], [0.1, 0.3]]}),
+    ("extension-interval", {"phi": [[0.7, 0.1], [0.1, 0.3]], "t": [[1.0, 0.5], [0.5, -1.0]]}),
+])
+@pytest.mark.parametrize("scale", [1e-160, 2.0**-600])
+def test_tiny_subspace_answers_as_its_unit_multiple_or_is_refused(tmp_path, capsys, command, payload, scale):
+    # S = span{s I, s diag(1, -1)} is span{I, diag(1, -1)}: a report on it
+    # is the unit report, or the input is refused; never another interval
+    reports = []
+    for s in (1.0, scale):
+        path = tmp_path / "doc.json"
+        S = [(s * np.eye(2)).tolist(), (s * np.diag([1.0, -1.0])).tolist()]
+        path.write_text(json.dumps({"kind": command, "payload": {"S": S, **payload}}))
+        reports.append((main([command, "--file", str(path), "--json"]), capsys.readouterr()))
+    (code, (out, _)), (tiny_code, (tiny_out, tiny_err)) = reports
+    assert code == 0 and tiny_code in (0, 2) and "Traceback" not in tiny_err
+    if tiny_code == 0:
+        unit, tiny = (json.loads(o)["results"] for o in (out, tiny_out))
+        interval = (lambda r: r["interval"]) if command == "uep" else (lambda r: r)
+        assert [interval(tiny)[k] for k in ("min", "max")] == pytest.approx(
+            [interval(unit)[k] for k in ("min", "max")], abs=1e-7)
+    else:
+        assert tiny_err.startswith("error: payload.S:")
 
 
 def test_huge_subspace_boundary_keeps_its_verdict(tmp_path, capsys):

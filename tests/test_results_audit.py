@@ -86,3 +86,34 @@ def test_compare_classifies_each_difference(tmp_path, capsys):
     assert "largest numeric move, repro E:perf: 0.125" in lines
     assert not any(line.startswith("largest numeric move, order unperforated") for line in lines)
     assert lines[-2:] == ["2 exit code, 3 values, 2 numbers only", "7 of 7 documents differ"]
+
+
+def test_compare_prints_the_largest_move_per_result_field(tmp_path, capsys):
+    # Endpoints and witnesses are separate fields, so an endpoint move can be
+    # read against gap_tol apart from a witness move.
+    audit = load_tool()
+    before = {
+        "extension/1/000-extension-interval": [0, '{"min":-0.5,"max":0.75,"witness_min":[[0.5,0],[0,0.5]]}'],
+        "extension/1/001-extension-interval": [0, '{"min":-0.25,"max":0.5,"witness_min":[[1,0],[0,0]]}'],
+        "extension/1/002-uep": [0, '{"interval":[0.25,0.25],"witness":null}'],
+        "repro/korovkin": [0, "[1, 2]"],
+    }
+    after = {
+        "extension/1/000-extension-interval": [0, '{"min":-0.5,"max":0.875,"witness_min":[[0.25,0],[0,0.75]]}'],
+        "extension/1/001-extension-interval": [0, '{"min":-0.375,"max":0.5,"witness_min":[[1,0],[0,0]]}'],
+        "extension/1/002-uep": [0, '{"interval":[0.25,0.3125],"witness":null}'],
+        "repro/korovkin": [0, "[1, 2.5]"],
+    }
+    assert audit.field_moves(before["extension/1/000-extension-interval"],
+                             after["extension/1/000-extension-interval"]) == {
+        "min": 0.0, "max": 0.125, "witness_min": 0.25}
+    assert audit.field_moves(before["repro/korovkin"], after["repro/korovkin"]) == {"": 0.5}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(before))
+    b.write_text(json.dumps(after))
+    assert audit.main(["--compare", str(a), str(b)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "largest move per field, extension extension-interval: min 0.125, max 0.125, witness_min 0.25" in lines
+    assert "largest move per field, extension uep: interval 0.0625" in lines
+    assert "largest move per field, repro korovkin: (value) 0.5" in lines
+    assert lines[-2:] == ["0 exit code, 0 values, 4 numbers only", "4 of 4 documents differ"]

@@ -10,7 +10,7 @@ import pytest
 
 from opsyslab import problems, rigidity, sdp
 from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra, wedderburn
-from opsyslab.errors import InputError
+from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import hermitian, hermitian_part, is_psd, op_norm
 from opsyslab.rigidity import (
     ChoiMap,
@@ -483,23 +483,23 @@ def test_riesz_auto_bounds_start_inside_their_programs(monkeypatch):
     # Each generated bound's program starts at +-(1 + ||a||) I, strictly
     # inside its three blocks, so no feasibility phase runs for it.
     inside, bounds = [], []
-    real_phase1, real_bound = sdp._phase1, rigidity.extreme_bound
+    real_phase1, real_bounds = sdp._phase1, rigidity.extreme_bounds
 
     def phase1(*args, **kwargs):
         assert not inside, "a generated bound ran a feasibility phase"
         return real_phase1(*args, **kwargs)
 
-    def bound(B, a, rng, upper, settings=sdp.DEFAULT_SETTINGS):
-        inside.append(upper)
+    def generate(B, a, rng, count, settings=sdp.DEFAULT_SETTINGS):
+        inside.append(count)
         try:
-            u = real_bound(B, a, rng, upper, settings=settings)
+            uppers, lowers = real_bounds(B, a, rng, count, settings=settings)
         finally:
             inside.pop()
-        bounds.append((upper, u))
-        return u
+        bounds.extend([(True, u) for u in uppers] + [(False, u) for u in lowers])
+        return uppers, lowers
 
     monkeypatch.setattr(sdp, "_phase1", phase1)
-    monkeypatch.setattr(rigidity, "extreme_bound", bound)
+    monkeypatch.setattr(rigidity, "extreme_bounds", generate)
     doc = problems.parse_problem(json.dumps({"kind": "riesz", "seed": 5, "payload": {
         "B": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]], "a": [[0, 0.5], [0.5, 1]],
         "epsilon": 0.5, "N": 3, "auto_bounds": 2}}))
@@ -515,6 +515,46 @@ def test_riesz_auto_bounds_start_inside_their_programs(monkeypatch):
         for upper, u in bounds:
             gap = u - beta if upper else beta - u
             assert is_psd(gap + np.eye(2) / n, 1e-8)
+
+
+def test_generated_bounds_are_one_batch_with_the_bits_of_solo_solves(monkeypatch):
+    # The 2 count programs go to one solve_batch, drawn upper, lower, upper,
+    # ...; each bound has the bits of its program solved alone, and a longer
+    # generation starts with the bounds of a shorter one from the same seed.
+    rng = np.random.default_rng(4)
+    raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a, B = (raw + raw.conj().T) / 2, MatrixStarAlgebra.full(3)
+    batches, real = [], sdp.solve_batch
+
+    def spy(problems, x0s=None, settings=sdp.DEFAULT_SETTINGS):
+        batches.append((problems, x0s))
+        return real(problems, x0s, settings)
+
+    monkeypatch.setattr(sdp, "solve_batch", spy)
+    uppers, lowers = rigidity.extreme_bounds(B, a, np.random.default_rng(9), 3)
+    (problems, x0s), = batches
+    assert len(problems) == 6 and len(uppers) == len(lowers) == 3
+    hb = B.hermitian_basis()
+    for k, (problem, x0) in enumerate(zip(problems, x0s)):
+        u = hermitian_part(sum(x * h for x, h in zip(real([problem], [x0])[0].x, hb)))
+        assert u.tobytes() == (uppers if k % 2 == 0 else lowers)[k // 2].tobytes()
+    short = rigidity.extreme_bounds(B, a, np.random.default_rng(9), 2)
+    assert all(s.tobytes() == l.tobytes() for side, full in zip(short, (uppers, lowers))
+               for s, l in zip(side, full))
+
+
+def test_the_first_failing_generated_bound_raises(monkeypatch):
+    real = sdp.solve_batch
+
+    def fail_second(problems, x0s=None, settings=sdp.DEFAULT_SETTINGS):
+        solutions = real(problems, x0s, settings)
+        solutions[1] = sdp.SdpSolution(status=sdp.NUMERICAL_FAILURE)
+        solutions[3] = sdp.SdpSolution(status="LATER")
+        return solutions
+
+    monkeypatch.setattr(sdp, "solve_batch", fail_second)
+    with pytest.raises(NumericalFailureError, match="extreme bound generation failed: NUMERICAL_FAILURE$"):
+        rigidity.extreme_bounds(MatrixStarAlgebra.full(2), np.diag([0.0, 1.0]), np.random.default_rng(1), 2)
 
 
 # ----------------------------------------------------------- CP maps

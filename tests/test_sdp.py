@@ -547,6 +547,86 @@ def test_singular_least_norm_point_of_a_full_dimensional_set(monkeypatch):
     assert_interior_point_is_feasible(spec, constraints)
 
 
+def record_face_searches(monkeypatch) -> list:
+    """(blocks, interior threshold, solution) of every face search."""
+    calls = []
+    real = sdp.check_feasibility
+
+    def spy(blocks, settings=sdp.DEFAULT_SETTINGS, interior=None):
+        sol = real(blocks, settings, interior)
+        calls.append((blocks, interior, sol))
+        return sol
+
+    monkeypatch.setattr(sdp, "check_feasibility", spy)
+    return calls
+
+
+def min_slack(blocks, x) -> float:
+    return min(float(np.linalg.eigvalsh(b.slack(x))[0]) for b in blocks)
+
+
+def test_an_interior_point_search_stops_at_its_threshold(monkeypatch):
+    # The face search of a full-dimensional set with a singular least-norm
+    # point asks only for slack above FACE_TOL scale: it returns a point
+    # that clears it, in fewer steps than the max-slack solve of its block.
+    calls = record_face_searches(monkeypatch)
+    spec = spectrahedron.reduce_spectrahedron(3, np.array([np.eye(3), np.diag([1.0, -1.0, 0.0])]),
+                                              np.array([1.0, 2.0 / 3.0]))
+    (blocks, interior, sol), = calls
+    assert interior == spectrahedron.FACE_TOL * (1.0 + float(np.max(np.abs(spec.x0))))
+    monkeypatch.undo()
+    full = sdp.check_feasibility(blocks)
+    assert sol.status == full.status == sdp.OPTIMAL
+    assert interior < sol.value < full.value
+    assert min_slack(blocks, sol.x) > interior and np.array_equal(spec.z_interior, sol.x)
+    assert sol.newton_steps < full.newton_steps
+    # the same stop for a feasibility program of the order workload's shape
+    program = riesz_batch()[0]
+    threshold = 1e-9 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in program))
+    early, full = sdp.check_feasibility(program, interior=threshold), sdp.check_feasibility(program)
+    assert early.value > threshold and min_slack(program, early.x) > threshold
+    assert early.newton_steps < full.newton_steps
+
+
+@pytest.mark.parametrize("seed", [23, 53])
+def test_flat_and_empty_searches_keep_the_bits_of_the_converged_run(monkeypatch, seed):
+    # A flat face never shows slack above its threshold, so its search runs
+    # to the gap tolerance: the dual whose kernel is the next support is
+    # the converged one, bit for bit.  So is a certified-empty program's.
+    rng = np.random.default_rng(seed)
+    S = [np.eye(3, dtype=complex)] + [unit_norm_hermitian(rng, 3) for _ in range(2)]
+    mats, rhs = (np.array(v) for v in zip(*identity_choi_constraints(S, 3)))
+    calls = record_face_searches(monkeypatch)
+    spectrahedron.reduce_spectrahedron(9, mats, rhs)
+    monkeypatch.undo()
+    flat = [(blocks, sol) for blocks, interior, sol in calls if sol.value <= interior]
+    assert flat
+    assert all(same_bits(sol, sdp.check_feasibility(blocks)) for blocks, sol in flat)
+    empty = riesz_batch()[2]
+    assert sdp.check_feasibility(empty).status == sdp.INFEASIBLE
+    assert same_bits(sdp.check_feasibility(empty, interior=1e-7), sdp.check_feasibility(empty))
+
+
+def test_a_mixed_batch_of_thresholds_equals_its_solo_runs(monkeypatch):
+    # Max-slack members (inf) beside interior-point members: each row stops
+    # by its own test, so each member has the bits it gets alone.  The
+    # scaled member, whose max-slack solve stalls, stops at its threshold
+    # first; the infeasible one never reaches it.
+    programs = riesz_batch()
+    thresholds = [1e-9, np.inf, 1e-7, 1e-9, 1e-3, np.inf]
+    solo = [sdp.check_feasibility(p, interior=t) for p, t in zip(programs, thresholds)]
+    assert [s.status for s in solo] == [sdp.OPTIMAL] * 2 + [sdp.INFEASIBLE] + [sdp.OPTIMAL] * 3
+    assert solo[0].newton_steps < sdp.check_feasibility(programs[0]).newton_steps
+    assert same_bits(solo[1], sdp.check_feasibility(programs[1]))
+    assert all(same_bits(b, s) for b, s in zip(sdp.check_feasibility_batch(programs, interior=thresholds), solo))
+    reordered = sdp.check_feasibility_batch(programs[::-1], interior=thresholds[::-1])[::-1]
+    assert all(same_bits(b, s) for b, s in zip(reordered, solo))
+    monkeypatch.setattr(limits, "BLOCK_ENTRIES", 1)  # one program per chunk
+    assert all(same_bits(b, s) for b, s in zip(sdp.check_feasibility_batch(programs, interior=thresholds), solo))
+    with pytest.raises(InputError, match="one interior threshold per program"):
+        sdp.check_feasibility_batch(programs, interior=thresholds[:2])
+
+
 def test_linear_range_bounds_the_extremes_on_the_face():
     rng = np.random.default_rng(71)
     rho = np.zeros((3, 3), dtype=complex)

@@ -16,7 +16,10 @@ so a copy of this file in another checkout audits that checkout.
 (or that only one audit has), each in one class: its exit code changed (or
 only one audit has it), a verdict or other non-numeric value changed or a
 list changed length, or numbers only.  It prints the largest absolute
-numeric move per workload and kind, and exits 1 when any document differs.
+numeric move per workload and kind, then per result field (the top-level
+keys of `results`, e.g. `min`, `max`, `witness_min`), so that endpoint
+moves can be read apart from witness moves, and exits 1 when any document
+differs.
 """
 
 from __future__ import annotations
@@ -97,20 +100,30 @@ def compare(a: dict, b: dict) -> list:
 EXIT_CODE, VALUES, NUMBERS = "exit code", "values", "numbers only"
 
 
-def _moves(x, y) -> list:
-    """The absolute moves of the numbers of two JSON values of one shape;
-    None in the list for a non-numeric difference (a changed string, bool,
-    key set or list length)."""
+def _moves(x, y, field="") -> list:
+    """(field, absolute move) for the numbers of two JSON values of one
+    shape, the field the top-level key the number sits under ("" for a
+    value that is not an object); the move is None for a non-numeric
+    difference (a changed string, bool, key set or list length)."""
     def number(v):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
 
     if number(x) and number(y):
-        return [abs(x - y)]
+        return [(field, abs(x - y))]
     if isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
-        return [m for k in x for m in _moves(x[k], y[k])]
+        return [m for k in x for m in _moves(x[k], y[k], field or k)]
     if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
-        return [m for u, v in zip(x, y) for m in _moves(u, v)]
-    return [] if x == y else [None]
+        return [m for u, v in zip(x, y) for m in _moves(u, v, field)]
+    return [] if x == y else [(field, None)]
+
+
+def field_moves(a, b) -> dict:
+    """field -> largest absolute move, over the numbers of two outcomes of
+    one document that differ in numbers only."""
+    largest = {}
+    for field, move in _moves(json.loads(a[1]), json.loads(b[1])):
+        largest[field] = max(move, largest.get(field, 0.0))
+    return largest
 
 
 def classify(a, b) -> tuple:
@@ -120,7 +133,7 @@ def classify(a, b) -> tuple:
     if a is None or b is None or a[0] != b[0]:
         return EXIT_CODE, None
     if a[0] == 0:
-        moves = _moves(json.loads(a[1]), json.loads(b[1]))
+        moves = [move for _, move in _moves(json.loads(a[1]), json.loads(b[1]))]
     else:
         moves = [None] if a[1] != b[1] else []
     return (VALUES, None) if None in moves else (NUMBERS, max(moves, default=0.0))
@@ -141,7 +154,7 @@ def main(argv=None) -> int:
     if args.compare:
         a, b = (json.loads(Path(p).read_text()) for p in args.compare)
         differ = compare(a, b)
-        counts, largest = {}, {}
+        counts, fields = {}, {}
         for name in differ:
             kind, move = classify(a.get(name), b.get(name))
             counts[kind] = counts.get(kind, 0) + 1
@@ -149,9 +162,13 @@ def main(argv=None) -> int:
                 print(f"{name} [{kind}]: {a.get(name)!r} != {b.get(name)!r}")
             else:
                 print(f"{name} [{kind}]: largest move {move:.3g}")
-                largest[_group(name)] = max(move, largest.get(_group(name), 0.0))
-        for group, move in sorted(largest.items()):
-            print(f"largest numeric move, {group}: {move:.3g}")
+                per_field = fields.setdefault(_group(name), {})
+                for field, m in field_moves(a[name], b[name]).items():
+                    per_field[field] = max(m, per_field.get(field, 0.0))
+        for group, per_field in sorted(fields.items()):
+            print(f"largest numeric move, {group}: {max(per_field.values(), default=0.0):.3g}")
+            print(f"largest move per field, {group}: "
+                  + ", ".join(f"{field or '(value)'} {m:.3g}" for field, m in per_field.items()))
         print(", ".join(f"{counts.get(kind, 0)} {kind}" for kind in (EXIT_CODE, VALUES, NUMBERS)))
         print(f"{len(differ)} of {len(a.keys() | b.keys())} documents differ")
         return 1 if differ else 0
