@@ -14,15 +14,14 @@ spanning matrices (`from_basis`) is certified *-closed, unless they span
 M_n, which is closed by definition and gets M_n's standard hermitian basis.
 `wedderburn` splits a unital algebra into its blocks,
 U*AU = (+) M_{n_i} (x) I_{m_i}, from one generic element that commutes with
-it; purity and pure decomposition are read off those blocks.  Rank decisions
-share one relative threshold (RANK_TOL), membership and closure one
-residual threshold (CLOSURE_TOL).
+it; purity and pure decomposition are read off those blocks.  Each input
+matrix is scaled on its own (`pow2_scale`); then rank cuts share RANK_TOL
+(relative), membership and closure CLOSURE_TOL (residual), each floor 1.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,10 +72,16 @@ def _readonly(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def pow2_scale(stack) -> float:
-    """The power of two (at most 1) that brings a stack's largest |entry| to at
-    most 2^500: squared norms of the scaled data stay finite, exactly scaled."""
-    return math.ldexp(1.0, min(0, 500 - math.frexp(float(np.abs(stack).max(initial=0.0)))[1]))
+def pow2_scale(a, axis=None):
+    """The exact power of two that brings the largest |entry| of `a` (of each
+    slice over `axis`, kept with length 1) into [1/2, 2^500]; data in the band
+    keeps its bits.  Zero and subnormal data (whose coefficients overflow) get 1."""
+    e = np.frexp(np.abs(a).max(axis=axis, keepdims=axis is not None, initial=0.0))[1]
+    return np.ldexp(1.0, np.where(e < -1021, 0, np.maximum(-e, np.minimum(0, 500 - e))))
+
+
+def _spans_identity(resid, n: int) -> bool:
+    return resid <= 1e-9 * (1.0 + np.sqrt(n))  # I's residual; ||I|| = sqrt(n)
 
 
 def _real_gram(stack: np.ndarray) -> np.ndarray:
@@ -85,10 +90,10 @@ def _real_gram(stack: np.ndarray) -> np.ndarray:
     return (F.conj() @ F.T).real
 
 
-def _independent(residual, norm, unit=1.0):
-    """The shared rank cut: a residual above sqrt(RANK_TOL) of the norm (or
-    of `unit`, the value 1 takes in rescaled data)."""
-    return residual > np.sqrt(RANK_TOL) * np.maximum(norm, unit)
+def _independent(residual, norm):
+    """The shared rank cut: a residual above sqrt(RANK_TOL) of the norm, or
+    of 1 for a norm below 1 (on data scaled by `pow2_scale`)."""
+    return residual > np.sqrt(RANK_TOL) * np.maximum(norm, 1.0)
 
 
 def orthonormalize(mats) -> np.ndarray:
@@ -98,10 +103,10 @@ def orthonormalize(mats) -> np.ndarray:
     An orthonormal prefix comes back unchanged up to rounding, which keeps
     caller-chosen basis orderings stable.  A real stack is orthonormalized
     over the reals.  Returns a read-only stack of the input's trailing shape.
+    Inputs come scaled (`pow2_scale`) or derived from an orthonormal basis.
     """
     mats = np.asarray(mats)
-    unit = pow2_scale(mats)  # the cut's floor is rescaled with the stack
-    cands = _flat(mats) * unit
+    cands = _flat(mats)
     out = np.empty_like(cands)
     r = 0
     for v in cands:
@@ -111,7 +116,7 @@ def orthonormalize(mats) -> np.ndarray:
         w = v - (Q.conj() @ v) @ Q
         w -= (Q.conj() @ w) @ Q
         norm = np.linalg.norm(w)
-        if _independent(norm, np.linalg.norm(v), unit):
+        if _independent(norm, np.linalg.norm(v)):
             out[r] = w / norm
             r += 1
     return _readonly(out[:r].reshape((r,) + mats.shape[1:]))
@@ -164,21 +169,20 @@ class OperatorSubspace:
         return len(self.basis)
 
     def _coefficients(self, X: np.ndarray) -> tuple:
-        """Real coefficients of a hermitian X over the basis, and the HS norms
-        of the residual and of X."""
+        """Real coefficients of a hermitian X over the basis, the HS norms of
+        the residual and of X scaled by `pow2_scale`, and that scale."""
         unit = pow2_scale(X)
         F, x = _flat(self._scaled), X.reshape(-1) * unit
-        coeffs = np.linalg.solve(self._gram, (F.conj() @ x).real)  # of unit X over the scaled basis
-        resid = float(np.linalg.norm(x - coeffs @ F))
-        return coeffs * (self._unit / unit), resid / unit, float(np.linalg.norm(x)) / unit
+        coeffs = np.linalg.solve(self._gram, (F.conj() @ x).real)  # of scaled X over the scaled basis
+        return coeffs * (self._unit / unit), float(np.linalg.norm(x - coeffs @ F)), float(np.linalg.norm(x)), unit
 
     def coefficients_of(self, X):
         """Real coefficients of a hermitian X over the basis and the residual;
-        InputError when the residual exceeds MEMBER_TOL (1 + ||X||)."""
-        coeffs, resid, norm = self._coefficients(hermitian(_as_matrix(X, self.ambient_dim)))
+        InputError when the residual exceeds MEMBER_TOL (1 + ||X||) on X scaled."""
+        coeffs, resid, norm, unit = self._coefficients(hermitian(_as_matrix(X, self.ambient_dim)))
         if resid > MEMBER_TOL * (1.0 + norm):
-            raise InputError(f"matrix is not in the subspace (residual {resid:.3e})")
-        return coeffs, resid
+            raise InputError(f"matrix is not in the subspace (residual {resid / unit:.3e})")
+        return coeffs, resid / unit
 
     def element(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -189,8 +193,8 @@ class OperatorSubspace:
     def identity_in_span(self) -> np.ndarray | None:
         """Coefficients of I over the basis, or None when the residual says
         I is not in the span, whatever the `unital` flag."""
-        coeffs, resid, _ = self._coefficients(np.eye(self.ambient_dim, dtype=complex))
-        return coeffs if resid <= 1e-9 * (1.0 + np.sqrt(self.ambient_dim)) else None
+        coeffs, resid, _, _ = self._coefficients(np.eye(self.ambient_dim, dtype=complex))
+        return coeffs if _spans_identity(resid, self.ambient_dim) else None
 
 
 @dataclass
@@ -205,7 +209,7 @@ class MatrixStarAlgebra:
         n = self.ambient_dim = self.basis.shape[-1]
         self._full = len(self.basis) == n * n
         self.contains_identity = self._full or bool(
-            span_coefficients(self.basis, np.eye(n, dtype=complex))[1] <= 1e-9 * (1.0 + np.sqrt(n)))
+            _spans_identity(span_coefficients(self.basis, np.eye(n, dtype=complex))[1], n))
         self._herm_basis = None
 
     @staticmethod
@@ -220,7 +224,7 @@ class MatrixStarAlgebra:
             raise InputError("spanning matrices disagree on dimension")
         if n > MAX_AMBIENT:
             raise InputError(f"algebra ambient dimension {n} exceeds {MAX_AMBIENT}")
-        alg = MatrixStarAlgebra(orthonormalize(np.stack(mats)))
+        alg = MatrixStarAlgebra(orthonormalize(np.stack(mats) * pow2_scale(mats, axis=(-2, -1))))
         if not alg._full:
             alg.verify_closure()
         return alg
@@ -252,10 +256,9 @@ class MatrixStarAlgebra:
         X = np.asarray(X, dtype=complex)
         if X.ndim not in (2, 3) or X.shape[-2:] != (self.ambient_dim,) * 2:
             raise InputError(f"expected dimension {self.ambient_dim}, got shape {X.shape}")
-        unit = pow2_scale(X)  # the test is homogeneous: decided on unit X
-        X = X * unit
+        X = X * pow2_scale(X, axis=(-2, -1))  # the test is homogeneous: decided on each scaled X
         _, resid = span_coefficients(self.basis, X)
-        return bool(np.all(resid <= CLOSURE_TOL * (unit + np.linalg.norm(_flat(X), axis=-1))))
+        return bool(np.all(resid <= CLOSURE_TOL * (1.0 + np.linalg.norm(_flat(X), axis=-1))))
 
     def verify_closure(self) -> None:
         B = self.basis
@@ -323,7 +326,7 @@ def generate_algebra(gen: OperatorSubspace) -> MatrixStarAlgebra:
     seed = gen.basis
     if gen.unital:
         seed = np.concatenate([seed, np.eye(n, dtype=complex)[None]])
-    basis = orthonormalize(seed)
+    basis = orthonormalize(seed * pow2_scale(seed, axis=(-2, -1)))
     max_dim = n * n
     for _ in range(max_dim + 2):
         if len(basis) >= max_dim:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp, spectrahedron
-from .algebra import NOT_UNITAL, MatrixStarAlgebra, OperatorSubspace, generate_algebra
+from .algebra import NOT_UNITAL, MatrixStarAlgebra, OperatorSubspace, generate_algebra, pow2_scale
 from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import (
     CoefficientStack,
@@ -162,7 +162,7 @@ def search_counterexample(
         rng = np.random.default_rng(child)
         a = S.element(rng.standard_normal(S.dim))
         na = op_norm(a)
-        if na < 1e-12:
+        if na == 0.0:
             continue
         a = a / na
         raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -510,17 +510,18 @@ class ChoiMap:
 def _choi_constraints(S: OperatorSubspace, n: int) -> tuple:
     """Equalities pinning a unital CP map to the identity on S, as the stacks
     (mats, values) of tr(J A_j) = b_j: tr(J (I (x) U)) = tr U and
-    tr(J h(s^T (x) U)) = tr(s U), h the hermitian part, for s in S and U in
-    the hermitian basis of M_n.  The Kronecker products are
-    np.kron's own, x_ij U_kl at (i n + k, j n + l), broadcast over the pairs
-    (an einsum would add each product to a zero and lose the sign of -0)."""
+    tr(J h(s^T (x) U)) = tr(s U), h the hermitian part, for s in S (scaled by
+    `pow2_scale`) and U in the hermitian basis of M_n.  The Kronecker products
+    are np.kron's own, x_ij U_kl at (i n + k, j n + l), broadcast over the
+    pairs (an einsum would add each product to a zero and lose the sign of -0)."""
     full_herm = MatrixStarAlgebra.full(n).hermitian_basis()
-    lefts = np.concatenate([np.eye(n, dtype=complex)[None], S.basis.swapaxes(1, 2)])
+    basis = S.basis * pow2_scale(S.basis, axis=(-2, -1))
+    lefts = np.concatenate([np.eye(n, dtype=complex)[None], basis.swapaxes(1, 2)])
     krons = (lefts[:, None, :, None, :, None] * full_herm[None, :, None, :, None, :]).reshape(
         len(lefts), len(full_herm), n * n, n * n)
     mats = np.concatenate([krons[0], hermitian_part(krons[1:]).reshape(-1, n * n, n * n)])
     values = np.concatenate([np.trace(full_herm, axis1=1, axis2=2).real,
-                             np.trace(S.basis[:, None] @ full_herm, axis1=2, axis2=3).real.reshape(-1)])
+                             np.trace(basis[:, None] @ full_herm, axis1=2, axis2=3).real.reshape(-1)])
     return mats, values
 
 

@@ -23,7 +23,8 @@ dual.  The dual's kernel is only as accurate as the phase-one solve, so
 each new support takes one Gauss-Newton step toward a support on which the
 constraints hold before the next round.
 
-Constraints come in as stacks, the (m, d, d) matrices and the m values.  A
+Constraints come in as stacks, the (m, d, d) matrices and the m values,
+each row scaled by its caller (`algebra.pow2_scale`), so no rank floor.  A
 family of constraints or objectives is one stacked product whose
 per-matrix products and summation order are those of the per-element form,
 so reports keep their bits; the real coordinate maps take their triangle
@@ -92,13 +93,12 @@ def _solve_affine(mats: np.ndarray, rhs: np.ndarray):
     system is inconsistent."""
     rows = _real_coords(hermitian_part(mats))
     u, s, vt = np.linalg.svd(rows, full_matrices=True)
-    scale = float(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > RANK_TOL * max(scale, 1.0)))
+    rank = int(np.sum(s > RANK_TOL * s.max(initial=0.0)))
     # consistency of the linear system, a homogeneous test: decided on scaled data
     pinv_rhs = vt[:rank].T @ ((u.T @ rhs)[:rank] / s[:rank])
     gap = rows @ pinv_rhs - rhs
     unit = pow2_scale(np.append(gap, rhs))
-    if float(np.linalg.norm(gap * unit)) > 1e-7 * (unit + float(np.linalg.norm(rhs * unit))):
+    if float(np.linalg.norm(gap * unit)) > 1e-7 * (1.0 + float(np.linalg.norm(rhs * unit))):
         return None, None
     return _from_real_coords(pinv_rhs[None], mats.shape[-1])[0], vt[rank:]
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sdp, spectrahedron
-from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, wedderburn
+from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, pow2_scale, wedderburn
 from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import eigenvalues_checked, eigh, hermitian, hermitian_part
 from .limits import chunks
@@ -142,29 +142,30 @@ def verify_state_on_subspace(
     return True
 
 
-def _reduce_extensions(basis: np.ndarray, values: np.ndarray, settings: sdp.SdpSettings):
+def _reduce_extensions(basis: np.ndarray, values: np.ndarray, settings: sdp.SdpSettings) -> tuple:
     """The reduced set of densities { Y >= 0 : tr(s_j Y) = values_j, tr Y = 1 }
-    for the hermitian basis s, the stack [s, I] against [values, 1]."""
+    for the hermitian basis s, the stack [s, I] against [values, 1], and the
+    rows (s, values) posed, each pair scaled by `pow2_scale` of its s_j."""
     n = basis.shape[-1]
+    unit = pow2_scale(basis, axis=(-2, -1))
+    basis, values = basis * unit, values * unit[:, 0, 0]
     mats = np.concatenate([basis, np.eye(n, dtype=complex)[None]])
-    return spectrahedron.reduce_spectrahedron(n, mats, np.append(values, 1.0), settings=settings)
+    return spectrahedron.reduce_spectrahedron(n, mats, np.append(values, 1.0), settings=settings), basis, values
 
 
 def _extension_set(phi: StateFunctional, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> tuple:
     """The compact set of extending densities { Y >= 0 : tr(s_j Y) = phi(s_j) },
-    reduced, with the hermitian basis s of phi's domain and phi's values on it.
+    reduced, with the rows (s_j, phi(s_j)) `_reduce_extensions` posed it with.
 
     Solved with facial reduction: forcing part of a density to vanish (block
     supported states) leaves a set with empty interior, and the interior-point
     method needs the actual face.
     """
     basis = _domain_hermitian_basis(phi.domain)
-    values = phi.values_on(basis)
     try:
-        spec = _reduce_extensions(basis, values, settings)
+        return _reduce_extensions(basis, phi.values_on(basis), settings)
     except spectrahedron.SpectrahedronInfeasible as exc:
         raise InputError(f"functional admits no state extension: {exc}") from exc
-    return spec, basis, values
 
 
 def _interval_from_set(

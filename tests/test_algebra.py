@@ -241,12 +241,37 @@ def test_subspace_layer_answers_on_scaled_data_without_overflow(scale):
     assert not MatrixStarAlgebra.from_basis([np.eye(2)]).contains(scale * np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-160])
+def test_tiny_matrices_are_members_only_of_spans_that_hold_them(scale):
+    # membership is decided on each matrix scaled by a power of two, so a
+    # tiny matrix is not a member of every span
+    Z = np.diag([1.0, -1.0])
+    assert not MatrixStarAlgebra.from_basis([np.eye(2)]).contains(scale * Z)
+    assert not MatrixStarAlgebra.from_basis([np.eye(2)]).contains(np.stack([np.eye(2), scale * Z]))
+    assert MatrixStarAlgebra.from_basis([np.eye(2), Z]).contains(scale * Z)
+    unit = OperatorSubspace(ambient_dim=2, basis=[np.eye(2)], unital=True)
+    with pytest.raises(InputError, match="not in the subspace"):
+        unit.coefficients_of(scale * Z)
+    coeffs, resid = unit.coefficients_of(scale * np.eye(2))
+    assert coeffs == pytest.approx([scale], rel=1e-15) and resid <= 1e-15 * scale
+
+
 def test_scaling_keeps_the_bits_of_unscaled_data():
     # below 2^500 the scale is exactly 1, so the Gram matrix keeps its bits
     top = np.nextafter(2.0**500, 0.0)
     assert algebra.pow2_scale(np.full((1, 2, 2), top)) == 1.0
     assert algebra.pow2_scale(np.full((1, 2, 2), 2.0**500)) == 0.5
     assert algebra.pow2_scale(np.zeros((1, 2, 2))) == 1.0
+    # the band's lower edge: a peak of 1/2 keeps its bits, a smaller one is scaled up
+    assert algebra.pow2_scale(np.full((1, 2, 2), 0.5)) == 1.0
+    assert algebra.pow2_scale(np.full((1, 2, 2), np.nextafter(0.5, 0.0))) == 2.0
+    assert 0.5 <= algebra.pow2_scale(np.full((1, 2, 2), 1e-160)) * 1e-160 < 1.0
+    assert algebra.pow2_scale(np.stack([np.eye(2), 2.0**-40 * np.eye(2)]), axis=(-2, -1)).ravel().tolist() == [
+        1.0, 2.0**39]  # each matrix on its own: 2^-40 is brought to 1/2
+    # a subnormal peak is left alone, and the independence check refuses it
+    assert algebra.pow2_scale(np.full((1, 2, 2), 1e-310)) == 1.0
+    with pytest.raises(InputError, match="not linearly independent"):
+        OperatorSubspace(ambient_dim=2, basis=[1e-310 * np.eye(2)], unital=True)
     rng = np.random.default_rng(8)
     for k in range(1, 4):
         raw = rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))

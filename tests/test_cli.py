@@ -653,6 +653,8 @@ def nosp_payload(choi) -> dict:
      "payload.S: the state's domain is not contained in the ambient algebra"),
     ("repro", {"id": "nope"}, "payload.id: unknown repro case 'nope'; known: E:notpurerestriction, E:perf,"
      " E:ueprepstates, E:unpmatrices, ideal-uep, korovkin"),
+    ("unperforated", {"S": [I2], "T": [I2], "a": [[1e-9, 0], [0, -1e-9]], "b": I2},  # tiny, yet outside S
+     "payload.a: matrix is not in the subspace (residual 1.414e-09)"),
 ])
 def test_cli_run_time_rejections_name_the_field(tmp_path, capsys, kind, payload, message):
     # The library makes these checks when the document runs.  They used to
@@ -1277,10 +1279,10 @@ def test_huge_subspace_answers_as_its_unit_multiple(tmp_path, capsys, command, p
     ("uep", {"state": [[0.7, 0.1], [0.1, 0.3]]}),
     ("extension-interval", {"phi": [[0.7, 0.1], [0.1, 0.3]], "t": [[1.0, 0.5], [0.5, -1.0]]}),
 ])
-@pytest.mark.parametrize("scale", [1e-160, 2.0**-600])
+@pytest.mark.parametrize("scale", [1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-100, 1e-150, 1e-160, 2.0**-600])
 def test_tiny_subspace_answers_as_its_unit_multiple_or_is_refused(tmp_path, capsys, command, payload, scale):
     # S = span{s I, s diag(1, -1)} is span{I, diag(1, -1)}: a report on it
-    # is the unit report, or the input is refused; never another interval
+    # is the unit report at every scale, neither another interval nor a refusal
     reports = []
     for s in (1.0, scale):
         path = tmp_path / "doc.json"
@@ -1288,14 +1290,11 @@ def test_tiny_subspace_answers_as_its_unit_multiple_or_is_refused(tmp_path, caps
         path.write_text(json.dumps({"kind": command, "payload": {"S": S, **payload}}))
         reports.append((main([command, "--file", str(path), "--json"]), capsys.readouterr()))
     (code, (out, _)), (tiny_code, (tiny_out, tiny_err)) = reports
-    assert code == 0 and tiny_code in (0, 2) and "Traceback" not in tiny_err
-    if tiny_code == 0:
-        unit, tiny = (json.loads(o)["results"] for o in (out, tiny_out))
-        interval = (lambda r: r["interval"]) if command == "uep" else (lambda r: r)
-        assert [interval(tiny)[k] for k in ("min", "max")] == pytest.approx(
-            [interval(unit)[k] for k in ("min", "max")], abs=1e-7)
-    else:
-        assert tiny_err.startswith("error: payload.S:")
+    assert code == tiny_code == 0 and tiny_err == ""
+    unit, tiny = (json.loads(o)["results"] for o in (out, tiny_out))
+    interval = (lambda r: r["interval"]) if command == "uep" else (lambda r: r)
+    assert [interval(tiny)[k] for k in ("min", "max")] == pytest.approx(
+        [interval(unit)[k] for k in ("min", "max")], abs=1e-7)
 
 
 def test_huge_subspace_boundary_keeps_its_verdict(tmp_path, capsys):

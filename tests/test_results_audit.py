@@ -7,6 +7,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "results_audit.py"
 
 
@@ -21,13 +23,18 @@ def test_audit_lists_every_document_and_records_outcomes(tmp_path, capsys):
     audit = load_tool()
     docs = audit.documents()
     names = [name for name, _, _ in docs]
-    assert len(names) == len(set(names)) == 906  # 3 x 300 workload documents and the 6 repro cases
+    # 3 x 300 workload documents, the 6 repro cases and 7 scale probes at each of 8 scales
+    assert len(names) == len(set(names)) == 962
     assert sum(name.startswith("repro/") for name in names) == 6
-    picked = [doc for doc in docs if "/1/000-" in doc[0]]  # the first document of each workload, seed 1
+    probes = [name for name in names if name.startswith("probes/scale/")]
+    assert len(probes) == 56 and {name.split("/")[2] for name in probes} == set(audit.SCALES)
+    assert len({name.rsplit("/", 1)[1] for name in probes}) == 7
+    # the first document of each workload at seed 1, and the first scale probe at s = 1
+    picked = [doc for doc in docs if "/1/000-" in doc[0]]
     picked += [doc for doc in docs if doc[0] in ("repro/E:perf", "repro/korovkin")]
     picked.append(("bad/unknown-kind", "uep", json.dumps({"kind": "nothing", "payload": {}})))
     record = audit.audit(picked)
-    assert len(picked) == 6 and set(record) == {name for name, _, _ in picked}
+    assert len(picked) == 7 and set(record) == {name for name, _, _ in picked}
     for name, (code, text) in record.items():
         if name.startswith("bad/"):
             assert code == 2 and text.startswith("error:")
@@ -43,6 +50,28 @@ def test_audit_lists_every_document_and_records_outcomes(tmp_path, capsys):
     assert audit.main(["--compare", str(a), str(a)]) == 0
     assert audit.main(["--compare", str(a), str(b)]) == 1
     assert capsys.readouterr().out.splitlines()[-1] == f"2 of {len(record)} documents differ"
+
+
+@pytest.mark.parametrize("label", [label for label in load_tool().SCALES if label != "1"])
+def test_scaled_spans_keep_the_unit_verdict(label):
+    # A span does not change when its spanning matrices are rescaled, so each
+    # scale probe answers with the exit code and verdict it gives at s = 1 and
+    # numbers within 1e-9 of them; witnesses are not unique and keep their own
+    # checks.  purity, decompose and the counterexample search keep the bytes.
+    audit = load_tool()
+    unit, scaled = (audit.audit([(f"{i}-{command}", command, text)
+                                 for i, (command, text) in enumerate(audit.scale_probes(s))])
+                    for s in (1.0, audit.SCALES[label]))
+    assert len(unit) == 7
+    for name, (code, text) in unit.items():
+        assert code == scaled[name][0] == 0, (name, scaled[name])
+        if name.endswith(("purity", "decompose", "unperforated")):
+            assert scaled[name][1] == text, name
+            continue
+        a, b = ({k: v for k, v in json.loads(t).items() if not k.startswith("witness")} for t in (text, scaled[name][1]))
+        assert b.keys() == a.keys(), name
+        for key, value in a.items():
+            assert b[key] == (pytest.approx(value, abs=1e-9) if isinstance(value, float) else value), (name, key)
 
 
 def test_compare_classifies_each_difference(tmp_path, capsys):

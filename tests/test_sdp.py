@@ -588,6 +588,17 @@ def test_an_interior_point_search_stops_at_its_threshold(monkeypatch):
     assert early.newton_steps < full.newton_steps
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-12, 2.0**-600])
+def test_a_scaled_system_has_the_face_of_its_unit_multiple(scale):
+    # The rank cut and the consistency test are relative to the system, with
+    # no absolute floor: tr(s A_j Y) = s b_j is the set of tr(A_j Y) = b_j.
+    mats = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
+    spec = spectrahedron.reduce_spectrahedron(2, scale * mats, scale * np.array([1.0, 0.4]))
+    assert spec.x0 == pytest.approx(np.diag([0.7, 0.3]), abs=1e-15) and len(spec.dirs) == 2
+    with pytest.raises(spectrahedron.SpectrahedronInfeasible, match="inconsistent"):
+        spectrahedron.reduce_spectrahedron(2, scale * mats[[0, 0]], scale * np.array([1.0, 2.0]))
+
+
 @pytest.mark.parametrize("seed", [23, 53])
 def test_flat_and_empty_searches_keep_the_bits_of_the_converged_run(monkeypatch, seed):
     # A flat face never shows slack above its threshold, so its search runs

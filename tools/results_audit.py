@@ -1,11 +1,15 @@
-"""Results audit: every benchmark document of seeds 1-3, and every repro case,
-through the CLI, recorded by exit code and `results` bytes.
+"""Results audit: every benchmark document of seeds 1-3, every repro case and
+the scale probes, through the CLI, recorded by exit code and `results` bytes.
 
     python tools/results_audit.py OUT.json            # audit this checkout
     python tools/results_audit.py --compare A.json B.json
 
 The documents are those of `perfbench/workloads.py` (seeds 1, 2 and 3 of
-each workload) plus one `repro` document per built-in case.  Each runs as
+each workload), one `repro` document per built-in case, and the scale
+probes (`probes/scale/<s>/...`): a few documents whose subspaces, algebras
+or samples are spanned by s times fixed matrices, at each scale s of SCALES.
+A span does not change when its spanning matrices are rescaled, so every
+probe must give the exit code and verdict it gives at s = 1.  Each runs as
 `opsyslab.cli.main([command, "--file", PATH, "--json"])`, the path a user
 takes, with BLAS pinned to one thread.  A document's outcome is its exit
 code and its `results` value exactly as printed, or on a non-zero exit the
@@ -35,6 +39,31 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
+SCALES = {"1": 1.0, "2^-20": 2.0**-20, "1e-6": 1e-6, "1e-10": 1e-10, "2^-400": 2.0**-400,
+          "1e-160": 1e-160, "2^40": 2.0**40, "1e200": 1e200}
+
+
+def scale_probes(s: float) -> list:
+    """(command, document) of each scale probe at scale s."""
+    import numpy as np
+
+    I2, Z, E11 = np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 0.0])
+    h = np.diag([1.0, 0.2, -0.7]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
+    units = [np.diag(e) for e in np.eye(3)]
+    phi, t = [[0.7, 0.1], [0.1, 0.3]], [[1.0, 0.5], [0.5, -1.0]]
+    docs = [
+        ("uep", {"S": [s * I2, s * Z], "state": E11}),
+        ("extension-interval", {"S": [s * I2, s * Z], "phi": phi, "t": t}),
+        ("boundary", {"S": [s * np.eye(3), s * h]}),
+        ("boundary", {"S": [s * I2, s * Z]}),
+        ("purity", {"A": [s * u for u in units], "state": np.diag([0.5, 0.3, 0.2])}),
+        ("decompose", {"A": [s * u for u in units], "state": np.diag([0.5, 0.3, 0.2])}),
+        ("check-unperforated", {"S": [s * (np.eye(2, k=1) + np.eye(2, k=-1))], "T": [E11, I2 - E11],
+                                "trials": 20}),
+    ]
+    return [(command, json.dumps({"kind": command.removeprefix("check-"), "seed": 3, "payload": payload},
+                                 default=np.ndarray.tolist))
+            for command, payload in docs]
 
 
 def _import_paths() -> None:
@@ -60,6 +89,8 @@ def documents(seeds=SEEDS) -> list:
     ]
     docs += [(f"repro/{ident}", "repro", json.dumps({"kind": "repro", "payload": {"id": ident}}))
              for ident in sorted(CASES)]
+    docs += [(f"probes/scale/{label}/{i:03d}-{command}", command, text)
+             for label, s in SCALES.items() for i, (command, text) in enumerate(scale_probes(s))]
     return docs
 
 
