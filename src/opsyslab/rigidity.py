@@ -10,6 +10,10 @@ feasible b' is re-verified against the three order conditions, an
 infeasibility comes with a Farkas certificate (zero on the fourth block).
 The universal quantifier over instances is handled by seeded randomized
 search plus an exact scalar reduction when both subspaces are commuting lines.
+One instance core decides a document's instance and every search trial, on
+the instance's own power-of-two scale (`pow2_scale` of a and b), and one
+extreme-element routine poses the search's trials and the Riesz auto-bounds.
+Riesz sequences stay unscaled: their I/n margins are absolute.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ ORDER_TOL = 1e-8  # x <= y when lambda_min(y - x) >= -ORDER_TOL (1 + max |lambda
 EXTENT_TOL = 1e-6  # a fixed-set extent at most this is zero: the `boundary` verdict
 NOSP_TOL = 1e-6  # lambda* at most this: no strictly positive difference, the `nosp` verdict
 COMMUTE_TOL = 1e-8  # [a, b] below this, relative to (1 + ||a||)(1 + ||b||), commutes
-LINE_TOL = 1e-9  # norms and eigenvalues of t below this count as zero, line pairs
+LINE_TOL = 1e-9  # eigenvalues of t below this count as zero, line pairs
 SCALAR_TOL = 1e-12  # eigenvalues of t below this count as zero, scalar windows
 
 
@@ -69,11 +73,19 @@ class UnperforatedInstance:
         return "FEASIBLE" if self.feasible else "INFEASIBLE"
 
 
-def _instance_blocks(T: OperatorSubspace, a, b, norm_a):
-    """The four blocks a <= b' <= b, b' <= ||a||, -||a|| <= b' over b' in T;
-    the solve poses three, as a + ||a|| I >= 0 makes the last follow from the first."""
+def _posed(T: OperatorSubspace, a, b) -> tuple:
+    """The instance on its own power-of-two scale unit = `pow2_scale` of (a,
+    b): (unit, unit a, unit b, the spectra of their difference and of unit
+    a, ||unit a||, and the four blocks unit a <= b' <= unit b, b' <= ||unit
+    a||, -||unit a|| <= b' over b' in T).  The solve poses three, as a +
+    ||a|| I >= 0 makes the last follow from the first."""
+    unit = float(pow2_scale(np.stack([a, b])))
+    a, b = ((X.view(float) * unit).view(complex) for X in (a, b))  # in the real view: exact, zero signs too
+    ev = eigenvalues_checked(np.stack([b - a, a]))  # a and b are checked, and so is b - a
+    norm_a = float(np.abs(ev[1]).max())
     cap, plus, minus = norm_a * np.eye(T.ambient_dim, dtype=complex), T.stack, -T.stack
-    return [sdp.LmiBlock(-a, plus), sdp.LmiBlock(b, minus), sdp.LmiBlock(cap, minus), sdp.LmiBlock(cap, plus)]
+    return unit, a, b, ev, norm_a, [sdp.LmiBlock(-a, plus), sdp.LmiBlock(b, minus), sdp.LmiBlock(cap, minus),
+                                    sdp.LmiBlock(cap, plus)]
 
 
 def solve_unperforated_instance(
@@ -98,28 +110,31 @@ def solve_unperforated_instance(
             V.coefficients_of(X)
         except InputError as exc:
             raise InputError(str(exc), field=name) from None
-    ev = eigenvalues_checked(np.stack([b - a, a]))  # a and b are checked, and so is b - a
+    return _decide(S, T, a, b, settings)
+
+
+def _decide(S: OperatorSubspace, T: OperatorSubspace, a, b, settings: sdp.SdpSettings) -> UnperforatedInstance:
+    """The instance core: `solve_unperforated_instance` on hermitian a in S and
+    b in T, decided on its own scale (`_posed`), its numbers divided back."""
+    unit, a_unit, b_unit, ev, norm_a, blocks = _posed(T, a, b)
     if not spectrum_psd(ev[0], ORDER_TOL):
         raise InputError("instance requires a <= b", field="b")
-    norm_a = float(np.abs(ev[1]).max())
-    sol = sdp.check_feasibility(_instance_blocks(T, a, b, norm_a)[:3], settings=settings)
+    sol = sdp.check_feasibility(blocks[:3], settings=settings)
     if sol.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"instance SDP failed: {sol.message}")
     candidate = T.element(sol.x)
-    ev = eigenvalues_checked(np.stack([candidate - a, b - candidate, candidate]))  # built hermitian
+    ev = eigenvalues_checked(np.stack([candidate - a_unit, b_unit - candidate, candidate]))  # built hermitian
     norm_b_prime = float(np.abs(ev[2]).max())
-    if spectrum_psd(ev[:2], INSTANCE_TOL).all() and norm_b_prime <= norm_a + INSTANCE_TOL * (1.0 + norm_a):
-        return UnperforatedInstance(
-            S=S, T=T, a=a, b=b, feasible=True, b_prime=candidate, certificate=None,
-            max_slack=float(sol.value), norm_a=norm_a, norm_b_prime=norm_b_prime,
-        )
-    if sol.dual_certificate is not None:
-        return UnperforatedInstance(
-            S=S, T=T, a=a, b=b, feasible=False, b_prime=None, max_slack=float(sol.value), norm_a=norm_a,
-            certificate=sol.dual_certificate + [np.zeros_like(a)],
-        )
-    raise NumericalFailureError(
-        f"instance neither verifiable nor certified (max slack {sol.value:.3e})"
+    feasible = (bool(spectrum_psd(ev[:2], INSTANCE_TOL).all())
+                and norm_b_prime <= norm_a + INSTANCE_TOL * (1.0 + norm_a))
+    max_slack = float(sol.value) / unit
+    if not feasible and sol.dual_certificate is None:
+        raise NumericalFailureError(f"instance neither verifiable nor certified (max slack {max_slack:.3e})")
+    return UnperforatedInstance(
+        S=S, T=T, a=a, b=b, feasible=feasible, max_slack=max_slack, norm_a=norm_a / unit,
+        b_prime=(candidate.view(float) / unit).view(complex) if feasible else None,
+        norm_b_prime=norm_b_prime / unit if feasible else None,
+        certificate=None if feasible else sol.dual_certificate + [np.zeros_like(a)],
     )
 
 
@@ -128,9 +143,21 @@ def verify_instance_certificate(instance: UnperforatedInstance) -> bool:
     from scratch (`sdp.verify_certificate`)."""
     if instance.certificate is None:
         return False
-    a, b = hermitian(instance.a), hermitian(instance.b)
-    blocks = _instance_blocks(instance.T, a, b, op_norm(a))
+    blocks = _posed(instance.T, hermitian(instance.a), hermitian(instance.b))[-1]  # on the instance's scale
     return sdp.verify_certificate(blocks, instance.certificate)
+
+
+def _extreme_elements(V: OperatorSubspace, programs, wall: float, settings: sdp.SdpSettings) -> list:
+    """One `sdp.solve_batch`: per (upper, a, G, start), minimize <G, u> over u
+    in V with u >= a (upper) or u <= a, inside the norm wall on the other side
+    (a's side follows from the order), from `start` (None: a cold start)."""
+    plus, minus = V.stack, -V.stack
+    box = wall * np.eye(V.ambient_dim, dtype=complex)
+    problems = [sdp.SdpProblem(objective=np.array([float(np.vdot(G, v).real) for v in V.basis]),
+                               blocks=[sdp.LmiBlock(-a, plus), sdp.LmiBlock(box, minus)] if upper
+                               else [sdp.LmiBlock(a, minus), sdp.LmiBlock(box, plus)])
+                for upper, a, G, _ in programs]
+    return sdp.solve_batch(problems, [start for *_, start in programs], settings=settings)
 
 
 def search_counterexample(
@@ -153,11 +180,9 @@ def search_counterexample(
     if trials < 1:
         raise InputError("need at least one trial")
     n = T.ambient_dim
-    # b = 2I is strictly inside every generation program (a <= I, b <= 16);
-    # 16 + b >= 0 follows from b >= a, so it is not posed
+    # b = 2I is strictly inside every generation program (a <= I, b <= 16)
     identity = T.identity_in_span()
     x0 = None if identity is None else 2.0 * identity
-    wall = sdp.LmiBlock(16.0 * np.eye(n, dtype=complex), -T.stack)  # 8 (1 + ||a||) for the normalized a
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         a = S.element(rng.standard_normal(S.dim))
@@ -165,16 +190,12 @@ def search_counterexample(
         if na == 0.0:
             continue
         a = a / na
-        raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        G = hermitian_part(raw)
+        G = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
         G = G / max(np.linalg.norm(G), 1e-12)
-        blocks = [sdp.LmiBlock(-a, T.stack), wall]
-        objective = np.array([float(np.vdot(G, t).real) for t in T.basis])
-        gen = sdp.solve(sdp.SdpProblem(objective=objective, blocks=blocks), x0=x0, settings=settings)
+        gen, = _extreme_elements(T, [(True, a, G, x0)], 16.0, settings)  # 8 (1 + ||a||) for the normalized a
         if gen.status != sdp.OPTIMAL:
             continue  # no b >= a in T for this sample (or solver gave up)
-        b = T.element(gen.x)
-        instance = solve_unperforated_instance(S, T, a, b, settings=settings)
+        instance = _decide(S, T, a, T.element(gen.x), settings)  # a in S and b in T by construction
         if not instance.feasible:
             return instance
     return None
@@ -185,10 +206,11 @@ def search_counterexample(
 
 def _commuting(a, b, message: str):
     """(a, b, ||a||, ||b||) for hermitian a, b; InputError(message) unless
-    [a, b] = 0 within COMMUTE_TOL."""
+    [a, b] = 0 within COMMUTE_TOL, each of a and b on its own `pow2_scale`."""
     a, b = hermitian(a), hermitian(b)
     na, nb = op_norm(a), op_norm(b)
-    if commutator_norm(a, b) > COMMUTE_TOL * (1.0 + na) * (1.0 + nb):
+    ua, ub = pow2_scale(a), pow2_scale(b)
+    if commutator_norm(a * ua, b * ub) > COMMUTE_TOL * (1.0 + na * ua) * (1.0 + nb * ub):
         raise InputError(message)
     return a, b, na, nb
 
@@ -274,9 +296,9 @@ def decide_unperforated_lines(s, t) -> LinePairDecision:
     """
     s, t = hermitian(s), hermitian(t)
     ns, nt = op_norm(s), op_norm(t)
-    if nt < LINE_TOL:
+    if nt == 0.0:
         return LinePairDecision(unperforated=True, cases=[("t=0", None, None, True)])
-    if ns < LINE_TOL:
+    if ns == 0.0:
         # a = 0 forces b >= 0 and b' = 0 always works
         return LinePairDecision(unperforated=True, cases=[("s=0", None, None, True)])
     Q, s_diag, t_diag = joint_eigenbasis(s, t)
@@ -378,32 +400,19 @@ def extreme_bounds(B: MatrixStarAlgebra, a, rng, count: int,
     from the order), started at u = +-(1 + ||a||) I.  The functionals are
     drawn upper, lower, upper, ... and the 2 count programs solved as one
     batch; the first failing bound in that order raises."""
-    hb = B.hermitian_basis()
-    n = B.ambient_dim
-    eye = np.eye(n, dtype=complex)
+    V, n = B.subspace(), B.ambient_dim
     reach = 1.0 + op_norm(a)
-    box = 4.0 * reach
-    # coefficients of I over hb (I is in B); the start has margin >= 1 in
-    # every block
-    F = hb.reshape(len(hb), -1)
-    identity = np.linalg.solve((F.conj() @ F.T).real, np.trace(hb, axis1=1, axis2=2).real)
-    plus = CoefficientStack(hb)
-    minus = -plus
-    problems, x0s = [], []
+    identity = V.identity_in_span()  # the start has margin >= 1 in every block
+    programs = []
     for _ in range(count):
         for upper in (True, False):
-            sign = 1.0 if upper else -1.0
             G = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-            side, wall = (plus, minus) if upper else (minus, plus)
-            blocks = [sdp.LmiBlock(-sign * a, side), sdp.LmiBlock(box * eye, wall)]
-            problems.append(sdp.SdpProblem(objective=np.array([float(np.vdot(G, h).real) for h in hb]),
-                                           blocks=blocks))
-            x0s.append(sign * reach * identity)
-    solutions = sdp.solve_batch(problems, x0s, settings=settings)
+            programs.append((upper, a, G, (1.0 if upper else -1.0) * reach * identity))
+    solutions = _extreme_elements(V, programs, 4.0 * reach, settings)
     for sol in solutions:
         if sol.status != sdp.OPTIMAL:
             raise NumericalFailureError(f"extreme bound generation failed: {sol.status}")
-    bounds = [hermitian_part(sum(x * h for x, h in zip(sol.x, hb))) for sol in solutions]
+    bounds = [V.element(sol.x) for sol in solutions]
     return bounds[0::2], bounds[1::2]
 
 
@@ -600,19 +609,13 @@ def nosp_check(
     if not Pi_choi.unital:
         ChoiMap(dim_in=Pi_choi.dim_in, dim_out=Pi_choi.dim_out, choi=Pi_choi.choi, unital=True)
     diffs = [hermitian_part(img - Pi_choi.apply(h)) for img, h in zip(images, hb)]
-    k = len(hb)
-    eye_d = np.eye(d, dtype=complex)
-    eye_n = np.eye(A.ambient_dim, dtype=complex)
-    zeros_nd = np.zeros((d, d), dtype=complex)
-    zeros_nn = np.zeros((A.ambient_dim, A.ambient_dim), dtype=complex)
-    blocks = [
-        sdp.LmiBlock(zeros_nd, diffs + [-eye_d]),
-        sdp.LmiBlock(eye_n, [-h for h in hb] + [zeros_nn]),
-        sdp.LmiBlock(eye_n, list(hb) + [zeros_nn]),
-    ]
-    c = np.zeros(k + 1)
+    box = CoefficientStack(np.concatenate([hb, np.zeros_like(hb[:1])]))  # ||a|| <= 1; s has no part in it
+    eye = np.eye(A.ambient_dim, dtype=complex)
+    blocks = [sdp.LmiBlock(np.zeros((d, d), dtype=complex), diffs + [-np.eye(d, dtype=complex)]),
+              sdp.LmiBlock(eye, -box), sdp.LmiBlock(eye, box)]
+    c = np.zeros(len(hb) + 1)
     c[-1] = -1.0
-    x0 = np.zeros(k + 1)
+    x0 = np.zeros(len(hb) + 1)
     x0[-1] = -1.0
     sol = sdp.solve(sdp.SdpProblem(objective=c, blocks=blocks), x0=x0, settings=settings)
     if sol.status != sdp.OPTIMAL:

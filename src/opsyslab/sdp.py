@@ -13,9 +13,9 @@ largest block dimension, as diag(F(x), I) >= 0 iff F(x) >= 0.
 
 The feasibility phase gives y one more entry s and maximizes the minimum
 slack s over all blocks (capped, so the problem is bounded), to the gap
-tolerance or, for a caller that needs only an interior point (the face
-search), to the first iterate whose s clears the caller's threshold.  When
-s < 0 its X is a Farkas-type certificate
+tolerance or to the first iterate whose s clears the program's exit
+threshold: inf, unless its caller needs only an interior point (the face
+search).  When s < 0 its X is a Farkas-type certificate
 
     Z_k >= 0,   sum_k <Z_k, F_{k,i}> = 0  for all i,   sum_k <Z_k, F0_k> < 0.
 
@@ -192,7 +192,7 @@ def _stack_shape(blocks, cap: bool) -> tuple:
 
 
 @np.errstate(all="ignore")  # failed kernels and their rows leave NaN, read as failures
-def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None, exits=None) -> list:
+def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=None) -> list:
     """Maximize b.y subject to S_k(y) = F0_k + sum_i y_i F_ki >= 0 on every
     block, for programs with the same block dimensions and variable count;
     y and b are rows (1, y) and (0, b), the first entry the weight of F0.
@@ -205,8 +205,8 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None, exi
     so.  With `caps`, y gains a last entry s, every block gets the column -I
     on its own corner and one more block s_cap I - s I of dimension D comes
     last: the feasibility phase.  Without, b.y above UNBOUNDED_VALUE stops a
-    program (a runaway).  With `exits`, a program also counts as converged
-    on the first pass where b.y exceeds its entry (inf: never).
+    program (a runaway).  Every program also converges on the first pass
+    where b.y exceeds its exit threshold, its entry of `exits` (inf: never).
 
     Every block is padded to the largest dimension D, F0_k by I and each F_ki
     by 0, as diag(S_k(y), I) >= 0 iff S_k(y) >= 0: one (P, q + 1, K, D, D)
@@ -281,11 +281,10 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None, exi
         root = 1.0 / root
         outer = root[..., :, None] * root[..., None, :]
         p_obj, r_p = r_p[:, 0], r_p[:, 1:]
-        d_obj = y[:, -1] if caps is not None else _rows_dot(y, b)  # b.y; with caps, b picks s
+        d_obj = _rows_dot(y, b)  # with caps b picks s: exactly y[:, -1]
         feasible = np.sqrt(_rows_dot(r_p, r_p)) / b_norm <= tol
-        converged = (gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible
-        if exits is not None:  # y is strictly feasible: s above the threshold answers the caller
-            converged |= d_obj > exits
+        # y is strictly feasible: b.y above the threshold answers the caller
+        converged = ((gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible) | (d_obj > exits)
         runaway = d_obj > limit
         done = converged | runaway | (iteration == MAX_NEWTON)
         done[list(failed)] = True
@@ -297,9 +296,8 @@ def _interior_point(problems, b, y, trace, settings: SdpSettings, caps=None, exi
             keep = np.flatnonzero(~done)
             if not keep.size:
                 return outcomes
-            active, y, b, b_norm, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer = (
-                a[keep] for a in (active, y, b, b_norm, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer))
-            exits = None if exits is None else exits[keep]
+            active, y, b, b_norm, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer = (
+                a[keep] for a in (active, y, b, b_norm, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer))
         rows, mu = len(active), gap / (K * D)
 
         def direction(R_c):
@@ -352,10 +350,10 @@ def _same_shapes(problems) -> None:
         raise InputError("blocks disagree on the variable count, or programs on block dimensions")
 
 
-def _phase1(problems, settings: SdpSettings, interior=None) -> list:
+def _phase1(problems, exits, settings: SdpSettings) -> list:
     """Maximize the minimum slack s with F(x) - s I >= 0 and s <= s_cap, for
-    programs with the same block dimensions and variable count at once; with
-    `interior`, each stops once s exceeds its entry (inf: never).
+    programs with the same block dimensions and variable count at once; each
+    stops once s exceeds its exit threshold in `exits` (inf: never).
 
     The dual asks for X_k >= 0 with sum_k <X_k, F_ki> = 0 and total trace 1,
     minimizing sum_k <X_k, F0_k> + s_cap tr X_cap; the cap keeps both sides
@@ -371,7 +369,7 @@ def _phase1(problems, settings: SdpSettings, interior=None) -> list:
     caps = [10.0 * (1.0 + max(float(np.max(np.abs(b.constant))) for b in blocks)) for blocks in problems]
     b = np.zeros((P, m + 2))
     b[:, -1] = 1.0
-    outcomes = _interior_point(problems, b, y, np.ones(P), settings, caps, interior)
+    outcomes = _interior_point(problems, b, y, np.ones(P), exits, settings, caps)
     return [
         _phase1_solution(blocks, y, X, iteration, settings) if reason is None
         else SdpSolution(status=NUMERICAL_FAILURE, newton_steps=iteration, message=reason)
@@ -408,18 +406,16 @@ def check_feasibility(blocks, settings: SdpSettings = DEFAULT_SETTINGS, interior
 def check_feasibility_batch(problems, settings: SdpSettings = DEFAULT_SETTINGS, interior=None) -> list:
     """check_feasibility of every program in `problems` (block lists with
     the same block dimensions and variable count), solved together in
-    chunks, with `interior` None or one threshold per program (inf: none);
-    each solution is bitwise the one its program gives alone."""
+    chunks, each with its exit threshold in `interior` (inf: none; None:
+    inf for all); each solution is bitwise the one its program gives alone."""
     problems = [list(blocks) for blocks in problems]
     if not problems:
         return []
     _same_shapes(problems)
-    if interior is None:  # max-slack callers: the loop runs as it always has
-        return _in_chunks(lambda chunk: _phase1(chunk, settings), problems, True)
-    exits = np.array(interior, dtype=float)
+    exits = np.full(len(problems), np.inf) if interior is None else np.array(interior, dtype=float)
     if exits.shape != (len(problems),):
         raise InputError("need one interior threshold per program")
-    return _in_chunks(lambda chunk, exits: _phase1(chunk, settings, exits), problems, True, exits)
+    return _in_chunks(lambda *rows: _phase1(*rows, settings), problems, True, exits)
 
 
 def solve(problem: SdpProblem, x0=None, settings: SdpSettings = DEFAULT_SETTINGS) -> SdpSolution:
@@ -471,8 +467,8 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
     # X starts at trace 1 + ||c||, the size of a dual with <X, F_i> = c_i
     trace = np.array([1.0 + float(np.linalg.norm(c)) for c in cs])
     b = np.concatenate([np.zeros((len(warm), 1)), -cs], axis=1)
-    outcomes = _in_chunks(lambda chunk, b, y, trace: _interior_point(chunk, b, y, trace, settings),
-                          [programs[k] for k in warm], False, b, y, trace)
+    outcomes = _in_chunks(lambda chunk, *rows: _interior_point(chunk, *rows, settings),
+                          [programs[k] for k in warm], False, b, y, trace, np.full(len(warm), np.inf))
     for k, c, outcome in zip(warm, cs, outcomes):
         solutions[k] = _optimization_solution(programs[k], c, outcome, steps[k], settings)
     return solutions

@@ -331,6 +331,18 @@ def test_settings_reject_bad_tolerance(field, bad):
         SdpSettings(**{field: bad})
 
 
+@pytest.mark.parametrize("s", [1e-9, 1e-10, 1e-30])
+def test_a_tiny_a_above_b_exits_2_naming_b(tmp_path, capsys, s):
+    # a = s diag(1, -1) is not below b = 0 at any scale: the order check runs
+    # on the instance's own scale, so no absolute floor lets it through.
+    doc = {"kind": "unperforated", "payload": {"S": [[[1, 0], [0, -1]]], "T": [[[1, 0], [0, 1]]],
+                                               "a": [[s, 0], [0, -s]], "b": [[0, 0], [0, 0]]}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-unperforated", "--file", str(path)]) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: payload.b: instance requires a <= b"
+
+
 def test_cli_bad_tolerance_exits_2(tmp_path, capsys):
     doc = json.loads(doc_unperforated_instance())
     doc["tolerances"] = {"gap": "abc"}

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from opsyslab import sdp
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "results_audit.py"
 
 
@@ -23,12 +25,12 @@ def test_audit_lists_every_document_and_records_outcomes(tmp_path, capsys):
     audit = load_tool()
     docs = audit.documents()
     names = [name for name, _, _ in docs]
-    # 3 x 300 workload documents, the 6 repro cases and 7 scale probes at each of 8 scales
-    assert len(names) == len(set(names)) == 962
+    # 3 x 300 workload documents, the 6 repro cases and 9 scale probes at each of 8 scales
+    assert len(names) == len(set(names)) == 978
     assert sum(name.startswith("repro/") for name in names) == 6
     probes = [name for name in names if name.startswith("probes/scale/")]
-    assert len(probes) == 56 and {name.split("/")[2] for name in probes} == set(audit.SCALES)
-    assert len({name.rsplit("/", 1)[1] for name in probes}) == 7
+    assert len(probes) == 72 and {name.split("/")[2] for name in probes} == set(audit.SCALES)
+    assert len({name.rsplit("/", 1)[1] for name in probes}) == 9
     # the first document of each workload at seed 1, and the first scale probe at s = 1
     picked = [doc for doc in docs if "/1/000-" in doc[0]]
     picked += [doc for doc in docs if doc[0] in ("repro/E:perf", "repro/korovkin")]
@@ -56,22 +58,30 @@ def test_audit_lists_every_document_and_records_outcomes(tmp_path, capsys):
 def test_scaled_spans_keep_the_unit_verdict(label):
     # A span does not change when its spanning matrices are rescaled, so each
     # scale probe answers with the exit code and verdict it gives at s = 1 and
-    # numbers within 1e-9 of them; witnesses are not unique and keep their own
-    # checks.  purity, decompose and the counterexample search keep the bytes.
+    # numbers within 1e-9 of them; witnesses and certificates are not unique
+    # and keep their own checks.  purity, decompose, the counterexample search
+    # and every refusal keep the bytes.  An instance (a, b) times s has its
+    # max_slack and norm_a times s, each to the solve's gap tolerance.
     audit = load_tool()
+    s = audit.SCALES[label]
     unit, scaled = (audit.audit([(f"{i}-{command}", command, text)
-                                 for i, (command, text) in enumerate(audit.scale_probes(s))])
-                    for s in (1.0, audit.SCALES[label]))
-    assert len(unit) == 7
+                                 for i, (command, text) in enumerate(audit.scale_probes(t))])
+                    for t in (1.0, s))
+    assert len(unit) == 9
+    assert [code for code, _ in unit.values()] == [0] * 8 + [2]  # the a that is not below b is refused
     for name, (code, text) in unit.items():
-        assert code == scaled[name][0] == 0, (name, scaled[name])
-        if name.endswith(("purity", "decompose", "unperforated")):
+        assert code == scaled[name][0], (name, scaled[name])
+        if code or name.endswith(("purity", "decompose")) or name == "6-check-unperforated":  # 6: the search
             assert scaled[name][1] == text, name
             continue
-        a, b = ({k: v for k, v in json.loads(t).items() if not k.startswith("witness")} for t in (text, scaled[name][1]))
+        a, b = ({k: v for k, v in json.loads(t).items() if not k.startswith(("witness", "certificate"))}
+                for t in (text, scaled[name][1]))
         assert b.keys() == a.keys(), name
         for key, value in a.items():
-            assert b[key] == (pytest.approx(value, abs=1e-9) if isinstance(value, float) else value), (name, key)
+            if key in ("max_slack", "norm_a"):
+                assert b[key] == pytest.approx(s * value, rel=sdp.DEFAULT_SETTINGS.gap_tol), (name, key)
+            else:
+                assert b[key] == (pytest.approx(value, abs=1e-9) if isinstance(value, float) else value), (name, key)
 
 
 def test_compare_classifies_each_difference(tmp_path, capsys):

@@ -94,6 +94,21 @@ def test_swap_instance_infeasible_with_certificate():
     assert verify_instance_certificate(inst)
 
 
+@pytest.mark.parametrize("s", [2.0**-40, 1e-12, 1e-10, 1e-8, 1e-6, 1.0, 1e4, 1e12])
+def test_a_scaled_swap_instance_stays_infeasible(s):
+    # The question is homogeneous in (a, b), and each instance is decided on
+    # its own power-of-two scale: every s refutes with a verified certificate
+    # and max_slack s times the unit one.  The scaled and the unit programs
+    # are different solves, each of them to the gap tolerance.
+    S, T = swap_vs_diagonal()
+    a, b = np.array([[0.0, 2.0], [2.0, 0.0]]), np.diag([1.0, 5.0])
+    unit = solve_unperforated_instance(S, T, a, b)
+    inst = solve_unperforated_instance(S, T, s * a, s * b)
+    assert inst.verdict == "INFEASIBLE" and verify_instance_certificate(inst)
+    assert inst.norm_a == 2.0 * s
+    assert inst.max_slack / s == pytest.approx(unit.max_slack, rel=sdp.DEFAULT_SETTINGS.gap_tol)
+
+
 def tampered(certificate, how):
     Z = [np.array(Zk) for Zk in certificate]
     if how == "sign-flipped":
@@ -270,6 +285,20 @@ def test_commuting_coherence_instance_vs_truncation():
 def test_truncate_rejects_noncommuting():
     with pytest.raises(InputError):
         truncate_commuting(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([2.0, 3.0]))
+
+
+@pytest.mark.parametrize("s", [1e-5, 1e-12, 1e-200])
+def test_commutation_is_decided_on_each_matrix_scale(s):
+    # [X, Z] is as far from zero at every scale, relative to X and Z: no
+    # absolute floor lets a small pair commute, and no small line is zero.
+    X, Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    with pytest.raises(InputError, match="inputs do not commute"):
+        truncate_commuting(s * X, s * (2.0 * np.eye(2) + Z))
+    with pytest.raises(InputError, match="matrices do not commute"):
+        decide_unperforated_lines(s * X, s * Z)
+    with pytest.raises(InputError, match="inputs do not commute"):
+        truncate_commuting(s * X, np.eye(2) + Z)  # the scales need not agree
+    assert np.allclose(truncate_commuting(s * Z, 2.0 * np.eye(2) + Z) / s, np.eye(2))  # commuting: clamped to s
 
 
 def test_joint_eigenbasis_degenerate_clusters():

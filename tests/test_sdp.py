@@ -638,6 +638,16 @@ def test_a_mixed_batch_of_thresholds_equals_its_solo_runs(monkeypatch):
         sdp.check_feasibility_batch(programs, interior=thresholds[:2])
 
 
+def test_a_max_slack_batch_is_the_batch_with_every_threshold_inf():
+    # No threshold is no separate path: every row of the loop carries one,
+    # inf for a program that wants its optimum.
+    programs = riesz_batch()
+    batch = sdp.check_feasibility_batch(programs, interior=None)
+    inf = sdp.check_feasibility_batch(programs, interior=[np.inf] * len(programs))
+    solo = [sdp.check_feasibility(p) for p in programs]
+    assert all(same_bits(b, i) and same_bits(b, s) for b, i, s in zip(batch, inf, solo))
+
+
 def test_linear_range_bounds_the_extremes_on_the_face():
     rng = np.random.default_rng(71)
     rho = np.zeros((3, 3), dtype=complex)

@@ -7,9 +7,11 @@ the scale probes, through the CLI, recorded by exit code and `results` bytes.
 The documents are those of `perfbench/workloads.py` (seeds 1, 2 and 3 of
 each workload), one `repro` document per built-in case, and the scale
 probes (`probes/scale/<s>/...`): a few documents whose subspaces, algebras
-or samples are spanned by s times fixed matrices, at each scale s of SCALES.
-A span does not change when its spanning matrices are rescaled, so every
-probe must give the exit code and verdict it gives at s = 1.  Each runs as
+or samples are spanned by s times fixed matrices, and two unperforated
+instances (a, b) times s, at each scale s of SCALES.  A span does not change
+when its spanning matrices are rescaled, and the unperforated question is
+homogeneous in (a, b), so every probe must give the exit code and verdict
+it gives at s = 1.  Each runs as
 `opsyslab.cli.main([command, "--file", PATH, "--json"])`, the path a user
 takes, with BLAS pinned to one thread.  A document's outcome is its exit
 code and its `results` value exactly as printed, or on a non-zero exit the
@@ -47,7 +49,7 @@ def scale_probes(s: float) -> list:
     """(command, document) of each scale probe at scale s."""
     import numpy as np
 
-    I2, Z, E11 = np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 0.0])
+    I2, Z, E11, X = np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, 0.0]), np.eye(2, k=1) + np.eye(2, k=-1)
     h = np.diag([1.0, 0.2, -0.7]) + 0.3 * (np.eye(3, k=1) + np.eye(3, k=-1))
     units = [np.diag(e) for e in np.eye(3)]
     phi, t = [[0.7, 0.1], [0.1, 0.3]], [[1.0, 0.5], [0.5, -1.0]]
@@ -58,8 +60,10 @@ def scale_probes(s: float) -> list:
         ("boundary", {"S": [s * I2, s * Z]}),
         ("purity", {"A": [s * u for u in units], "state": np.diag([0.5, 0.3, 0.2])}),
         ("decompose", {"A": [s * u for u in units], "state": np.diag([0.5, 0.3, 0.2])}),
-        ("check-unperforated", {"S": [s * (np.eye(2, k=1) + np.eye(2, k=-1))], "T": [E11, I2 - E11],
-                                "trials": 20}),
+        ("check-unperforated", {"S": [s * X], "T": [E11, I2 - E11], "trials": 20}),
+        # instances (a, b) times s: repro E:perf, which is perforated, and an a that is not below b
+        ("check-unperforated", {"S": [X], "T": [E11, I2 - E11], "a": 2 * s * X, "b": s * np.diag([1.0, 5.0])}),
+        ("check-unperforated", {"S": [Z], "T": [I2], "a": s * Z, "b": 0 * I2}),
     ]
     return [(command, json.dumps({"kind": command.removeprefix("check-"), "seed": 3, "payload": payload},
                                  default=np.ndarray.tolist))
