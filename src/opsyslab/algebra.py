@@ -80,6 +80,11 @@ def pow2_scale(a, axis=None):
     return np.ldexp(1.0, np.where(e < -1021, 0, np.maximum(-e, np.minimum(0, 500 - e))))
 
 
+def pow2_times(X, unit: float) -> np.ndarray:
+    """unit X for a complex X and a power of two `unit`, in the real view: exact, zero signs too."""
+    return (X.view(float) * unit).view(complex)
+
+
 def _spans_identity(resid, n: int) -> bool:
     return resid <= 1e-9 * (1.0 + np.sqrt(n))  # I's residual; ||I|| = sqrt(n)
 

@@ -245,11 +245,3 @@ def clip_spectrum(b, r: float) -> np.ndarray:
     clipped = np.clip(dec.eigenvalues, -r, r)
     out = (dec.eigenvectors * clipped) @ dec.eigenvectors.conj().T
     return hermitian_part(out)
-
-
-def commutator_norm(a, b) -> float:
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = a @ b - b @ a
-    # [a,b] is anti-hermitian for hermitian a, b; i[a,b] is hermitian.
-    return op_norm(hermitian_part(1j * c))

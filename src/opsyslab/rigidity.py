@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import sdp, spectrahedron
-from .algebra import NOT_UNITAL, MatrixStarAlgebra, OperatorSubspace, generate_algebra, pow2_scale
+from .algebra import NOT_UNITAL, MatrixStarAlgebra, OperatorSubspace, generate_algebra, pow2_scale, pow2_times
 from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import (
     CoefficientStack,
     clip_spectrum,
-    commutator_norm,
     eigenvalues,
     eigenvalues_checked,
     eigh,
@@ -73,19 +72,23 @@ class UnperforatedInstance:
         return "FEASIBLE" if self.feasible else "INFEASIBLE"
 
 
-def _posed(T: OperatorSubspace, a, b) -> tuple:
-    """The instance on its own power-of-two scale unit = `pow2_scale` of (a,
-    b): (unit, unit a, unit b, the spectra of their difference and of unit
-    a, ||unit a||, and the four blocks unit a <= b' <= unit b, b' <= ||unit
-    a||, -||unit a|| <= b' over b' in T).  The solve poses three, as a +
-    ||a|| I >= 0 makes the last follow from the first."""
+def _scaled(a, b) -> tuple:
+    """The scale step of an instance: (unit, unit a, unit b, ||unit a||), unit
+    = `pow2_scale` of hermitian (a, b), from one spectrum of [b - a, a];
+    InputError unless a <= b within ORDER_TOL on that scale."""
     unit = float(pow2_scale(np.stack([a, b])))
-    a, b = ((X.view(float) * unit).view(complex) for X in (a, b))  # in the real view: exact, zero signs too
-    ev = eigenvalues_checked(np.stack([b - a, a]))  # a and b are checked, and so is b - a
-    norm_a = float(np.abs(ev[1]).max())
+    a, b = pow2_times(a, unit), pow2_times(b, unit)
+    ev = eigenvalues_checked(np.stack([b - a, a]))
+    if not spectrum_psd(ev[0], ORDER_TOL):
+        raise InputError("instance requires a <= b", field="b")
+    return unit, a, b, float(np.abs(ev[1]).max())
+
+
+def _blocks(T: OperatorSubspace, a, b, norm_a: float) -> list:
+    """The blocks a <= b' <= b, b' <= ||a||, -||a|| <= b' over b' in T; the
+    solve poses three, as a + ||a|| I >= 0 makes the last follow from the first."""
     cap, plus, minus = norm_a * np.eye(T.ambient_dim, dtype=complex), T.stack, -T.stack
-    return unit, a, b, ev, norm_a, [sdp.LmiBlock(-a, plus), sdp.LmiBlock(b, minus), sdp.LmiBlock(cap, minus),
-                                    sdp.LmiBlock(cap, plus)]
+    return [sdp.LmiBlock(-a, plus), sdp.LmiBlock(b, minus), sdp.LmiBlock(cap, minus), sdp.LmiBlock(cap, plus)]
 
 
 def solve_unperforated_instance(
@@ -115,11 +118,9 @@ def solve_unperforated_instance(
 
 def _decide(S: OperatorSubspace, T: OperatorSubspace, a, b, settings: sdp.SdpSettings) -> UnperforatedInstance:
     """The instance core: `solve_unperforated_instance` on hermitian a in S and
-    b in T, decided on its own scale (`_posed`), its numbers divided back."""
-    unit, a_unit, b_unit, ev, norm_a, blocks = _posed(T, a, b)
-    if not spectrum_psd(ev[0], ORDER_TOL):
-        raise InputError("instance requires a <= b", field="b")
-    sol = sdp.check_feasibility(blocks[:3], settings=settings)
+    b in T, decided on its own scale (`_scaled`), its numbers divided back."""
+    unit, a_unit, b_unit, norm_a = _scaled(a, b)
+    sol = sdp.check_feasibility(_blocks(T, a_unit, b_unit, norm_a)[:3], settings=settings)
     if sol.status == sdp.NUMERICAL_FAILURE:
         raise NumericalFailureError(f"instance SDP failed: {sol.message}")
     candidate = T.element(sol.x)
@@ -132,7 +133,7 @@ def _decide(S: OperatorSubspace, T: OperatorSubspace, a, b, settings: sdp.SdpSet
         raise NumericalFailureError(f"instance neither verifiable nor certified (max slack {max_slack:.3e})")
     return UnperforatedInstance(
         S=S, T=T, a=a, b=b, feasible=feasible, max_slack=max_slack, norm_a=norm_a / unit,
-        b_prime=(candidate.view(float) / unit).view(complex) if feasible else None,
+        b_prime=pow2_times(candidate, np.reciprocal(unit)) if feasible else None,
         norm_b_prime=norm_b_prime / unit if feasible else None,
         certificate=None if feasible else sol.dual_certificate + [np.zeros_like(a)],
     )
@@ -143,8 +144,8 @@ def verify_instance_certificate(instance: UnperforatedInstance) -> bool:
     from scratch (`sdp.verify_certificate`)."""
     if instance.certificate is None:
         return False
-    blocks = _posed(instance.T, hermitian(instance.a), hermitian(instance.b))[-1]  # on the instance's scale
-    return sdp.verify_certificate(blocks, instance.certificate)
+    _, a, b, norm_a = _scaled(hermitian(instance.a), hermitian(instance.b))  # on the instance's scale
+    return sdp.verify_certificate(_blocks(instance.T, a, b, norm_a), instance.certificate)
 
 
 def _extreme_elements(V: OperatorSubspace, programs, wall: float, settings: sdp.SdpSettings) -> list:
@@ -204,15 +205,16 @@ def search_counterexample(
 # --------------------------------------------------- commuting truncation
 
 
-def _commuting(a, b, message: str):
-    """(a, b, ||a||, ||b||) for hermitian a, b; InputError(message) unless
-    [a, b] = 0 within COMMUTE_TOL, each of a and b on its own `pow2_scale`."""
-    a, b = hermitian(a), hermitian(b)
-    na, nb = op_norm(a), op_norm(b)
-    ua, ub = pow2_scale(a), pow2_scale(b)
-    if commutator_norm(a * ua, b * ub) > COMMUTE_TOL * (1.0 + na * ua) * (1.0 + nb * ub):
+def _commuting(a, b, message: str) -> tuple:
+    """(unit, unit X, ||unit X||) for each of hermitian a and b on its own
+    `pow2_scale`, the norms and ||[unit a, unit b]|| from one stacked call;
+    InputError(message) unless that commutator is zero within COMMUTE_TOL."""
+    ua, ub = float(pow2_scale(a)), float(pow2_scale(b))
+    a, b = pow2_times(a, ua), pow2_times(b, ub)
+    na, nb, nc = op_norm(np.stack([a, b, hermitian_part(1j * (a @ b - b @ a))]))  # i[a, b] is hermitian
+    if nc > COMMUTE_TOL * (1.0 + na) * (1.0 + nb):
         raise InputError(message)
-    return a, b, na, nb
+    return (ua, a, float(na)), (ub, b, float(nb))
 
 
 def truncate_commuting(a, b) -> np.ndarray:
@@ -221,24 +223,21 @@ def truncate_commuting(a, b) -> np.ndarray:
     Requires [a, b] = 0 within COMMUTE_TOL; the clamp is the continuous
     function fixing [-||a||, ||a||] and saturating outside, applied through
     functional calculus, and its output satisfies a <= b' <= b with
-    ||b'|| <= ||a||.
+    ||b'|| <= ||a||, all on the instance's scale (`_scaled`).
     """
-    a, b, na, nb = _commuting(a, b, "inputs do not commute")
-    if not is_psd(b - a, ORDER_TOL):
-        raise InputError("truncation requires a <= b")
-    bp = clip_spectrum(b, na)
-    if not (is_psd(bp - a, 1e-7) and is_psd(b - bp, 1e-7)):
+    a, b = hermitian(a), hermitian(b)
+    _commuting(a, b, "inputs do not commute")
+    unit, a, b, norm_a = _scaled(a, b)
+    bp = clip_spectrum(b, norm_a)
+    if not spectrum_psd(eigenvalues_checked(np.stack([bp - a, b - bp])), INSTANCE_TOL).all():
         raise NumericalFailureError("clamped element lost the order sandwich")
-    return bp
+    return pow2_times(bp, np.reciprocal(unit))
 
 
-def joint_eigenbasis(a, b):
-    """Common orthonormal eigenbasis of a commuting hermitian pair.
-
-    Diagonalizes b, then re-diagonalizes a inside each eigenvalue cluster
-    of b; returns (Q, diag_a, diag_b).
-    """
-    a, b, na, nb = _commuting(a, b, "matrices do not commute")
+def _joint(a, b) -> tuple:
+    """`joint_eigenbasis` on a and b each on its own scale: Q and, per
+    matrix, (unit, the diagonal of Q* (unit X) Q, ||unit X||)."""
+    (ua, a, na), (ub, b, nb) = _commuting(hermitian(a), hermitian(b), "matrices do not commute")
     dec_b = eigh(b)
     Q = np.array(dec_b.eigenvectors, copy=True)
     lam_b = dec_b.eigenvalues
@@ -247,12 +246,21 @@ def joint_eigenbasis(a, b):
         if end - start > 1:
             block = Q[:, start:end]
             Q[:, start:end] = block @ eigh(hermitian_part(block.conj().T @ a @ block)).eigenvectors
-    diag_a = np.real(np.diag(Q.conj().T @ a @ Q))
-    diag_b = np.real(np.diag(Q.conj().T @ b @ Q))
+    diag_a, diag_b = (np.real(np.diag(Q.conj().T @ X @ Q)) for X in (a, b))
     off = np.linalg.norm(Q.conj().T @ a @ Q - np.diag(diag_a))
     if off > 1e-6 * (1.0 + na):
         raise NumericalFailureError("joint diagonalization failed")
-    return Q, diag_a, diag_b
+    return Q, (ua, diag_a, na), (ub, diag_b, nb)
+
+
+def joint_eigenbasis(a, b):
+    """Common orthonormal eigenbasis of a commuting hermitian pair.
+
+    Diagonalizes b, then re-diagonalizes a inside each eigenvalue cluster
+    of b, each matrix on its own scale; returns (Q, diag_a, diag_b).
+    """
+    Q, (ua, diag_a, _), (ub, diag_b, _) = _joint(a, b)
+    return Q, diag_a / ua, diag_b / ub
 
 
 # --------------------------------------------- exact line-pair decision
@@ -292,30 +300,29 @@ def decide_unperforated_lines(s, t) -> LinePairDecision:
     each sign the feasible betas form the interval { x : x t >= alpha s },
     and the norm-capped interpolant exists for all of them iff its finite
     endpoints pass the ||.|| <= ||s|| / ||t|| bound dictated by the sign
-    structure of t.
+    structure of t.  s and t are each on their own scale (`_joint`) and the
+    betas on theirs, ur = `pow2_scale(||us s|| / ||ut t||)`: x ut t >= alpha
+    ur us s, so the endpoints and the bound are x ut / (us ur).
     """
-    s, t = hermitian(s), hermitian(t)
-    ns, nt = op_norm(s), op_norm(t)
+    _, (us, s_diag, ns), (ut, t_diag, nt) = _joint(s, t)
     if nt == 0.0:
         return LinePairDecision(unperforated=True, cases=[("t=0", None, None, True)])
     if ns == 0.0:
         # a = 0 forces b >= 0 and b' = 0 always works
         return LinePairDecision(unperforated=True, cases=[("s=0", None, None, True)])
-    Q, s_diag, t_diag = joint_eigenbasis(s, t)
-    r = ns / nt
-    pos = bool(np.any(t_diag > LINE_TOL))
-    neg = bool(np.any(t_diag < -LINE_TOL))
-    cases = []
-    verdict = True
+    ur = float(pow2_scale(ns / nt))
+    r, back = ur * ns / nt, ut / us / ur
+    pos, neg = bool(np.any(t_diag > LINE_TOL)), bool(np.any(t_diag < -LINE_TOL))
+    cases, verdict = [], True
     for alpha in (1.0, -1.0):
-        interval = _scalar_interval(alpha * s_diag, t_diag)
+        interval = _scalar_interval(alpha * ur * s_diag, t_diag)
         if interval is None:
-            cases.append((alpha, None, r, True))
+            cases.append((alpha, None, r * back, True))
             continue
         lo, hi = interval
         # the finite endpoints t's signs bring into play, against ||s|| / ||t||
         ok = max([abs(lo)] * pos + [abs(hi)] * neg, default=0.0) <= r + LINE_TOL
-        cases.append((alpha, (lo, hi), r, ok))
+        cases.append((alpha, (lo * back, hi * back), r * back, ok))
         verdict = verdict and ok
     return LinePairDecision(unperforated=verdict, cases=cases)
 
@@ -326,16 +333,19 @@ def scalar_instance_reduction(s, t, a, b):
     Returns the defining ratio inequalities as (sense, coefficient) pairs
     meaning beta >= coeff * alpha or beta <= coeff * alpha, and the exact
     window of admissible scalings lambda for b' = lambda t (or None): the
-    scalar interval of a <= lambda t and -b <= -lambda t, interleaved.
+    scalar interval of a <= lambda t and -b <= -lambda t, interleaved; s, t
+    and (a, b) each on its own scale, the numbers mapped back.
     """
-    Q, s_diag, t_diag = joint_eigenbasis(s, t)
-    a_diag = np.real(np.diag(Q.conj().T @ hermitian(a) @ Q))
-    b_diag = np.real(np.diag(Q.conj().T @ hermitian(b) @ Q))
-    inequalities = [("ge" if ti > 0 else "le", si / ti)
+    Q, (us, s_diag, _), (ut, t_diag, _) = _joint(s, t)
+    a, b = hermitian(a), hermitian(b)
+    unit = float(pow2_scale(np.stack([a, b])))
+    a_diag, b_diag = (np.real(np.diag(Q.conj().T @ pow2_times(X, unit) @ Q)) for X in (a, b))
+    inequalities = [("ge" if ti > 0 else "le", si / ti * (ut / us))
                     for si, ti in zip(s_diag, t_diag) if abs(ti) > SCALAR_TOL]
     window = _scalar_interval(np.stack([a_diag, -b_diag], axis=1).ravel(),
                               np.stack([t_diag, -t_diag], axis=1).ravel())
-    return inequalities, (None if window is None or window[0] > window[1] else window)
+    return inequalities, (None if window is None or window[0] > window[1] else
+                          (window[0] * (ut / unit), window[1] * (ut / unit)))
 
 
 # ------------------------------------------------------ Riesz sequences

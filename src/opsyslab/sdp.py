@@ -33,8 +33,8 @@ shared checked `CoefficientStack` it checks only its constant, and a list of
 coefficients it checks with the constant as one stack.  Every program the
 package poses is bounded (a norm box, trace-one densities or unital Choi
 matrices), so there is no unbounded verdict: an objective that runs past
--UNBOUNDED_VALUE stops its program as NUMERICAL_FAILURE, as any other
-runaway does.
+-UNBOUNDED_VALUE (1 + ||c||), a bound in the objective's own units, stops
+its program as NUMERICAL_FAILURE, as any other runaway does.
 
 The loop calls numpy.linalg's own LAPACK kernels (the private module
 numpy.linalg._umath_linalg, numpy >= 1.24) without their wrappers: the same
@@ -176,8 +176,8 @@ def _lapack(kernel: str, *stacks):
 
 
 # Why a program left the loop without converging: its objective ran past
-# -UNBOUNDED_VALUE, it used up the budget, or its last step was NaN.
-_RUNAWAY = f"objective fell below -{UNBOUNDED_VALUE:g}"
+# -UNBOUNDED_VALUE (1 + ||c||), it used up the budget, or its last step was NaN.
+_RUNAWAY = f"objective fell below -{UNBOUNDED_VALUE:g} (1 + ||c||)"
 _BUDGET = f"interior-point budget of {MAX_NEWTON} iterations exhausted"
 _NAN_STEP = "interior-point step is not finite"
 # Arrays of the scaled coefficients' size that one pass holds per program:
@@ -204,8 +204,8 @@ def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=No
     infeasible until a full step, and y starts strictly feasible and stays
     so.  With `caps`, y gains a last entry s, every block gets the column -I
     on its own corner and one more block s_cap I - s I of dimension D comes
-    last: the feasibility phase.  Without, b.y above UNBOUNDED_VALUE stops a
-    program (a runaway).  Every program also converges on the first pass
+    last: the feasibility phase.  Without, b.y above UNBOUNDED_VALUE (1 +
+    ||b||) stops a program (a runaway).  Every program also converges on the first pass
     where b.y exceeds its exit threshold, its entry of `exits` (inf: never).
 
     Every block is padded to the largest dimension D, F0_k by I and each F_ki
@@ -246,7 +246,7 @@ def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=No
     X = (eye * (trace / (K * D))[:, None, None, None]).repeat(K, axis=1)
     y = y.copy()
     b_norm = 1.0 + np.sqrt(_rows_dot(b, b))
-    limit = np.inf if caps is not None else UNBOUNDED_VALUE
+    limit = (np.inf if caps is not None else UNBOUNDED_VALUE) * b_norm  # in the objective's units
     tol = settings.gap_tol / 10.0
     active = np.arange(P)  # the program of each row
     outcomes = [None] * P
@@ -296,8 +296,8 @@ def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=No
             keep = np.flatnonzero(~done)
             if not keep.size:
                 return outcomes
-            active, y, b, b_norm, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer = (
-                a[keep] for a in (active, y, b, b_norm, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer))
+            active, y, b, b_norm, limit, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer = (
+                a[keep] for a in (active, y, b, b_norm, limit, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer))
         rows, mu = len(active), gap / (K * D)
 
         def direction(R_c):
@@ -435,8 +435,8 @@ def solve_batch(problems, x0s=None, settings: SdpSettings = DEFAULT_SETTINGS) ->
     The optimization phase maximizes -c.x over F(x) >= 0 with the loop of
     the feasibility phase, without its slack column and cap, from a strictly
     feasible x; the primal iterate X, started at a multiple of I, is the
-    dual.  A program whose objective runs past -UNBOUNDED_VALUE, or that uses
-    up its budget, ends NUMERICAL_FAILURE with that reason.
+    dual.  A program whose objective runs past -UNBOUNDED_VALUE (1 + ||c||),
+    or that uses up its budget, ends NUMERICAL_FAILURE with that reason.
     """
     problems = list(problems)
     x0s = [None] * len(problems) if x0s is None else list(x0s)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import sdp, spectrahedron
-from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, pow2_scale, wedderburn
+from .algebra import RANK_TOL, MatrixStarAlgebra, OperatorSubspace, pow2_scale, pow2_times, wedderburn
 from .errors import InputError, NumericalFailureError, check_dimension
 from .hermitian import eigenvalues_checked, eigh, hermitian, hermitian_part
 from .limits import chunks
@@ -207,7 +207,7 @@ def extension_interval(
 
     Both endpoints are attained on the compact extension set, and the
     attaining densities are returned as witness states after re-checking
-    agreement with phi and endpoint attainment.
+    agreement with phi and endpoint attainment, on t's own scale.
     """
     t = hermitian(t)
     if t.shape[0] != phi.ambient_dim:
@@ -216,7 +216,10 @@ def extension_interval(
         raise InputError("element does not belong to the ambient algebra", field="t")
     if not ambient.contains(phi.domain.basis):
         raise InputError("the state's domain is not contained in the ambient algebra", field="phi")
-    return _interval_from_set(_extension_set(phi, settings=settings), t, ambient, settings=settings)
+    unit = float(pow2_scale(t))  # psi(t) is linear in t: unit t is ranged and the endpoints divided back
+    interval = _interval_from_set(_extension_set(phi, settings=settings), pow2_times(t, unit), ambient,
+                                  settings=settings)
+    return ExtensionInterval(element=t, min=interval.min / unit, max=interval.max / unit, witnesses=interval.witnesses)
 
 
 def has_uep(

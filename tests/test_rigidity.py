@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from opsyslab import problems, rigidity, sdp
-from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra, wedderburn
+from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace, generate_algebra, pow2_scale, wedderburn
 from opsyslab.errors import InputError, NumericalFailureError
 from opsyslab.hermitian import hermitian, hermitian_part, is_psd, op_norm
 from opsyslab.rigidity import (
@@ -81,6 +81,29 @@ def test_line_pair_perforated_case():
     # only admissible multiples of b fail the norm cap on the second entry.
     dec = decide_unperforated_lines(np.diag([1.0, 0.0]), np.diag([1.0, 5.0]))
     assert not dec.unperforated
+
+
+LINE_SCALES = [2.0**-400, 1e-200, 1e-12, 1e-10, 1e-6, 1e6, 1e200]
+
+
+@pytest.mark.parametrize("k", LINE_SCALES)
+@pytest.mark.parametrize("s, t", [(np.diag([1.0, -1.0]), np.diag([1.0, 2.0])), (S_LINE, T_LINE)])
+def test_line_pairs_are_decided_on_each_matrix_scale(s, t, k):
+    # (span s, span t) does not change when s or t is rescaled: the verdict
+    # and the ok flags are those at k = 1, and the betas solving x t >= alpha s
+    # and the bound ||s|| / ||t|| move by the ratio of the factors.
+    unit = decide_unperforated_lines(s, t)
+    for ks, kt in ((k, k), (k, 1.0), (1.0, k)):
+        dec = decide_unperforated_lines(ks * s, kt * t)
+        assert dec.unperforated == unit.unperforated, (ks, kt)
+        for (alpha, interval, r, ok), (alpha1, interval1, r1, ok1) in zip(dec.cases, unit.cases, strict=True):
+            assert (alpha, ok, interval is None) == (alpha1, ok1, interval1 is None), (ks, kt)
+            factor = ks / kt
+            assert r == pytest.approx(factor * r1, rel=1e-15)
+            if interval is not None:
+                assert interval == pytest.approx(tuple(factor * x for x in interval1), rel=1e-15)
+            if factor == 2.0**-400:  # a dyadic factor: exactly
+                assert r == factor * r1 and (interval is None or interval == tuple(factor * x for x in interval1))
 
 
 def test_swap_instance_infeasible_with_certificate():
@@ -301,6 +324,37 @@ def test_commutation_is_decided_on_each_matrix_scale(s):
     assert np.allclose(truncate_commuting(s * Z, 2.0 * np.eye(2) + Z) / s, np.eye(2))  # commuting: clamped to s
 
 
+@pytest.mark.parametrize("k", [2.0**-1, 2.0**-30, 2.0**-400])
+def test_a_dyadically_scaled_pair_is_clamped_bit_for_bit(k):
+    # Largest entries in [1/2, 1), so that (k a, k b) enters the clamp with
+    # the bits of (a, b): b' comes back as k b' exactly.
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        ae = rng.standard_normal(3)
+        a, b = (q @ np.diag(e) @ q.conj().T for e in (ae, ae + 2.0 * rng.random(3)))
+        a, b = (hermitian(X) * pow2_scale(np.stack([hermitian(a), hermitian(b)])) for X in (a, b))
+        assert np.array_equal(truncate_commuting(k * a, k * b), k * truncate_commuting(a, b))
+
+
+@pytest.mark.parametrize("k", [2.0**-400, 1e-200, 1e-12, 1e-9, 1e-6, 1.0, 1e6, 1e200])
+def test_a_clamp_of_an_a_above_b_is_refused_at_every_scale(k):
+    with pytest.raises(InputError, match="instance requires a <= b"):
+        truncate_commuting(k * np.diag([1.0, 0.0]), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("k", [1e-12, 1e200])
+def test_joint_eigenbasis_reconstructs_a_scaled_pair(k):
+    rng = np.random.default_rng(23)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    a = k * q @ np.diag([1.0, 1.0, 2.0, 2.0]) @ q.conj().T
+    b = q @ np.diag([3.0, -1.0, 0.5, 2.0]) @ q.conj().T
+    Q, da, db = joint_eigenbasis(a, b)
+    assert np.allclose(np.sort(da), k * np.array([1.0, 1.0, 2.0, 2.0]), rtol=1e-8, atol=0.0)
+    assert np.allclose(Q @ np.diag(da) @ Q.conj().T, a, rtol=0.0, atol=1e-8 * k)
+    assert np.allclose(Q @ np.diag(db) @ Q.conj().T, b, atol=1e-8)
+
+
 def test_joint_eigenbasis_degenerate_clusters():
     rng = np.random.default_rng(23)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
@@ -391,9 +445,13 @@ def test_scalar_window_is_the_intersection_of_two_intervals():
         ):
             s, t, a, b = (np.diag(d) for d in (s_diag, t_diag, a_diag, b_diag))
             Q, s_q, t_q = joint_eigenbasis(s, t)
-            a_q, b_q = (np.real(np.diag(Q.conj().T @ m @ Q)) for m in (a, b))
+            # on the scales the reduction decides on: s and t each its own, a and b their joint one
+            us, ut, unit = pow2_scale(s), pow2_scale(t), pow2_scale(np.stack([a, b]))
+            a_q, b_q = (np.real(np.diag(Q.conj().T @ (unit * m) @ Q)) for m in (a, b))
             inequalities, window = scalar_instance_reduction(s, t, a, b)
-            ref_inequalities, ref_window = scalar_reduction_by_loop(s_q, t_q, a_q, b_q)
+            ref_inequalities, ref_window = scalar_reduction_by_loop(us * s_q, ut * t_q, a_q, b_q)
+            ref_inequalities = [(sense, c * (ut / us)) for sense, c in ref_inequalities]
+            ref_window = None if ref_window is None else (ref_window[0] * (ut / unit), ref_window[1] * (ut / unit))
             assert [(sense, np.float64(c).tobytes()) for sense, c in inequalities] == [
                 (sense, np.float64(c).tobytes()) for sense, c in ref_inequalities]
             assert bits(window) == bits(ref_window)

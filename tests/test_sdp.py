@@ -279,10 +279,19 @@ def test_unbounded_detected(monkeypatch):
     prob = sdp.SdpProblem(objective=np.array([-1.0]), blocks=[blk])
     sol = sdp.solve(prob)
     assert sol.status == sdp.NUMERICAL_FAILURE
-    assert sol.message == f"objective fell below -{sdp.UNBOUNDED_VALUE:g}"
+    assert sol.message == f"objective fell below -{sdp.UNBOUNDED_VALUE:g} (1 + ||c||)"
     # cold start and optimization phase: every step is reported
     assert len(steps) == 2
     assert sol.newton_steps == sum(steps) > 0
+
+
+def test_a_bounded_program_with_a_large_objective_is_optimal():
+    # minimize 1e12 x over -1 <= x <= 1: the value -1e12 is past the old
+    # absolute bound 1e9, but the runaway guard reads in the objective's units.
+    blocks = [sdp.LmiBlock(I2[:1, :1], [I2[:1, :1]]), sdp.LmiBlock(I2[:1, :1], [-I2[:1, :1]])]
+    sol = sdp.solve(sdp.SdpProblem(objective=np.array([1e12]), blocks=blocks), x0=np.zeros(1))
+    assert sol.status == sdp.OPTIMAL
+    assert sol.value == pytest.approx(-1e12, rel=sdp.DEFAULT_SETTINGS.gap_tol)
 
 
 def test_solve_with_warm_start_skips_phase1():

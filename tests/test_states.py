@@ -8,6 +8,7 @@ import pytest
 from opsyslab import sdp, spectrahedron
 from opsyslab.algebra import MatrixStarAlgebra, OperatorSubspace
 from opsyslab.errors import InputError
+from opsyslab.hermitian import hermitian_part
 from opsyslab.states import (
     StateFunctional,
     extension_interval,
@@ -160,6 +161,37 @@ def test_extension_interval_scalar_domain():
     interval = extension_interval(phi, np.diag([1.0, 5.0]), MatrixStarAlgebra.full(2))
     assert interval.min == pytest.approx(1.0, abs=1e-6)
     assert interval.max == pytest.approx(5.0, abs=1e-6)
+
+
+def random_unital_system(rng, n):
+    """S = span{I, h_1, .., h_k} in M_n, k < n, with a state phi on it (a
+    full-rank density) and an element t, all seeded."""
+    hs = [hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+          for _ in range(int(rng.integers(1, n)))]
+    S = OperatorSubspace(ambient_dim=n, basis=[np.eye(n), *hs], unital=True)
+    t = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return S, StateFunctional(density=random_density(rng, n), domain=S), t, hs
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extension_intervals_keep_their_relations(seed):
+    # psi(t) is linear in t over the extensions psi of phi: scaling t scales
+    # the interval, adding u in S shifts it by phi(u), and t in S has one value.
+    rng = np.random.default_rng(seed)
+    S, phi, t, hs = random_unital_system(rng, 2 + seed % 3)  # M2 to M4
+    full = MatrixStarAlgebra.full(S.ambient_dim)
+    tol = sdp.DEFAULT_SETTINGS.gap_tol
+    unit = extension_interval(phi, t, full)
+    assert unit.length > 0.0
+    for k in (-60, -20, 20, 60):
+        scaled = extension_interval(phi, 2.0**k * t, full)
+        for got, want in ((scaled.min, unit.min), (scaled.max, unit.max)):
+            assert abs(got / 2.0**k - want) <= tol * (1.0 + abs(want)), k
+    u = sum(rng.standard_normal() * h for h in [np.eye(S.ambient_dim), *hs])
+    shifted = extension_interval(phi, t + u, full)
+    for got, want in ((shifted.min, unit.min), (shifted.max, unit.max)):
+        assert abs(got - want - phi.expect(u)) <= tol * (1.0 + abs(want)), "shift"
+    assert extension_interval(phi, u, full).length <= tol
 
 
 def test_extension_interval_rejects_a_domain_outside_the_ambient_algebra():

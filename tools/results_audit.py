@@ -7,11 +7,12 @@ the scale probes, through the CLI, recorded by exit code and `results` bytes.
 The documents are those of `perfbench/workloads.py` (seeds 1, 2 and 3 of
 each workload), one `repro` document per built-in case, and the scale
 probes (`probes/scale/<s>/...`): a few documents whose subspaces, algebras
-or samples are spanned by s times fixed matrices, and two unperforated
-instances (a, b) times s, at each scale s of SCALES.  A span does not change
-when its spanning matrices are rescaled, and the unperforated question is
-homogeneous in (a, b), so every probe must give the exit code and verdict
-it gives at s = 1.  Each runs as
+or samples are spanned by s times fixed matrices, two unperforated
+instances (a, b) times s and one extension interval of s t, at each scale s
+of SCALES.  A span does not change when its spanning matrices are rescaled,
+the unperforated question is homogeneous in (a, b) and the extension
+interval of t scales with t, so every probe must give the exit code and
+verdict it gives at s = 1.  Each runs as
 `opsyslab.cli.main([command, "--file", PATH, "--json"])`, the path a user
 takes, with BLAS pinned to one thread.  A document's outcome is its exit
 code and its `results` value exactly as printed, or on a non-zero exit the
@@ -64,6 +65,8 @@ def scale_probes(s: float) -> list:
         # instances (a, b) times s: repro E:perf, which is perforated, and an a that is not below b
         ("check-unperforated", {"S": [X], "T": [E11, I2 - E11], "a": 2 * s * X, "b": s * np.diag([1.0, 5.0])}),
         ("check-unperforated", {"S": [Z], "T": [I2], "a": s * Z, "b": 0 * I2}),
+        # t times s over the unscaled S and phi: psi(t) is linear in t
+        ("extension-interval", {"S": [I2, Z], "phi": phi, "t": s * np.array(t)}),
     ]
     return [(command, json.dumps({"kind": command.removeprefix("check-"), "seed": 3, "payload": payload},
                                  default=np.ndarray.tolist))
