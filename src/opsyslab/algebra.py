@@ -48,14 +48,16 @@ def _as_matrix(M, n=None):
     return A
 
 
-def _as_stack(mats, n: int) -> np.ndarray:
-    """A sequence of n x n matrices as one complex (k, n, n) array; when it
-    is not one, the error is `_as_matrix`'s on the first matrix at fault."""
+def _as_stack(mats) -> np.ndarray:
+    """A nonempty sequence of n x n matrices, n the first one's, as one
+    complex (k, n, n) array; when it is not one, the error is `_as_matrix`'s
+    on the first matrix at fault."""
     try:
         A = np.asarray(mats, dtype=complex)
     except ValueError:  # ragged
         A = None
-    if A is None or A.ndim != 3 or A.shape[1:] != (n, n):
+    if A is None or A.ndim != 3 or A.shape[1] != A.shape[2]:
+        n = _as_matrix(mats[0]).shape[0]
         for M in mats:
             _as_matrix(M, n)
         raise InputError("expected a square matrix")
@@ -140,23 +142,23 @@ def span_coefficients(basis: np.ndarray, X):
 @dataclass
 class OperatorSubspace:
     """Self-adjoint subspace given by a hermitian basis inside M_n, stored
-    as a read-only (k, n, n) array, the `mats` of its checked `stack`.
+    as a read-only (k, n, n) array, the `mats` of its checked `stack`; the
+    ambient dimension n is read off the basis.
 
     The basis must be linearly independent over the reals; when `unital` the
     identity must be reconstructible from it.  Gram matrices, norms and
     residuals are formed on data scaled by `pow2_scale`.
     """
 
-    ambient_dim: int
     basis: np.ndarray
     unital: bool = True
 
     def __post_init__(self):
-        n = self.ambient_dim
         if len(self.basis) == 0:
             raise InputError("subspace needs at least one basis element")
-        self.stack = CoefficientStack(_as_stack(self.basis, n))  # what LMIs over the subspace share
+        self.stack = CoefficientStack(_as_stack(self.basis))  # what LMIs over the subspace share
         self.basis = self.stack.mats
+        self.ambient_dim = self.basis.shape[-1]
         if len(self.basis) > MAX_COEFFICIENT_DIM:
             raise InputError(f"coefficient-space dimension {len(self.basis)} exceeds {MAX_COEFFICIENT_DIM}")
         self._unit = pow2_scale(self.basis)
@@ -305,11 +307,7 @@ class MatrixStarAlgebra:
 
     def subspace(self) -> OperatorSubspace:
         """The algebra viewed as an operator subspace via its hermitian basis."""
-        return OperatorSubspace(
-            ambient_dim=self.ambient_dim,
-            basis=self.hermitian_basis(),
-            unital=self.contains_identity,
-        )
+        return OperatorSubspace(self.hermitian_basis(), unital=self.contains_identity)
 
 
 @functools.cache  # one per n, at most MAX_AMBIENT

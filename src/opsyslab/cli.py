@@ -168,9 +168,6 @@ def main(argv=None) -> int:
             text = "\n\n".join(_format_table(r) for r in reports)
         else:
             text = problems.render_value(reports[0] if len(reports) == 1 else reports)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

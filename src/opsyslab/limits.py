@@ -16,8 +16,11 @@ MAX_COEFFICIENT_DIM = MAX_AMBIENT**2
 # takes 0.4 to 0.7 s.
 MAX_CHOI_AMBIENT = 4
 # Variables of one optimization program (`sdp.SdpProblem`, and the face that
-# `spectrahedron.optimize_linear` ranges over); a feasibility program in 128
-# of them on a 16 x 16 block takes 33 ms.
+# `spectrahedron.optimize_linear` ranges over), whose count per document grows
+# with trials, bound pairs or faces: one search trial in the 144 of full M12
+# takes 50 ms.  A feasibility program (an instance, a riesz step, a face
+# search) is bounded by MAX_COEFFICIENT_DIM or MAX_FACE_SEARCH instead; the
+# worst, 256 variables on a 64 x 64 block, takes 1.5 to 1.7 s (448 MB).
 MAX_VARIABLES = 128
 # Coordinates of the face that one round of facial reduction searches
 # (`spectrahedron.reduce_spectrahedron`), every face inside M40: the search

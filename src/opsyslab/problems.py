@@ -335,9 +335,7 @@ def _named(fields: dict, make, /, *args, **kwargs):
 def _subspace(p, key):
     """The operator subspace spanned by the matrix list p[key], unital as
     p[key + "_unital"] says; any rejection names p[key]."""
-    mats = p[key]
-    return _named({None: key}, OperatorSubspace, ambient_dim=mats[0].shape[0], basis=mats,
-                  unital=p[f"{key}_unital"])
+    return _named({None: key}, OperatorSubspace, p[key], unital=p[f"{key}_unital"])
 
 
 def _parse_extension(payload, path):

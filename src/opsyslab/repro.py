@@ -32,18 +32,14 @@ def _E(n, i, j):
 
 
 def _offdiag_system():
-    return OperatorSubspace(
-        ambient_dim=2,
-        basis=[np.eye(2), _E(2, 0, 1) + _E(2, 1, 0), 1j * _E(2, 0, 1) - 1j * _E(2, 1, 0)],
-        unital=True,
-    )
+    return OperatorSubspace([np.eye(2), _E(2, 0, 1) + _E(2, 1, 0), 1j * _E(2, 0, 1) - 1j * _E(2, 1, 0)])
 
 
 def _case_unp_matrices(settings):
     s = np.diag([-2.0, -1.0, -1.0])
     t = np.diag([1.0, -2.0, 1.0])
-    S = OperatorSubspace(ambient_dim=3, basis=[s], unital=False)
-    T = OperatorSubspace(ambient_dim=3, basis=[t], unital=False)
+    S = OperatorSubspace([s], unital=False)
+    T = OperatorSubspace([t], unital=False)
     a, b = s, 0.5 * t
     inst = solve_unperforated_instance(S, T, a, b, settings=settings)
     inequalities, window = scalar_instance_reduction(s, t, a, b)
@@ -60,10 +56,8 @@ def _case_unp_matrices(settings):
 def _case_perf(settings):
     a = np.array([[0.0, 2.0], [2.0, 0.0]])
     b = np.diag([1.0, 5.0])
-    S = OperatorSubspace(ambient_dim=2, basis=[_E(2, 0, 1) + _E(2, 1, 0)], unital=False)
-    T = OperatorSubspace(
-        ambient_dim=2, basis=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False
-    )
+    S = OperatorSubspace([_E(2, 0, 1) + _E(2, 1, 0)], unital=False)
+    T = OperatorSubspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False)
     inst = solve_unperforated_instance(S, T, a, b, settings=settings)
     forced = np.diag([2.0, 2.0])
     return {

@@ -510,20 +510,21 @@ class ChoiMap:
         return np.einsum("ij,iajb->ab", X, J4)
 
     @staticmethod
-    def from_map(func, dim_in: int, dim_out: int, unital: bool = False) -> "ChoiMap":
+    def from_map(func, dim_in: int, unital: bool = False) -> "ChoiMap":
+        """The map X -> func(X) on M_dim_in; its output dimension is the images'."""
         # units[i, j] = E_ij
         units = np.eye(dim_in * dim_in, dtype=complex).reshape((dim_in,) * 4)
         J = np.block([[np.asarray(func(E), dtype=complex) for E in row] for row in units])
-        return ChoiMap(dim_in=dim_in, dim_out=dim_out, choi=J, unital=unital)
+        return ChoiMap(dim_in=dim_in, dim_out=len(J) // dim_in, choi=J, unital=unital)
 
     @staticmethod
     def identity(n: int) -> "ChoiMap":
-        return ChoiMap.from_map(lambda X: X, n, n, unital=True)
+        return ChoiMap.from_map(lambda X: X, n, unital=True)
 
     @staticmethod
     def pinching(projectors, n: int) -> "ChoiMap":
         projs = [np.asarray(p, dtype=complex) for p in projectors]
-        return ChoiMap.from_map(lambda X: sum(p @ X @ p for p in projs), n, n, unital=True)
+        return ChoiMap.from_map(lambda X: sum(p @ X @ p for p in projs), n, unital=True)
 
 
 def _choi_constraints(S: OperatorSubspace, n: int) -> tuple:
@@ -568,7 +569,7 @@ def ucp_fixed_extent(
     if n > MAX_CHOI_AMBIENT:
         raise InputError(f"fixed-set extent is limited to ambient dimension {MAX_CHOI_AMBIENT}", field="S")
     A = algebra if algebra is not None else generate_algebra(S)
-    spec = spectrahedron.reduce_spectrahedron(n * n, *_choi_constraints(S, n), settings=settings)
+    spec = spectrahedron.reduce_spectrahedron(*_choi_constraints(S, n), settings=settings)
     herm = A.hermitian_basis()
     coord_funcs = MatrixStarAlgebra.full(n).hermitian_basis()
     # C[a, u] = kron(herm[a].T, coord_funcs[u])

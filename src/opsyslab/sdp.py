@@ -216,10 +216,11 @@ def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=No
 
     A program is one row of every array, and each operation acts on each row
     alone (its own LAPACK and BLAS calls, step lengths and stopping test), so
-    its result is bitwise the same in any batch.  It leaves the arrays on
-    the pass it converges, fails or stops.  Returns per program (y, X in
-    block order, each its block's own shape, iterations, None or why it
-    stopped).
+    its result is bitwise the same in any batch.  A pass decides before it
+    builds: a program leaves the arrays on the pass it converges, fails or
+    stops, before any Newton system is formed for it.  Returns per program
+    (y, X in block order, each its block's own shape, iterations, None or
+    why it stopped).
     """
     P, m = len(problems), problems[0][0].num_vars
     q = b.shape[1] - 1  # m, or m + 1 with the slack s
@@ -258,6 +259,16 @@ def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=No
         S = (y[:, None, :] @ Ft).view(complex).reshape(X.shape)
         L = _lapack("cholesky_lo", X)
         w, Q = _lapack("eigh_lo", L.conj().swapaxes(-1, -2) @ S @ L)
+        lam = np.sqrt(w)
+        r_p = b + (Ft @ X.view(float).reshape(len(active), -1, 1))[..., 0]
+        gap = _rows_dot(lam, lam)
+        p_obj, r_p = r_p[:, 0], r_p[:, 1:]
+        d_obj = _rows_dot(y, b)  # with caps b picks s: exactly y[:, -1]
+        feasible = np.sqrt(_rows_dot(r_p, r_p)) / b_norm <= tol
+        # y is strictly feasible: b.y above the threshold answers the caller
+        converged = ((gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible) | (d_obj > exits)
+        runaway = d_obj > limit
+        done = converged | runaway | (iteration == MAX_NEWTON)
         failed = {}
         if not (w > 0.0).all():  # a row failed: its earliest cause wins
             for reason, lost in ((_NAN_STEP, np.isnan(X).any(axis=(1, 2, 3)) | np.isnan(y).any(axis=1)),
@@ -265,8 +276,17 @@ def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=No
                                  ("dual slack lost definiteness", ~(w > 0.0).all(axis=(1, 2)))):
                 for r in np.flatnonzero(lost):
                     failed.setdefault(r, reason)
-            w = np.where(w > 0.0, w, 1.0)
-        lam = np.sqrt(w)
+            done[list(failed)] = True
+        if done.any():  # settled before any Newton work: only the rows that go on get a system
+            for r in np.flatnonzero(done):
+                reason = failed.get(r, None if converged[r] else _RUNAWAY if runaway[r] else _BUDGET)
+                duals = [Z[:d, :d] for Z, d in zip(X[r], dims + [D])]  # the cap, if any, is D x D
+                outcomes[active[r]] = (y[r].copy(), duals, iteration, reason)
+            keep = np.flatnonzero(~done)
+            if not keep.size:
+                return outcomes
+            active, y, b, b_norm, limit, exits, r_p, gap, X, Ft, Fc, L, Q, lam = (
+                a[keep] for a in (active, y, b, b_norm, limit, exits, r_p, gap, X, Ft, Fc, L, Q, lam))
         root = np.sqrt(lam)
         G = (L @ Q) / root[..., None, :]
         Gc = G.conj()  # kept C-ordered, so that every G^H is the same transposed view
@@ -276,28 +296,8 @@ def _interior_point(problems, b, y, trace, exits, settings: SdpSettings, caps=No
                                   .reshape(G.shape[:3] + (q, -1)).transpose(0, 3, 1, 2, 4))
         Wr = Wr.reshape(len(active), q, -1).view(float)
         M = Wr @ Wr.swapaxes(-1, -2)
-        r_p = b + (Ft @ X.view(float).reshape(len(active), -1, 1))[..., 0]
-        gap = _rows_dot(lam, lam)
         root = 1.0 / root
         outer = root[..., :, None] * root[..., None, :]
-        p_obj, r_p = r_p[:, 0], r_p[:, 1:]
-        d_obj = _rows_dot(y, b)  # with caps b picks s: exactly y[:, -1]
-        feasible = np.sqrt(_rows_dot(r_p, r_p)) / b_norm <= tol
-        # y is strictly feasible: b.y above the threshold answers the caller
-        converged = ((gap <= tol * (1.0 + np.abs(p_obj) + np.abs(d_obj))) & feasible) | (d_obj > exits)
-        runaway = d_obj > limit
-        done = converged | runaway | (iteration == MAX_NEWTON)
-        done[list(failed)] = True
-        if done.any():
-            for r in np.flatnonzero(done):
-                reason = failed.get(r, None if converged[r] else _RUNAWAY if runaway[r] else _BUDGET)
-                duals = [Z[:d, :d] for Z, d in zip(X[r], dims + [D])]  # the cap, if any, is D x D
-                outcomes[active[r]] = (y[r].copy(), duals, iteration, reason)
-            keep = np.flatnonzero(~done)
-            if not keep.size:
-                return outcomes
-            active, y, b, b_norm, limit, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer = (
-                a[keep] for a in (active, y, b, b_norm, limit, exits, M, r_p, gap, X, Ft, Fc, G, Gc, lam, Wr, outer))
         rows, mu = len(active), gap / (K * D)
 
         def direction(R_c):

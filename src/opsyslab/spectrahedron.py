@@ -168,10 +168,8 @@ class SpectrahedronInfeasible(InputError):
     """The affine constraints admit no PSD solution."""
 
 
-def reduce_spectrahedron(
-    dim: int, mats, rhs, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS
-) -> ReducedSpectrahedron:
-    """Locate the feasible face of { X >= 0 : tr(A_j X) = b_j }, the
+def reduce_spectrahedron(mats, rhs, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> ReducedSpectrahedron:
+    """Locate the feasible face of { X >= 0 : tr(A_j X) = b_j } in M_dim, the
     constraints given as the stack `mats` of the A_j (m, dim, dim) and the
     vector `rhs` of the b_j.
 
@@ -191,7 +189,7 @@ def reduce_spectrahedron(
     posed, nor are its directions built: FaceTooLarge.
     """
     mats = hermitian_part(np.asarray(mats, dtype=complex))
-    rhs = np.asarray(rhs, dtype=float)
+    rhs, dim = np.asarray(rhs, dtype=float), mats.shape[-1]
     support = np.eye(dim, dtype=complex)
     for _ in range(dim + 1):
         r = support.shape[1]

@@ -150,7 +150,7 @@ def _reduce_extensions(basis: np.ndarray, values: np.ndarray, settings: sdp.SdpS
     unit = pow2_scale(basis, axis=(-2, -1))
     basis, values = basis * unit, values * unit[:, 0, 0]
     mats = np.concatenate([basis, np.eye(n, dtype=complex)[None]])
-    return spectrahedron.reduce_spectrahedron(n, mats, np.append(values, 1.0), settings=settings), basis, values
+    return spectrahedron.reduce_spectrahedron(mats, np.append(values, 1.0), settings=settings), basis, values
 
 
 def _extension_set(phi: StateFunctional, settings: sdp.SdpSettings = sdp.DEFAULT_SETTINGS) -> tuple:
@@ -246,7 +246,7 @@ def has_uep(
         raise InputError("has_uep expects a state whose domain is an algebra", field="psi")
     if not A.contains(S.basis):
         raise InputError("subspace is not contained in the state's algebra", field="S")
-    extension = _extension_set(psi.restrict(S), settings=settings)
+    extension = _reduce_extensions(S.basis, psi.values_on(S.basis), settings)  # psi extends its restriction
     spec, basis = extension[0], A.hermitian_basis()
     for chunk in (basis[part] for part in chunks(len(basis), spec.dirs.size)):  # objectives ranged at once
         for t in chunk[spec.linear_range(chunk)[1] > UEP_TOL]:

@@ -55,8 +55,8 @@ def random_density(rng, n, rank=None):
 def test_criterion_01_line_pair_reproduction():
     s = np.diag([-2.0, -1.0, -1.0])
     t = np.diag([1.0, -2.0, 1.0])
-    S = OperatorSubspace(ambient_dim=3, basis=[s], unital=False)
-    T = OperatorSubspace(ambient_dim=3, basis=[t], unital=False)
+    S = OperatorSubspace([s], unital=False)
+    T = OperatorSubspace([t], unital=False)
     a, b = s, 0.5 * t
     inst = solve_unperforated_instance(S, T, a, b)
     assert inst.verdict == "FEASIBLE"
@@ -74,10 +74,8 @@ def test_criterion_01_line_pair_reproduction():
 def test_criterion_02_perforated_pair_reproduction():
     a = np.array([[0.0, 2.0], [2.0, 0.0]])
     b = np.diag([1.0, 5.0])
-    S = OperatorSubspace(ambient_dim=2, basis=[E(2, 0, 1) + E(2, 1, 0)], unital=False)
-    T = OperatorSubspace(
-        ambient_dim=2, basis=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False
-    )
+    S = OperatorSubspace([E(2, 0, 1) + E(2, 1, 0)], unital=False)
+    T = OperatorSubspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False)
     inst = solve_unperforated_instance(S, T, a, b)
     assert inst.verdict == "INFEASIBLE"
     assert verify_instance_certificate(inst)
@@ -88,11 +86,7 @@ def test_criterion_02_perforated_pair_reproduction():
 
 
 def offdiag_system():
-    return OperatorSubspace(
-        ambient_dim=2,
-        basis=[np.eye(2), E(2, 0, 1) + E(2, 1, 0), 1j * E(2, 0, 1) - 1j * E(2, 1, 0)],
-        unital=True,
-    )
+    return OperatorSubspace([np.eye(2), E(2, 0, 1) + E(2, 1, 0), 1j * E(2, 0, 1) - 1j * E(2, 1, 0)], unital=True)
 
 
 def test_criterion_03_vector_state_uep_and_boundary():
@@ -143,12 +137,8 @@ def test_criterion_05_commuting_pairs_property_suite():
     # randomized refutation search on commuting (S, T) with T an algebra
     q = random_unitary(np.random.default_rng(501), 3)
     diags = [np.diag(v) for v in ([1.0, 1.0, 0.0], [0.0, 0.0, 1.0])]
-    T = OperatorSubspace(
-        ambient_dim=3, basis=[q @ d @ q.conj().T for d in diags], unital=True
-    )
-    S = OperatorSubspace(
-        ambient_dim=3, basis=[q @ np.diag([1.0, -1.0, 2.0]) @ q.conj().T], unital=False
-    )
+    T = OperatorSubspace([q @ d @ q.conj().T for d in diags], unital=True)
+    S = OperatorSubspace([q @ np.diag([1.0, -1.0, 2.0]) @ q.conj().T], unital=False)
     assert search_counterexample(S, T, trials=100, seed=502) is None
     print("criterion 5: PASS - 200 commuting truncations sandwiched; no counterexample found")
 

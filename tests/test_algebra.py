@@ -27,7 +27,7 @@ def offdiag_system(n=2):
     # span{I, E12, E21} as a hermitian-basis subspace
     X = E(n, 0, 1) + E(n, 1, 0)
     Y = 1j * E(n, 0, 1) - 1j * E(n, 1, 0)
-    return OperatorSubspace(ambient_dim=n, basis=[np.eye(n), X, Y], unital=True)
+    return OperatorSubspace([np.eye(n), X, Y], unital=True)
 
 
 def test_generate_full_m2():
@@ -37,27 +37,25 @@ def test_generate_full_m2():
 
 
 def test_generate_scalars():
-    sub = OperatorSubspace(ambient_dim=2, basis=[np.eye(2)], unital=True)
+    sub = OperatorSubspace([np.eye(2)], unital=True)
     alg = generate_algebra(sub)
     assert alg.dim == 1
 
 
 def test_generate_diagonal():
-    sub = OperatorSubspace(
-        ambient_dim=2, basis=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=True
-    )
+    sub = OperatorSubspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=True)
     alg = generate_algebra(sub)
     assert alg.dim == 2
 
 
 def test_generate_rejects_dependent_basis():
     with pytest.raises(InputError):
-        OperatorSubspace(ambient_dim=2, basis=[np.eye(2), 2 * np.eye(2)], unital=True)
+        OperatorSubspace([np.eye(2), 2 * np.eye(2)], unital=True)
 
 
 def test_generate_idempotent():
     alg = generate_algebra(offdiag_system())
-    sub = OperatorSubspace(ambient_dim=2, basis=alg.hermitian_basis(), unital=True)
+    sub = OperatorSubspace(alg.hermitian_basis(), unital=True)
     again = generate_algebra(sub)
     assert again.dim == alg.dim
     assert np.all(span_coefficients(alg.basis, again.basis)[1] <= 1e-8)
@@ -198,7 +196,7 @@ def test_from_basis_rejects_an_ambient_above_the_limit_before_any_closure_work(m
 
 
 @pytest.mark.parametrize("basis, message", [
-    ([np.eye(3)], "expected dimension 2, got 3"),
+    ([np.eye(2), np.diag([1.0, -1.0]), np.eye(3)], "expected dimension 2, got 3"),  # n is the first matrix's
     ([np.eye(2), np.eye(3)], "expected dimension 2, got 3"),  # a ragged stack: the first matrix at fault
     ([np.ones((2, 3))], "expected a square matrix"),
     (np.eye(2), "expected a square matrix"),  # one matrix, not a list of them
@@ -211,7 +209,7 @@ def test_subspace_rejects_a_bad_basis_with_its_message(basis, message):
     # a library caller's errors, with no parser in front to name a field;
     # a ragged basis is an InputError, never numpy's ValueError
     with pytest.raises(InputError) as exc:
-        OperatorSubspace(ambient_dim=2, basis=basis, unital=False)
+        OperatorSubspace(basis, unital=False)
     assert str(exc.value) == message
 
 
@@ -230,7 +228,7 @@ def test_full_algebra_is_one_read_only_object_per_dimension():
 def test_subspace_layer_answers_on_scaled_data_without_overflow(scale):
     # Gram matrix, norms and residuals are formed on data scaled by a power
     # of two; a RuntimeWarning (overflow, invalid value) would fail here
-    S = OperatorSubspace(ambient_dim=2, basis=[scale * np.eye(2), scale * np.diag([1.0, -1.0])], unital=True)
+    S = OperatorSubspace([scale * np.eye(2), scale * np.diag([1.0, -1.0])], unital=True)
     assert S.identity_in_span() == pytest.approx([1.0 / scale, 0.0], rel=1e-12, abs=1e-12 / scale)
     coeffs, resid = S.coefficients_of(scale * np.diag([3.0, 1.0]))
     assert coeffs == pytest.approx([2.0, 1.0], rel=1e-12) and resid <= 1e-12 * scale
@@ -249,7 +247,7 @@ def test_tiny_matrices_are_members_only_of_spans_that_hold_them(scale):
     assert not MatrixStarAlgebra.from_basis([np.eye(2)]).contains(scale * Z)
     assert not MatrixStarAlgebra.from_basis([np.eye(2)]).contains(np.stack([np.eye(2), scale * Z]))
     assert MatrixStarAlgebra.from_basis([np.eye(2), Z]).contains(scale * Z)
-    unit = OperatorSubspace(ambient_dim=2, basis=[np.eye(2)], unital=True)
+    unit = OperatorSubspace([np.eye(2)], unital=True)
     with pytest.raises(InputError, match="not in the subspace"):
         unit.coefficients_of(scale * Z)
     coeffs, resid = unit.coefficients_of(scale * np.eye(2))
@@ -271,11 +269,11 @@ def test_scaling_keeps_the_bits_of_unscaled_data():
     # a subnormal peak is left alone, and the independence check refuses it
     assert algebra.pow2_scale(np.full((1, 2, 2), 1e-310)) == 1.0
     with pytest.raises(InputError, match="not linearly independent"):
-        OperatorSubspace(ambient_dim=2, basis=[1e-310 * np.eye(2)], unital=True)
+        OperatorSubspace([1e-310 * np.eye(2)], unital=True)
     rng = np.random.default_rng(8)
     for k in range(1, 4):
         raw = rng.standard_normal((k, 3, 3)) + 1j * rng.standard_normal((k, 3, 3))
-        S = OperatorSubspace(ambient_dim=3, basis=raw + raw.conj().swapaxes(1, 2), unital=False)
+        S = OperatorSubspace(raw + raw.conj().swapaxes(1, 2), unital=False)
         assert S._gram.tobytes() == algebra._real_gram(S.basis).tobytes()
 
 
@@ -292,7 +290,7 @@ def test_non_finite_gram_matrix_is_a_numerical_failure(monkeypatch, entry):
 
     monkeypatch.setattr(algebra, "_real_gram", corrupted)
     with pytest.raises(NumericalFailureError):
-        OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -1.0])], unital=False)
+        OperatorSubspace([np.eye(2), np.diag([1.0, -1.0])], unital=False)
 
 
 def test_subspace_beyond_the_coefficient_limit_is_rejected():
@@ -305,7 +303,7 @@ def test_subspace_beyond_the_coefficient_limit_is_rejected():
             units.append(E(n, p, q) + E(n, q, p) if p != q else E(n, p, p))
             if p != q:
                 units.append(1j * E(n, p, q) - 1j * E(n, q, p))
-    assert OperatorSubspace(ambient_dim=n, basis=units[:256], unital=False).dim == 256
+    assert OperatorSubspace(units[:256], unital=False).dim == 256
     with pytest.raises(InputError) as err:
-        OperatorSubspace(ambient_dim=n, basis=units[:257], unital=False)
+        OperatorSubspace(units[:257], unital=False)
     assert str(err.value) == "coefficient-space dimension 257 exceeds 256"

@@ -700,6 +700,31 @@ def test_cli_program_size_limit_names_the_field(tmp_path, capsys, command, doc, 
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_the_variable_limit_binds_optimization_programs_only(tmp_path, capsys):
+    # MAX_VARIABLES bounds optimization programs, whose count per document
+    # grows with trials or bound pairs: riesz's bound generation and the
+    # search's generation program.  Feasibility programs over the same 144
+    # variables (riesz's steps, one unperforated instance) are bounded by
+    # MAX_COEFFICIENT_DIM, and answer.
+    a, I12 = np.diag([0.5] + [0.0] * 10 + [-0.5]).tolist(), np.eye(12)
+    riesz = {"B": 12, "a": a, "epsilon": 0.5, "N": 1}
+    pair = {"S": [I12.tolist()], "T": [problems.matrix_to_json(M) for M in hermitian_units([12])]}
+    for command, payload, outcome in [
+        ("riesz", riesz, "answers"),  # riesz reports no verdict
+        ("riesz", riesz | {"auto_bounds": 1}, "payload.B: 144 variables exceeds 128"),
+        ("check-unperforated", pair | {"a": (I12 / 2).tolist(), "b": I12.tolist()}, "FEASIBLE"),
+        ("check-unperforated", pair | {"trials": 1}, "payload.T: 144 variables exceeds 128"),
+    ]:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": command.removeprefix("check-"), "seed": 1, "payload": payload}))
+        code = main([command, "--file", str(path), "--json"])
+        out, err = capsys.readouterr()
+        if outcome.startswith("payload."):
+            assert (code, err) == (2, f"error: {outcome}\n"), command
+        else:
+            assert code == 0 and json.loads(out)["results"].get("verdict", "answers") == outcome, command
+
+
 def test_cli_batch_reports_a_later_parse_error_before_a_run_time_rejection(tmp_path, capsys):
     # Every document is parsed before any runs, and the library checks that
     # t lies in the ambient algebra when the first document runs.

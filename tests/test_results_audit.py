@@ -25,12 +25,16 @@ def test_audit_lists_every_document_and_records_outcomes(tmp_path, capsys):
     audit = load_tool()
     docs = audit.documents()
     names = [name for name, _, _ in docs]
-    # 3 x 300 workload documents, the 6 repro cases and 10 scale probes at each of 8 scales
-    assert len(names) == len(set(names)) == 986
+    # 3 x 300 workload documents, the 6 repro cases, 10 scale probes at each
+    # of 8 scales and 58 path probes
+    assert len(names) == len(set(names)) == 1044
     assert sum(name.startswith("repro/") for name in names) == 6
     probes = [name for name in names if name.startswith("probes/scale/")]
     assert len(probes) == 80 and {name.split("/")[2] for name in probes} == set(audit.SCALES)
     assert len({name.rsplit("/", 1)[1] for name in probes}) == 10
+    paths = [name.split("/")[2] for name in names if name.startswith("probes/paths/")]
+    assert {group: paths.count(group) for group in paths} == {
+        "boundary-M4": 10, "search-M8": 44, "cold-start": 1, "nosp": 1, "auto-bounds": 1, "face-wall": 1}
     # the first document of each workload at seed 1, and the first scale probe at s = 1
     picked = [doc for doc in docs if "/1/000-" in doc[0]]
     picked += [doc for doc in docs if doc[0] in ("repro/E:perf", "repro/korovkin")]

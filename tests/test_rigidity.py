@@ -40,16 +40,14 @@ T_LINE = np.diag([1.0, -2.0, 1.0])
 
 
 def line_pair():
-    S = OperatorSubspace(ambient_dim=3, basis=[S_LINE], unital=False)
-    T = OperatorSubspace(ambient_dim=3, basis=[T_LINE], unital=False)
+    S = OperatorSubspace([S_LINE], unital=False)
+    T = OperatorSubspace([T_LINE], unital=False)
     return S, T
 
 
 def swap_vs_diagonal():
-    S = OperatorSubspace(ambient_dim=2, basis=[E(2, 0, 1) + E(2, 1, 0)], unital=False)
-    T = OperatorSubspace(
-        ambient_dim=2, basis=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False
-    )
+    S = OperatorSubspace([E(2, 0, 1) + E(2, 1, 0)], unital=False)
+    T = OperatorSubspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False)
     return S, T
 
 
@@ -175,7 +173,7 @@ def test_swap_instance_hand_derivation():
 def test_instance_trivial_when_a_in_T():
     S, T = swap_vs_diagonal()
     a = np.diag([0.3, -0.2])
-    joint = OperatorSubspace(ambient_dim=2, basis=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False)
+    joint = OperatorSubspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False)
     inst = solve_unperforated_instance(joint, T, a, a + np.diag([0.5, 1.0]))
     assert inst.verdict == "FEASIBLE"
 
@@ -187,8 +185,8 @@ def test_instance_with_forced_interpolant_is_feasible(seed):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = (G + G.conj().T) / 2.0
-    S = OperatorSubspace(ambient_dim=3, basis=[a], unital=False)
-    T = OperatorSubspace(ambient_dim=3, basis=[np.eye(3), a, np.diag([1.0, -1.0, 0.0])], unital=True)
+    S = OperatorSubspace([a], unital=False)
+    T = OperatorSubspace([np.eye(3), a, np.diag([1.0, -1.0, 0.0])], unital=True)
     inst = solve_unperforated_instance(S, T, a, a)
     assert inst.verdict == "FEASIBLE"
     assert abs(inst.max_slack) <= 1e-7
@@ -203,8 +201,8 @@ def test_instance_tight_on_the_side_that_is_not_posed(seed):
     U = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
     diagonal = [U @ np.diag(e) @ U.conj().T for e in np.eye(3)]
     a, b = (U @ np.diag(d) @ U.conj().T for d in ([-1.0, 0.3, 0.5], [-1.0, 0.9, 1.0]))
-    S = OperatorSubspace(ambient_dim=3, basis=[a], unital=False)
-    T = OperatorSubspace(ambient_dim=3, basis=diagonal, unital=False)
+    S = OperatorSubspace([a], unital=False)
+    T = OperatorSubspace(diagonal, unital=False)
     inst = solve_unperforated_instance(S, T, a, b)
     assert inst.verdict == "FEASIBLE"
     assert inst.norm_b_prime <= inst.norm_a + rigidity.INSTANCE_TOL * (1.0 + inst.norm_a)
@@ -230,10 +228,8 @@ def test_search_finds_swap_counterexample():
 
 
 def test_search_none_when_contained():
-    T = OperatorSubspace(
-        ambient_dim=2, basis=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False
-    )
-    S = OperatorSubspace(ambient_dim=2, basis=[np.diag([1.0, -1.0])], unital=False)
+    T = OperatorSubspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=False)
+    S = OperatorSubspace([np.diag([1.0, -1.0])], unital=False)
     assert search_counterexample(S, T, trials=10, seed=11) is None
 
 
@@ -243,8 +239,8 @@ def test_search_none_on_commuting_pair():
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
     diags = [np.diag(v) for v in ([1.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -1.0, 2.0])]
     mats = [q @ d @ q.conj().T for d in diags]
-    S = OperatorSubspace(ambient_dim=3, basis=[mats[2]], unital=False)
-    T = OperatorSubspace(ambient_dim=3, basis=mats[:2], unital=True)
+    S = OperatorSubspace([mats[2]], unital=False)
+    T = OperatorSubspace(mats[:2], unital=True)
     assert search_counterexample(S, T, trials=10, seed=17) is None
 
 
@@ -293,8 +289,8 @@ def test_commuting_coherence_instance_vs_truncation():
         be = ae + 2.0 * rng.random(3)
         a = q @ np.diag(ae) @ q.conj().T
         b = q @ np.diag(be) @ q.conj().T
-        S = OperatorSubspace(ambient_dim=3, basis=[a], unital=False)
-        T = OperatorSubspace(ambient_dim=3, basis=[b, np.eye(3)], unital=True)
+        S = OperatorSubspace([a], unital=False)
+        T = OperatorSubspace([b, np.eye(3)], unital=True)
         inst = solve_unperforated_instance(S, T, a, b)
         assert inst.verdict == "FEASIBLE"
         bp = truncate_commuting(a, b)
@@ -656,11 +652,7 @@ def test_choi_identity_and_pinching():
 
 
 def offdiag_system():
-    return OperatorSubspace(
-        ambient_dim=2,
-        basis=[np.eye(2), E(2, 0, 1) + E(2, 1, 0), 1j * E(2, 0, 1) - 1j * E(2, 1, 0)],
-        unital=True,
-    )
+    return OperatorSubspace([np.eye(2), E(2, 0, 1) + E(2, 1, 0), 1j * E(2, 0, 1) - 1j * E(2, 1, 0)], unital=True)
 
 
 def test_ucp_extent_zero_for_offdiag_system():
@@ -671,7 +663,7 @@ def test_ucp_extent_zero_for_offdiag_system():
 
 @pytest.mark.parametrize("S", [
     offdiag_system(),
-    OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -0.5])], unital=True),
+    OperatorSubspace([np.eye(2), np.diag([1.0, -0.5])], unital=True),
 ])
 def test_ucp_extent_of_a_boundary_system_solves_no_program(monkeypatch, S):
     # every objective is constant on the Choi face (a point for the
@@ -695,9 +687,7 @@ def test_ucp_extent_zero_for_full_subspace():
 
 
 def test_ucp_extent_diagonal_subspace():
-    S = OperatorSubspace(
-        ambient_dim=2, basis=[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=True
-    )
+    S = OperatorSubspace([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], unital=True)
     extent, witness = ucp_fixed_extent(S, algebra=MatrixStarAlgebra.full(2))
     assert extent >= 1.0 - 1e-6
     assert witness is not None
@@ -715,7 +705,7 @@ def _extent_by_pair_loop(S):
     from opsyslab.rigidity import _choi_constraints
 
     n = S.ambient_dim
-    spec = spectrahedron.reduce_spectrahedron(n * n, *_choi_constraints(S, n))
+    spec = spectrahedron.reduce_spectrahedron(*_choi_constraints(S, n))
     herm = generate_algebra(S).hermitian_basis()
     coord_funcs = MatrixStarAlgebra.full(n).hermitian_basis()
     Cs = hermitian_part(np.einsum("arp,uqs->aupqrs", herm, coord_funcs).reshape(-1, n * n, n * n))
@@ -747,7 +737,7 @@ def test_ucp_extent_keeps_the_bits_of_the_pair_loop(seed):
     # S = span{I, h1, h2} settles every one from the range bound.
     rng = np.random.default_rng(900 + seed)
     hs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(1 + seed % 2)]
-    S = OperatorSubspace(ambient_dim=3, basis=[np.eye(3)] + [h + h.conj().T for h in hs], unital=True)
+    S = OperatorSubspace([np.eye(3)] + [h + h.conj().T for h in hs], unital=True)
     ref, ref_J, n_open = _extent_by_pair_loop(S)
     extent, witness = ucp_fixed_extent(S)
     assert (n_open > 0) == (seed % 2 == 0)
@@ -781,7 +771,7 @@ def test_nosp_random_ucp_fixing_offdiag_is_forced():
     from opsyslab.rigidity import _choi_constraints
 
     S = offdiag_system()
-    spec = spectrahedron.reduce_spectrahedron(4, *_choi_constraints(S, 2))
+    spec = spectrahedron.reduce_spectrahedron(*_choi_constraints(S, 2))
     assert len(spec.dirs) == 0  # the Choi set is a single point: the identity
     Pi = ChoiMap(dim_in=2, dim_out=2, choi=spec.point(np.zeros(0)), unital=True)
     full = MatrixStarAlgebra.full(2)
@@ -799,7 +789,7 @@ def test_zero_extent_forces_degenerate_choi_set():
     S = offdiag_system()
     extent, _ = ucp_fixed_extent(S)
     assert extent <= 1e-6
-    spec = spectrahedron.reduce_spectrahedron(4, *_choi_constraints(S, 2))
+    spec = spectrahedron.reduce_spectrahedron(*_choi_constraints(S, 2))
     rng = np.random.default_rng(41)
     for _ in range(5):
         xi = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -829,7 +819,7 @@ def test_separation_witness_on_commuting_example():
 
 
 def _line():
-    return OperatorSubspace(ambient_dim=2, basis=[np.eye(2)])
+    return OperatorSubspace([np.eye(2)])
 
 
 def _diagonal_request(**fields):
@@ -859,7 +849,7 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
      "choi", "Choi matrix is not PSD: map is not completely positive"),
     (lambda: ChoiMap(dim_in=2, dim_out=2, choi=np.eye(4), unital=True), "choi", "map is not unital"),
     (lambda: ChoiMap(dim_in=2, dim_out=2, choi=np.eye(2)), "choi", "Choi matrix dimension mismatch"),
-    (lambda: ucp_fixed_extent(OperatorSubspace(ambient_dim=5, basis=[np.eye(5)])),
+    (lambda: ucp_fixed_extent(OperatorSubspace([np.eye(5)])),
      "S", "fixed-set extent is limited to ambient dimension 4"),
     (lambda: nosp_check([np.eye(2)], ChoiMap.identity(2), MatrixStarAlgebra.full(2)),
      "pi_images", "need one representation image per hermitian basis element"),
@@ -878,7 +868,7 @@ NOT_UNITAL = "expected a unital algebra (the identity is not in the span)"
 
 
 def _identity_span(n):
-    return OperatorSubspace(ambient_dim=n, basis=[np.eye(n)])
+    return OperatorSubspace([np.eye(n)])
 
 
 def _mixed(n, domain):

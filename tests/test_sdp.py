@@ -454,7 +454,7 @@ def test_extension_interval_on_random_unital_systems(seed):
     rank = 1 + (seed // 2) % n
     extra = 1 + (seed // 2) % (n * n - 2)
     basis = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(extra)]
-    S = OperatorSubspace(ambient_dim=n, basis=basis, unital=True)
+    S = OperatorSubspace(basis, unital=True)
     phi = StateFunctional(density=density_of_rank(rng, n, rank), domain=S)
     t = unit_norm_hermitian(rng, n)
     interval = extension_interval(phi, t, MatrixStarAlgebra.full(n))
@@ -487,7 +487,7 @@ def test_flat_face_is_reduced_not_rejected(seed):
     J = np.outer(omega, omega.conj())
     for A, b in constraints:
         assert abs(np.vdot(A, J).real - b) <= 1e-12
-    spec = spectrahedron.reduce_spectrahedron(n * n, *zip(*constraints))
+    spec = spectrahedron.reduce_spectrahedron(*zip(*constraints))
     V = spec.support
     assert V.shape[1] < n * n
     assert np.linalg.norm(V @ (V.conj().T @ J @ V) @ V.conj().T - J) <= 1e-6
@@ -518,7 +518,7 @@ def test_extension_set_face_point_is_feasible(monkeypatch):
     S = [np.eye(3), np.diag([1.0, 1.0, 0.0]), unit_norm_hermitian(rng, 3)]
     constraints = [(s, float(np.trace(s @ rho).real)) for s in S]
     calls = count_face_searches(monkeypatch)
-    spec = spectrahedron.reduce_spectrahedron(3, *zip(*constraints))
+    spec = spectrahedron.reduce_spectrahedron(*zip(*constraints))
     assert len(calls) >= 1
     assert spec.support.shape[1] == 2 and len(spec.dirs) > 0
     assert_interior_point_is_feasible(spec, constraints)
@@ -533,7 +533,7 @@ def test_full_rank_extension_set_skips_the_face_search(monkeypatch):
     S = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(3)]
     constraints = [(s, float(np.trace(s @ rho).real)) for s in S]
     calls = count_face_searches(monkeypatch)
-    spec = spectrahedron.reduce_spectrahedron(n, *zip(*constraints))
+    spec = spectrahedron.reduce_spectrahedron(*zip(*constraints))
     assert calls == []
     assert spec.support.shape[1] == n and np.array_equal(spec.z_interior, np.zeros(len(spec.dirs)))
     scale = 1.0 + float(np.max(np.abs(spec.x0)))
@@ -547,7 +547,7 @@ def test_singular_least_norm_point_of_a_full_dimensional_set(monkeypatch):
     # so one face search must supply the interior point.
     constraints = [(np.eye(3), 1.0), (np.diag([1.0, -1.0, 0.0]), 2.0 / 3.0)]
     calls = count_face_searches(monkeypatch)
-    spec = spectrahedron.reduce_spectrahedron(3, *zip(*constraints))
+    spec = spectrahedron.reduce_spectrahedron(*zip(*constraints))
     assert len(calls) == 1
     assert np.allclose(spec.x0, np.diag([2.0 / 3.0, 0.0, 1.0 / 3.0]), atol=1e-12)
     assert spec.support.shape[1] == 3
@@ -579,7 +579,7 @@ def test_an_interior_point_search_stops_at_its_threshold(monkeypatch):
     # point asks only for slack above FACE_TOL scale: it returns a point
     # that clears it, in fewer steps than the max-slack solve of its block.
     calls = record_face_searches(monkeypatch)
-    spec = spectrahedron.reduce_spectrahedron(3, np.array([np.eye(3), np.diag([1.0, -1.0, 0.0])]),
+    spec = spectrahedron.reduce_spectrahedron(np.array([np.eye(3), np.diag([1.0, -1.0, 0.0])]),
                                               np.array([1.0, 2.0 / 3.0]))
     (blocks, interior, sol), = calls
     assert interior == spectrahedron.FACE_TOL * (1.0 + float(np.max(np.abs(spec.x0))))
@@ -602,10 +602,10 @@ def test_a_scaled_system_has_the_face_of_its_unit_multiple(scale):
     # The rank cut and the consistency test are relative to the system, with
     # no absolute floor: tr(s A_j Y) = s b_j is the set of tr(A_j Y) = b_j.
     mats = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
-    spec = spectrahedron.reduce_spectrahedron(2, scale * mats, scale * np.array([1.0, 0.4]))
+    spec = spectrahedron.reduce_spectrahedron(scale * mats, scale * np.array([1.0, 0.4]))
     assert spec.x0 == pytest.approx(np.diag([0.7, 0.3]), abs=1e-15) and len(spec.dirs) == 2
     with pytest.raises(spectrahedron.SpectrahedronInfeasible, match="inconsistent"):
-        spectrahedron.reduce_spectrahedron(2, scale * mats[[0, 0]], scale * np.array([1.0, 2.0]))
+        spectrahedron.reduce_spectrahedron(scale * mats[[0, 0]], scale * np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("seed", [23, 53])
@@ -617,7 +617,7 @@ def test_flat_and_empty_searches_keep_the_bits_of_the_converged_run(monkeypatch,
     S = [np.eye(3, dtype=complex)] + [unit_norm_hermitian(rng, 3) for _ in range(2)]
     mats, rhs = (np.array(v) for v in zip(*identity_choi_constraints(S, 3)))
     calls = record_face_searches(monkeypatch)
-    spectrahedron.reduce_spectrahedron(9, mats, rhs)
+    spectrahedron.reduce_spectrahedron(mats, rhs)
     monkeypatch.undo()
     flat = [(blocks, sol) for blocks, interior, sol in calls if sol.value <= interior]
     assert flat
@@ -662,7 +662,7 @@ def test_linear_range_bounds_the_extremes_on_the_face():
     rho = np.zeros((3, 3), dtype=complex)
     rho[:2, :2] = density_of_rank(rng, 2, 2)
     S = [np.eye(3), np.diag([1.0, 1.0, 0.0])]
-    spec = spectrahedron.reduce_spectrahedron(3, S, [float(np.trace(s @ rho).real) for s in S])
+    spec = spectrahedron.reduce_spectrahedron(S, [float(np.trace(s @ rho).real) for s in S])
     Cs = np.stack([unit_norm_hermitian(rng, 3) for _ in range(4)] + [np.diag([0.0, 0.0, 1.0])])
     values, bounds = spec.linear_range(Cs)
     for C, value, bound in zip(Cs, values, bounds):
@@ -685,7 +685,7 @@ def test_inconsistent_unreduced_system_is_infeasible():
     # tr X = 1 and tr X = 2: a certified "no", an input error (CLI exit 2).
     constraints = [(np.eye(2), 1.0), (np.eye(2), 2.0)]
     with pytest.raises(spectrahedron.SpectrahedronInfeasible) as info:
-        spectrahedron.reduce_spectrahedron(2, *zip(*constraints))
+        spectrahedron.reduce_spectrahedron(*zip(*constraints))
     assert isinstance(info.value, InputError)
 
 
@@ -917,7 +917,7 @@ def test_optimization_iterations_on_extension_faces(seed):
     rng = np.random.default_rng(seed)
     n = 3 + seed % 2
     basis = [np.eye(n)] + [unit_norm_hermitian(rng, n) for _ in range(1 + (seed // 2) % (n * n - 2))]
-    S = OperatorSubspace(ambient_dim=n, basis=basis, unital=True)
+    S = OperatorSubspace(basis, unital=True)
     phi = StateFunctional(density=density_of_rank(rng, n, 1 + (seed // 2) % n), domain=S)
     spec, _, _ = states._extension_set(phi)
     block = spec.block

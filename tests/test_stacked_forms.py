@@ -99,7 +99,7 @@ def test_subspace_basis_is_hermitian_of_each_matrix():
     for n, basis in bases(rng):
         if len(basis) > 1 and np.linalg.matrix_rank(basis.reshape(len(basis), -1)) < len(basis):
             continue
-        S = OperatorSubspace(ambient_dim=n, basis=list(basis), unital=False)
+        S = OperatorSubspace(list(basis), unital=False)
         reference = np.stack([hermitian(b) for b in basis])
         assert S.basis.tobytes() == reference.tobytes()
         assert S.basis.shape == reference.shape and not S.basis.flags.writeable
@@ -124,7 +124,7 @@ def test_choi_constraints_are_the_kron_double_loop(n):
     subspaces = [MatrixStarAlgebra.full(n).subspace()] if n < 4 else []
     for extra in range(min(3, n * n - 1) + 1):
         mats = [np.eye(n)] + [random_hermitian(rng, n) for _ in range(extra)]
-        subspaces.append(OperatorSubspace(ambient_dim=n, basis=mats, unital=True))
+        subspaces.append(OperatorSubspace(mats, unital=True))
     for S in subspaces:
         (mats, values), reference = _choi_constraints(S, n), choi_constraints_by_loop(S, n)
         assert mats.dtype == complex and values.dtype == float

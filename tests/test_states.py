@@ -30,7 +30,7 @@ def E(n, i, j):
 def offdiag_system(n=2) -> OperatorSubspace:
     X = E(n, 0, 1) + E(n, 1, 0)
     Y = 1j * E(n, 0, 1) - 1j * E(n, 1, 0)
-    return OperatorSubspace(ambient_dim=n, basis=[np.eye(n), X, Y], unital=True)
+    return OperatorSubspace([np.eye(n), X, Y], unital=True)
 
 
 def random_density(rng, n):
@@ -68,7 +68,7 @@ def test_verify_state_restriction_of_state():
 
 def test_verify_state_negative_functional():
     # values forcing negativity on a positive element of the span
-    S = OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -1.0])], unital=True)
+    S = OperatorSubspace([np.eye(2), np.diag([1.0, -1.0])], unital=True)
     assert not verify_state_on_subspace([1.0, 2.0], S)  # value 3 at diag(1,0)? -1 at diag(0,1)
 
 
@@ -86,10 +86,10 @@ def test_a_boundary_functional_with_one_extension_is_a_state(monkeypatch):
     # values [1, 1] on span{I, diag(1, -1)} force Y11 = 1, Y22 = 0: the
     # extension set is the single density E11, with empty interior
     refuse_programs_of_its_own(monkeypatch)
-    S = OperatorSubspace(ambient_dim=2, basis=[np.eye(2), np.diag([1.0, -1.0])], unital=True)
+    S = OperatorSubspace([np.eye(2), np.diag([1.0, -1.0])], unital=True)
     assert verify_state_on_subspace([1.0, 1.0], S)
     assert verify_state_on_subspace([1.0, -1.0], S)
-    spec = spectrahedron.reduce_spectrahedron(2, np.stack([*S.basis, np.eye(2)]), [1.0, 1.0, 1.0])
+    spec = spectrahedron.reduce_spectrahedron(np.stack([*S.basis, np.eye(2)]), [1.0, 1.0, 1.0])
     assert spec.support.shape == (2, 1) and len(spec.dirs) == 0
     np.testing.assert_allclose(spec.point(np.zeros(0)), np.diag([1.0, 0.0]), atol=1e-9)
 
@@ -98,11 +98,11 @@ def test_a_functional_whose_extension_set_is_certified_empty_is_not_a_state(monk
     # Y11 = Y22, tr Y = 1 and 2 Re Y12 = 1.5 ask for |Y12| > sqrt(Y11 Y22):
     # the linear system is consistent, its PSD part is empty (certified)
     refuse_programs_of_its_own(monkeypatch)
-    S = OperatorSubspace(ambient_dim=3, basis=[np.eye(3), E(3, 0, 0) - E(3, 1, 1), E(3, 0, 1) + E(3, 1, 0)],
+    S = OperatorSubspace([np.eye(3), E(3, 0, 0) - E(3, 1, 1), E(3, 0, 1) + E(3, 1, 0)],
                          unital=True)
     values = [1.0, 0.0, 1.5]
     with pytest.raises(spectrahedron.SpectrahedronInfeasible, match="certified"):
-        spectrahedron.reduce_spectrahedron(3, np.stack([*S.basis, np.eye(3)]), values + [1.0])
+        spectrahedron.reduce_spectrahedron(np.stack([*S.basis, np.eye(3)]), values + [1.0])
     assert not verify_state_on_subspace(values, S)
     assert verify_state_on_subspace([1.0, 0.0, 0.5], S)  # |Y12| = 1/4 <= Y11 = Y22 = 1/2 is reachable
 
@@ -156,7 +156,7 @@ def test_extension_interval_degenerate_inside_span():
 
 
 def test_extension_interval_scalar_domain():
-    S = OperatorSubspace(ambient_dim=2, basis=[np.eye(2)], unital=True)
+    S = OperatorSubspace([np.eye(2)], unital=True)
     phi = StateFunctional(density=np.eye(2) / 2, domain=S)
     interval = extension_interval(phi, np.diag([1.0, 5.0]), MatrixStarAlgebra.full(2))
     assert interval.min == pytest.approx(1.0, abs=1e-6)
@@ -168,7 +168,7 @@ def random_unital_system(rng, n):
     full-rank density) and an element t, all seeded."""
     hs = [hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
           for _ in range(int(rng.integers(1, n)))]
-    S = OperatorSubspace(ambient_dim=n, basis=[np.eye(n), *hs], unital=True)
+    S = OperatorSubspace([np.eye(n), *hs], unital=True)
     t = hermitian_part(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     return S, StateFunctional(density=random_density(rng, n), domain=S), t, hs
 
@@ -195,7 +195,7 @@ def test_extension_intervals_keep_their_relations(seed):
 
 
 def test_extension_interval_rejects_a_domain_outside_the_ambient_algebra():
-    S = OperatorSubspace(ambient_dim=2, basis=[np.eye(2)], unital=True)
+    S = OperatorSubspace([np.eye(2)], unital=True)
     phi = StateFunctional(density=np.diag([1.0, 0.0]), domain=S)
     with pytest.raises(InputError, match="not contained in the ambient algebra"):
         extension_interval(phi, E(2, 0, 0), MatrixStarAlgebra.from_basis([E(2, 0, 0)]))
@@ -303,7 +303,7 @@ def uep_cases():
         density = vecs @ vecs.conj().T
         psi = StateFunctional(density=density / np.trace(density).real,
                               domain=MatrixStarAlgebra.full(n))
-        yield psi, OperatorSubspace(ambient_dim=n, basis=mats, unital=True)
+        yield psi, OperatorSubspace(mats, unital=True)
 
 
 def test_has_uep_agrees_with_every_basis_interval():
@@ -522,7 +522,7 @@ def test_state_validation():
 
 
 def _line_state():
-    return StateFunctional(density=E(2, 0, 0), domain=OperatorSubspace(ambient_dim=2, basis=[np.eye(2)]))
+    return StateFunctional(density=E(2, 0, 0), domain=OperatorSubspace([np.eye(2)]))
 
 
 DIAGONAL = [E(2, 0, 0), E(2, 1, 1)]
@@ -535,7 +535,7 @@ SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
     (lambda: extension_interval(_line_state(), E(2, 0, 0), MatrixStarAlgebra.from_basis([E(2, 0, 0)])),
      "phi", "the state's domain is not contained in the ambient algebra"),
     (lambda: has_uep(StateFunctional(density=E(2, 0, 0), domain=MatrixStarAlgebra.from_basis(DIAGONAL)),
-                     OperatorSubspace(ambient_dim=2, basis=[np.eye(2), SWAP])),
+                     OperatorSubspace([np.eye(2), SWAP])),
      "S", "subspace is not contained in the state's algebra"),
     (lambda: StateFunctional(density=np.eye(2) * 0.3, domain=MatrixStarAlgebra.full(2)),
      "density", "density trace 0.6 is not 1"),

@@ -1,5 +1,6 @@
-"""Results audit: every benchmark document of seeds 1-3, every repro case and
-the scale probes, through the CLI, recorded by exit code and `results` bytes.
+"""Results audit: every benchmark document of seeds 1-3, every repro case, the
+scale probes and the path probes, through the CLI, recorded by exit code and
+`results` bytes.
 
     python tools/results_audit.py OUT.json            # audit this checkout
     python tools/results_audit.py --compare A.json B.json
@@ -12,7 +13,13 @@ instances (a, b) times s and one extension interval of s t, at each scale s
 of SCALES.  A span does not change when its spanning matrices are rescaled,
 the unperforated question is homogeneous in (a, b) and the extension
 interval of t scales with t, so every probe must give the exit code and
-verdict it gives at s = 1.  Each runs as
+verdict it gives at s = 1.  The path probes (`probes/paths/...`) are the
+inputs known to fail and those that reach code no benchmark document
+reaches: `boundary` on S = span{I, h} in M4 for ten seeded h, 44 seeded
+counterexample searches of span{h} against full M8, a search whose T does
+not hold I (its generation programs start cold), a `nosp` document, a
+`riesz` document with `auto_bounds`, and a `uep` document whose face is too
+large for one SDP.  Each runs as
 `opsyslab.cli.main([command, "--file", PATH, "--json"])`, the path a user
 takes, with BLAS pinned to one thread.  A document's outcome is its exit
 code and its `results` value exactly as printed, or on a non-zero exit the
@@ -73,6 +80,37 @@ def scale_probes(s: float) -> list:
             for command, payload in docs]
 
 
+def path_probes() -> list:
+    """(name, command, document) of each path probe: the inputs known to
+    fail or to reach code no benchmark document reaches, built from the
+    generators of `perfbench/workloads.py`."""
+    import numpy as np
+    import workloads as w
+
+    rng, search = np.random.default_rng, "check-unperforated"
+    probes = [("boundary-M4", k, "boundary", {"S": [np.eye(4), w.random_hermitian(rng(100 + k), 4)]}, None)
+              for k in range(10)]
+    probes += [("search-M8", seed, search, {"S": [w.random_hermitian(rng(seed), 8)], "S_unital": False,
+                                            "T": w.hermitian_basis(8), "trials": 20}, seed) for seed in range(1, 45)]
+    # I is not in span T, so each generation program starts cold
+    probes.append(("cold-start", 0, search, {"S": [w.random_hermitian(rng(1), 3)], "S_unital": False,
+                                             "T": [np.diag([1.0, 2.0, 3.0]), w.random_hermitian(rng(2), 3)],
+                                             "T_unital": False, "trials": 20}, 1))
+    # pi the identity representation of M2, Pi the pinching onto the diagonal
+    probes.append(("nosp", 0, "nosp", {"pi_images": w.hermitian_basis(2),
+                                       "Pi_choi": {"dim_in": 2, "dim_out": 2, "choi": np.diag([1.0, 0, 0, 1])}}, None))
+    riesz = w.riesz_doc(rng(1), (2, 1), 3).payload
+    probes.append(("auto-bounds", 0, "riesz",
+                   {key: riesz[key] for key in ("B", "a", "epsilon", "N")} | {"auto_bounds": 2}, 1))
+    # a full-rank state on M12 pinned by 4 matrices: a face of 140 coordinates
+    probes.append(("face-wall", 0, "uep", {"S": [np.eye(12)] + [np.diag(np.arange(12.0) == k) for k in range(3)],
+                                           "state": np.eye(12) / 12}, None))
+    return [(f"probes/paths/{group}/{i:03d}-{command}", command,
+             json.dumps({"kind": command.removeprefix("check-"), "payload": payload}
+                        | ({} if seed is None else {"seed": seed}), default=w.to_json))
+            for group, i, command, payload, seed in probes]
+
+
 def _import_paths() -> None:
     """This checkout's src/ and perfbench/ (whose run.py pins BLAS to one
     thread before numpy is imported) first on the import path."""
@@ -98,7 +136,7 @@ def documents(seeds=SEEDS) -> list:
              for ident in sorted(CASES)]
     docs += [(f"probes/scale/{label}/{i:03d}-{command}", command, text)
              for label, s in SCALES.items() for i, (command, text) in enumerate(scale_probes(s))]
-    return docs
+    return docs + path_probes()
 
 
 def outcome(main, command: str, path: str) -> list:
